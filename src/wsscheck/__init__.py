@@ -17,10 +17,10 @@ from .errors import (
     ValidationGateError,
 )
 from .ratlin import (
-    Rat,
     RatMatrix,
     Subspace,
     contains,
+    extend_basis,
     image,
     intersect,
     kernel,

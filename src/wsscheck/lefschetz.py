@@ -30,6 +30,7 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     contains,
+    extend_basis,
     image,
     intersect,
     inverse,
@@ -260,12 +261,6 @@ class ImDecomposition:
         return self.im_gys[i].dim - self.im0_gys[i].dim
 
 
-def _extend(small, big):
-    from .specseq import _extend_basis
-
-    return _extend_basis(small, big)
-
-
 def im_decompose(datum: SemistableDatum, prim: PrimitiveDecomposition) -> ImDecomposition:
     """The transfer-image splittings, with the defining identities re-derived."""
     _require_threefold(datum)
@@ -304,11 +299,10 @@ def im_decompose(datum: SemistableDatum, prim: PrimitiveDecomposition) -> ImDeco
     im0_gys[2] = l_im0_gys0
     im0_gys[4] = Subspace.zero(datum.h(1, 6))
 
-    for i in (0, 2, 4):
-        if not contains(im_res[i], im0_res[i]) or not contains(im_gys[i], im0_gys[i]):
-            raise InstanceInconsistency("im0 escapes its transfer image")
-    im1_res_reps = {i: _extend(im0_res[i], im_res[i]) for i in (0, 2, 4)}
-    im1_gys_reps = {i: _extend(im0_gys[i], im_gys[i]) for i in (0, 2, 4)}
+    im1_res_reps = {i: extend_basis(im0_res[i], im_res[i]) for i in (0, 2, 4)}
+    im1_gys_reps = {i: extend_basis(im0_gys[i], im_gys[i]) for i in (0, 2, 4)}
+    if None in (*im1_res_reps.values(), *im1_gys_reps.values()):
+        raise InstanceInconsistency("im0 escapes its transfer image")
     return ImDecomposition(
         im_res=im_res,
         im_gys=im_gys,

@@ -14,6 +14,13 @@ transpose of the RREF of the transposed generator matrix).  Subspace equality
 is therefore literal basis equality, and re-running any computation yields
 bit-identical results.
 
+Quotient representatives come from ``extend_basis(small, big)``, which
+completes the basis of ``small`` to one of ``big`` with columns of big's
+canonical basis.  One ``rref`` of ``[small | big]`` picks them: a column is a
+pivot exactly when it lies outside the span of the columns before it, so the
+picks are the ones a greedy left-to-right scan would keep, and they depend
+only on the two canonical bases.
+
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the denominator is
 one) in every file format.
 """
@@ -26,14 +33,13 @@ from math import gcd
 
 from .errors import DimensionMismatch, InvalidForm
 
-Rat = Fraction
-
 
 def as_rat(x):
     """Coerce an int, Fraction or "p/q" string to a canonical exact scalar."""
+    # exact type tests: isinstance against Fraction goes through ABCMeta
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
         f = Fraction(x)  # ValueError / ZeroDivisionError propagate to callers
@@ -49,7 +55,7 @@ def rat_str(x) -> str:
 
 
 def _norm(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
 
@@ -224,14 +230,6 @@ class RatMatrix:
                         out[base + j] = out[base + j] + av * bv
         return RatMatrix(n, p, tuple(_norm(v) for v in out))
 
-    def matrix_power(self, k):
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of a non-square matrix")
-        out = RatMatrix.identity(self.rows)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
@@ -301,7 +299,7 @@ def _int_row(row):
     """Scale a row of ints/Fractions to coprime integers (row-space preserving)."""
     den = 1
     for x in row:
-        if isinstance(x, Fraction):
+        if type(x) is Fraction:
             d = x.denominator
             den = den * d // gcd(den, d)
     if den == 1:
@@ -368,7 +366,7 @@ def rref(m: RatMatrix):
             if pv == 1:
                 out.extend(row)
             else:
-                out.extend(_norm(Fraction(v, pv)) for v in row)
+                out.extend(v and (Fraction(v, pv) if v % pv else v // pv) for v in row)
         else:
             out.extend([0] * nc)
     return RatMatrix(nr, nc, tuple(out)), tuple(pivots)
@@ -506,6 +504,22 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     return Subspace.span(u.ambient_dim, u.basis.columns() + w.basis.columns())
 
 
+def extend_basis(small: Subspace, big: Subspace):
+    """Columns of big's basis completing small's basis to a basis of big.
+
+    One rref of [small | big]: small's columns are independent, so they are
+    all pivots, and big's pivot columns are those outside the span of the
+    columns before them.  None when small is not inside big, read off the
+    same elimination: rank [small | big] = dim big iff small is inside big.
+    """
+    _same_ambient(small, big)
+    _, piv = rref(small.basis.hstack(big.basis))
+    if len(piv) != big.dim:
+        return None
+    picked = [p - small.dim for p in piv[small.dim:]]
+    return big.basis.submatrix(range(big.ambient_dim), picked)
+
+
 def contains(u: Subspace, w: Subspace) -> bool:
     """True iff every basis vector of w lies in u."""
     _same_ambient(u, w)
@@ -597,8 +611,3 @@ def quotient_map(ambient_dim: int, u: Subspace) -> RatMatrix:
     t = RatMatrix.from_cols(cols, rows=n)
     tinv = inverse(t)
     return tinv.submatrix(range(u.dim, n), range(n))
-
-
-def coords_in_span(basis: RatMatrix, v):
-    """Coordinates of v in the given basis columns, or None if outside."""
-    return solve(basis, v)

@@ -41,11 +41,11 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     contains,
+    extend_basis,
     image,
     kernel,
     rank,
     solve_matrix,
-    subspace_sum,
 )
 from .strata import SemistableDatum, require_valid
 
@@ -126,7 +126,7 @@ def _offsets(summands):
     return off, pos
 
 
-def build_e1(datum: SemistableDatum, w_range=None) -> WeightComplex:
+def build_e1(datum: SemistableDatum) -> WeightComplex:
     """Assemble the E1 page of a validated datum; asserts d1 o d1 = 0."""
     require_valid(datum)
     n = datum.n
@@ -134,10 +134,6 @@ def build_e1(datum: SemistableDatum, w_range=None) -> WeightComplex:
     dims = {}
     for i in range(-n, n + 1):
         for j in range(0, 2 * n + 1):
-            if w_range is not None:
-                lo, hi = w_range
-                if not (lo - 1 <= i + j <= hi + 1):
-                    continue
             summands = e1_summands(datum, i, j)
             if summands:
                 cells[(i, j)] = summands
@@ -179,11 +175,11 @@ def build_e1(datum: SemistableDatum, w_range=None) -> WeightComplex:
     for (i, j), summands in cells.items():
         dual = cells.get((-i, 2 * n - j))
         if dual is None:
-            if dims[(i, j)] > 0 and w_range is None:
+            if dims[(i, j)] > 0:
                 raise InstanceInconsistency(
                     f"cell ({i},{j}) has no duality partner"
                 )
-            continue  # partner clipped by the w-window; pairing unavailable
+            continue
         dual_off, _ = _offsets(dual)
         blocks = []
         for sm in summands:
@@ -270,7 +266,6 @@ class E2Page:
     n: int
     dims: dict      # (i, j) -> int
     reps: dict      # (i, j) -> RatMatrix, columns represent E2 classes
-    kernels: dict   # (i, j) -> Subspace of E1^{i,j}
     images: dict    # (i, j) -> Subspace (image of incoming d1)
     n_maps: dict    # (i, j) -> RatMatrix on E2 coordinates, to (i+2, j-2)
     page: WeightComplex
@@ -283,30 +278,16 @@ class E2Page:
         return blk
 
 
-def _extend_basis(small: Subspace, big: Subspace) -> RatMatrix:
-    """Columns of big's basis completing small to a basis of big."""
-    cols = []
-    cur = small
-    for c in big.basis.columns():
-        if not cur.contains_vector(c):
-            cols.append(c)
-            cur = subspace_sum(cur, Subspace.span(big.ambient_dim, [c]))
-    if len(cols) != big.dim - small.dim:
-        raise InternalConsistencyError("basis extension lost track of dimensions")
-    return RatMatrix.from_cols(cols, rows=big.ambient_dim)
-
-
 def build_e2(page: WeightComplex) -> E2Page:
     """E2^{i,j} = Ker d1^{i,j} / Im d1^{i-1,j} with explicit representatives."""
-    dims, reps, kernels, images = {}, {}, {}, {}
+    dims, reps, images = {}, {}, {}
     for (i, j) in page.dims:
         ker = kernel(page.d1_block(i, j))
         img = image(page.d1_block(i - 1, j))
-        if not contains(ker, img):
+        rep = extend_basis(img, ker)
+        if rep is None:
             raise ConventionViolation(f"image not inside kernel at cell ({i}, {j})")
-        kernels[(i, j)] = ker
         images[(i, j)] = img
-        rep = _extend_basis(img, ker)
         reps[(i, j)] = rep
         dims[(i, j)] = rep.cols
     n_maps = {}
@@ -336,8 +317,8 @@ def build_e2(page: WeightComplex) -> E2Page:
                     f"induced N does not land in the kernel at cell ({i}, {j})"
                 )
             n_maps[(i, j)] = sol.submatrix(range(tgt_dim), range(sol.cols))
-    return E2Page(n=page.n, dims=dims, reps=reps, kernels=kernels,
-                  images=images, n_maps=n_maps, page=page)
+    return E2Page(n=page.n, dims=dims, reps=reps, images=images,
+                  n_maps=n_maps, page=page)
 
 
 @dataclass(frozen=True)

@@ -434,6 +434,34 @@ def datum_to_json_dict(datum: SemistableDatum):
     }
 
 
+def _int_field(value, where):
+    if type(value) is not int:
+        raise SchemaError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _entries(doc, key):
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+        raise SchemaError(f"{key!r} must be a list of objects")
+    return value
+
+
+def _transfers_from_json(doc, key):
+    """(level, degree) -> matrix, 1-based levels; each pair may appear once."""
+    out = {}
+    for entry in _entries(doc, key):
+        where = f"{key}[level={entry.get('level')}, degree={entry.get('degree')}]"
+        if "matrix" not in entry:
+            raise SchemaError(f"{where}: missing matrix")
+        at = (_int_field(entry.get("level"), f"{where}.level") + 1,
+              _int_field(entry.get("degree"), f"{where}.degree"))
+        if at in out:
+            raise SchemaError(f"{where}: entry appears more than once")
+        out[at] = _mat_from_json(entry["matrix"], where)
+    return out
+
+
 def datum_from_json_dict(doc) -> SemistableDatum:
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
@@ -446,10 +474,12 @@ def datum_from_json_dict(doc) -> SemistableDatum:
         if key not in doc:
             raise SchemaError(f"missing top-level field {key!r}")
     levels = {}
-    for entry in doc["levels"]:
+    for entry in _entries(doc, "levels"):
         where = f"levels[{entry.get('level')}]"
+        j = _int_field(entry.get("level"), f"{where}.level") + 1
+        if j in levels:
+            raise SchemaError(f"{where}: level appears more than once")
         try:
-            j = int(entry["level"]) + 1
             components = int(entry["components"])
             coh = entry["cohomology"]
             dims = {int(c["degree"]): int(c["dim"]) for c in coh}
@@ -478,18 +508,10 @@ def datum_from_json_dict(doc) -> SemistableDatum:
             lefschetz=lefschetz,
             component_blocks=blocks,
         )
-    restriction = {}
-    for entry in doc["restriction"]:
-        where = f"restriction[level={entry.get('level')}, degree={entry.get('degree')}]"
-        restriction[(int(entry["level"]) + 1, int(entry["degree"]))] = _mat_from_json(
-            entry["matrix"], where
-        )
-    gysin = {}
-    for entry in doc["gysin"]:
-        where = f"gysin[level={entry.get('level')}, degree={entry.get('degree')}]"
-        gysin[(int(entry["level"]) + 1, int(entry["degree"]))] = _mat_from_json(
-            entry["matrix"], where
-        )
+    restriction = _transfers_from_json(doc, "restriction")
+    gysin = _transfers_from_json(doc, "gysin")
+    if not isinstance(doc["ample_class"], list):
+        raise SchemaError("'ample_class' must be a list")
     try:
         ample = tuple(as_rat(x) for x in doc["ample_class"])
     except ZeroDivisionError as exc:
@@ -497,8 +519,8 @@ def datum_from_json_dict(doc) -> SemistableDatum:
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"ample_class: {exc}") from exc
     datum = SemistableDatum(
-        n=int(doc["n"]),
-        m=int(doc["m"]),
+        n=_int_field(doc["n"], "n"),
+        m=_int_field(doc["m"], "m"),
         levels=levels,
         transfers=TransferMaps(restriction=restriction, gysin=gysin),
         ample_class=ample,
@@ -524,8 +546,8 @@ def load(path) -> SemistableDatum:
     return datum_from_json_dict(doc)
 
 
-def to_weight_complex(datum: SemistableDatum, w_range=None):
+def to_weight_complex(datum: SemistableDatum):
     """Validated E1 page with differentials, monodromy blocks and pairings."""
     from . import specseq  # late import: specseq depends on this module
 
-    return specseq.install_n(specseq.build_e1(datum, w_range=w_range))
+    return specseq.install_n(specseq.build_e1(datum))

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Deliberately separate from the engine: a plain fraction-based Gaussian
-elimination for ranks, the Jordan-type formula for monodromy graded
-dimensions, a dictionary convolution for Kunneth dimensions, and raw
-incidence matrices of cycle/path graphs.  Nothing here imports wsscheck.
+elimination for ranks, a greedy basis extension built on it, the
+Jordan-type formula for monodromy graded dimensions, a dictionary
+convolution for Kunneth dimensions, and raw incidence matrices of cycle/path
+graphs.  Nothing here imports wsscheck.
 """
 
 from fractions import Fraction
@@ -34,6 +35,17 @@ def mini_rank(rows):
         if rank == nr:
             break
     return rank
+
+
+def greedy_extension(small, big):
+    """The vectors of big kept by a left-to-right scan that keeps each one
+    outside the span of small and of the vectors kept before it."""
+    kept = []
+    for v in big:
+        span = list(small) + kept
+        if mini_rank(span + [v]) > mini_rank(span):
+            kept.append(v)
+    return kept
 
 
 def cycle_incidence(n):

@@ -1,0 +1,43 @@
+"""Pinned SHA-256 digests of whole command outputs.
+
+The report of an instance names it by the path given on the command line,
+so the commands run from the repository root with repository-relative
+paths.  Any change to a report byte, from the numbers to the key order,
+changes a digest here.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from wsscheck import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = "src/wsscheck/data"
+
+GOLDEN = {
+    "report --instance src/wsscheck/data/toy_blowup_point.json":
+        "fd2638c390f9ee85f20c0b751ea496dc7b74f8fa54bbeacf0140d087b01984cf",
+    "report --instance src/wsscheck/data/toy_chain3_x_p2.json":
+        "62e28101256af2f2b43f3b895c299052ff956cf5a97bbe4ab3dc155f15b09264",
+    "report --instance src/wsscheck/data/toy_gon3_x_p2.json":
+        "c078f49d8d59d385523ecaf97c3d5ca190abfc39732ed5e215996182884dd000",
+    "report --instance src/wsscheck/data/toy_gon4_x_p2.json":
+        "ebe9a4e4b826a24f5425d839ba90a61fb628b2248d1dc25ff134ce5fc8ad4145",
+    "pages --instance src/wsscheck/data/toy_gon3_x_p2.json --tensor-power 2":
+        "7cd5e76e79e7cf66e9e859d5e24d0f986d4ca607cb8fd1fb4dba9ae63622bc85",
+}
+
+
+def test_golden_covers_every_shipped_instance():
+    shipped = {f"report --instance {DATA}/{p.name}" for p in (ROOT / DATA).glob("*.json")}
+    assert shipped == {c for c in GOLDEN if c.startswith("report")}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_output_digest(command, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import greedy_extension
 from wsscheck.errors import DimensionMismatch, InvalidForm
 from wsscheck.ratlin import (
     RatMatrix,
     Subspace,
+    as_rat,
     contains,
+    extend_basis,
     image,
     intersect,
     kernel,
@@ -150,6 +153,50 @@ def test_contains_examples():
     assert contains(full, line)
     assert contains(line, Subspace.zero(2))
     assert not contains(line, skew)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            vectors(d, 4),
+            st.lists(st.tuples(*[st.integers(-2, 2)] * 4), max_size=3),
+        )
+    )
+)
+def test_extend_basis_matches_greedy_scan(args):
+    d, gens, combos = args
+    big = Subspace.span(d, gens)
+    small = Subspace.span(
+        d, [tuple(sum(c * g[i] for c, g in zip(cs, gens)) for i in range(d))
+            for cs in combos]
+    )
+    ext = extend_basis(small, big)
+    assert ext.rows == d
+    assert ext.columns() == greedy_extension(small.basis.columns(), big.basis.columns())
+    assert ext.cols == big.dim - small.dim
+
+
+def test_extend_basis_none_when_not_contained():
+    line = Subspace.span(3, [(0, 0, 1)])
+    plane = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
+    assert extend_basis(line, plane) is None
+    assert extend_basis(line, Subspace.full(3)).columns() == [(1, 0, 0), (0, 1, 0)]
+    with pytest.raises(DimensionMismatch):
+        extend_basis(Subspace.zero(2), plane)
+
+
+def test_as_rat_scalars():
+    assert as_rat(3) == 3 and type(as_rat(3)) is int
+    assert as_rat(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(as_rat(Fraction(4, 2))) is int
+    assert as_rat("-3/6") == Fraction(-1, 2)
+    assert type(as_rat("4/2")) is int
+    with pytest.raises(TypeError):
+        as_rat(True)
+    with pytest.raises(TypeError):
+        as_rat(0.5)
 
 
 def test_span_canonical_under_shuffle():

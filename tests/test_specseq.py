@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import convolve_power, cycle_incidence, mini_rank, path_incidence
-from wsscheck.errors import InstanceInconsistency
+from wsscheck.errors import ConventionViolation, InstanceInconsistency
 from wsscheck.instances import gen_chain, gen_ngon, gen_smooth
 from wsscheck.ratlin import RatMatrix
 from wsscheck.specseq import (
@@ -181,3 +181,19 @@ def test_renderers_cover_cells():
     assert "H^0(X(2))" in g1 and "j/i" in g1
     g2 = render_e2_grid(build_e2(page))
     assert "E2" in g2
+
+
+def test_build_e2_rejects_d1_squared_nonzero():
+    # a row 0 -> 0 -> 0 of one-dimensional cells with both d1 the identity:
+    # the image into (1, 0) is not inside the kernel out of it
+    one = RatMatrix.identity(1)
+    page = WeightComplex(
+        n=1,
+        cells={(0, 0): None, (1, 0): None, (2, 0): None},
+        dims={(0, 0): 1, (1, 0): 1, (2, 0): 1},
+        d1={(0, 0): one, (1, 0): one},
+        n_blocks=None,
+        pairings=None,
+    )
+    with pytest.raises(ConventionViolation, match=r"image not inside kernel at cell \(1, 0\)"):
+        build_e2(page)

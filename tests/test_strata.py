@@ -194,14 +194,44 @@ def test_adjunction_forces_equal_transfer_ranks():
                 assert r == g, (j, s)
 
 
-def test_w_range_window_matches_full_page():
-    from wsscheck.specseq import build_e2
+def _first(key, field, value):
+    return lambda d: d[key][0].__setitem__(field, value)
 
-    datum = times_projective_plane(gen_ngon(3))
-    full = build_e2(to_weight_complex(datum))
-    windowed = build_e2(to_weight_complex(datum, w_range=(3, 3)))
-    for (i, j), d in windowed.dims.items():
-        if i + j == 3:
-            assert d == full.dims.get((i, j), 0)
-    assert all(i + j <= 4 for (i, j) in windowed.dims)
-    assert all(i + j >= 2 for (i, j) in windowed.dims)
+
+def _repeat_first(key):
+    return lambda d: d[key].append(json.loads(json.dumps(d[key][0])))
+
+
+# each edit breaks one field of a valid threefold's document
+MALFORMED = {
+    "n-not-int": lambda d: d.__setitem__("n", "abc"),
+    "n-fractional": lambda d: d.__setitem__("n", 2.5),
+    "m-not-int": lambda d: d.__setitem__("m", "two"),
+    "levels-not-list": lambda d: d.__setitem__("levels", 5),
+    "restriction-not-list": lambda d: d.__setitem__("restriction", {"level": 0}),
+    "gysin-not-list": lambda d: d.__setitem__("gysin", "none"),
+    "ample-class-not-list": lambda d: d.__setitem__("ample_class", "2-11"),
+    "restriction-without-matrix": lambda d: d["restriction"][0].pop("matrix"),
+    "gysin-without-matrix": lambda d: d["gysin"][0].pop("matrix"),
+    "restriction-level-not-int": _first("restriction", "level", "z"),
+    "restriction-degree-not-int": _first("restriction", "degree", 1.5),
+    "gysin-level-not-int": _first("gysin", "level", "z"),
+    "gysin-degree-not-int": _first("gysin", "degree", None),
+    "duplicate-level": _repeat_first("levels"),
+    "duplicate-gysin": _repeat_first("gysin"),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_field_exits_2(tmp_path, capsys, edit):
+    from wsscheck import cli
+
+    doc = datum_to_json_dict(blowup_point_datum())
+    edit(doc)
+    with pytest.raises(SchemaError):
+        datum_from_json_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
