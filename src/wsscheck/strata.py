@@ -480,9 +480,13 @@ def datum_from_json_dict(doc) -> SemistableDatum:
         if j in levels:
             raise SchemaError(f"{where}: level appears more than once")
         try:
-            components = int(entry["components"])
+            components = _int_field(entry["components"], f"{where}.components")
             coh = entry["cohomology"]
-            dims = {int(c["degree"]): int(c["dim"]) for c in coh}
+            dims = {
+                _int_field(c["degree"], f"{where}.cohomology.degree"):
+                    _int_field(c["dim"], f"{where}.cohomology.dim")
+                for c in coh
+            }
             profile = tuple(dims.get(s, 0) for s in range(max(dims) + 1)) if dims else ()
             pairings = {
                 int(s): _mat_from_json(m, f"{where}.pairings[{s}]")
@@ -493,7 +497,7 @@ def datum_from_json_dict(doc) -> SemistableDatum:
                 for s, m in entry.get("lefschetz", {}).items()
             }
             blocks = {
-                int(s): tuple(int(b) for b in v)
+                int(s): tuple(_int_field(b, f"{where}.component_blocks[{s}]") for b in v)
                 for s, v in entry.get("component_blocks", {}).items()
             }
         except SchemaError:

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,15 @@ from wsscheck.filtration import (
     monodromy_filtration,
     verify_monodromy_axioms,
 )
-from wsscheck.ratlin import RatMatrix, Subspace, image
+from wsscheck.ratlin import (
+    RatMatrix,
+    Subspace,
+    image,
+    intersect,
+    inverse,
+    kernel,
+    subspace_sum,
+)
 
 
 def jordan_matrix(sizes):
@@ -53,6 +64,8 @@ def test_zero_operator_filtration():
     f = monodromy_filtration(op, 0)
     assert f.step(-1).dim == 0 and f.step(0).dim == 4
     assert verify_monodromy_axioms(op, f).ok
+    empty = NilpotentOp.build(RatMatrix.zeros(0, 0))
+    assert monodromy_filtration(empty, 0).steps == ((-1, Subspace.zero(0)),)
 
 
 def test_jordan_two_block():
@@ -91,21 +104,60 @@ def test_graded_dims_match_jordan_oracle(sizes, center):
     assert verify_monodromy_axioms(op, f).ok
 
 
+def _diag(values, n):
+    """diag(values..., 1, ..., 1) of size n."""
+    d = list(values[:n]) + [1] * (n - len(values))
+    return RatMatrix.from_rows(
+        [[d[r] if r == c else 0 for c in range(n)] for r in range(n)], cols=n
+    )
+
+
 def test_base_change_invariance():
     rng = random.Random(2024)
+    fractional = 0
     for _ in range(10):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
         n = sum(sizes)
         nmat = jordan_matrix(sizes)
-        t = random_conjugator(n, rng)
-        from wsscheck.ratlin import inverse
-
-        conj = t @ nmat @ inverse(t)
+        unimodular = random_conjugator(n, rng)
         f_plain = monodromy_filtration(NilpotentOp.build(nmat), 0)
-        f_conj = monodromy_filtration(NilpotentOp.build(conj), 0)
-        for idx in range(f_plain.lowest_index - 1, f_plain.highest_index + 2):
-            moved = image(t @ f_plain.step(idx).basis)
-            assert moved == f_conj.step(idx)
+        # determinant 6 conjugates give N with Fraction entries
+        for t in (unimodular, unimodular @ _diag((2, 3), n)):
+            conj = t @ nmat @ inverse(t)
+            fractional += any(type(x) is Fraction for x in conj.entries)
+            f_conj = monodromy_filtration(NilpotentOp.build(conj), 0)
+            for idx in range(f_plain.lowest_index - 1, f_plain.highest_index + 2):
+                moved = image(t @ f_plain.step(idx).basis)
+                assert moved == f_conj.step(idx)
+    assert fractional
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    st.integers(-2, 2),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_matches_full_kernel_image_convolution(sizes, center, seed, scale):
+    # every step against the unpruned convolution, built from intersections:
+    # M_{c+k} = sum over i - j = k, i, j >= 0 of Ker N^{i+1} ∩ Im N^j
+    n = sum(sizes)
+    t = random_conjugator(n, random.Random(seed))
+    if scale:
+        t = t @ _diag((2, 3), n)
+    nmat = t @ jordan_matrix(sizes) @ inverse(t)
+    filt = monodromy_filtration(NilpotentOp.build(nmat), center)
+    e = max(sizes)
+    powers = [RatMatrix.identity(n)]
+    for _ in range(2 * e + 1):
+        powers.append(powers[-1] @ nmat)
+    for k in range(-e - 1, e + 1):
+        step = Subspace.zero(n)
+        for j in range(max(0, -k), e + 1):
+            term = intersect(kernel(powers[k + j + 1]), image(powers[j]))
+            step = subspace_sum(step, term)
+        assert filt.step(center + k) == step, k
 
 
 def test_determinism():
@@ -140,3 +192,57 @@ def test_serialization_shape():
     doc = monodromy_filtration(op, 0).to_json_dict()
     assert [s["index"] for s in doc["steps"]] == [-2, -1, 1]
     assert all("basis" in s for s in doc["steps"])
+
+
+def _criterion_4_jordan_types(count):
+    """(sizes, center) of the first operators of criterion 4's fixed draw."""
+    rng = random.Random(1346)
+    dims = (
+        [rng.randint(1, 14) for _ in range(150)]
+        + [rng.randint(15, 24) for _ in range(45)]
+        + [rng.randint(25, 30) for _ in range(5)]
+    )
+    out = []
+    for dim in dims[:count]:
+        sizes = []
+        left = dim
+        while left:
+            sizes.append(rng.randint(1, left))
+            left -= sizes[-1]
+        out.append((sizes, rng.randint(-2, 2)))
+    return out
+
+
+def _conjugates(count):
+    """(T J T^-1, center); every other T also scales by diag(2, 3, 1, ...)."""
+    rng = random.Random(77)
+    out = []
+    for i in range(count):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        n = sum(sizes)
+        t = random_conjugator(n, rng)
+        if i % 2:
+            t = t @ _diag((2, 3), n)
+        out.append((t @ jordan_matrix(sizes) @ inverse(t), rng.randint(-2, 2)))
+    return out
+
+
+def _digest(operators):
+    h = hashlib.sha256()
+    for matrix, center in operators:
+        op = NilpotentOp.build(matrix)
+        filt = monodromy_filtration(op, center)
+        report = verify_monodromy_axioms(op, filt)
+        doc = [op.nilpotency_index, filt.to_json_dict(), report.to_json_dict()]
+        h.update(json.dumps(doc).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_filtration_bytes_pinned():
+    # canonical bases and axiom reports, byte for byte; reports carry only
+    # the agreement booleans, so the report goldens cannot see a basis change
+    jordan = [(jordan_matrix(s), c) for s, c in _criterion_4_jordan_types(30)]
+    assert _digest(jordan) == (
+        "379936657d796f4653e5dad4977bc2187b32814f36b09dae3e587bea4a41ea2b")
+    assert _digest(_conjugates(10)) == (
+        "79609ebd297fe32b6ae4d212ccfc626de1cfd8e414601b0c2623ef42158faa3b")

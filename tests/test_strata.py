@@ -202,6 +202,15 @@ def _repeat_first(key):
     return lambda d: d[key].append(json.loads(json.dumps(d[key][0])))
 
 
+def _stringify_first_dim(cohomology):
+    cohomology[0]["dim"] = str(cohomology[0]["dim"])
+
+
+def _first_block(doc):
+    level = next(lv for lv in doc["levels"] if lv.get("component_blocks"))
+    return next(iter(level["component_blocks"].values()))
+
+
 # each edit breaks one field of a valid threefold's document
 MALFORMED = {
     "n-not-int": lambda d: d.__setitem__("n", "abc"),
@@ -219,6 +228,9 @@ MALFORMED = {
     "gysin-degree-not-int": _first("gysin", "degree", None),
     "duplicate-level": _repeat_first("levels"),
     "duplicate-gysin": _repeat_first("gysin"),
+    "components-fractional": _first("levels", "components", 2.9),
+    "cohomology-dim-string": lambda d: _stringify_first_dim(d["levels"][0]["cohomology"]),
+    "component-block-fractional": lambda d: _first_block(d).__setitem__(0, 1.5),
 }
 
 
