@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the built-in generators and shipped instances through every check.
 
-Prints one line per instance: validation verdict, E2 dimensions on the
-interesting antidiagonals, the monodromy/weight comparison per abutment
-degree, and, for threefolds, the full structure suite.  Exits nonzero if
-anything fails.
+Prints one line per instance: validation verdict, WMC verdict, whether the
+monodromy/weight filtration comparison agrees with the rank checks at every
+abutment degree, the full structure suite for threefolds, and the nonzero E2
+dimensions.  Exits nonzero if anything fails.
 """
 
 import sys
@@ -14,41 +14,36 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wsscheck import (  # noqa: E402
-    build_e2,
-    check_wmc,
-    compare_monodromy_vs_weight,
+    InternalConsistencyError,
+    analyze,
     gen_chain,
     gen_ngon,
     gen_smooth,
     instances,
-    to_weight_complex,
-    validate,
 )
-from wsscheck.lefschetz import run_threefold_suite  # noqa: E402
 
 
 def inspect(name, datum):
     t0 = time.time()
-    report = validate(datum)
-    if not report.ok:
-        print(f"{name}: VALIDATION FAILED {report.failed_axioms}")
+    rec = analyze(datum)
+    if not rec.validation.ok:
+        print(f"{name}: VALIDATION FAILED {rec.validation.failed_axioms}")
         return False
-    e2 = build_e2(to_weight_complex(datum))
-    verdict = check_wmc(e2)
-    agree = all(
-        compare_monodromy_vs_weight(e2, w) == verdict.at_w(w)
-        for w in range(0, 2 * datum.n + 1)
-    )
-    ok = verdict.overall and agree
+    try:
+        rec.agreement  # raises where the two routes disagree
+        suite = rec.threefold
+    except InternalConsistencyError as exc:
+        print(f"{name}: ROUTES DISAGREE: {exc}")
+        return False
+    ok = rec.verdict.overall
     extra = ""
-    if datum.n == 3:
-        suite = run_threefold_suite(datum)
+    if suite is not None:
         ok = ok and suite.ok
         extra = f" suite={'pass' if suite.ok else 'FAIL'}"
-    dims = {k: v for k, v in sorted(e2.dims.items()) if v}
+    dims = {k: v for k, v in sorted(rec.e2.dims.items()) if v}
     print(
-        f"{name}: wmc={'pass' if verdict.overall else 'FAIL'} "
-        f"agree={agree}{extra} e2={dims} ({time.time() - t0:.2f}s)"
+        f"{name}: wmc={'pass' if rec.verdict.overall else 'FAIL'} "
+        f"agree=True{extra} e2={dims} ({time.time() - t0:.2f}s)"
     )
     return ok
 

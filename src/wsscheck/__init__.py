@@ -24,7 +24,6 @@ from .ratlin import (
     image,
     intersect,
     kernel,
-    quotient_map,
     signature,
     subspace_sum,
 )
@@ -74,6 +73,7 @@ from .lefschetz import (
     primitive_decompose,
     run_threefold_suite,
 )
+from .cli import analyze
 from .instances import (
     GeneratorSpec,
     blowup_point_datum,

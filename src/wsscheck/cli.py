@@ -1,5 +1,8 @@
 """Command-line front end.
 
+``analyze`` holds one datum's pipeline as lazy stages; each subcommand is a
+view that reads the stages it prints and takes only the flags it reads.
+
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
 2 input/schema/usage problems, 3 internal consistency failure (two
 independent code paths disagree).  Reports are emitted with sorted keys and
@@ -14,19 +17,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
-    ConventionViolation,
     EngineError,
-    InstanceInconsistency,
     InternalConsistencyError,
-    InvalidProfile,
-    MutationNotApplicable,
     ParameterError,
     PreconditionError,
-    SchemaError,
-    ValidationGateError,
 )
 from . import instances, lefschetz, specseq, strata
 
@@ -38,37 +36,87 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    instance_path: str = ""
-    output_path: str = ""
-    format: str = "json"
-    w_filter: tuple = ()
-    strictness: str = "collect-all"
+@dataclass(frozen=True)
+class Analysis:
+    """The checks of one datum as stages computed on first read, each once.
+
+    ``e2`` is the page the WMC verdict and the filtration agreement read: the
+    datum's own E2, or that of its ``tensor_power``-fold tensor power.  The
+    threefold suite reads the datum's own E2 in either case.
+    """
+
+    datum: strata.SemistableDatum
     tensor_power: int = 1
-    gen_kind: str = ""
-    gen_n: int = 0
-    gen_betti: tuple = ()
-    gen_name: str = ""
+    w: tuple = None
+
+    @cached_property
+    def validation(self):
+        return strata.validate(self.datum)
+
+    @cached_property
+    def base_e2(self):
+        strata.require_valid(self.validation)
+        return specseq.build_e2(specseq.install_n(specseq.build_e1(self.datum)))
+
+    @cached_property
+    def e2(self):
+        if self.tensor_power > 1:
+            page = specseq.tensor_power(self.base_e2.page, self.tensor_power)
+            return specseq.build_e2(page)
+        return self.base_e2
+
+    @cached_property
+    def verdict(self):
+        return specseq.check_wmc(self.e2, w_filter=self.w)
+
+    @cached_property
+    def agreement(self):
+        """str(w) -> the filtration comparison at w, checked against the ranks."""
+        agreement = {}
+        for w in sorted({e.w for e in self.verdict.entries}):
+            via_filtration = specseq.compare_monodromy_vs_weight(self.e2, w)
+            if via_filtration != self.verdict.at_w(w):
+                raise InternalConsistencyError(
+                    f"filtration comparison disagrees with rank checks at w={w}"
+                )
+            agreement[str(w)] = via_filtration
+        return agreement
+
+    @cached_property
+    def threefold(self):
+        """The threefold suite on the base E2, or None unless n = 3."""
+        if self.datum.n != 3:
+            return None
+        return lefschetz.run_threefold_suite(self.datum, self.base_e2)
+
+
+def analyze(datum, *, tensor_power=1, w=None) -> Analysis:
+    """The lazy pipeline of ``datum``; ``w`` restricts the verdict to those degrees."""
+    return Analysis(datum, tensor_power, w)
 
 
 def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def _load_instance(config):
-    if not config.instance_path:
+def _load_instance(path):
+    if not path:
         raise ParameterError("--instance PATH is required for this command")
-    return strata.load(config.instance_path)
+    return strata.load(path)
 
 
-def _build_pages(datum, tensor_power):
-    page = strata.to_weight_complex(datum)
-    if tensor_power > 1:
-        page = specseq.tensor_power(page, tensor_power)
-    e2 = specseq.build_e2(page)
-    return page, e2
+def _analysis(args):
+    """The record of a command that reads --instance, --w and --tensor-power."""
+    try:
+        w = tuple(int(x) for x in args.w.split(",") if x.strip() != "")
+    except ValueError:
+        raise ParameterError(f"bad --w value {args.w!r}")
+    return analyze(_load_instance(args.instance), tensor_power=args.tensor_power,
+                   w=w or None)
+
+
+def _exit_code(ok):
+    return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
 def _validate_text(report):
@@ -106,104 +154,107 @@ def _threefold_text(report):
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig):
-    """Execute one command; returns (exit_code, output_text)."""
-    fail_fast = config.strictness == "fail-fast"
-    if config.command == "validate":
-        datum = _load_instance(config)
-        report = strata.validate(datum, fail_fast=fail_fast)
-        out = _dump(report.to_json_dict()) if config.format == "json" else _validate_text(report)
-        return (EXIT_PASS if report.ok else EXIT_CHECK_FAILED), out
+def _validation(rec, args):
+    """The validation report, cut after its first failed axiom under --strict fail-fast."""
+    if args.strict == "fail-fast":
+        return rec.validation.until_first_failure()
+    return rec.validation
 
-    if config.command == "pages":
-        datum = _load_instance(config)
-        page, e2 = _build_pages(datum, config.tensor_power)
-        verdict = specseq.check_wmc(e2, w_filter=config.w_filter or None)
-        if config.format == "json":
-            out = _dump(specseq.page_json_dict(page, e2, verdict))
-        else:
-            out = (
-                specseq.render_e1_grid(page)
-                + "\n\n"
-                + specseq.render_e2_grid(e2)
-                + "\n"
-            )
-        return EXIT_PASS, out
 
-    if config.command == "check-wmc":
-        datum = _load_instance(config)
-        _, e2 = _build_pages(datum, config.tensor_power)
-        verdict = specseq.check_wmc(e2, w_filter=config.w_filter or None)
-        agreement = {}
-        for w in sorted({e.w for e in verdict.entries}):
-            via_filtration = specseq.compare_monodromy_vs_weight(e2, w)
-            if via_filtration != verdict.at_w(w):
-                raise InternalConsistencyError(
-                    f"filtration comparison disagrees with rank checks at w={w}"
-                )
-            agreement[str(w)] = via_filtration
-        doc = verdict.to_json_dict()
-        doc["filtration_agreement"] = agreement
-        out = _dump(doc) if config.format == "json" else _wmc_text(verdict)
-        return (EXIT_PASS if verdict.overall else EXIT_CHECK_FAILED), out
+def _validate(args):
+    report = _validation(analyze(_load_instance(args.instance)), args)
+    out = _dump(report.to_json_dict()) if args.format == "json" else _validate_text(report)
+    return _exit_code(report.ok), out
 
-    if config.command == "check-threefold":
-        datum = _load_instance(config)
-        if datum.n != 3:
-            raise PreconditionError(
-                f"check-threefold needs relative dimension 3, got {datum.n}"
-            )
-        vreport = strata.validate(datum, fail_fast=fail_fast)
-        if not vreport.ok:
-            out = (
-                _dump({"validate": vreport.to_json_dict()})
-                if config.format == "json"
-                else _validate_text(vreport)
-            )
-            return EXIT_CHECK_FAILED, out
-        report = lefschetz.run_threefold_suite(datum, fail_fast=fail_fast)
-        out = _dump(report.to_json_dict()) if config.format == "json" else _threefold_text(report)
-        return (EXIT_PASS if report.ok else EXIT_CHECK_FAILED), out
 
-    if config.command == "gen":
-        if config.gen_kind == "toy":
-            datum = instances.build_toy(config.gen_name)
-        else:
-            spec = instances.GeneratorSpec(
-                kind=config.gen_kind, n=config.gen_n, betti=config.gen_betti
-            )
-            datum = instances.generate(spec)
-        out = _dump(strata.datum_to_json_dict(datum))
-        return EXIT_PASS, out
+def _pages(args):
+    rec = _analysis(args)
+    if args.format == "json":
+        return EXIT_PASS, _dump(specseq.page_json_dict(rec.e2.page, rec.e2, rec.verdict))
+    grids = specseq.render_e1_grid(rec.e2.page) + "\n\n" + specseq.render_e2_grid(rec.e2)
+    return EXIT_PASS, grids + "\n"
 
-    if config.command == "report":
-        datum = _load_instance(config)
-        vreport = strata.validate(datum)
-        doc = {"instance": config.instance_path, "validate": vreport.to_json_dict()}
-        code = EXIT_PASS if vreport.ok else EXIT_CHECK_FAILED
-        if vreport.ok:
-            page, e2 = _build_pages(datum, config.tensor_power)
-            verdict = specseq.check_wmc(e2, w_filter=config.w_filter or None)
-            doc["pages"] = specseq.page_json_dict(page, e2, verdict)
-            agreement = {}
-            for w in sorted({e.w for e in verdict.entries}):
-                via_filtration = specseq.compare_monodromy_vs_weight(e2, w)
-                if via_filtration != verdict.at_w(w):
-                    raise InternalConsistencyError(
-                        f"filtration comparison disagrees with rank checks at w={w}"
-                    )
-                agreement[str(w)] = via_filtration
-            doc["filtration_agreement"] = agreement
-            if datum.n == 3:
-                treport = lefschetz.run_threefold_suite(datum)
-                doc["threefold"] = treport.to_json_dict()
-                if not treport.ok:
-                    code = EXIT_CHECK_FAILED
-            if not verdict.overall:
-                code = EXIT_CHECK_FAILED
-        return code, _dump(doc)
 
-    raise ParameterError(f"unknown command {config.command!r}")
+def _check_wmc(args):
+    rec = _analysis(args)
+    doc = rec.verdict.to_json_dict()
+    doc["filtration_agreement"] = rec.agreement
+    out = _dump(doc) if args.format == "json" else _wmc_text(rec.verdict)
+    return _exit_code(rec.verdict.overall), out
+
+
+def _check_threefold(args):
+    rec = analyze(_load_instance(args.instance))
+    if rec.datum.n != 3:
+        raise PreconditionError(
+            f"check-threefold needs relative dimension 3, got {rec.datum.n}"
+        )
+    if not rec.validation.ok:
+        vreport = _validation(rec, args)
+        out = (
+            _dump({"validate": vreport.to_json_dict()})
+            if args.format == "json"
+            else _validate_text(vreport)
+        )
+        return EXIT_CHECK_FAILED, out
+    report = lefschetz.run_threefold_suite(
+        rec.datum, rec.base_e2, fail_fast=args.strict == "fail-fast"
+    )
+    out = _dump(report.to_json_dict()) if args.format == "json" else _threefold_text(report)
+    return _exit_code(report.ok), out
+
+
+def _report(args):
+    rec = _analysis(args)
+    doc = {"instance": args.instance, "validate": rec.validation.to_json_dict()}
+    if not rec.validation.ok:
+        return EXIT_CHECK_FAILED, _dump(doc)
+    doc["pages"] = specseq.page_json_dict(rec.e2.page, rec.e2, rec.verdict)
+    doc["filtration_agreement"] = rec.agreement
+    ok = rec.verdict.overall
+    if rec.threefold is not None:
+        doc["threefold"] = rec.threefold.to_json_dict()
+        ok = ok and rec.threefold.ok
+    return _exit_code(ok), _dump(doc)
+
+
+def _gen(args):
+    try:
+        betti = tuple(int(x) for x in args.betti.split(",")) if args.betti else ()
+    except ValueError:
+        raise ParameterError(f"bad --betti value {args.betti!r}")
+    if args.kind == "toy":
+        datum = instances.build_toy(args.name)
+    else:
+        spec = instances.GeneratorSpec(kind=args.kind, n=args.n, betti=betti)
+        datum = instances.generate(spec)
+    return EXIT_PASS, _dump(strata.datum_to_json_dict(datum))
+
+
+def run(args):
+    """Execute one parsed command; returns (exit_code, output_text)."""
+    return args.view(args)
+
+
+_FLAGS = {
+    "--instance": dict(required=True, help="instance JSON path"),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--out": dict(default="", help="output path (default: stdout)"),
+    "--w": dict(default="", help="comma-separated abutment degrees to check"),
+    "--strict": dict(choices=("fail-fast", "collect-all"), default="collect-all"),
+    "--tensor-power": dict(
+        type=int, default=1, help="check the k-fold tensor power of the instance page"
+    ),
+}
+
+# subcommand -> (view, the flags it reads)
+_COMMANDS = {
+    "validate": (_validate, ("--instance", "--format", "--out", "--strict")),
+    "pages": (_pages, ("--instance", "--format", "--out", "--w", "--tensor-power")),
+    "check-wmc": (_check_wmc, ("--instance", "--format", "--out", "--w", "--tensor-power")),
+    "check-threefold": (_check_threefold, ("--instance", "--format", "--out", "--strict")),
+    "report": (_report, ("--instance", "--out", "--w", "--tensor-power")),
+}
 
 
 def _parser():
@@ -212,74 +263,27 @@ def _parser():
         description="Exact checks on weight spectral sequences of semistable degenerations",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, instance=True):
-        if instance:
-            sp.add_argument("--instance", required=True, help="instance JSON path")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--out", default="", help="output path (default: stdout)")
-        sp.add_argument(
-            "--w", default="", help="comma-separated abutment degrees to check"
-        )
-        sp.add_argument(
-            "--strict",
-            choices=("fail-fast", "collect-all"),
-            default="collect-all",
-        )
-        sp.add_argument(
-            "--tensor-power",
-            type=int,
-            default=1,
-            help="check the k-fold tensor power of the instance page",
-        )
-
-    for name in ("validate", "pages", "check-wmc", "check-threefold", "report"):
-        add_common(sub.add_parser(name))
+    for name, (view, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name)
+        sp.set_defaults(view=view)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
 
     g = sub.add_parser("gen", help="emit a generated instance as JSON")
+    g.set_defaults(view=_gen)
     g.add_argument("kind", choices=("smooth", "ngon", "chain", "toy"))
     g.add_argument("--n", type=int, default=0, help="size parameter / dimension")
     g.add_argument("--betti", default="", help="comma-separated Betti numbers (smooth)")
     g.add_argument("--name", default="", help="toy instance name (toy)")
-    g.add_argument("--format", choices=("json",), default="json")
-    g.add_argument("--out", default="")
-
+    g.add_argument("--out", **_FLAGS["--out"])
     return p
 
 
-def _config_from_args(args) -> RunConfig:
-    w_filter = ()
-    if getattr(args, "w", ""):
-        try:
-            w_filter = tuple(int(x) for x in args.w.split(",") if x.strip() != "")
-        except ValueError:
-            raise ParameterError(f"bad --w value {args.w!r}")
-    betti = ()
-    if getattr(args, "betti", ""):
-        try:
-            betti = tuple(int(x) for x in args.betti.split(","))
-        except ValueError:
-            raise ParameterError(f"bad --betti value {args.betti!r}")
-    return RunConfig(
-        command=args.command,
-        instance_path=getattr(args, "instance", ""),
-        output_path=getattr(args, "out", ""),
-        format=getattr(args, "format", "json"),
-        w_filter=w_filter,
-        strictness=getattr(args, "strict", "collect-all"),
-        tensor_power=getattr(args, "tensor_power", 1),
-        gen_kind=getattr(args, "kind", ""),
-        gen_n=getattr(args, "n", 0),
-        gen_betti=betti,
-        gen_name=getattr(args, "name", ""),
-    )
-
-
-def _write_output(config: RunConfig, text: str):
-    if not config.output_path:
+def _write_output(path: str, text: str):
+    if not path:
         sys.stdout.write(text)
         return
-    out = Path(config.output_path)
+    out = Path(path)
     base = os.environ.get(OUT_DIR_ENV, "")
     if base and not out.is_absolute():
         out = Path(base) / out
@@ -290,14 +294,8 @@ def _write_output(config: RunConfig, text: str):
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        code, text = run(config)
-        _write_output(config, text)
-    except (SchemaError, ParameterError, PreconditionError, InvalidProfile,
-            ValidationGateError, InstanceInconsistency, ConventionViolation,
-            MutationNotApplicable) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        code = EXIT_INPUT_ERROR
+        code, text = run(args)
+        _write_output(args.out, text)
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency error: {exc}\n")
         code = EXIT_INTERNAL

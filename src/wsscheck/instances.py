@@ -478,25 +478,22 @@ def load_toy(name: str) -> SemistableDatum:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Parsed generator request: smooth, ngon, chain, tensor or custom."""
+    """Parsed generator request: smooth, ngon, chain or tensor."""
 
     kind: str
     n: int = 0
     betti: tuple = ()
     operands: tuple = ()
-    path: str = ""
 
 
 def generate(spec: GeneratorSpec):
-    """Build a datum (smooth/ngon/chain/custom) or a page (tensor)."""
+    """Build a datum (smooth/ngon/chain) or a page (tensor)."""
     if spec.kind == "smooth":
         return gen_smooth(spec.n, spec.betti)
     if spec.kind == "ngon":
         return gen_ngon(spec.n)
     if spec.kind == "chain":
         return gen_chain(spec.n)
-    if spec.kind == "custom":
-        return load(spec.path)
     if spec.kind == "tensor":
         from .specseq import tensor_product
         from .strata import to_weight_complex

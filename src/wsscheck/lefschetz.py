@@ -582,11 +582,9 @@ class ThreefoldReport:
         return {"ok": self.ok, "checks": [c.to_json_dict() for c in self.checks]}
 
 
-def run_threefold_suite(datum: SemistableDatum, fail_fast: bool = False) -> ThreefoldReport:
-    """Full suite on a validated threefold datum, cross-checked against E2."""
-    from .specseq import build_e2
-    from .strata import to_weight_complex
-
+def run_threefold_suite(datum: SemistableDatum, e2: E2Page,
+                        fail_fast: bool = False) -> ThreefoldReport:
+    """Full suite on a validated threefold datum, cross-checked against its E2 page."""
     _require_threefold(datum)
     prim = primitive_decompose(datum)
     dec = im_decompose(datum, prim)
@@ -608,8 +606,6 @@ def run_threefold_suite(datum: SemistableDatum, fail_fast: bool = False) -> Thre
         return ThreefoldReport(tuple(checks))
     if add(check_kernel_image_identity(datum)):
         return ThreefoldReport(tuple(checks))
-    page = to_weight_complex(datum)
-    e2 = build_e2(page)
     if add(check_e2_middle(datum, e2)):
         return ThreefoldReport(tuple(checks))
     verdict = check_wmc(e2)

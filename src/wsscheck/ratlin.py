@@ -591,23 +591,3 @@ def signature(s: RatMatrix):
                     ar[k] = _norm(ar[k] - q * pk)
         idx.remove(dpivot)
     return (pos, neg, zero)
-
-
-def quotient_map(ambient_dim: int, u: Subspace) -> RatMatrix:
-    """A surjection Q with kernel exactly u; rows(Q) = ambient_dim - dim u.
-
-    The basis of u is completed greedily by standard basis vectors; Q reads
-    off the complement coordinates in the resulting basis.
-    """
-    if u.ambient_dim != ambient_dim:
-        raise DimensionMismatch("subspace has wrong ambient dimension")
-    n = ambient_dim
-    aug = u.basis.hstack(RatMatrix.identity(n))
-    _, piv = rref(aug)
-    chosen = [p - u.dim for p in piv if p >= u.dim]
-    cols = u.basis.columns() + [
-        tuple(1 if i == e else 0 for i in range(n)) for e in chosen
-    ]
-    t = RatMatrix.from_cols(cols, rows=n)
-    tinv = inverse(t)
-    return tinv.submatrix(range(u.dim, n), range(n))

@@ -47,7 +47,7 @@ from .ratlin import (
     rank,
     solve_matrix,
 )
-from .strata import SemistableDatum, require_valid
+from .strata import SemistableDatum
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,6 @@ def _offsets(summands):
 
 def build_e1(datum: SemistableDatum) -> WeightComplex:
     """Assemble the E1 page of a validated datum; asserts d1 o d1 = 0."""
-    require_valid(datum)
     n = datum.n
     cells = {}
     dims = {}

@@ -210,6 +210,13 @@ class ValidationReport:
     def failed_axioms(self):
         return tuple(c.axiom for c in self.checks if not c.ok)
 
+    def until_first_failure(self):
+        """The checks up to and including the first failed axiom."""
+        for k, check in enumerate(self.checks):
+            if not check.ok:
+                return ValidationReport(self.checks[:k + 1])
+        return self
+
     def to_json_dict(self):
         return {
             "ok": self.ok,
@@ -353,30 +360,29 @@ _AXIOM_CHECKS = {
 }
 
 
-def validate(datum: SemistableDatum, fail_fast: bool = False) -> ValidationReport:
+def validate(datum: SemistableDatum) -> ValidationReport:
     """Run the seven axiom checks; structural defects raise SchemaError first."""
     _check_structure(datum)
-    checks = []
-    for name in AXIOMS:
-        result = _AXIOM_CHECKS[name](datum)
-        checks.append(result)
-        if fail_fast and not result.ok:
-            break
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(_AXIOM_CHECKS[name](datum) for name in AXIOMS))
 
 
-def require_valid(datum: SemistableDatum) -> ValidationReport:
-    report = validate(datum)
+def require_valid(report: ValidationReport):
+    """The gate in front of the E1 page: every axiom of ``report`` must hold."""
     if not report.ok:
         raise ValidationGateError(
             f"datum fails axioms: {', '.join(report.failed_axioms)}", report
         )
-    return report
 
 
 # -- serialization ------------------------------------------------------------
 
 SCHEMA_VERSION = "wss-1"
+
+# Largest sum of the declared cohomology dimensions, over all levels and
+# degrees, that a document may have: validation builds dense matrices whose
+# sides are these dimensions (zero maps for omitted blocks included) before
+# any axiom can reject the document.
+MAX_TOTAL_DIM = 4096
 
 
 def _mat_to_json(m: RatMatrix):
@@ -512,6 +518,11 @@ def datum_from_json_dict(doc) -> SemistableDatum:
             lefschetz=lefschetz,
             component_blocks=blocks,
         )
+    total = sum(sum(lvl.cohomology_dims) for lvl in levels.values())
+    if total > MAX_TOTAL_DIM:
+        raise SchemaError(
+            f"declared cohomology dimensions sum to {total}, above {MAX_TOTAL_DIM}"
+        )
     restriction = _transfers_from_json(doc, "restriction")
     gysin = _transfers_from_json(doc, "gysin")
     if not isinstance(doc["ample_class"], list):
@@ -554,4 +565,5 @@ def to_weight_complex(datum: SemistableDatum):
     """Validated E1 page with differentials, monodromy blocks and pairings."""
     from . import specseq  # late import: specseq depends on this module
 
+    require_valid(validate(datum))
     return specseq.install_n(specseq.build_e1(datum))

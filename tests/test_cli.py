@@ -113,3 +113,46 @@ def test_tensor_power_flag(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["overall"] is True
+
+
+def test_report_tensor_power_keeps_suite_on_base_page(capsys):
+    instance = str(data_dir() / "toy_blowup_point.json")
+
+    def doc(*args):
+        assert run_cli(args) == 0
+        return json.loads(capsys.readouterr().out)
+
+    plain = doc("report", "--instance", instance)
+    power = doc("report", "--instance", instance, "--tensor-power", "2", "--w", "3")
+    assert power["threefold"] == plain["threefold"]
+    assert power["pages"] == doc(
+        "pages", "--instance", instance, "--tensor-power", "2", "--w", "3"
+    )
+    assert power["filtration_agreement"] == {"3": True}
+
+
+# each subcommand takes only the flags it reads
+UNREAD_FLAGS = [
+    ("validate", "--w", "3"),
+    ("validate", "--tensor-power", "5"),
+    ("pages", "--strict", "fail-fast"),
+    ("check-wmc", "--strict", "fail-fast"),
+    ("check-threefold", "--w", "3"),
+    ("check-threefold", "--tensor-power", "2"),
+    ("report", "--format", "text"),
+    ("report", "--strict", "fail-fast"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[cmd, "--instance", str(data_dir() / "toy_blowup_point.json"), flag, value]
+     for cmd, flag, value in UNREAD_FLAGS]
+    + [["gen", "ngon", "--n", "3", "--format", "json"]],
+    ids=[f"{cmd} {flag}" for cmd, flag, _ in UNREAD_FLAGS] + ["gen --format"],
+)
+def test_unread_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -261,5 +261,5 @@ def test_full_suite_on_all_toys():
         times_projective_plane(gen_ngon(3)),
         times_projective_plane(gen_ngon(4)),
     ):
-        report = run_threefold_suite(datum)
+        report = run_threefold_suite(datum, build_e2(to_weight_complex(datum)))
         assert report.ok, [c.name for c in report.checks if not c.ok]

@@ -15,7 +15,6 @@ from wsscheck.ratlin import (
     image,
     intersect,
     kernel,
-    quotient_map,
     rank,
     signature,
     solve,
@@ -264,37 +263,6 @@ def test_signature_congruence_invariant(args):
     s, trows = args
     t = unitriangular(s.rows, trows)
     assert signature(s) == signature(t.transpose() @ s @ t)
-
-
-# -- quotients ------------------------------------------------------------------
-
-
-def test_quotient_map_zero_subspace():
-    q = quotient_map(3, Subspace.zero(3))
-    assert q.shape == (3, 3) and rank(q) == 3
-
-
-def test_quotient_map_full():
-    q = quotient_map(2, Subspace.full(2))
-    assert q.shape == (0, 2)
-
-
-def test_quotient_map_line():
-    u = Subspace.span(2, [(1, 0)])
-    q = quotient_map(2, u)
-    assert q.shape == (1, 2)
-    assert q.apply((1, 0)) == (0,)
-    assert kernel(q) == u
-
-
-@settings(max_examples=60)
-@given(st.integers(2, 5).flatmap(lambda d: vectors(d, 2)))
-def test_quotient_map_kernel_matches(vs):
-    d = len(vs[0])
-    u = Subspace.span(d, vs)
-    q = quotient_map(d, u)
-    assert q.rows == d - u.dim
-    assert kernel(q) == u
 
 
 def test_solve_consistency():

@@ -247,3 +247,30 @@ def test_malformed_field_exits_2(tmp_path, capsys, edit):
     assert cli.main(["report", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_declared_size_above_bound_exits_2(tmp_path, capsys, monkeypatch):
+    """H^1 of dimension D at both levels of a threefold datum needs no pairing,
+    transfer or ample entry, so only the size bound stands between the
+    document and the D x D zero maps of the rho-squared axiom."""
+    from wsscheck import cli, strata
+    from wsscheck.strata import MAX_TOTAL_DIM
+
+    big = 10**6
+
+    def level(j, top_degree):
+        return {"level": j, "components": 1, "cohomology": [
+            {"degree": 1, "dim": big}, {"degree": top_degree, "dim": 0}]}
+
+    doc = {"schema": "wss-1", "n": 3, "m": 1, "levels": [level(0, 6), level(1, 4)],
+           "restriction": [], "gysin": [], "ample_class": []}
+    with pytest.raises(SchemaError, match=str(MAX_TOTAL_DIM)):
+        datum_from_json_dict(doc)
+    with monkeypatch.context() as m:
+        m.setattr(strata, "MAX_TOTAL_DIM", 2 * big)
+        assert datum_from_json_dict(doc).h(2, 1) == big  # the structure checks pass
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
