@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import DimensionMismatch, InvalidForm, InvalidOperator
-from .ratlin import RatMatrix, Subspace, _int_row, contains, kernel, rank
+from .ratlin import RatMatrix, Subspace, _int_row, contains, image, kernel, rank
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,11 @@ class NilpotentOp:
         raise InvalidOperator("matrix is not nilpotent")
 
 
-def _int_cols(m: RatMatrix) -> RatMatrix:
-    """m with each column scaled to coprime integers: the same column span."""
-    if m.cols == 0:
-        return m
-    cols = [_int_row(c) for c in m.columns()]
-    return RatMatrix(m.rows, m.cols, tuple(x for row in zip(*cols) for x in row))
+def _int_basis(sub: Subspace) -> RatMatrix:
+    """sub's basis columns, each scaled to coprime integers: the same span."""
+    ech = sub.echelon
+    rows = [_int_row(ech.row_list(i)) for i in range(ech.rows)]
+    return RatMatrix(ech.rows, ech.cols, tuple(x for r in rows for x in r)).transpose()
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def monodromy_filtration(op: NilpotentOp, center: int) -> Filtration:
     """The unique filtration characterized by N M_i ⊆ M_{i-2} and graded isos."""
     n, e, powers = op.dim, op.nilpotency_index, op.powers
     # Ker N^m for m < e; Ker N^m = V from m = e on
-    kernels = {m: _int_cols(kernel(powers[m]).basis) for m in range(1, e)}
+    kernels = {m: _int_basis(kernel(powers[m])) for m in range(1, e)}
     upper = {}
     for k in range(e):
         # N^j(Ker N^{k+2j+1}) while k+2j+1 < e, then Im N^{j0} alone
@@ -150,15 +150,14 @@ def monodromy_filtration(op: NilpotentOp, center: int) -> Filtration:
         gens = []
         for j in range(j0):
             kb = kernels[k + 2 * j + 1]
-            gens.extend((kb if j == 0 else powers[j] @ kb).columns())
-        gens.extend(powers[j0].columns())
-        upper[k] = Subspace.span(n, gens)
+            gens.append(kb if j == 0 else powers[j] @ kb)
+        gens.append(powers[j0])
+        upper[k] = image(reduce(RatMatrix.hstack, gens))
     steps = [(center + k, sub) for k, sub in upper.items()]
     steps.append((center - e, Subspace.zero(n)))
     for k in range(1, e):
         # M_{c-k} = N^k M_{c+k}
-        lower = powers[k] @ _int_cols(upper[k].basis)
-        steps.append((center - k, Subspace.span(n, lower)))
+        steps.append((center - k, image(powers[k] @ _int_basis(upper[k]))))
     return Filtration.from_steps(n, center, steps)
 
 
@@ -197,7 +196,7 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
     def basis(i):
         # integer columns span the same step, so every product stays in int
         if i not in int_basis:
-            int_basis[i] = _int_cols(filt.step(i).basis)
+            int_basis[i] = _int_basis(filt.step(i))
         return int_basis[i]
 
     def added_rank(below, gens):

@@ -39,7 +39,7 @@ from .ratlin import (
     signature,
     subspace_sum,
 )
-from .specseq import E2Page, check_wmc
+from .specseq import E2Page, WmcVerdict, check_wmc
 from .strata import SemistableDatum
 
 
@@ -132,7 +132,7 @@ def dual_cohomology_iso(triple: DualTriple) -> DualComplexReport:
     witness = None
     if not criterion:
         for idx in range(overlap.dim):
-            v = overlap.basis.col_tuple(idx)
+            v = tuple(overlap.echelon.row_list(idx))
             if not im_f.contains_vector(v):
                 witness = v
                 break
@@ -496,7 +496,7 @@ def check_kernel_image_identity(datum: SemistableDatum) -> CheckResult:
     witness = None
     if not holds:
         for idx in range(lhs.dim):
-            v = lhs.basis.col_tuple(idx)
+            v = lhs.echelon.row_list(idx)
             if not rhs.contains_vector(v):
                 witness = [str(x) for x in v]
                 break
@@ -507,14 +507,16 @@ def check_kernel_image_identity(datum: SemistableDatum) -> CheckResult:
     )
 
 
-def check_e2_middle(datum: SemistableDatum, e2: E2Page) -> CheckResult:
+def check_e2_middle(datum: SemistableDatum, e2: E2Page,
+                    verdict: WmcVerdict) -> CheckResult:
     """Re-derive the middle monodromy isomorphism through the duality lemma.
 
     Applies the three-term lemma to the row ending at total degree 4, whose
     pairing-dual is the row starting at total degree 2 (verified, not
     assumed), and cross-checks the verdict against the E2 rank computation
-    at (r, w) = (1, 3).  Uses the kernel/image identity as the inclusion
-    engine the way the containment argument chains through it.
+    at (r, w) = (1, 3), read from verdict = check_wmc(e2).  Uses the
+    kernel/image identity as the inclusion engine the way the containment
+    argument chains through it.
     """
     _require_threefold(datum)
     page = e2.page
@@ -548,7 +550,7 @@ def check_e2_middle(datum: SemistableDatum, e2: E2Page) -> CheckResult:
         raise InternalConsistencyError(
             "kernel/image identity holds but the containment criterion fails"
         )
-    wmc_entry = check_wmc(e2, w_filter=(3,)).at(1, 3)
+    wmc_entry = verdict.at(1, 3)
     if wmc_entry.iso != lemma.iso:
         raise InternalConsistencyError(
             "duality-lemma route and E2 rank route disagree at (r, w) = (1, 3)"
@@ -606,8 +608,8 @@ def run_threefold_suite(datum: SemistableDatum, e2: E2Page,
         return ThreefoldReport(tuple(checks))
     if add(check_kernel_image_identity(datum)):
         return ThreefoldReport(tuple(checks))
-    if add(check_e2_middle(datum, e2)):
-        return ThreefoldReport(tuple(checks))
     verdict = check_wmc(e2)
+    if add(check_e2_middle(datum, e2, verdict)):
+        return ThreefoldReport(tuple(checks))
     checks.append(CheckResult("wmc", verdict.overall, verdict.to_json_dict()))
     return ThreefoldReport(tuple(checks))

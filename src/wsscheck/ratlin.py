@@ -9,13 +9,16 @@ the fast native path.  All values are immutable and all operations are pure,
 so results can be shared freely between threads.
 
 Canonical forms: a matrix has a unique reduced row echelon form, and a
-subspace is always stored with its basis in reduced column echelon form (the
-transpose of the RREF of the transposed generator matrix).  Subspace equality
-is therefore literal basis equality, and re-running any computation yields
+subspace is stored as one matrix, ``echelon``: the nonzero rows of the RREF
+of its generators, pivots 1.  Subspace operations eliminate stacked rows and
+keep the ``rref`` output as it is; none goes through columns.
+``Subspace.basis``, the same vectors as columns (a basis in reduced column
+echelon form), is derived from ``echelon`` on each read.  Subspace equality
+is therefore literal matrix equality, and re-running any computation yields
 bit-identical results.
 
 Quotient representatives come from ``extend_basis(small, big)``, which
-completes the basis of ``small`` to one of ``big`` with columns of big's
+completes the basis of ``small`` to one of ``big`` with vectors of big's
 canonical basis.  One ``rref`` of ``[small | big]`` picks them: a column is a
 pivot exactly when it lies outside the span of the columns before it, so the
 picks are the ones a greedy left-to-right scan would keep, and they depend
@@ -95,26 +98,12 @@ class RatMatrix:
         return cls(nr, nc, tuple(as_rat(x) for row in rows for x in row))
 
     @classmethod
-    def from_cols(cls, cols, *, rows=None):
-        cols = [list(c) for c in cols]
-        if not cols:
-            if rows is None:
-                raise DimensionMismatch("row count required for empty matrix")
-            return cls(rows, 0, ())
-        return cls.from_rows(list(zip(*cols)), cols=len(cols))
-
-    @classmethod
     def zeros(cls, rows, cols):
         return cls(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n):
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def column(cls, vec):
-        vec = list(vec)
-        return cls(len(vec), 1, tuple(as_rat(x) for x in vec))
 
     @classmethod
     def block_diag(cls, blocks):
@@ -390,12 +379,6 @@ def solve_matrix(a: RatMatrix, b: RatMatrix):
     return RatMatrix.from_rows(out, cols=b.cols)
 
 
-def solve(a: RatMatrix, b):
-    """Solve a @ x = b for a vector b (tuple); None if inconsistent."""
-    x = solve_matrix(a, RatMatrix.column(b))
-    return None if x is None else x.col_tuple(0)
-
-
 def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
@@ -410,51 +393,49 @@ def inverse(m: RatMatrix) -> RatMatrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, basis columns in reduced column echelon form."""
+    """A subspace of Q^n, stored as the canonical RREF rows of its generators.
+
+    echelon is dim x ambient_dim with pivots 1; basis is its transpose, the
+    basis columns in reduced column echelon form, computed on each read.
+    """
 
     ambient_dim: int
-    basis: RatMatrix
+    echelon: RatMatrix
 
     @property
     def dim(self):
-        return self.basis.cols
+        return self.echelon.rows
+
+    @property
+    def basis(self):
+        return self.echelon.transpose()
 
     @classmethod
     def span(cls, ambient_dim, vectors):
-        """Canonical subspace spanned by the given vectors (tuples or a matrix)."""
-        if isinstance(vectors, RatMatrix):
-            if vectors.rows != ambient_dim:
-                raise DimensionMismatch("generator matrix has wrong ambient dim")
-            vecs = vectors.columns()
-        else:
-            vecs = [tuple(v) for v in vectors]
-            for v in vecs:
-                if len(v) != ambient_dim:
-                    raise DimensionMismatch("generator has wrong length")
-        r, piv = rref(RatMatrix.from_rows(vecs, cols=ambient_dim))
-        cols = [r.row_list(i) for i in range(len(piv))]
-        return cls(ambient_dim, RatMatrix.from_cols(cols, rows=ambient_dim))
+        """Canonical subspace spanned by the given vectors."""
+        return _row_space(RatMatrix.from_rows(vectors, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim):
-        return cls.span(ambient_dim, [])
+        return cls(ambient_dim, RatMatrix.zeros(0, ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim):
         return cls(ambient_dim, RatMatrix.identity(ambient_dim))
 
     def contains_vector(self, v) -> bool:
-        v = tuple(v)
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector has wrong length")
-        if all(x == 0 for x in v):
-            return True
-        if self.dim == 0:
-            return False
-        return solve(self.basis, v) is not None
+        row = RatMatrix.from_rows([v], cols=self.ambient_dim)
+        return rank(self.echelon.vstack(row)) == self.dim
 
     def to_json_dict(self):
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json_dict()}
+
+
+def _row_space(gens: RatMatrix) -> Subspace:
+    """The span of the rows of gens: the nonzero rows of their RREF."""
+    r, piv = rref(gens)
+    n = gens.cols
+    return Subspace(n, RatMatrix(len(piv), n, r.entries[:len(piv) * n]))
 
 
 def _same_ambient(u: Subspace, w: Subspace):
@@ -464,11 +445,11 @@ def _same_ambient(u: Subspace, w: Subspace):
         )
 
 
-def kernel(m: RatMatrix) -> Subspace:
-    """Basis of {v : m v = 0}; rank-nullity holds by construction."""
+def _null_rows(m: RatMatrix) -> RatMatrix:
+    """A basis of {v : m v = 0} as rows, one per non-pivot column; not canonical."""
     r, piv = rref(m)
     pivset = set(piv)
-    cols = []
+    out = []
     for fcol in range(m.cols):
         if fcol in pivset:
             continue
@@ -477,31 +458,33 @@ def kernel(m: RatMatrix) -> Subspace:
         for ri, pc in enumerate(piv):
             x = r.entry(ri, fcol)
             if x:
-                v[pc] = _norm(-x)
-        cols.append(tuple(v))
-    return Subspace.span(m.cols, cols)
+                v[pc] = -x
+        out.extend(v)
+    return RatMatrix(m.cols - len(piv), m.cols, tuple(out))
+
+
+def kernel(m: RatMatrix) -> Subspace:
+    """Basis of {v : m v = 0}; rank-nullity holds by construction."""
+    return _row_space(_null_rows(m))
 
 
 def image(m: RatMatrix) -> Subspace:
     """Column space of m."""
-    return Subspace.span(m.rows, m.columns())
+    return _row_space(m.transpose())
 
 
 def intersect(u: Subspace, w: Subspace) -> Subspace:
+    """Each null vector z of [u | w] gives the vector u z[:dim u] of both spaces."""
     _same_ambient(u, w)
     if u.dim == 0 or w.dim == 0:
         return Subspace.zero(u.ambient_dim)
-    ker = kernel(u.basis.hstack(w.basis))
-    vecs = []
-    for idx in range(ker.dim):
-        z = ker.basis.col_tuple(idx)
-        vecs.append(u.basis.apply(z[:u.dim]))
-    return Subspace.span(u.ambient_dim, vecs)
+    z = _null_rows(u.echelon.vstack(w.echelon).transpose())
+    return _row_space(z.submatrix(range(z.rows), range(u.dim)) @ u.echelon)
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     _same_ambient(u, w)
-    return Subspace.span(u.ambient_dim, u.basis.columns() + w.basis.columns())
+    return _row_space(u.echelon.vstack(w.echelon))
 
 
 def extend_basis(small: Subspace, big: Subspace):
@@ -513,11 +496,11 @@ def extend_basis(small: Subspace, big: Subspace):
     same elimination: rank [small | big] = dim big iff small is inside big.
     """
     _same_ambient(small, big)
-    _, piv = rref(small.basis.hstack(big.basis))
+    _, piv = rref(small.echelon.vstack(big.echelon).transpose())
     if len(piv) != big.dim:
         return None
     picked = [p - small.dim for p in piv[small.dim:]]
-    return big.basis.submatrix(range(big.ambient_dim), picked)
+    return big.echelon.submatrix(picked, range(big.ambient_dim)).transpose()
 
 
 def contains(u: Subspace, w: Subspace) -> bool:
@@ -527,7 +510,7 @@ def contains(u: Subspace, w: Subspace) -> bool:
         return True
     if u.dim == 0:
         return False
-    return rank(u.basis.hstack(w.basis)) == u.dim
+    return rank(u.echelon.vstack(w.echelon)) == u.dim
 
 
 def signature(s: RatMatrix):

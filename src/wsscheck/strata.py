@@ -479,6 +479,7 @@ def datum_from_json_dict(doc) -> SemistableDatum:
     for key in ("n", "m", "levels", "restriction", "gysin", "ample_class"):
         if key not in doc:
             raise SchemaError(f"missing top-level field {key!r}")
+    n = _int_field(doc["n"], "n")
     levels = {}
     for entry in _entries(doc, "levels"):
         where = f"levels[{entry.get('level')}]"
@@ -487,12 +488,14 @@ def datum_from_json_dict(doc) -> SemistableDatum:
             raise SchemaError(f"{where}: level appears more than once")
         try:
             components = _int_field(entry["components"], f"{where}.components")
-            coh = entry["cohomology"]
-            dims = {
-                _int_field(c["degree"], f"{where}.cohomology.degree"):
-                    _int_field(c["dim"], f"{where}.cohomology.dim")
-                for c in coh
-            }
+            dims = {}
+            for c in entry["cohomology"]:
+                s = _int_field(c["degree"], f"{where}.cohomology.degree")
+                if s in dims:
+                    raise SchemaError(f"{where}: cohomology degree {s} repeated")
+                if not 0 <= s <= 2 * n:
+                    raise SchemaError(f"{where}: cohomology degree {s} not in 0..{2 * n}")
+                dims[s] = _int_field(c["dim"], f"{where}.cohomology.dim")
             profile = tuple(dims.get(s, 0) for s in range(max(dims) + 1)) if dims else ()
             pairings = {
                 int(s): _mat_from_json(m, f"{where}.pairings[{s}]")
@@ -534,7 +537,7 @@ def datum_from_json_dict(doc) -> SemistableDatum:
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"ample_class: {exc}") from exc
     datum = SemistableDatum(
-        n=_int_field(doc["n"], "n"),
+        n=n,
         m=_int_field(doc["m"], "m"),
         levels=levels,
         transfers=TransferMaps(restriction=restriction, gysin=gysin),

@@ -241,14 +241,14 @@ def test_restricted_pairings_on_toys():
 def test_e2_middle_vacuous_on_smooth():
     datum = gen_smooth(3, (1, 0, 1, 0, 1, 0, 1))
     e2 = build_e2(to_weight_complex(datum))
-    res = check_e2_middle(datum, e2)
+    res = check_e2_middle(datum, e2, check_wmc(e2))
     assert res.ok and res.details["agreement"]
 
 
 def test_e2_middle_on_product_toy():
     datum = times_projective_plane(gen_ngon(3))
     e2 = build_e2(to_weight_complex(datum))
-    res = check_e2_middle(datum, e2)
+    res = check_e2_middle(datum, e2, check_wmc(e2))
     assert res.ok
     assert res.details["rows_dual"]
     assert res.details["wmc_at_r1_w3"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_extension
+from oracles import greedy_extension, mini_rank
 from wsscheck.errors import DimensionMismatch, InvalidForm
 from wsscheck.ratlin import (
     RatMatrix,
@@ -17,7 +17,7 @@ from wsscheck.ratlin import (
     kernel,
     rank,
     signature,
-    solve,
+    solve_matrix,
     subspace_sum,
 )
 
@@ -198,6 +198,45 @@ def test_as_rat_scalars():
         as_rat(0.5)
 
 
+def _assert_stored_canonically(sub, dim):
+    ech = sub.echelon
+    assert ech.cols == sub.ambient_dim and ech.rows == sub.dim == dim
+    pivots = []
+    for i in range(ech.rows):
+        row = ech.row_list(i)
+        p = next(j for j, x in enumerate(row) if x != 0)
+        assert row[p] == 1
+        assert all(ech.entry(k, p) == 0 for k in range(ech.rows) if k != i)
+        pivots.append(p)
+    assert pivots == sorted(set(pivots))
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in ech.entries)
+    assert sub.basis == ech.transpose()
+
+
+def _generators(d, min_size=0):
+    return st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=min_size, max_size=4)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.tuples(_generators(d), _generators(d), _generators(d, min_size=1))
+))
+def test_subspaces_stored_as_canonical_rref(args):
+    vs, ws, rows = args
+    d = len(rows[0])
+    m = M(rows, cols=d)
+    u, w = Subspace.span(d, vs), Subspace.span(d, ws)
+    r_u, r_w, r_uw = mini_rank(vs), mini_rank(ws), mini_rank(vs + ws)
+    _assert_stored_canonically(u, r_u)
+    _assert_stored_canonically(kernel(m), d - mini_rank(rows))
+    _assert_stored_canonically(image(m), mini_rank(rows))
+    _assert_stored_canonically(intersect(u, w), r_u + r_w - r_uw)
+    _assert_stored_canonically(subspace_sum(u, w), r_uw)
+    _assert_stored_canonically(Subspace.full(d), d)
+    _assert_stored_canonically(Subspace.zero(d), 0)
+
+
 def test_span_canonical_under_shuffle():
     a = Subspace.span(3, [(1, 2, 3), (0, 1, 1), (1, 3, 4)])
     b = Subspace.span(3, [(0, 1, 1), (1, 3, 4), (1, 2, 3)])
@@ -267,6 +306,7 @@ def test_signature_congruence_invariant(args):
 
 def test_solve_consistency():
     a = M([[1, 2], [3, 4]])
-    x = solve(a, (5, 11))
-    assert x is not None and a.apply(x) == (5, 11)
-    assert solve(M([[1, 1], [1, 1]]), (0, 1)) is None
+    b = M([[5], [11]])
+    x = solve_matrix(a, b)
+    assert x is not None and a @ x == b
+    assert solve_matrix(M([[1, 1], [1, 1]]), M([[0], [1]])) is None

@@ -206,6 +206,15 @@ def _stringify_first_dim(cohomology):
     cohomology[0]["dim"] = str(cohomology[0]["dim"])
 
 
+def _add_degree(degree, dim):
+    return lambda d: d["levels"][0]["cohomology"].append({"degree": degree, "dim": dim})
+
+
+def _repeat_first_degree(doc):
+    cohomology = doc["levels"][0]["cohomology"]
+    cohomology.append(dict(cohomology[0]))
+
+
 def _first_block(doc):
     level = next(lv for lv in doc["levels"] if lv.get("component_blocks"))
     return next(iter(level["component_blocks"].values()))
@@ -231,6 +240,9 @@ MALFORMED = {
     "components-fractional": _first("levels", "components", 2.9),
     "cohomology-dim-string": lambda d: _stringify_first_dim(d["levels"][0]["cohomology"]),
     "component-block-fractional": lambda d: _first_block(d).__setitem__(0, 1.5),
+    "cohomology-degree-negative": _add_degree(-1, 5),
+    "cohomology-degree-repeated": _repeat_first_degree,
+    "cohomology-degree-above-2n": _add_degree(10**6, 0),
 }
 
 
