@@ -42,7 +42,9 @@ class Analysis:
 
     ``e2`` is the page the WMC verdict and the filtration agreement read: the
     datum's own E2, or that of its ``tensor_power``-fold tensor power.  The
-    threefold suite reads the datum's own E2 in either case.
+    threefold suite reads the datum's own E2 and its unfiltered verdict,
+    ``base_verdict``, in either case; with neither ``tensor_power`` nor ``w``
+    that is ``verdict`` itself.
     """
 
     datum: strata.SemistableDatum
@@ -66,7 +68,13 @@ class Analysis:
         return self.base_e2
 
     @cached_property
+    def base_verdict(self):
+        return specseq.check_wmc(self.base_e2)
+
+    @cached_property
     def verdict(self):
+        if self.tensor_power == 1 and self.w is None:
+            return self.base_verdict
         return specseq.check_wmc(self.e2, w_filter=self.w)
 
     @cached_property
@@ -87,7 +95,7 @@ class Analysis:
         """The threefold suite on the base E2, or None unless n = 3."""
         if self.datum.n != 3:
             return None
-        return lefschetz.run_threefold_suite(self.datum, self.base_e2)
+        return lefschetz.run_threefold_suite(self.datum, self.base_e2, self.base_verdict)
 
 
 def analyze(datum, *, tensor_power=1, w=None) -> Analysis:
@@ -198,7 +206,7 @@ def _check_threefold(args):
         )
         return EXIT_CHECK_FAILED, out
     report = lefschetz.run_threefold_suite(
-        rec.datum, rec.base_e2, fail_fast=args.strict == "fail-fast"
+        rec.datum, rec.base_e2, rec.base_verdict, fail_fast=args.strict == "fail-fast"
     )
     out = _dump(report.to_json_dict()) if args.format == "json" else _threefold_text(report)
     return _exit_code(report.ok), out

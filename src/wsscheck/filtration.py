@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import DimensionMismatch, InvalidForm, InvalidOperator
-from .ratlin import RatMatrix, Subspace, _int_row, contains, image, kernel, rank
+from .ratlin import RatMatrix, Subspace, _primitive, _sparse, contains, image, kernel, rank
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,12 @@ class NilpotentOp:
 
 def _int_basis(sub: Subspace) -> RatMatrix:
     """sub's basis columns, each scaled to coprime integers: the same span."""
-    ech = sub.echelon
-    rows = [_int_row(ech.row_list(i)) for i in range(ech.rows)]
-    return RatMatrix(ech.rows, ech.cols, tuple(x for r in rows for x in r)).transpose()
+    n, d = sub.ambient_dim, sub.dim
+    out = [0] * (n * d)
+    for k, row in enumerate(_sparse(sub.echelon)[0]):
+        for j, x in _primitive(row).items():
+            out[j * d + k] = x
+    return RatMatrix(n, d, tuple(out))
 
 
 @dataclass(frozen=True)

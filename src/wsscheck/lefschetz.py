@@ -39,7 +39,7 @@ from .ratlin import (
     signature,
     subspace_sum,
 )
-from .specseq import E2Page, WmcVerdict, check_wmc
+from .specseq import E2Page, WmcVerdict
 from .strata import SemistableDatum
 
 
@@ -507,16 +507,16 @@ def check_kernel_image_identity(datum: SemistableDatum) -> CheckResult:
     )
 
 
-def check_e2_middle(datum: SemistableDatum, e2: E2Page,
-                    verdict: WmcVerdict) -> CheckResult:
+def check_e2_middle(datum: SemistableDatum, e2: E2Page, verdict: WmcVerdict,
+                    key: CheckResult) -> CheckResult:
     """Re-derive the middle monodromy isomorphism through the duality lemma.
 
     Applies the three-term lemma to the row ending at total degree 4, whose
     pairing-dual is the row starting at total degree 2 (verified, not
     assumed), and cross-checks the verdict against the E2 rank computation
     at (r, w) = (1, 3), read from verdict = check_wmc(e2).  Uses the
-    kernel/image identity as the inclusion engine the way the containment
-    argument chains through it.
+    kernel/image identity, key = check_kernel_image_identity(datum), as the
+    inclusion engine the way the containment argument chains through it.
     """
     _require_threefold(datum)
     page = e2.page
@@ -545,7 +545,6 @@ def check_e2_middle(datum: SemistableDatum, e2: E2Page,
         raise InstanceInconsistency(
             "Im f escapes Im g* on the middle row of a validated datum"
         )
-    key = check_kernel_image_identity(datum)
     if key.ok and not lemma.criterion:
         raise InternalConsistencyError(
             "kernel/image identity holds but the containment criterion fails"
@@ -584,9 +583,12 @@ class ThreefoldReport:
         return {"ok": self.ok, "checks": [c.to_json_dict() for c in self.checks]}
 
 
-def run_threefold_suite(datum: SemistableDatum, e2: E2Page,
+def run_threefold_suite(datum: SemistableDatum, e2: E2Page, verdict: WmcVerdict,
                         fail_fast: bool = False) -> ThreefoldReport:
-    """Full suite on a validated threefold datum, cross-checked against its E2 page."""
+    """Full suite on a validated threefold datum, cross-checked against its E2 page.
+
+    verdict is check_wmc(e2), the page's unfiltered WMC verdict.
+    """
     _require_threefold(datum)
     prim = primitive_decompose(datum)
     dec = im_decompose(datum, prim)
@@ -606,10 +608,10 @@ def run_threefold_suite(datum: SemistableDatum, e2: E2Page,
         return ThreefoldReport(tuple(checks))
     if add(check_splitting_iso(datum, prim, dec)):
         return ThreefoldReport(tuple(checks))
-    if add(check_kernel_image_identity(datum)):
+    key = check_kernel_image_identity(datum)
+    if add(key):
         return ThreefoldReport(tuple(checks))
-    verdict = check_wmc(e2)
-    if add(check_e2_middle(datum, e2, verdict)):
+    if add(check_e2_middle(datum, e2, verdict, key)):
         return ThreefoldReport(tuple(checks))
     checks.append(CheckResult("wmc", verdict.overall, verdict.to_json_dict()))
     return ThreefoldReport(tuple(checks))

@@ -2,27 +2,42 @@
 
 Everything downstream (filtrations, spectral sequence pages, pairing and
 signature checks) reduces to a handful of subspace operations implemented
-here.  Matrices are dense with arbitrary-precision rational entries; scalars
-are kept as plain ints whenever the value is integral and as
-``fractions.Fraction`` otherwise, which keeps the common integer-data case on
-the fast native path.  All values are immutable and all operations are pure,
-so results can be shared freely between threads.
+here.  A ``RatMatrix`` holds its arbitrary-precision rational entries
+row-major in one tuple; scalars are kept as plain ints whenever the value is
+integral and as ``fractions.Fraction`` otherwise, which keeps the common
+integer-data case on the fast native path.  All values are immutable and all
+operations are pure, so results can be shared freely between threads.
 
-Canonical forms: a matrix has a unique reduced row echelon form, and a
-subspace is stored as one matrix, ``echelon``: the nonzero rows of the RREF
-of its generators, pivots 1.  Subspace operations eliminate stacked rows and
-keep the ``rref`` output as it is; none goes through columns.
-``Subspace.basis``, the same vectors as columns (a basis in reduced column
-echelon form), is derived from ``echelon`` on each read.  Subspace equality
-is therefore literal matrix equality, and re-running any computation yields
-bit-identical results.
+Elimination is sparse and works on rows.  The eliminator takes each row as a
+dict ``{column: value}`` of its nonzero entries, scaled to coprime integers;
+a matrix's columns are read by slicing its entries, so ``image`` and the
+subspace operations hand columns over as rows without building a transpose.
+The forward pass takes the columns in order and, among the rows whose
+leading entry sits in that column, picks the shortest as pivot (Markowitz's
+rule, Management Science 3, 1957, restricted to row counts), which keeps the
+fill-in low on the sparse d1 blocks of the weight spectral sequence.  It
+cancels by integer cross-multiplication and removes each new row's gcd
+content.  ``rank``, containment and basis extension stop at this row echelon
+form; only ``rref`` back-substitutes above the pivots and divides by them
+into ``Fraction``s, at the very end.
+
+Canonical forms: a matrix has a unique reduced row echelon form, whatever
+the pivot order of the elimination, and a subspace is stored as one matrix,
+``echelon``: the nonzero rows of the RREF of its generators, pivots 1.
+Subspace operations eliminate stacked rows and keep the ``rref`` output as it
+is.  ``Subspace.basis``, the same vectors as columns (a basis in reduced
+column echelon form), is derived from ``echelon`` on each read.  Subspace
+equality is therefore literal matrix equality, and re-running any
+computation yields bit-identical results.  Pivots 1, alone in their
+columns, make containment a reduction: v lies in the span of the rows e_i
+with pivots p_i iff v - sum v[p_i] e_i = 0.
 
 Quotient representatives come from ``extend_basis(small, big)``, which
 completes the basis of ``small`` to one of ``big`` with vectors of big's
-canonical basis.  One ``rref`` of ``[small | big]`` picks them: a column is a
-pivot exactly when it lies outside the span of the columns before it, so the
-picks are the ones a greedy left-to-right scan would keep, and they depend
-only on the two canonical bases.
+canonical basis.  One forward pass over ``[small | big]`` picks them: a
+column is a pivot exactly when it lies outside the span of the columns
+before it, so the picks are the ones a greedy left-to-right scan would keep,
+and they depend only on the two canonical bases.
 
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the denominator is
 one) in every file format.
@@ -32,7 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress
+from math import gcd, lcm
+from operator import neg
 
 from .errors import DimensionMismatch, InvalidForm
 
@@ -54,6 +72,8 @@ def as_rat(x):
 
 def rat_str(x) -> str:
     """Canonical string form "p/q" or "p"."""
+    if type(x) is int or type(x) is Fraction:
+        return str(x)  # a Fraction prints as "p" when its denominator is one
     return str(Fraction(x))
 
 
@@ -61,6 +81,27 @@ def _norm(x):
     if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
+
+
+def _exact(values, *sources) -> tuple:
+    """values as matrix entries; integral Fractions become ints when a source holds a Fraction."""
+    if any(Fraction in set(map(type, compress(m.entries, m.entries))) for m in sources):
+        return tuple(map(_norm, values))
+    return tuple(values)
+
+
+def _sparse(m, transposed=False):
+    """m's rows (columns when transposed) as {index: value} over the nonzeros, and their length."""
+    e, c = m.entries, m.cols
+    if transposed:
+        lines = [{} for _ in range(c)]
+        for k in compress(range(len(e)), e):
+            lines[k % c][k // c] = e[k]
+        return lines, m.rows
+    lines = [{} for _ in range(m.rows)]
+    for k in compress(range(len(e)), e):
+        lines[k // c][k % c] = e[k]
+    return lines, c
 
 
 @dataclass(frozen=True)
@@ -95,7 +136,10 @@ class RatMatrix:
         for r in rows:
             if len(r) != nc:
                 raise DimensionMismatch("ragged rows")
-        return cls(nr, nc, tuple(as_rat(x) for row in rows for x in row))
+        flat = tuple(chain.from_iterable(rows))
+        if set(map(type, flat)) - {int}:  # only non-int entries need coercion
+            flat = tuple(map(as_rat, flat))
+        return cls(nr, nc, flat)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -103,7 +147,9 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        out = [0] * (n * n)
+        out[::n + 1] = [1] * n
+        return cls(n, n, tuple(out))
 
     @classmethod
     def block_diag(cls, blocks):
@@ -149,7 +195,7 @@ class RatMatrix:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
     def col_tuple(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def columns(self):
         return [self.col_tuple(j) for j in range(self.cols)]
@@ -157,20 +203,18 @@ class RatMatrix:
     def submatrix(self, row_idx, col_idx):
         row_idx = list(row_idx)
         col_idx = list(col_idx)
-        ent = tuple(self.entry(i, j) for i in row_idx for j in col_idx)
+        e, c = self.entries, self.cols
+        ent = tuple(e[i * c + j] for i in row_idx for j in col_idx)
         return RatMatrix(len(row_idx), len(col_idx), ent)
 
     def is_zero(self):
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
     # -- arithmetic ----------------------------------------------------------
 
     def transpose(self):
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        e, c = self.entries, self.cols
+        return RatMatrix(c, self.rows, tuple(chain.from_iterable(e[j::c] for j in range(c))))
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -191,7 +235,7 @@ class RatMatrix:
         )
 
     def __neg__(self):
-        return RatMatrix(self.rows, self.cols, tuple(_norm(-a) for a in self.entries))
+        return RatMatrix(self.rows, self.cols, tuple(map(neg, self.entries)))
 
     def scaled(self, c):
         c = as_rat(c)
@@ -203,21 +247,18 @@ class RatMatrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         n, m, p = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
+        a = self.entries
         out = [0] * (n * p)
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            base = i * p
-            for k in range(m):
-                av = arow[k]
-                if av == 0:
-                    continue
-                brow = b[k * p:(k + 1) * p]
-                for j in range(p):
-                    bv = brow[j]
-                    if bv:
-                        out[base + j] = out[base + j] + av * bv
-        return RatMatrix(n, p, tuple(_norm(v) for v in out))
+        if not out:
+            return RatMatrix(n, p, ())
+        brows = _sparse(other)[0]
+        # each nonzero of a meets the nonzeros of one row of b
+        for k in compress(range(len(a)), a):
+            i, r = divmod(k, m)
+            av, base = a[k], i * p
+            for j, bv in brows[r].items():
+                out[base + j] += av * bv
+        return RatMatrix(n, p, _exact(out, self, other))
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -237,19 +278,19 @@ class RatMatrix:
         n, m = self.rows, self.cols
         p, q = other.rows, other.cols
         out = [0] * (n * p * m * q)
+        if not out:
+            return RatMatrix(n * p, m * q, ())
         width = m * q
-        for i in range(n):
-            for j in range(m):
-                a = self.entry(i, j)
-                if a == 0:
-                    continue
-                for r in range(p):
-                    base = (i * p + r) * width + j * q
-                    for c in range(q):
-                        b = other.entry(r, c)
-                        if b:
-                            out[base + c] = _norm(a * b)
-        return RatMatrix(n * p, m * q, tuple(out))
+        a = self.entries
+        brows = _sparse(other)[0]
+        for k in compress(range(len(a)), a):
+            i, j = divmod(k, m)
+            av = a[k]
+            for r, brow in enumerate(brows):
+                base = (i * p + r) * width + j * q
+                for c, bv in brow.items():
+                    out[base + c] = av * bv
+        return RatMatrix(n * p, m * q, _exact(out, self, other))
 
     def apply(self, vec):
         """Matrix-vector product, vectors as tuples."""
@@ -272,7 +313,7 @@ class RatMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [rat_str(x) for x in self.entries],
+            "entries": list(map(rat_str, self.entries)),
         }
 
     @classmethod
@@ -284,85 +325,117 @@ class RatMatrix:
 # -- echelon forms ---------------------------------------------------------
 
 
-def _int_row(row):
-    """Scale a row of ints/Fractions to coprime integers (row-space preserving)."""
-    den = 1
-    for x in row:
-        if type(x) is Fraction:
-            d = x.denominator
-            den = den * d // gcd(den, d)
-    if den == 1:
-        ints = [x if type(x) is int else int(x) for x in row]
+def _primitive(row: dict) -> dict:
+    """A {column: value} row scaled to coprime integers."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction among the values
+        den = lcm(*[x.denominator for x in row.values()])
+        row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _cancel(row: dict, prow: dict, c: int) -> dict:
+    """The primitive integer row a*row - b*prow whose entry at column c is zero."""
+    f, pv = row[c], prow[c]
+    if pv == 1 or pv == -1:
+        f *= pv  # row - f pv prow is pv (pv row - f prow)
+        new = dict(row)
     else:
-        ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return ints
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+        g = gcd(f, pv)
+        f, pv = f // g, pv // g
+        new = {j: pv * x for j, x in row.items()}
+    for j, y in prow.items():
+        x = new.get(j, 0) - f * y
+        if x:
+            new[j] = x
+        else:
+            del new[j]
+    if new:
+        g = gcd(*new.values())
+        if g > 1:
+            return {j: x // g for j, x in new.items()}
+    return new
 
 
-def rref(m: RatMatrix):
+def _forward(rows) -> list:
+    """Row echelon form of {column: value} rows: [(pivot column, row)] by pivot.
+
+    The rows are scaled to coprime integers.  Columns are taken in order, and
+    among the rows whose leading entry sits in a column the shortest is the
+    pivot; the others are cancelled against it and move on to their new
+    leading column.  The pivot columns are those of the RREF.
+    """
+    leading = {}
+    for row in rows:
+        if row:
+            row = _primitive(row)
+            leading.setdefault(min(row), []).append(row)
+    queue = list(leading)
+    heapify(queue)
+    out = []
+    while queue:
+        c = heappop(queue)
+        group = leading.pop(c)
+        prow = min(group, key=len)
+        out.append((c, prow))
+        for row in group:
+            if row is prow:
+                continue
+            new = _cancel(row, prow, c)
+            if new:
+                lead = min(new)
+                if lead not in leading:
+                    leading[lead] = []
+                    heappush(queue, lead)
+                leading[lead].append(new)
+    return out
+
+
+def _reduce(rows) -> list:
+    """Reduced echelon form: the rows of _forward, each zero at the other pivots.
+
+    Back-substitution runs bottom-up, so each row is cancelled against rows
+    that are already reduced and gains no entry at another pivot column.
+    """
+    ech = _forward(rows)
+    reduced = dict(ech)
+    for k in range(len(ech) - 2, -1, -1):
+        c, row = ech[k]
+        hits = [j for j in row if j in reduced and j != c]
+        for j in hits:
+            row = _cancel(row, reduced[j], j)
+        ech[k] = (c, row)
+        reduced[c] = row
+    return ech
+
+
+def rref(m: RatMatrix, *, transposed=False):
     """Reduced row echelon form (pivots 1) and the tuple of pivot columns.
 
-    Internally fraction-free: rows are scaled to coprime integers and the
-    elimination uses integer cross-multiplication, dividing out by the pivot
-    only at the end.  The result is the canonical RREF over Q.
+    With transposed=True, the RREF of m's transpose, read off m's columns.
+    The rows go through the sparse fraction-free elimination of ``_forward``
+    (shortest row first in each column) and ``_reduce`` (back-substitution),
+    in coprime integers throughout; each row is divided by its pivot only at
+    the end.  The RREF over Q is unique, so the result is canonical whatever
+    the pivot order.
     """
-    nr, nc = m.rows, m.cols
-    rows = [_int_row(m.entries[i * nc:(i + 1) * nc]) for i in range(nr)]
+    rows, nc = _sparse(m, transposed)
+    nr = len(rows)
+    out = [0] * (nr * nc)
     pivots = []
-    pr = 0
-    for pc in range(nc):
-        pivot = None
-        for r in range(pr, nr):
-            if rows[r][pc]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        prow = rows[pr]
-        pv = prow[pc]
-        for r in range(nr):
-            if r == pr:
-                continue
-            f = rows[r][pc]
-            if not f:
-                continue
-            rr = rows[r]
-            new = [pv * a - f * b for a, b in zip(rr, prow)]
-            g = 0
-            for v in new:
-                if v:
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-            rows[r] = [v // g for v in new] if g > 1 else new
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    out = []
-    for idx in range(nr):
-        if idx < len(pivots):
-            row = rows[idx]
-            pv = row[pivots[idx]]
-            if pv == 1:
-                out.extend(row)
-            else:
-                out.extend(v and (Fraction(v, pv) if v % pv else v // pv) for v in row)
-        else:
-            out.extend([0] * nc)
+    for i, (c, row) in enumerate(_reduce(rows)):
+        pivots.append(c)
+        pv, base = row[c], i * nc
+        for j, v in row.items():
+            out[base + j] = v if pv == 1 else v // pv if v % pv == 0 else Fraction(v, pv)
     return RatMatrix(nr, nc, tuple(out)), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
+    """The pivot count of the forward elimination; no back-substitution."""
+    return len(_forward(_sparse(m)[0]))
 
 
 def solve_matrix(a: RatMatrix, b: RatMatrix):
@@ -424,18 +497,36 @@ class Subspace:
         return cls(ambient_dim, RatMatrix.identity(ambient_dim))
 
     def contains_vector(self, v) -> bool:
-        row = RatMatrix.from_rows([v], cols=self.ambient_dim)
-        return rank(self.echelon.vstack(row)) == self.dim
+        return _reduces_to_zero(self, _sparse(RatMatrix.from_rows([v], cols=self.ambient_dim))[0])
 
     def to_json_dict(self):
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json_dict()}
 
 
-def _row_space(gens: RatMatrix) -> Subspace:
-    """The span of the rows of gens: the nonzero rows of their RREF."""
-    r, piv = rref(gens)
-    n = gens.cols
+def _row_space(gens: RatMatrix, *, transposed=False) -> Subspace:
+    """The span of the rows (columns when transposed) of gens: the nonzero rows of their RREF."""
+    r, piv = rref(gens, transposed=transposed)
+    n = r.cols
     return Subspace(n, RatMatrix(len(piv), n, r.entries[:len(piv) * n]))
+
+
+def _reduces_to_zero(u: Subspace, rows) -> bool:
+    """True iff each {column: value} row v lies in u: v - sum v[p_i] e_i = 0.
+
+    The e_i are u's echelon rows and p_i their pivots.  Each e_i has a 1 at
+    p_i, alone in its column, so cancelling v at each p_i against e_i, in
+    coprime integers, leaves a multiple of that difference.
+    """
+    ech = [_primitive(e) for e in _sparse(u.echelon)[0]]
+    pivots = [min(e) for e in ech]
+    for v in rows:
+        res = _primitive(v)
+        for p, e in zip(pivots, ech):
+            if p in res:
+                res = _cancel(res, e, p)
+        if res:
+            return False
+    return True
 
 
 def _same_ambient(u: Subspace, w: Subspace):
@@ -445,22 +536,32 @@ def _same_ambient(u: Subspace, w: Subspace):
         )
 
 
-def _null_rows(m: RatMatrix) -> RatMatrix:
-    """A basis of {v : m v = 0} as rows, one per non-pivot column; not canonical."""
-    r, piv = rref(m)
-    pivset = set(piv)
-    out = []
-    for fcol in range(m.cols):
-        if fcol in pivset:
-            continue
-        v = [0] * m.cols
-        v[fcol] = 1
-        for ri, pc in enumerate(piv):
-            x = r.entry(ri, fcol)
-            if x:
-                v[pc] = -x
-        out.extend(v)
-    return RatMatrix(m.cols - len(piv), m.cols, tuple(out))
+def _null_rows(m: RatMatrix, *, transposed=False) -> RatMatrix:
+    """A basis of {v : m v = 0} (of m^T when transposed) as integer rows; not canonical.
+
+    One row per non-pivot column f of the reduced rows (c, r): L at f and
+    -r[f] L / r[c] at each pivot c, where L is the lcm of |r[c]| over the
+    rows with an entry at f, so that every entry is an integer.
+    """
+    rows, n = _sparse(m, transposed)
+    red = _reduce(rows)
+    pivots = {c for c, _ in red}
+    free = {f: k for k, f in enumerate(f for f in range(n) if f not in pivots)}
+    scale = [1] * n
+    for c, row in red:
+        pv = abs(row[c])
+        if pv != 1:
+            for j in row:
+                scale[j] = lcm(scale[j], pv)
+    out = [0] * (len(free) * n)
+    for f, k in free.items():
+        out[k * n + f] = scale[f]
+    for c, row in red:
+        pv = row[c]
+        for j, x in row.items():
+            if j != c:
+                out[free[j] * n + c] = -x * (scale[j] // pv)
+    return RatMatrix(len(free), n, tuple(out))
 
 
 def kernel(m: RatMatrix) -> Subspace:
@@ -470,7 +571,7 @@ def kernel(m: RatMatrix) -> Subspace:
 
 def image(m: RatMatrix) -> Subspace:
     """Column space of m."""
-    return _row_space(m.transpose())
+    return _row_space(m, transposed=True)
 
 
 def intersect(u: Subspace, w: Subspace) -> Subspace:
@@ -478,7 +579,7 @@ def intersect(u: Subspace, w: Subspace) -> Subspace:
     _same_ambient(u, w)
     if u.dim == 0 or w.dim == 0:
         return Subspace.zero(u.ambient_dim)
-    z = _null_rows(u.echelon.vstack(w.echelon).transpose())
+    z = _null_rows(u.echelon.vstack(w.echelon), transposed=True)
     return _row_space(z.submatrix(range(z.rows), range(u.dim)) @ u.echelon)
 
 
@@ -490,13 +591,15 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
 def extend_basis(small: Subspace, big: Subspace):
     """Columns of big's basis completing small's basis to a basis of big.
 
-    One rref of [small | big]: small's columns are independent, so they are
-    all pivots, and big's pivot columns are those outside the span of the
-    columns before them.  None when small is not inside big, read off the
-    same elimination: rank [small | big] = dim big iff small is inside big.
+    One forward elimination of [small | big]: small's columns are
+    independent, so they are all pivots, and big's pivot columns are those
+    outside the span of the columns before them.  None when small is not
+    inside big, read off the same elimination: rank [small | big] = dim big
+    iff small is inside big.
     """
     _same_ambient(small, big)
-    _, piv = rref(small.echelon.vstack(big.echelon).transpose())
+    stacked = small.echelon.vstack(big.echelon)
+    piv = [c for c, _ in _forward(_sparse(stacked, transposed=True)[0])]
     if len(piv) != big.dim:
         return None
     picked = [p - small.dim for p in piv[small.dim:]]
@@ -504,13 +607,14 @@ def extend_basis(small: Subspace, big: Subspace):
 
 
 def contains(u: Subspace, w: Subspace) -> bool:
-    """True iff every basis vector of w lies in u."""
+    """True iff every basis vector of w lies in u, by reduction against u's echelon."""
     _same_ambient(u, w)
-    if w.dim == 0:
+    if w.dim >= u.dim:
+        # canonical forms: a subspace of the same dimension is u itself
+        return w.dim == u.dim and w.echelon == u.echelon
+    if w.dim == 0 or u.dim == u.ambient_dim:
         return True
-    if u.dim == 0:
-        return False
-    return rank(u.echelon.vstack(w.echelon)) == u.dim
+    return _reduces_to_zero(u, _sparse(w.echelon)[0])
 
 
 def signature(s: RatMatrix):

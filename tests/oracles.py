@@ -1,40 +1,42 @@
 """Independent oracles for the test suite.
 
-Deliberately separate from the engine: a plain fraction-based Gaussian
-elimination for ranks, a greedy basis extension built on it, the
-Jordan-type formula for monodromy graded dimensions, a dictionary
-convolution for Kunneth dimensions, and raw incidence matrices of cycle/path
-graphs.  Nothing here imports wsscheck.
+Deliberately separate from the engine: a dense textbook Gauss-Jordan
+elimination over Fraction for reduced echelon forms and ranks, a greedy
+basis extension built on it, the Jordan-type formula for monodromy graded
+dimensions, a dictionary convolution for Kunneth dimensions, and raw
+incidence matrices of cycle/path graphs.  Nothing here imports wsscheck.
 """
 
 from fractions import Fraction
 
 
-def mini_rank(rows):
-    """Rank by plain Gaussian elimination over Fraction (partial pivoting)."""
+def gauss_jordan(rows, ncols):
+    """Reduced row echelon form and pivot columns by dense Gauss-Jordan over Fraction.
+
+    Returns the len(rows) x ncols RREF as lists of Fraction (zero rows last)
+    and the list of pivot columns.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if m[r][col] != 0:
-                piv = r
-                break
+    pivots = []
+    for col in range(ncols):
+        r0 = len(pivots)
+        piv = next((r for r in range(r0, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(nr):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        m[r0], m[piv] = m[piv], m[r0]
+        pv = m[r0][col]
+        m[r0] = [x / pv for x in m[r0]]
+        for r in range(len(m)):
+            if r != r0 and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[r0])]
+        pivots.append(col)
+    return m, pivots
+
+
+def mini_rank(rows):
+    """Rank as the pivot count of gauss_jordan."""
+    return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
 def greedy_extension(small, big):

@@ -188,7 +188,8 @@ def test_criterion_6_threefold_suite():
     for name in toy_names():
         datum = load_toy(name)
         assert validate(datum).ok, name
-        report = run_threefold_suite(datum, build_e2(to_weight_complex(datum)))
+        e2 = build_e2(to_weight_complex(datum))
+        report = run_threefold_suite(datum, e2, check_wmc(e2))
         assert report.ok, (name, [c.name for c in report.checks if not c.ok])
         by_name = {c.name: c for c in report.checks}
         middle = by_name["e2-middle"]

@@ -241,14 +241,14 @@ def test_restricted_pairings_on_toys():
 def test_e2_middle_vacuous_on_smooth():
     datum = gen_smooth(3, (1, 0, 1, 0, 1, 0, 1))
     e2 = build_e2(to_weight_complex(datum))
-    res = check_e2_middle(datum, e2, check_wmc(e2))
+    res = check_e2_middle(datum, e2, check_wmc(e2), check_kernel_image_identity(datum))
     assert res.ok and res.details["agreement"]
 
 
 def test_e2_middle_on_product_toy():
     datum = times_projective_plane(gen_ngon(3))
     e2 = build_e2(to_weight_complex(datum))
-    res = check_e2_middle(datum, e2, check_wmc(e2))
+    res = check_e2_middle(datum, e2, check_wmc(e2), check_kernel_image_identity(datum))
     assert res.ok
     assert res.details["rows_dual"]
     assert res.details["wmc_at_r1_w3"]
@@ -261,5 +261,6 @@ def test_full_suite_on_all_toys():
         times_projective_plane(gen_ngon(3)),
         times_projective_plane(gen_ngon(4)),
     ):
-        report = run_threefold_suite(datum, build_e2(to_weight_complex(datum)))
+        e2 = build_e2(to_weight_complex(datum))
+        report = run_threefold_suite(datum, e2, check_wmc(e2))
         assert report.ok, [c.name for c in report.checks if not c.ok]

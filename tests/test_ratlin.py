@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_extension, mini_rank
+from oracles import gauss_jordan, greedy_extension, mini_rank
 from wsscheck.errors import DimensionMismatch, InvalidForm
 from wsscheck.ratlin import (
     RatMatrix,
@@ -16,6 +16,7 @@ from wsscheck.ratlin import (
     intersect,
     kernel,
     rank,
+    rref,
     signature,
     solve_matrix,
     subspace_sum,
@@ -84,6 +85,91 @@ def test_kernel_really_annihilated(m):
     k = kernel(m)
     for idx in range(k.dim):
         assert all(x == 0 for x in m.apply(k.basis.col_tuple(idx)))
+
+
+# -- elimination against the dense Gauss-Jordan oracle -------------------------
+
+_ENTRIES = {
+    "sparse": st.integers(-9, 9).map(lambda x: x if abs(x) > 6 else 0),
+    "dense": st.integers(-60, 60),
+    "fraction": st.fractions(min_value=-4, max_value=4, max_denominator=6),
+}
+
+
+@st.composite
+def _eliminator_inputs(draw):
+    """(rows, ncols): fresh rows of one entry kind, zero rows and multiples of earlier rows."""
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "multiple")))
+        if kind == "zero":
+            rows.append([0] * nc)
+        elif kind == "multiple" and rows:
+            k = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(entry, min_size=nc, max_size=nc)))
+    return rows, nc
+
+
+@settings(max_examples=300)
+@given(_eliminator_inputs())
+@example(([], 3))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[1, 2], [2, 4], [1, 2]], 2))
+def test_rref_and_rank_match_gauss_jordan(args):
+    rows, nc = args
+    m = M(rows, cols=nc)
+    for got, transposed in ((m, False), (m.transpose(), True)):
+        want, pivots = gauss_jordan([got.row_list(i) for i in range(got.rows)], got.cols)
+        r, piv = rref(m, transposed=transposed)
+        assert r.shape == got.shape and piv == tuple(pivots)
+        assert list(r.entries) == [x for row in want for x in row]
+        assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+                   for x in r.entries)
+        assert rank(got) == len(pivots)
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.lists(_ENTRIES["fraction"], min_size=d, max_size=d), max_size=4),
+    st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=3),
+    st.lists(st.lists(_ENTRIES["fraction"], min_size=d, max_size=d), max_size=2),
+)))
+def test_containment_by_reduction_matches_stacked_rank(args):
+    d, gens, combos, others = args
+    padded = gens + [[0] * d] * (4 - len(gens))
+    inside = [[sum(c * g[i] for c, g in zip(cs, padded)) for i in range(d)] for cs in combos]
+    u = Subspace.span(d, gens)
+    base = mini_rank(gens)
+    for ws in (inside, others, inside + others):
+        assert contains(u, Subspace.span(d, ws)) == (mini_rank(gens + ws) == base)
+        for v in ws:
+            assert u.contains_vector(v) == (mini_rank(gens + [v]) == base)
+
+
+@settings(max_examples=100)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda nmp: st.tuples(
+        st.lists(st.lists(_ENTRIES["fraction"], min_size=nmp[1], max_size=nmp[1]),
+                 min_size=nmp[0], max_size=nmp[0]),
+        st.lists(st.lists(_ENTRIES["sparse"], min_size=nmp[2], max_size=nmp[2]),
+                 min_size=nmp[1], max_size=nmp[1]),
+        st.just(nmp[1:]),
+    )))
+def test_products_and_transpose_match_plain_sums(args):
+    a_rows, b_rows, (m, p) = args
+    a, b = M(a_rows, cols=m), M(b_rows, cols=p)
+    want = [[sum((a_rows[i][k] * b_rows[k][j] for k in range(m)), Fraction(0))
+             for j in range(p)] for i in range(len(a_rows))]
+    assert a @ b == M(want, cols=p)
+    assert a.transpose() == M([[row[j] for row in a_rows] for j in range(m)], cols=len(a_rows))
+    kron = [[x * y for x in ra for y in rb] for ra in a_rows for rb in b_rows]
+    assert a.kron(b) == M(kron, cols=m * p)
 
 
 # -- intersections and sums -----------------------------------------------------
