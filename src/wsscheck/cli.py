@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .errors import (
@@ -50,6 +50,10 @@ class Analysis:
     datum: strata.SemistableDatum
     tensor_power: int = 1
     w: tuple = None
+
+    def __post_init__(self):
+        if self.tensor_power < 1:
+            raise ParameterError(f"tensor power must be >= 1, got {self.tensor_power}")
 
     @cached_property
     def validation(self):
@@ -265,7 +269,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def _parser():
+    """The argument parser, built on first use and shared by later calls."""
     p = argparse.ArgumentParser(
         prog="wsscheck",
         description="Exact checks on weight spectral sequences of semistable degenerations",

@@ -63,6 +63,13 @@ def as_rat(x):
     if type(x) is Fraction:
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
+        # int() reads integer strings without Fraction's regular expression;
+        # it also takes "1_0", which Fraction() rejects before Python 3.11
+        if "_" not in x:
+            try:
+                return int(x)
+            except ValueError:
+                pass
         f = Fraction(x)  # ValueError / ZeroDivisionError propagate to callers
         return int(f) if f.denominator == 1 else f
     if isinstance(x, bool):
@@ -318,7 +325,7 @@ class RatMatrix:
 
     @classmethod
     def from_json_dict(cls, d):
-        ent = tuple(as_rat(x) for x in d["entries"])
+        ent = tuple(map(as_rat, d["entries"]))
         return cls(int(d["rows"]), int(d["cols"]), ent)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +119,16 @@ def test_tensor_power_flag(tmp_path, capsys):
     assert doc["overall"] is True
 
 
+@pytest.mark.parametrize("power", ["0", "-3"])
+@pytest.mark.parametrize("command", ["pages", "check-wmc", "report"])
+def test_tensor_power_below_one_is_an_input_error(tmp_path, capsys, command, power):
+    path = tmp_path / "ngon.json"
+    save(gen_ngon(3), path)
+    assert run_cli([command, "--instance", str(path), "--tensor-power", power]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tensor power must be >= 1" in err
+
+
 def test_report_tensor_power_keeps_suite_on_base_page(capsys):
     instance = str(data_dir() / "toy_blowup_point.json")
 
@@ -156,3 +170,45 @@ def test_unread_flag_is_a_usage_error(argv, capsys):
         run_cli(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _in_process(argv, capsys):
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _alone(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "wsscheck", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_calls_in_one_process_match_calls_made_alone(tmp_path, capsys):
+    """The parser is built once per process; no call may see an earlier one's flags."""
+    threefold = str(data_dir() / "toy_blowup_point.json")
+    mutant = tmp_path / "bad.json"
+    save(mutate(gen_ngon(4), "adjunction", seed=3), mutant)
+    calls = [
+        ["pages"],
+        ["check-wmc", "--instance", threefold, "--w", "3"],
+        ["check-wmc", "--instance", threefold],
+        ["validate", "--instance", str(mutant), "--strict", "fail-fast"],
+        ["validate", "--instance", str(mutant)],
+        ["report", "--instance", threefold, "--tensor-power", "2"],
+        ["report", "--instance", threefold],
+    ]
+    results = [_in_process(argv, capsys) for argv in calls]
+    assert results == [_alone(argv) for argv in calls]
+    codes = [code for code, _, _ in results]
+    assert codes == [2, 0, 0, 1, 1, 0, 0]
+    whole = json.loads(results[2][1])
+    assert {e["w"] for e in whole["entries"]} == set(range(7))
+    assert sorted(whole["filtration_agreement"]) == [str(w) for w in range(7)]
+    assert json.loads(results[5][1]) != json.loads(results[6][1])

@@ -284,6 +284,50 @@ def test_as_rat_scalars():
         as_rat(0.5)
 
 
+def _outcome(parse, s):
+    """parse(s), or the class of the exception it raises."""
+    try:
+        return parse(s)
+    except Exception as exc:
+        return type(exc)
+
+
+def _fraction_reading(s):
+    f = Fraction(s)
+    return int(f) if f.denominator == 1 else f
+
+
+SCALAR_PIECES = st.sampled_from(
+    ["", " ", "\t", "\u2003", "+", "-", "0", "1", "7", "\u0663", "\uff15",
+     "_", "__", "/", "/0", ".", "e", "E", "x", "1e3"]
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.lists(SCALAR_PIECES, max_size=6).map("".join),
+    st.integers().map(str),
+    st.fractions().map(str),
+    st.text(max_size=8),
+))
+@example("1_0")
+@example("1__0")
+@example("_1")
+@example(" -1_000 ")
+@example("\u0663\u0660")
+@example("3.0")
+@example("1e3")
+@example("-6/4")
+@example("1/0")
+@example("garbage")
+@example("1" * 4301)
+def test_as_rat_reads_strings_as_fraction_does(s):
+    # compared with the running interpreter's Fraction, whose grammar moves
+    # between versions (underscores, for one)
+    got, want = _outcome(as_rat, s), _outcome(_fraction_reading, s)
+    assert got == want and type(got) is type(want)
+
+
 def _assert_stored_canonically(sub, dim):
     ech = sub.echelon
     assert ech.cols == sub.ambient_dim and ech.rows == sub.dim == dim
