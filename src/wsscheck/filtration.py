@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import DimensionMismatch, InvalidForm, InvalidOperator
-from .ratlin import RatMatrix, Subspace, _primitive, _sparse, contains, image, kernel, rank
+from .ratlin import RatMatrix, Subspace, _primitive, contains, image, kernel, rank
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,8 @@ class NilpotentOp:
 
 def _int_basis(sub: Subspace) -> RatMatrix:
     """sub's basis columns, each scaled to coprime integers: the same span."""
-    n, d = sub.ambient_dim, sub.dim
-    out = [0] * (n * d)
-    for k, row in enumerate(_sparse(sub.echelon)[0]):
-        for j, x in _primitive(row).items():
-            out[j * d + k] = x
-    return RatMatrix(n, d, tuple(out))
+    rows = tuple(map(_primitive, sub.echelon.data))
+    return RatMatrix(sub.dim, sub.ambient_dim, rows).transpose()
 
 
 @dataclass(frozen=True)

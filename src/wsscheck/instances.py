@@ -517,9 +517,12 @@ def generate(spec: GeneratorSpec):
 
 
 def _mat_with_entry(m: RatMatrix, r, c, v):
-    ent = list(m.entries)
-    ent[r * m.cols + c] = as_rat(v)
-    return RatMatrix(m.rows, m.cols, tuple(ent))
+    rows = list(m.data)
+    rows[r] = {j: x for j, x in rows[r].items() if j != c}
+    v = as_rat(v)
+    if v:
+        rows[r][c] = v
+    return RatMatrix(m.rows, m.cols, tuple(rows))
 
 
 def _with_pairing(datum, j, s, mat):

@@ -2,20 +2,29 @@
 
 Everything downstream (filtrations, spectral sequence pages, pairing and
 signature checks) reduces to a handful of subspace operations implemented
-here.  A ``RatMatrix`` holds its arbitrary-precision rational entries
-row-major in one tuple; scalars are kept as plain ints whenever the value is
-integral and as ``fractions.Fraction`` otherwise, which keeps the common
-integer-data case on the fast native path.  All values are immutable and all
-operations are pure, so results can be shared freely between threads.
+here.
 
-Elimination is sparse and works on rows.  The eliminator takes each row as a
-dict ``{column: value}`` of its nonzero entries, scaled to coprime integers;
-a matrix's columns are read by slicing its entries, so ``image`` and the
-subspace operations hand columns over as rows without building a transpose.
-The forward pass takes the columns in order and, among the rows whose
-leading entry sits in that column, picks the shortest as pivot (Markowitz's
-rule, Management Science 3, 1957, restricted to row counts), which keeps the
-fill-in low on the sparse d1 blocks of the weight spectral sequence.  It
+Storage is sparse and by rows.  A ``RatMatrix`` holds, for each row, one
+dict ``{column: value}`` of that row's nonzero entries; no zero is ever
+stored, so two matrices are equal exactly when their shapes and row dicts
+are.  Values are plain ints whenever integral and ``fractions.Fraction``
+otherwise, which keeps the common integer-data case on the fast native path.
+The d1 and N blocks of the weight spectral sequence are assembled from
+signed restriction, Gysin and identity-shift maps and hold a few percent of
+nonzeros or less, so assembly, Kronecker and matrix products, stacking,
+transposition, sums and elimination all work over the nonzeros only.  The
+dense row-major tuple ``entries`` is derived on first read and cached, for
+the readers that want every entry, such as serialization.
+Matrices are immutable: no operation changes a row dict once a matrix holds
+it, so matrices share rows freely, also between threads.
+
+Elimination is sparse and works on rows.  The eliminator takes the stored
+rows, scaled to coprime integers; a matrix's columns are its transpose's
+rows, built in one pass over the nonzeros, so ``image`` and the subspace
+operations hand columns over as rows.  The forward pass takes the columns in
+order and, among the rows whose leading entry sits in that column, picks the
+shortest as pivot (Markowitz's rule, Management Science 3, 1957, restricted
+to row counts), which keeps the fill-in low on the sparse d1 blocks.  It
 cancels by integer cross-multiplication and removes each new row's gcd
 content.  ``rank``, containment and basis extension stop at this row echelon
 form; only ``rref`` back-substitutes above the pivots and divides by them
@@ -47,10 +56,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import neg
 
 from .errors import DimensionMismatch, InvalidForm
 
@@ -90,42 +99,49 @@ def _norm(x):
     return x
 
 
-def _exact(values, *sources) -> tuple:
-    """values as matrix entries; integral Fractions become ints when a source holds a Fraction."""
-    if any(Fraction in set(map(type, compress(m.entries, m.entries))) for m in sources):
-        return tuple(map(_norm, values))
-    return tuple(values)
+@lru_cache(maxsize=4096)
+def _unit_row(c: int) -> dict:
+    """The row {c: 1}, one dict shared by every matrix that holds it.
+
+    Echelon forms and identities are mostly unit rows, and a dict of one
+    entry takes as much memory as a dense row of 28 entries.
+    """
+    return {c: 1}
 
 
-def _sparse(m, transposed=False):
-    """m's rows (columns when transposed) as {index: value} over the nonzeros, and their length."""
-    e, c = m.entries, m.cols
-    if transposed:
-        lines = [{} for _ in range(c)]
-        for k in compress(range(len(e)), e):
-            lines[k % c][k // c] = e[k]
-        return lines, m.rows
-    lines = [{} for _ in range(m.rows)]
-    for k in compress(range(len(e)), e):
-        lines[k // c][k % c] = e[k]
-    return lines, c
+def _exact(rows) -> tuple:
+    """Rows of products as matrix rows: Fraction values become ints where integral."""
+    if Fraction in set(map(type, chain.from_iterable(map(dict.values, rows)))):
+        return tuple({j: _norm(v) for j, v in row.items()} for row in rows)
+    return tuple(rows)
 
 
-@dataclass(frozen=True)
 class RatMatrix:
-    """Dense matrix of exact rationals, row-major, immutable."""
+    """Matrix of exact rationals, immutable, stored by rows over its nonzeros.
 
-    rows: int
-    cols: int
-    entries: tuple
+    data holds one dict {column: value} per row, with no zero values; the
+    dense row-major tuple entries is derived from it on first read.
+    """
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("rows", "cols", "data", "_entries")
+
+    def __init__(self, rows: int, cols: int, data: tuple):
+        if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        if len(data) != rows:
+            raise DimensionMismatch(f"row count {len(data)} != {rows}")
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self._entries = None
+
+    def __eq__(self, other):
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
+        return self.cols == other.cols and self.data == other.data
+
+    def __repr__(self):
+        return f"RatMatrix(rows={self.rows}, cols={self.cols}, data={self.data!r})"
 
     # -- construction -----------------------------------------------------
 
@@ -143,20 +159,17 @@ class RatMatrix:
         for r in rows:
             if len(r) != nc:
                 raise DimensionMismatch("ragged rows")
-        flat = tuple(chain.from_iterable(rows))
-        if set(map(type, flat)) - {int}:  # only non-int entries need coercion
-            flat = tuple(map(as_rat, flat))
-        return cls(nr, nc, flat)
+        if set(map(type, chain.from_iterable(rows))) - {int}:  # only non-ints need coercion
+            rows = [list(map(as_rat, r)) for r in rows]
+        return cls(nr, nc, tuple(dict(compress(enumerate(r), r)) for r in rows))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(rows, cols, ({},) * rows)  # rows are never changed in place
 
     @classmethod
     def identity(cls, n):
-        out = [0] * (n * n)
-        out[::n + 1] = [1] * n
-        return cls(n, n, tuple(out))
+        return cls(n, n, tuple(map(_unit_row, range(n))))
 
     @classmethod
     def block_diag(cls, blocks):
@@ -173,20 +186,19 @@ class RatMatrix:
 
     @classmethod
     def assemble(cls, rows, cols, placements):
-        """Build a rows x cols matrix from (row_offset, col_offset, block) triples."""
-        out = [0] * (rows * cols)
+        """Build a rows x cols matrix from (row_offset, col_offset, block) triples; overlaps add."""
+        out = [{} for _ in range(rows)]
         for ro, co, blk in placements:
             if ro + blk.rows > rows or co + blk.cols > cols:
                 raise DimensionMismatch("block placement out of range")
-            be = blk.entries
-            bc = blk.cols
-            for i in range(blk.rows):
-                base = (ro + i) * cols + co
-                brow = be[i * bc:(i + 1) * bc]
-                for j in range(bc):
-                    v = brow[j]
-                    if v:
-                        out[base + j] = _norm(out[base + j] + v)
+            for row, brow in zip(out[ro:], blk.data):
+                for j, v in brow.items():
+                    j += co
+                    if j in row:
+                        v = _norm(row.pop(j) + v)
+                        if not v:
+                            continue
+                    row[j] = v
         return cls(rows, cols, tuple(out))
 
     # -- access ------------------------------------------------------------
@@ -195,124 +207,135 @@ class RatMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
+    @property
+    def entries(self) -> tuple:
+        """All rows*cols entries, row-major: a dense view built on first read."""
+        if self._entries is None:
+            out = [0] * (self.rows * self.cols)
+            for i, row in enumerate(self.data):
+                base = i * self.cols
+                for j, v in row.items():
+                    out[base + j] = v
+            self._entries = tuple(out)
+        return self._entries
+
     def entry(self, i, j):
-        return self.entries[i * self.cols + j]
+        return self.data[i].get(j, 0)
 
     def row_list(self, i):
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
+        out = [0] * self.cols
+        for j, v in self.data[i].items():
+            out[j] = v
+        return out
 
     def col_tuple(self, j):
-        return self.entries[j::self.cols]
+        return tuple(row.get(j, 0) for row in self.data)
 
     def columns(self):
         return [self.col_tuple(j) for j in range(self.cols)]
 
     def submatrix(self, row_idx, col_idx):
-        row_idx = list(row_idx)
+        """The rows row_idx and the distinct columns col_idx, in the order given."""
+        rows = tuple(self.data[i] for i in row_idx)
         col_idx = list(col_idx)
-        e, c = self.entries, self.cols
-        ent = tuple(e[i * c + j] for i in row_idx for j in col_idx)
-        return RatMatrix(len(row_idx), len(col_idx), ent)
+        if col_idx == list(range(self.cols)):
+            return RatMatrix(len(rows), self.cols, rows)
+        new = {j: k for k, j in enumerate(col_idx)}
+        if len(new) != len(col_idx) or not all(0 <= j < self.cols for j in new):
+            raise DimensionMismatch("column indices must be distinct and in range")
+        return RatMatrix(len(rows), len(new), tuple(
+            {new[j]: v for j, v in row.items() if j in new} for row in rows))
 
     def is_zero(self):
-        return not any(self.entries)
+        return not any(self.data)
 
     # -- arithmetic ----------------------------------------------------------
 
     def transpose(self):
-        e, c = self.entries, self.cols
-        return RatMatrix(c, self.rows, tuple(chain.from_iterable(e[j::c] for j in range(c))))
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                out[j][i] = v
+        return RatMatrix(self.cols, self.rows, tuple(out))
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in +")
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            tuple(_norm(a + b) for a, b in zip(self.entries, other.entries)),
-        )
+        return RatMatrix.assemble(self.rows, self.cols, [(0, 0, self), (0, 0, other)])
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in -")
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            tuple(_norm(a - b) for a, b in zip(self.entries, other.entries)),
-        )
+        return self + -other
 
     def __neg__(self):
-        return RatMatrix(self.rows, self.cols, tuple(map(neg, self.entries)))
+        return RatMatrix(self.rows, self.cols,
+                         tuple({j: -v for j, v in row.items()} for row in self.data))
 
     def scaled(self, c):
         c = as_rat(c)
-        return RatMatrix(self.rows, self.cols, tuple(_norm(c * a) for a in self.entries))
+        if not c:
+            return RatMatrix.zeros(self.rows, self.cols)
+        return RatMatrix(self.rows, self.cols,
+                         tuple({j: _norm(c * v) for j, v in row.items()} for row in self.data))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        n, m, p = self.rows, self.cols, other.cols
-        a = self.entries
-        out = [0] * (n * p)
-        if not out:
-            return RatMatrix(n, p, ())
-        brows = _sparse(other)[0]
-        # each nonzero of a meets the nonzeros of one row of b
-        for k in compress(range(len(a)), a):
-            i, r = divmod(k, m)
-            av, base = a[k], i * p
-            for j, bv in brows[r].items():
-                out[base + j] += av * bv
-        return RatMatrix(n, p, _exact(out, self, other))
+        b, p = other.data, other.cols
+        out = []
+        for arow in self.data:
+            # each nonzero of the row meets the nonzeros of one row of b; a
+            # list accumulates a row with many products, a dict one with few
+            if not arow:
+                out.append({})
+                continue
+            if 4 * sum(map(len, map(b.__getitem__, arow))) >= p:
+                dense = [0] * p
+                for k, av in arow.items():
+                    for j, bv in b[k].items():
+                        dense[j] += av * bv
+                acc = dict(compress(enumerate(dense), dense))
+            elif len(arow) == 1:
+                (k, av), = arow.items()
+                acc = b[k] if av == 1 else {j: av * bv for j, bv in b[k].items()}
+            else:
+                acc = {}
+                for k, av in arow.items():
+                    for j, bv in b[k].items():
+                        acc[j] = acc.get(j, 0) + av * bv
+                if 0 in acc.values():
+                    acc = {j: v for j, v in acc.items() if v}
+            out.append(acc)
+        return RatMatrix(self.rows, p, _exact(out))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        ent = []
-        for i in range(self.rows):
-            ent.extend(self.entries[i * self.cols:(i + 1) * self.cols])
-            ent.extend(other.entries[i * other.cols:(i + 1) * other.cols])
-        return RatMatrix(self.rows, self.cols + other.cols, tuple(ent))
+        c = self.cols
+        return RatMatrix(self.rows, c + other.cols, tuple(
+            {**a, **{c + j: v for j, v in b.items()}} if b else a
+            for a, b in zip(self.data, other.data)))
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return RatMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return RatMatrix(self.rows + other.rows, self.cols, self.data + other.data)
 
     def kron(self, other):
-        n, m = self.rows, self.cols
-        p, q = other.rows, other.cols
-        out = [0] * (n * p * m * q)
-        if not out:
-            return RatMatrix(n * p, m * q, ())
-        width = m * q
-        a = self.entries
-        brows = _sparse(other)[0]
-        for k in compress(range(len(a)), a):
-            i, j = divmod(k, m)
-            av = a[k]
-            for r, brow in enumerate(brows):
-                base = (i * p + r) * width + j * q
-                for c, bv in brow.items():
-                    out[base + c] = av * bv
-        return RatMatrix(n * p, m * q, _exact(out, self, other))
+        q = other.cols
+        data = [{j * q + c: av * bv for j, av in arow.items() for c, bv in brow.items()}
+                for arow in self.data for brow in other.data]
+        return RatMatrix(self.rows * other.rows, self.cols * q, _exact(data))
 
     def apply(self, vec):
         """Matrix-vector product, vectors as tuples."""
         vec = list(vec)
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = 0
-            row = self.entries[i * self.cols:(i + 1) * self.cols]
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc = acc + a * x
-            out.append(_norm(acc))
-        return tuple(out)
+        return tuple(_norm(sum(v * vec[j] for j, v in row.items())) for row in self.data)
 
     # -- serialization ------------------------------------------------------
 
@@ -325,8 +348,14 @@ class RatMatrix:
 
     @classmethod
     def from_json_dict(cls, d):
-        ent = tuple(map(as_rat, d["entries"]))
-        return cls(int(d["rows"]), int(d["cols"]), ent)
+        ent = list(map(as_rat, d["entries"]))
+        nr, nc = int(d["rows"]), int(d["cols"])
+        if nr < 0 or nc < 0:
+            raise DimensionMismatch("negative matrix dimensions")
+        if len(ent) != nr * nc:
+            raise DimensionMismatch(f"entry count {len(ent)} != {nr}x{nc}")
+        rows = [ent[k:k + nc] for k in range(0, nr * nc, nc)] if nc else [()] * nr
+        return cls(nr, nc, tuple(dict(compress(enumerate(r), r)) for r in rows))
 
 
 # -- echelon forms ---------------------------------------------------------
@@ -428,21 +457,24 @@ def rref(m: RatMatrix, *, transposed=False):
     the end.  The RREF over Q is unique, so the result is canonical whatever
     the pivot order.
     """
-    rows, nc = _sparse(m, transposed)
-    nr = len(rows)
-    out = [0] * (nr * nc)
-    pivots = []
-    for i, (c, row) in enumerate(_reduce(rows)):
+    if transposed:
+        m = m.transpose()
+    out, pivots = [], []
+    for c, row in _reduce(m.data):
         pivots.append(c)
-        pv, base = row[c], i * nc
-        for j, v in row.items():
-            out[base + j] = v if pv == 1 else v // pv if v % pv == 0 else Fraction(v, pv)
-    return RatMatrix(nr, nc, tuple(out)), tuple(pivots)
+        pv = row[c]
+        if len(row) == 1:
+            out.append(_unit_row(c))
+        else:
+            out.append(row if pv == 1 else
+                       {j: v // pv if v % pv == 0 else Fraction(v, pv) for j, v in row.items()})
+    out.extend({} for _ in range(m.rows - len(out)))
+    return RatMatrix(m.rows, m.cols, tuple(out)), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
     """The pivot count of the forward elimination; no back-substitution."""
-    return len(_forward(_sparse(m)[0]))
+    return len(_forward(m.data))
 
 
 def solve_matrix(a: RatMatrix, b: RatMatrix):
@@ -450,13 +482,13 @@ def solve_matrix(a: RatMatrix, b: RatMatrix):
     if a.rows != b.rows:
         raise DimensionMismatch("solve: row mismatch")
     r, piv = rref(a.hstack(b))
-    if any(p >= a.cols for p in piv):
+    n = a.cols
+    if any(p >= n for p in piv):
         return None
-    out = [[0] * b.cols for _ in range(a.cols)]
-    for ri, pc in enumerate(piv):
-        for j in range(b.cols):
-            out[pc][j] = r.entry(ri, a.cols + j)
-    return RatMatrix.from_rows(out, cols=b.cols)
+    out = [{} for _ in range(n)]
+    for row, pc in zip(r.data, piv):
+        out[pc] = {j - n: v for j, v in row.items() if j >= n}
+    return RatMatrix(n, b.cols, tuple(out))
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -504,7 +536,7 @@ class Subspace:
         return cls(ambient_dim, RatMatrix.identity(ambient_dim))
 
     def contains_vector(self, v) -> bool:
-        return _reduces_to_zero(self, _sparse(RatMatrix.from_rows([v], cols=self.ambient_dim))[0])
+        return _reduces_to_zero(self, RatMatrix.from_rows([v], cols=self.ambient_dim).data)
 
     def to_json_dict(self):
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json_dict()}
@@ -513,8 +545,7 @@ class Subspace:
 def _row_space(gens: RatMatrix, *, transposed=False) -> Subspace:
     """The span of the rows (columns when transposed) of gens: the nonzero rows of their RREF."""
     r, piv = rref(gens, transposed=transposed)
-    n = r.cols
-    return Subspace(n, RatMatrix(len(piv), n, r.entries[:len(piv) * n]))
+    return Subspace(r.cols, RatMatrix(len(piv), r.cols, r.data[:len(piv)]))
 
 
 def _reduces_to_zero(u: Subspace, rows) -> bool:
@@ -522,15 +553,15 @@ def _reduces_to_zero(u: Subspace, rows) -> bool:
 
     The e_i are u's echelon rows and p_i their pivots.  Each e_i has a 1 at
     p_i, alone in its column, so cancelling v at each p_i against e_i, in
-    coprime integers, leaves a multiple of that difference.
+    coprime integers, leaves a multiple of that difference.  A cancellation
+    leaves v zero or nonzero at the other pivots, so only the pivots where v
+    has an entry are visited.
     """
-    ech = [_primitive(e) for e in _sparse(u.echelon)[0]]
-    pivots = [min(e) for e in ech]
+    ech = {min(e): _primitive(e) for e in u.echelon.data}
     for v in rows:
         res = _primitive(v)
-        for p, e in zip(pivots, ech):
-            if p in res:
-                res = _cancel(res, e, p)
+        for p in [j for j in res if j in ech]:
+            res = _cancel(res, ech[p], p)
         if res:
             return False
     return True
@@ -550,25 +581,24 @@ def _null_rows(m: RatMatrix, *, transposed=False) -> RatMatrix:
     -r[f] L / r[c] at each pivot c, where L is the lcm of |r[c]| over the
     rows with an entry at f, so that every entry is an integer.
     """
-    rows, n = _sparse(m, transposed)
-    red = _reduce(rows)
+    if transposed:
+        m = m.transpose()
+    n = m.cols
+    red = _reduce(m.data)
     pivots = {c for c, _ in red}
-    free = {f: k for k, f in enumerate(f for f in range(n) if f not in pivots)}
     scale = [1] * n
     for c, row in red:
         pv = abs(row[c])
         if pv != 1:
             for j in row:
                 scale[j] = lcm(scale[j], pv)
-    out = [0] * (len(free) * n)
-    for f, k in free.items():
-        out[k * n + f] = scale[f]
+    out = {f: {f: scale[f]} for f in range(n) if f not in pivots}
     for c, row in red:
         pv = row[c]
         for j, x in row.items():
-            if j != c:
-                out[free[j] * n + c] = -x * (scale[j] // pv)
-    return RatMatrix(len(free), n, tuple(out))
+            if j != c:  # a reduced row's other entries sit at free columns
+                out[j][c] = -x * (scale[j] // pv)
+    return RatMatrix(len(out), n, tuple(out.values()))
 
 
 def kernel(m: RatMatrix) -> Subspace:
@@ -606,7 +636,7 @@ def extend_basis(small: Subspace, big: Subspace):
     """
     _same_ambient(small, big)
     stacked = small.echelon.vstack(big.echelon)
-    piv = [c for c, _ in _forward(_sparse(stacked, transposed=True)[0])]
+    piv = [c for c, _ in _forward(stacked.transpose().data)]
     if len(piv) != big.dim:
         return None
     picked = [p - small.dim for p in piv[small.dim:]]
@@ -621,7 +651,7 @@ def contains(u: Subspace, w: Subspace) -> bool:
         return w.dim == u.dim and w.echelon == u.echelon
     if w.dim == 0 or u.dim == u.ambient_dim:
         return True
-    return _reduces_to_zero(u, _sparse(w.echelon)[0])
+    return _reduces_to_zero(u, w.echelon.data)
 
 
 def signature(s: RatMatrix):
@@ -633,7 +663,7 @@ def signature(s: RatMatrix):
     if s.rows != s.cols:
         raise InvalidForm("signature requires a square matrix")
     n = s.rows
-    a = [[s.entry(i, j) for j in range(n)] for i in range(n)]
+    a = [s.row_list(i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:

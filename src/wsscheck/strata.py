@@ -379,7 +379,7 @@ def require_valid(report: ValidationReport):
 SCHEMA_VERSION = "wss-1"
 
 # Largest sum of the declared cohomology dimensions, over all levels and
-# degrees, that a document may have: validation builds dense matrices whose
+# degrees, that a document may have: validation builds matrices whose
 # sides are these dimensions (zero maps for omitted blocks included) before
 # any axiom can reject the document.
 MAX_TOTAL_DIM = 4096

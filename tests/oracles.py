@@ -2,9 +2,11 @@
 
 Deliberately separate from the engine: a dense textbook Gauss-Jordan
 elimination over Fraction for reduced echelon forms and ranks, a greedy
-basis extension built on it, the Jordan-type formula for monodromy graded
-dimensions, a dictionary convolution for Kunneth dimensions, and raw
-incidence matrices of cycle/path graphs.  Nothing here imports wsscheck.
+basis extension built on it, dense list-of-rows matrix products, Kronecker
+products, transposes and block assembly, the Jordan-type formula for
+monodromy graded dimensions, a dictionary convolution for Kunneth
+dimensions, and raw incidence matrices of cycle/path graphs.  Nothing here
+imports wsscheck.
 """
 
 from fractions import Fraction
@@ -48,6 +50,30 @@ def greedy_extension(small, big):
         if mini_rank(span + [v]) > mini_rank(span):
             kept.append(v)
     return kept
+
+
+def dense_matmul(a, b, ncols):
+    """a @ b for lists of rows, b having ncols columns."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(ncols)]
+            for row in a]
+
+
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def dense_transpose(a, ncols):
+    return [[row[j] for row in a] for j in range(ncols)]
+
+
+def dense_assemble(nrows, ncols, placements):
+    """An nrows x ncols matrix, the sum of the (row_offset, col_offset, rows) blocks."""
+    out = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for ro, co, blk in placements:
+        for i, row in enumerate(blk):
+            for j, x in enumerate(row):
+                out[ro + i][co + j] += x
+    return out
 
 
 def cycle_incidence(n):

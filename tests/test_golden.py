@@ -3,7 +3,8 @@
 The report of an instance names it by the path given on the command line,
 so the commands run from the repository root with repository-relative
 paths.  Any change to a report byte, from the numbers to the key order,
-changes a digest here.
+changes a digest here.  {tmp}/ngon3.json is gen_ngon(3) saved to a
+temporary directory; check-wmc output names no path.
 """
 
 import hashlib
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from wsscheck import cli
+from wsscheck.instances import gen_ngon
+from wsscheck.strata import save
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = "src/wsscheck/data"
@@ -27,6 +30,8 @@ GOLDEN = {
         "ebe9a4e4b826a24f5425d839ba90a61fb628b2248d1dc25ff134ce5fc8ad4145",
     "pages --instance src/wsscheck/data/toy_gon3_x_p2.json --tensor-power 2":
         "7cd5e76e79e7cf66e9e859d5e24d0f986d4ca607cb8fd1fb4dba9ae63622bc85",
+    "check-wmc --instance {tmp}/ngon3.json --tensor-power 3":
+        "81bb5e35f6ebbb480fd758161a6e89c14994a07d4226709b820f45b6fae3b25c",
 }
 
 
@@ -36,8 +41,10 @@ def test_golden_covers_every_shipped_instance():
 
 
 @pytest.mark.parametrize("command", GOLDEN)
-def test_output_digest(command, monkeypatch, capsys):
+def test_output_digest(command, monkeypatch, capsys, tmp_path):
     monkeypatch.chdir(ROOT)
-    assert cli.main(command.split()) == 0
+    if "{tmp}" in command:
+        save(gen_ngon(3), tmp_path / "ngon3.json")
+    assert cli.main([arg.format(tmp=tmp_path) for arg in command.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -195,10 +195,10 @@ def test_hodge_index_positive_primitive_fails():
     datum = gen_smooth(3, (1, 0, 2, 0, 2, 0, 1))
     lvl = datum.levels[1]
     p2 = lvl.pairings[2]
-    ent = list(p2.entries)
-    ent[1 * p2.cols + 1] = 1  # flip the primitive block to positive
+    rows = [p2.row_list(i) for i in range(p2.rows)]
+    rows[1][1] = 1  # flip the primitive block to positive
     pairings = dict(lvl.pairings)
-    pairings[2] = RatMatrix(p2.rows, p2.cols, tuple(ent))
+    pairings[2] = RatMatrix.from_rows(rows, cols=p2.cols)
     from dataclasses import replace
 
     bad = replace(datum, levels={1: replace(lvl, pairings=pairings)})

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import gauss_jordan, greedy_extension, mini_rank
+from oracles import (
+    dense_assemble,
+    dense_kron,
+    dense_matmul,
+    dense_transpose,
+    gauss_jordan,
+    greedy_extension,
+    mini_rank,
+)
 from wsscheck.errors import DimensionMismatch, InvalidForm
 from wsscheck.ratlin import (
     RatMatrix,
@@ -440,3 +448,89 @@ def test_solve_consistency():
     x = solve_matrix(a, b)
     assert x is not None and a @ x == b
     assert solve_matrix(M([[1, 1], [1, 1]]), M([[0], [1]])) is None
+
+
+# -- sparse storage against a dense reference -----------------------------------
+
+
+def _canon(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _assert_matches(m, dense, ncols):
+    """m stores exactly the nonzeros of the dense rows, ints where integral, and reads back."""
+    assert m.shape == (len(dense), ncols)
+    assert m.data == tuple({j: _canon(x) for j, x in enumerate(row) if x} for row in dense)
+    assert all(type(x) is int or x.denominator > 1 for row in m.data for x in row.values())
+    flat = [_canon(x) for row in dense for x in row]
+    assert m.entries == tuple(flat)
+    assert m.is_zero() == (not any(flat))
+    d = m.to_json_dict()
+    assert d == {"rows": len(dense), "cols": ncols, "entries": [str(x) for x in flat]}
+    assert RatMatrix.from_json_dict(d) == m
+
+
+def test_a_stored_zero_breaks_equality():
+    stored = RatMatrix(1, 2, ({0: 0, 1: 1},))
+    assert stored != M([[0, 1]])
+    with pytest.raises(AssertionError):
+        _assert_matches(stored, [[0, 1]], 2)
+
+
+_SCALARS = st.one_of(st.just(0), st.integers(-3, 3),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _dense_operands(draw):
+    """Shapes n x m and m x p (any of them 0) and dense rows with zero rows and columns."""
+    n, m, p = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def rows(r, c):
+        out = draw(st.lists(st.lists(_SCALARS, min_size=c, max_size=c), min_size=r, max_size=r))
+        zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0))))
+        zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0))))
+        return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+                for i, row in enumerate(out)]
+
+    a, b = rows(n, m), rows(m, p)
+    c = [[-x for x in row] for row in a] if draw(st.booleans()) else rows(n, m)
+    sub_rows = draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
+    sub_cols = draw(st.permutations(range(m)))[:draw(st.integers(0, m))]
+    pad = draw(st.integers(0, 2))
+    offsets = [draw(st.tuples(st.integers(0, pad), st.integers(0, pad))) for _ in range(2)]
+    return (n, m, p), a, b, c, sub_rows, sub_cols, pad, offsets
+
+
+@settings(max_examples=200)
+@given(_dense_operands())
+@example(((0, 3, 2), [], [[0, 0], [0, 0], [0, 0]], [], [], [0, 2], 1, [(0, 0), (1, 1)]))
+@example(((2, 0, 3), [[], []], [], [[], []], [1, 1], [], 0, [(0, 0), (0, 0)]))
+# few products in a wide row, cancelling to zero
+@example(((1, 2, 9), [[1, 1]], [[1] + [0] * 8, [-1] + [0] * 8], [[0, 0]], [0], [1], 0,
+          [(0, 0), (0, 0)]))
+def test_operations_match_dense_reference(args):
+    (n, m, p), a, b, c, sub_rows, sub_cols, pad, offsets = args
+    ma, mb, mc = M(a, cols=m), M(b, cols=p), M(c, cols=m)
+    for mat, dense, ncols in ((ma, a, m), (mb, b, p), (mc, c, m)):
+        _assert_matches(mat, dense, ncols)
+    _assert_matches(ma @ mb, dense_matmul(a, b, p), p)
+    _assert_matches(ma.kron(mb), dense_kron(a, b), m * p)
+    _assert_matches(ma.transpose(), dense_transpose(a, m), n)
+    _assert_matches(ma.hstack(mc), [ra + rc for ra, rc in zip(a, c)], 2 * m)
+    _assert_matches(ma.vstack(mc), a + c, m)
+    _assert_matches(ma + mc, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)], m)
+    _assert_matches(ma - mc, [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)], m)
+    _assert_matches(-ma, [[-x for x in row] for row in a], m)
+    assert (ma == mc) == all(Fraction(x) == Fraction(y) for ra, rc in zip(a, c)
+                            for x, y in zip(ra, rc))
+    _assert_matches(ma.submatrix(sub_rows, sub_cols),
+                    [[a[i][j] for j in sub_cols] for i in sub_rows], len(sub_cols))
+    (r0, c0), (r1, c1) = offsets
+    placements = [(r0, c0, a), (r1, c1, c)]
+    blocks = [(ro, co, M(blk, cols=m)) for ro, co, blk in placements]
+    _assert_matches(RatMatrix.assemble(n + pad, m + pad, blocks),
+                    dense_assemble(n + pad, m + pad, placements), m + pad)
+    _assert_matches(RatMatrix.block_diag([ma, mb]),
+                    dense_assemble(n + m, m + p, [(0, 0, a), (n, m, b)]), m + p)

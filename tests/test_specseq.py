@@ -197,3 +197,26 @@ def test_build_e2_rejects_d1_squared_nonzero():
     )
     with pytest.raises(ConventionViolation, match=r"image not inside kernel at cell \(1, 0\)"):
         build_e2(page)
+
+
+def _formal_page(dims, d1, n_blocks):
+    """A formal page with the given blocks, past install_n's checks."""
+    one = RatMatrix.identity(1)
+    return WeightComplex(n=1, cells={key: None for key in dims}, dims=dims,
+                         d1={key: one for key in d1}, n_blocks={key: one for key in n_blocks},
+                         pairings=None)
+
+
+@pytest.mark.parametrize("dims, d1, n_blocks, message", [
+    # E2^{0,0} = Q, and N sends it to (2, -2), which is no cell of the page
+    ({(0, 0): 1}, [], [(0, 0)], r"induced N leaves the page at cell \(0, 0\)"),
+    # Im d1 = E1^{0,2} is moved by N onto E1^{2,0}, where the image is zero
+    ({(-1, 2): 1, (0, 2): 1, (2, 0): 1}, [(-1, 2)], [(0, 2)],
+     r"induced N ill-defined at cell \(0, 2\)"),
+    # E2^{0,2} = Q is moved by N onto E1^{2,0}, where d1 is injective
+    ({(0, 2): 1, (2, 0): 1, (3, 0): 1}, [(2, 0)], [(0, 2)],
+     r"induced N does not land in the kernel at cell \(0, 2\)"),
+])
+def test_build_e2_rejects_bad_induced_n(dims, d1, n_blocks, message):
+    with pytest.raises(InstanceInconsistency, match=message):
+        build_e2(_formal_page(dims, d1, n_blocks))
