@@ -13,8 +13,8 @@ The d1 and N blocks of the weight spectral sequence are assembled from
 signed restriction, Gysin and identity-shift maps and hold a few percent of
 nonzeros or less, so assembly, Kronecker and matrix products, stacking,
 transposition, sums and elimination all work over the nonzeros only.  The
-dense row-major tuple ``entries`` is derived on first read and cached, for
-the readers that want every entry, such as serialization.
+dense row-major tuple ``entries`` is built on each read, for the readers
+that want every entry, such as serialization.
 Matrices are immutable: no operation changes a row dict once a matrix holds
 it, so matrices share rows freely, also between threads.
 
@@ -120,10 +120,10 @@ class RatMatrix:
     """Matrix of exact rationals, immutable, stored by rows over its nonzeros.
 
     data holds one dict {column: value} per row, with no zero values; the
-    dense row-major tuple entries is derived from it on first read.
+    dense row-major tuple entries is built from it on each read.
     """
 
-    __slots__ = ("rows", "cols", "data", "_entries")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: tuple):
         if rows < 0 or cols < 0:
@@ -133,7 +133,6 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
-        self._entries = None
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
@@ -209,15 +208,13 @@ class RatMatrix:
 
     @property
     def entries(self) -> tuple:
-        """All rows*cols entries, row-major: a dense view built on first read."""
-        if self._entries is None:
-            out = [0] * (self.rows * self.cols)
-            for i, row in enumerate(self.data):
-                base = i * self.cols
-                for j, v in row.items():
-                    out[base + j] = v
-            self._entries = tuple(out)
-        return self._entries
+        """All rows*cols entries, row-major: a dense view built on each read."""
+        out = [0] * (self.rows * self.cols)
+        for i, row in enumerate(self.data):
+            base = i * self.cols
+            for j, v in row.items():
+                out[base + j] = v
+        return tuple(out)
 
     def entry(self, i, j):
         return self.data[i].get(j, 0)
@@ -284,21 +281,15 @@ class RatMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        b, p = other.data, other.cols
+        b = other.data
         out = []
         for arow in self.data:
             # each nonzero of the row meets the nonzeros of one row of b; a
-            # list accumulates a row with many products, a dict one with few
+            # one-entry row shares or scales that row
             if not arow:
                 out.append({})
                 continue
-            if 4 * sum(map(len, map(b.__getitem__, arow))) >= p:
-                dense = [0] * p
-                for k, av in arow.items():
-                    for j, bv in b[k].items():
-                        dense[j] += av * bv
-                acc = dict(compress(enumerate(dense), dense))
-            elif len(arow) == 1:
+            if len(arow) == 1:
                 (k, av), = arow.items()
                 acc = b[k] if av == 1 else {j: av * bv for j, bv in b[k].items()}
             else:
@@ -309,7 +300,7 @@ class RatMatrix:
                 if 0 in acc.values():
                     acc = {j: v for j, v in acc.items() if v}
             out.append(acc)
-        return RatMatrix(self.rows, p, _exact(out))
+        return RatMatrix(self.rows, other.cols, _exact(out))
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -565,6 +556,13 @@ def _reduces_to_zero(u: Subspace, rows) -> bool:
         if res:
             return False
     return True
+
+
+def contains_image(u: Subspace, m: RatMatrix) -> bool:
+    """True iff u contains the column space of m."""
+    if m.rows != u.ambient_dim:
+        raise DimensionMismatch(f"ambient dims differ: {u.ambient_dim} vs {m.rows}")
+    return _reduces_to_zero(u, m.transpose().data)
 
 
 def _same_ambient(u: Subspace, w: Subspace):

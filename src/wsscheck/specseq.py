@@ -40,7 +40,7 @@ from .filtration import monodromy_filtration
 from .ratlin import (
     RatMatrix,
     Subspace,
-    _reduces_to_zero,
+    contains_image,
     extend_basis,
     image,
     kernel,
@@ -302,10 +302,9 @@ def build_e2(page: WeightComplex) -> E2Page:
                     )
                 n_maps[(i, j)] = RatMatrix.zeros(0, src_dim)
                 continue
-            # well-definedness: N maps incoming image into the target image;
-            # the rows of echelon @ N^T are the images of the echelon rows
-            moved_img = images[(i, j)].echelon @ page.n_block(i, j).transpose()
-            if not _reduces_to_zero(images[tgt], moved_img.data):
+            # well-definedness: N maps incoming image into the target image
+            moved_img = page.n_block(i, j) @ images[(i, j)].basis
+            if not contains_image(images[tgt], moved_img):
                 raise InstanceInconsistency(
                     f"induced N ill-defined at cell ({i}, {j})"
                 )

@@ -381,7 +381,8 @@ SCHEMA_VERSION = "wss-1"
 # Largest sum of the declared cohomology dimensions, over all levels and
 # degrees, that a document may have: validation builds matrices whose
 # sides are these dimensions (zero maps for omitted blocks included) before
-# any axiom can reject the document.
+# any axiom can reject the document.  It also bounds each side of a stored
+# matrix, which takes memory in proportion to its row count.
 MAX_TOTAL_DIM = 4096
 
 
@@ -391,6 +392,8 @@ def _mat_to_json(m: RatMatrix):
 
 def _mat_from_json(d, where):
     try:
+        if max(int(d["rows"]), int(d["cols"])) > MAX_TOTAL_DIM:
+            raise SchemaError(f"{where}: matrix side above {MAX_TOTAL_DIM}")
         return RatMatrix.from_json_dict(d)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{where}: malformed matrix ({exc})") from exc

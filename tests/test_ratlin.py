@@ -19,6 +19,7 @@ from wsscheck.ratlin import (
     Subspace,
     as_rat,
     contains,
+    contains_image,
     extend_basis,
     image,
     intersect,
@@ -156,6 +157,8 @@ def test_containment_by_reduction_matches_stacked_rank(args):
     base = mini_rank(gens)
     for ws in (inside, others, inside + others):
         assert contains(u, Subspace.span(d, ws)) == (mini_rank(gens + ws) == base)
+        cols = M(ws, cols=d).transpose()
+        assert contains_image(u, cols) == (mini_rank(gens + ws) == base)
         for v in ws:
             assert u.contains_vector(v) == (mini_rank(gens + [v]) == base)
 

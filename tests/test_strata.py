@@ -220,6 +220,11 @@ def _first_block(doc):
     return next(iter(level["component_blocks"].values()))
 
 
+def _first_pairing(doc):
+    level = next(lv for lv in doc["levels"] if lv.get("pairings"))
+    return next(iter(level["pairings"].values()))
+
+
 # each edit breaks one field of a valid threefold's document
 MALFORMED = {
     "n-not-int": lambda d: d.__setitem__("n", "abc"),
@@ -243,6 +248,9 @@ MALFORMED = {
     "cohomology-degree-negative": _add_degree(-1, 5),
     "cohomology-degree-repeated": _repeat_first_degree,
     "cohomology-degree-above-2n": _add_degree(10**6, 0),
+    "pairing-rows-huge": lambda d: _first_pairing(d).update(rows=10**9, cols=0, entries=[]),
+    "restriction-cols-huge": lambda d: d["restriction"][0]["matrix"].update(
+        rows=0, cols=10**9, entries=[]),
 }
 
 
