@@ -6,18 +6,20 @@ the unique increasing filtration M with
   (a) N M_i ⊆ M_{i-2},
   (b) N^r : Gr_{c+r} -> Gr_{c-r} an isomorphism for every r >= 0.
 
-With e the nilpotency index, the upper half comes from the kernel/image
-convolution (Deligne, Weil II, 1.6)
+With e the nilpotency index, M_i = V for i >= c+e-1 and M_{c-e} = 0, and
+the steps in between follow from the top down, each by one product with N:
 
-  M_{c+k} = sum over j >= 0 of  Ker N^{k+j+1} ∩ Im N^j
-          = sum over j >= 0 of  N^j(Ker N^{k+2j+1}),        k >= 0,
+  M_{c+k} = Ker N^{k+1} + N M_{c+k+2},   k = e-2, ..., 0,
+  M_{c-k} = N M_{c-k+2},                 k = 1, ..., e-1.
 
-pruned: Ker N^m = V once m >= e, so from the first such j on the terms are
-Im N^j, each inside the one before, and only the first is kept.  The lower
-half is M_{c-k} = N^k M_{c+k} for 1 <= k < e, and M_{c-e} = 0: in a Jordan
-basis N^a v_b has weight <= -k only if a >= k.  Kernel bases are scaled to
-coprime integer columns once, so the products stay in integer arithmetic
-for an integer N.
+The upper recurrence holds term by term in the kernel/image convolution
+(Deligne, Weil II, 1.6) M_{c+k} = sum over j >= 0 of N^j(Ker N^{k+2j+1}):
+N maps the terms of M_{c+k+2} onto the terms j >= 1 of M_{c+k}.  The lower
+one holds in a Jordan basis: a chain vector N^a v_b has weight s_b - 1 - 2a,
+which is >= 0 for a = 0, so for k >= 1 each basis vector of M_{c-k} is N of
+one in M_{c-k+2}.  A step eliminates at most 2n rows: the integer echelon
+rows of M_{c+k+2} times N^T and, in the upper half, the integer null rows of
+N^{k+1}.
 
 verify_monodromy_axioms checks (a) and (b) on any filtration by ranks
 alone and never uses the identities above, so it stays an independent test
@@ -29,10 +31,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .errors import DimensionMismatch, InvalidForm, InvalidOperator
-from .ratlin import RatMatrix, Subspace, _primitive, contains, image, kernel, rank
+from .ratlin import RatMatrix, Subspace, contains, null_rows, rank, row_space
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,6 @@ class NilpotentOp:
             powers.append(power)
             power = power @ matrix
         raise InvalidOperator("matrix is not nilpotent")
-
-
-def _int_basis(sub: Subspace) -> RatMatrix:
-    """sub's basis columns, each scaled to coprime integers: the same span."""
-    rows = tuple(map(_primitive, sub.echelon.data))
-    return RatMatrix(sub.dim, sub.ambient_dim, rows).transpose()
 
 
 @dataclass(frozen=True)
@@ -138,26 +133,25 @@ class Filtration:
 
 
 def monodromy_filtration(op: NilpotentOp, center: int) -> Filtration:
-    """The unique filtration characterized by N M_i ⊆ M_{i-2} and graded isos."""
-    n, e, powers = op.dim, op.nilpotency_index, op.powers
-    # Ker N^m for m < e; Ker N^m = V from m = e on
-    kernels = {m: _int_basis(kernel(powers[m])) for m in range(1, e)}
-    upper = {}
-    for k in range(e):
-        # N^j(Ker N^{k+2j+1}) while k+2j+1 < e, then Im N^{j0} alone
-        j0 = (e - k) // 2
-        gens = []
-        for j in range(j0):
-            kb = kernels[k + 2 * j + 1]
-            gens.append(kb if j == 0 else powers[j] @ kb)
-        gens.append(powers[j0])
-        upper[k] = image(reduce(RatMatrix.hstack, gens))
-    steps = [(center + k, sub) for k, sub in upper.items()]
-    steps.append((center - e, Subspace.zero(n)))
-    for k in range(1, e):
-        # M_{c-k} = N^k M_{c+k}
-        steps.append((center - k, image(powers[k] @ _int_basis(upper[k]))))
-    return Filtration.from_steps(n, center, steps)
+    """The unique filtration characterized by N M_i ⊆ M_{i-2} and graded isos.
+
+    Built from the top down by the two recurrences of the module docstring:
+    M_{c+k} = Ker N^{k+1} + N M_{c+k+2} for k = e-2 .. 0, the term-by-term
+    form of the kernel/image convolution, and M_{c-k} = N M_{c-k+2} for
+    k = 1 .. e-1, since in a Jordan basis every chain vector of negative
+    weight is N of the one above it.
+    """
+    n, e = op.dim, op.nilpotency_index
+    nt = op.matrix.transpose()
+    full = Subspace.full(n)
+    steps = {center + e - 1: full, center - e: Subspace.zero(n)}
+    for k in range(e - 2, -e, -1):
+        # N M_{c+k+2} as rows: M's integer echelon rows times N^T
+        gens = steps.get(center + k + 2, full).int_rows() @ nt
+        if k >= 0:
+            gens = null_rows(op.powers[k + 1]).vstack(gens)
+        steps[center + k] = row_space(gens)
+    return Filtration.from_steps(n, center, steps.items())
 
 
 @dataclass(frozen=True)
@@ -195,7 +189,7 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
     def basis(i):
         # integer columns span the same step, so every product stays in int
         if i not in int_basis:
-            int_basis[i] = _int_basis(filt.step(i))
+            int_basis[i] = filt.step(i).int_rows().transpose()
         return int_basis[i]
 
     def added_rank(below, gens):

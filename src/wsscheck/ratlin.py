@@ -516,7 +516,7 @@ class Subspace:
     @classmethod
     def span(cls, ambient_dim, vectors):
         """Canonical subspace spanned by the given vectors."""
-        return _row_space(RatMatrix.from_rows(vectors, cols=ambient_dim))
+        return row_space(RatMatrix.from_rows(vectors, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -526,6 +526,10 @@ class Subspace:
     def full(cls, ambient_dim):
         return cls(ambient_dim, RatMatrix.identity(ambient_dim))
 
+    def int_rows(self) -> RatMatrix:
+        """The echelon rows, each scaled to coprime integers: a basis of the same space."""
+        return RatMatrix(self.dim, self.ambient_dim, tuple(map(_primitive, self.echelon.data)))
+
     def contains_vector(self, v) -> bool:
         return _reduces_to_zero(self, RatMatrix.from_rows([v], cols=self.ambient_dim).data)
 
@@ -533,7 +537,7 @@ class Subspace:
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json_dict()}
 
 
-def _row_space(gens: RatMatrix, *, transposed=False) -> Subspace:
+def row_space(gens: RatMatrix, *, transposed=False) -> Subspace:
     """The span of the rows (columns when transposed) of gens: the nonzero rows of their RREF."""
     r, piv = rref(gens, transposed=transposed)
     return Subspace(r.cols, RatMatrix(len(piv), r.cols, r.data[:len(piv)]))
@@ -572,7 +576,7 @@ def _same_ambient(u: Subspace, w: Subspace):
         )
 
 
-def _null_rows(m: RatMatrix, *, transposed=False) -> RatMatrix:
+def null_rows(m: RatMatrix, *, transposed=False) -> RatMatrix:
     """A basis of {v : m v = 0} (of m^T when transposed) as integer rows; not canonical.
 
     One row per non-pivot column f of the reduced rows (c, r): L at f and
@@ -601,12 +605,12 @@ def _null_rows(m: RatMatrix, *, transposed=False) -> RatMatrix:
 
 def kernel(m: RatMatrix) -> Subspace:
     """Basis of {v : m v = 0}; rank-nullity holds by construction."""
-    return _row_space(_null_rows(m))
+    return row_space(null_rows(m))
 
 
 def image(m: RatMatrix) -> Subspace:
     """Column space of m."""
-    return _row_space(m, transposed=True)
+    return row_space(m, transposed=True)
 
 
 def intersect(u: Subspace, w: Subspace) -> Subspace:
@@ -614,13 +618,13 @@ def intersect(u: Subspace, w: Subspace) -> Subspace:
     _same_ambient(u, w)
     if u.dim == 0 or w.dim == 0:
         return Subspace.zero(u.ambient_dim)
-    z = _null_rows(u.echelon.vstack(w.echelon), transposed=True)
-    return _row_space(z.submatrix(range(z.rows), range(u.dim)) @ u.echelon)
+    z = null_rows(u.echelon.vstack(w.echelon), transposed=True)
+    return row_space(z.submatrix(range(z.rows), range(u.dim)) @ u.echelon)
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     _same_ambient(u, w)
-    return _row_space(u.echelon.vstack(w.echelon))
+    return row_space(u.echelon.vstack(w.echelon))
 
 
 def extend_basis(small: Subspace, big: Subspace):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import jordan_graded_dims
@@ -139,6 +139,12 @@ def test_base_change_invariance():
     st.integers(0, 2**32 - 1),
     st.booleans(),
 )
+# blocks of 9 to 12, 2e - 2 >= 16 recurrence steps from the top, where the
+# draws above and the pinned conjugates stop at blocks of 5 and 4; the
+# scaled T gives N Fraction entries
+@example([12, 3, 1], 0, 11, False)
+@example([11, 2], -1, 12, True)
+@example([9, 7, 1], 2, 13, False)
 def test_matches_full_kernel_image_convolution(sizes, center, seed, scale):
     # every step against the unpruned convolution, built from intersections:
     # M_{c+k} = sum over i - j = k, i, j >= 0 of Ker N^{i+1} ∩ Im N^j
@@ -152,11 +158,12 @@ def test_matches_full_kernel_image_convolution(sizes, center, seed, scale):
     powers = [RatMatrix.identity(n)]
     for _ in range(2 * e + 1):
         powers.append(powers[-1] @ nmat)
+    kernels = [kernel(p) for p in powers]
+    images = [image(p) for p in powers]
     for k in range(-e - 1, e + 1):
         step = Subspace.zero(n)
         for j in range(max(0, -k), e + 1):
-            term = intersect(kernel(powers[k + j + 1]), image(powers[j]))
-            step = subspace_sum(step, term)
+            step = subspace_sum(step, intersect(kernels[k + j + 1], images[j]))
         assert filt.step(center + k) == step, k
 
 
