@@ -13,7 +13,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -107,10 +106,6 @@ def analyze(datum, *, tensor_power=1, w=None) -> Analysis:
     return Analysis(datum, tensor_power, w)
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
 def _load_instance(path):
     if not path:
         raise ParameterError("--instance PATH is required for this command")
@@ -175,14 +170,14 @@ def _validation(rec, args):
 
 def _validate(args):
     report = _validation(analyze(_load_instance(args.instance)), args)
-    out = _dump(report.to_json_dict()) if args.format == "json" else _validate_text(report)
+    out = strata.dumps(report.to_json_dict()) if args.format == "json" else _validate_text(report)
     return _exit_code(report.ok), out
 
 
 def _pages(args):
     rec = _analysis(args)
     if args.format == "json":
-        return EXIT_PASS, _dump(specseq.page_json_dict(rec.e2.page, rec.e2, rec.verdict))
+        return EXIT_PASS, strata.dumps(specseq.page_json_dict(rec.e2.page, rec.e2, rec.verdict))
     grids = specseq.render_e1_grid(rec.e2.page) + "\n\n" + specseq.render_e2_grid(rec.e2)
     return EXIT_PASS, grids + "\n"
 
@@ -191,7 +186,7 @@ def _check_wmc(args):
     rec = _analysis(args)
     doc = rec.verdict.to_json_dict()
     doc["filtration_agreement"] = rec.agreement
-    out = _dump(doc) if args.format == "json" else _wmc_text(rec.verdict)
+    out = strata.dumps(doc) if args.format == "json" else _wmc_text(rec.verdict)
     return _exit_code(rec.verdict.overall), out
 
 
@@ -204,7 +199,7 @@ def _check_threefold(args):
     if not rec.validation.ok:
         vreport = _validation(rec, args)
         out = (
-            _dump({"validate": vreport.to_json_dict()})
+            strata.dumps({"validate": vreport.to_json_dict()})
             if args.format == "json"
             else _validate_text(vreport)
         )
@@ -212,7 +207,7 @@ def _check_threefold(args):
     report = lefschetz.run_threefold_suite(
         rec.datum, rec.base_e2, rec.base_verdict, fail_fast=args.strict == "fail-fast"
     )
-    out = _dump(report.to_json_dict()) if args.format == "json" else _threefold_text(report)
+    out = strata.dumps(report.to_json_dict()) if args.format == "json" else _threefold_text(report)
     return _exit_code(report.ok), out
 
 
@@ -220,14 +215,14 @@ def _report(args):
     rec = _analysis(args)
     doc = {"instance": args.instance, "validate": rec.validation.to_json_dict()}
     if not rec.validation.ok:
-        return EXIT_CHECK_FAILED, _dump(doc)
+        return EXIT_CHECK_FAILED, strata.dumps(doc)
     doc["pages"] = specseq.page_json_dict(rec.e2.page, rec.e2, rec.verdict)
     doc["filtration_agreement"] = rec.agreement
     ok = rec.verdict.overall
     if rec.threefold is not None:
         doc["threefold"] = rec.threefold.to_json_dict()
         ok = ok and rec.threefold.ok
-    return _exit_code(ok), _dump(doc)
+    return _exit_code(ok), strata.dumps(doc)
 
 
 def _gen(args):
@@ -240,7 +235,7 @@ def _gen(args):
     else:
         spec = instances.GeneratorSpec(kind=args.kind, n=args.n, betti=betti)
         datum = instances.generate(spec)
-    return EXIT_PASS, _dump(strata.datum_to_json_dict(datum))
+    return EXIT_PASS, strata.dumps(strata.datum_to_json_dict(datum))
 
 
 def run(args):

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import chain, compress, count
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvalidForm
@@ -339,14 +339,43 @@ class RatMatrix:
 
     @classmethod
     def from_json_dict(cls, d):
-        ent = list(map(as_rat, d["entries"]))
+        raw = d["entries"]
+        nonzeros = _int_nonzeros(raw)
+        if nonzeros is None:
+            ent = list(map(as_rat, raw))
+            nonzeros = compress(enumerate(ent), ent)
         nr, nc = int(d["rows"]), int(d["cols"])
         if nr < 0 or nc < 0:
             raise DimensionMismatch("negative matrix dimensions")
-        if len(ent) != nr * nc:
-            raise DimensionMismatch(f"entry count {len(ent)} != {nr}x{nc}")
-        rows = [ent[k:k + nc] for k in range(0, nr * nc, nc)] if nc else [()] * nr
-        return cls(nr, nc, tuple(dict(compress(enumerate(r), r)) for r in rows))
+        if len(raw) != nr * nc:
+            raise DimensionMismatch(f"entry count {len(raw)} != {nr}x{nc}")
+        data = [{} for _ in range(nr)]
+        for k, x in nonzeros:
+            data[k // nc][k % nc] = x
+        return cls(nr, nc, tuple(data))
+
+
+def _int_nonzeros(raw):
+    """The (position, value) pairs of the nonzero entries of raw, a list of
+    integer strings, or None when raw is anything else.
+
+    Only the entries other than "0" are read; as_rat would read each of them
+    with the same int() call.  None sends the caller to as_rat on every entry,
+    which gives any other input its values and errors.
+    """
+    if type(raw) is not list:
+        return None
+    try:
+        if "_" in "".join(raw):  # TypeError on an entry that is not a str
+            return None
+        kept = list(map("0".__ne__, raw))
+        values = list(map(int, compress(raw, kept)))
+    except (TypeError, ValueError):
+        return None
+    pairs = zip(compress(count(), kept), values)
+    if 0 in values:  # int() reads "-0", "00" and " 0" as zeros too
+        return [p for p in pairs if p[1]]
+    return list(pairs)
 
 
 # -- echelon forms ---------------------------------------------------------
@@ -524,7 +553,12 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls(ambient_dim, RatMatrix.identity(ambient_dim))
+        return cls.coordinate(ambient_dim, ambient_dim)
+
+    @classmethod
+    def coordinate(cls, ambient_dim, k):
+        """The span of the first k coordinate vectors: its unit rows are already its RREF."""
+        return cls(ambient_dim, RatMatrix(k, ambient_dim, tuple(map(_unit_row, range(k)))))
 
     def int_rows(self) -> RatMatrix:
         """The echelon rows, each scaled to coprime integers: a basis of the same space."""

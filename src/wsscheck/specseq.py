@@ -399,8 +399,7 @@ def weight_filtration_graded(e2: E2Page, w: int) -> Filtration:
     steps.append((lowest - 1, Subspace.zero(ambient)))
     for j in js:
         cum += e2.dims[(w - j, j)]
-        basis = [tuple(1 if t == c else 0 for t in range(ambient)) for c in range(cum)]
-        steps.append((j, Subspace.span(ambient, basis)))
+        steps.append((j, Subspace.coordinate(ambient, cum)))
     if total == 0:
         steps = [(w, Subspace.zero(0))]
         return Filtration.from_steps(0, w, steps)

@@ -550,20 +550,79 @@ def datum_from_json_dict(doc) -> SemistableDatum:
     return datum
 
 
+_quote = json.encoder.encode_basestring_ascii
+_STR_KEYS, _INT_KEYS = frozenset((str,)), frozenset((int,))
+
+
+def _stdlib(x) -> str:
+    return json.dumps(x, sort_keys=True, indent=1)
+
+
+def _int_key(k) -> str:
+    return '"' + int.__repr__(k) + '"'
+
+
+def _encode(x, pad):
+    """x as json.dumps(x, sort_keys=True, indent=1) writes it, pad = "\\n" + its indent.
+
+    Exact str, int, bool and None values and dicts with all-str or all-int
+    keys are written here, in one join per container; any other value goes
+    to the stdlib with its subtree, so it gets the stdlib's bytes or error.
+    """
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    inner = pad + " "
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_quote(v) if type(v) is str else _encode(v, inner) for v in x]) + pad + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        keys = set(map(type, x))
+        if keys == _STR_KEYS or keys == _INT_KEYS:
+            key = _quote if keys == _STR_KEYS else _int_key
+            return "{" + inner + ("," + inner).join(
+                [key(k) + ": " + _encode(v, inner) for k, v in sorted(x.items())]) + pad + "}"
+    return _stdlib(x).replace("\n", pad)
+
+
+def dumps(doc) -> str:
+    """doc as json.dumps(doc, sort_keys=True, indent=1) + "\\n" writes it: every document's writer.
+
+    The stdlib's indented encoder is pure Python; this one writes the same
+    bytes, and raises the same errors, in about half the time.
+    """
+    try:
+        return _encode(doc, "\n") + "\n"
+    except RecursionError:  # a cycle or deep nesting: the stdlib says which
+        return _stdlib(doc) + "\n"
+
+
 def save(datum: SemistableDatum, path):
-    Path(path).write_text(
-        json.dumps(datum_to_json_dict(datum), sort_keys=True, indent=1) + "\n"
-    )
+    Path(path).write_text(dumps(datum_to_json_dict(datum)))
 
 
 def load(path) -> SemistableDatum:
     p = Path(path)
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SchemaError(f"no such instance file: {p}") from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read instance file {p}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SchemaError(f"{p}: JSON nested too deeply") from None
     return datum_from_json_dict(doc)
 
 

@@ -4,7 +4,8 @@ The report of an instance names it by the path given on the command line,
 so the commands run from the repository root with repository-relative
 paths.  Any change to a report byte, from the numbers to the key order,
 changes a digest here.  {tmp}/ngon3.json is gen_ngon(3) saved to a
-temporary directory; check-wmc output names no path.
+temporary directory and {tmp}/mutated.json the same datum with its
+adjunction axiom broken; the outputs read from there name no path.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from wsscheck import cli
-from wsscheck.instances import gen_ngon
+from wsscheck.instances import gen_ngon, mutate
 from wsscheck.strata import save
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +33,16 @@ GOLDEN = {
         "7cd5e76e79e7cf66e9e859d5e24d0f986d4ca607cb8fd1fb4dba9ae63622bc85",
     "check-wmc --instance {tmp}/ngon3.json --tensor-power 3":
         "81bb5e35f6ebbb480fd758161a6e89c14994a07d4226709b820f45b6fae3b25c",
+    "gen ngon --n 3":
+        "de4ab10108f049e7f015e8f5154628d72fcba58e72f655940864936183f61b26",
+    "check-threefold --instance src/wsscheck/data/toy_gon3_x_p2.json":
+        "0ea794c13825ea5779274cef3f2980a9610c8a0e39d9c9852c04ec024e458494",
+    "validate --format json --instance {tmp}/mutated.json":
+        "fbdf1f4481a8a67b07ee7929c4fc776ceb687bd96578d152f1c9b2070c2a18ea",
 }
+
+# commands whose exit code is not 0
+EXIT = {"validate --format json --instance {tmp}/mutated.json": 1}
 
 
 def test_golden_covers_every_shipped_instance():
@@ -45,6 +55,7 @@ def test_output_digest(command, monkeypatch, capsys, tmp_path):
     monkeypatch.chdir(ROOT)
     if "{tmp}" in command:
         save(gen_ngon(3), tmp_path / "ngon3.json")
-    assert cli.main([arg.format(tmp=tmp_path) for arg in command.split()]) == 0
+        save(mutate(gen_ngon(3), "adjunction", seed=1), tmp_path / "mutated.json")
+    assert cli.main([arg.format(tmp=tmp_path) for arg in command.split()]) == EXIT.get(command, 0)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

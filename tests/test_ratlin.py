@@ -339,6 +339,65 @@ def test_as_rat_reads_strings_as_fraction_does(s):
     assert got == want and type(got) is type(want)
 
 
+def _rows_read_entry_by_entry(d):
+    """RatMatrix.from_json_dict(d).data as as_rat on every entry, zeros included, gives it."""
+    ent = list(map(as_rat, d["entries"]))
+    nr, nc = int(d["rows"]), int(d["cols"])
+    if nr < 0 or nc < 0:
+        raise DimensionMismatch("negative matrix dimensions")
+    if len(ent) != nr * nc:
+        raise DimensionMismatch(f"entry count {len(ent)} != {nr}x{nc}")
+    return tuple({j: x for j, x in enumerate(ent[i * nc:(i + 1) * nc]) if x} for i in range(nr))
+
+
+def _read(read, d):
+    """repr(read(d)), which tells 1 from Fraction(1), or what read(d) raises."""
+    try:
+        return repr(read(d))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+ENTRY_STRINGS = st.one_of(
+    st.sampled_from(["0", "0", "0", "-0", "00", " 0", "+0", "1_0", "\u0663", "\u0660", "1/2",
+                     "-4/2", "1/0", "junk", "", " 7\n", "1" * 4301]),
+    st.integers().map(str),
+)
+ENTRY_JSON = st.one_of(st.integers(-3, 3), st.booleans(), st.floats())
+
+
+@st.composite
+def _json_matrices(draw):
+    rows, cols = draw(st.integers(-1, 3)), draw(st.integers(0, 3))
+    size = max(0, rows * cols + draw(st.sampled_from([0, 0, 0, 1, -1])))
+    entry = draw(st.sampled_from([ENTRY_STRINGS, st.one_of(ENTRY_STRINGS, ENTRY_JSON)]))
+    entries = draw(st.one_of(
+        st.lists(entry, min_size=size, max_size=size),
+        st.text("0123/_", min_size=size, max_size=size),
+        st.dictionaries(st.sampled_from(["0", "1", "2/3", "x"]), st.just(0),
+                        min_size=min(size, 4), max_size=min(size, 4)),
+    ))
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+@settings(max_examples=500)
+@given(_json_matrices())
+@example({"rows": 2, "cols": 2, "entries": ["0", "-0", "00", "5"]})
+@example({"rows": 1, "cols": 3, "entries": ["1_0", "0", "2"]})
+@example({"rows": 1, "cols": 2, "entries": ["1/2", "0"]})
+@example({"rows": 1, "cols": 2, "entries": ["1/0", "junk"]})
+@example({"rows": 1, "cols": 1, "entries": ["1" * 4301]})
+@example({"rows": 1, "cols": 2, "entries": [1, "0"]})
+@example({"rows": 1, "cols": 2, "entries": ["0", True]})
+@example({"rows": 2, "cols": 1, "entries": "10"})
+@example({"rows": 1, "cols": 1, "entries": {"3": 0}})
+@example({"rows": 0, "cols": 2, "entries": ["1"]})
+@example({"rows": -1, "cols": 2, "entries": []})
+def test_json_matrix_reads_as_entry_by_entry(d):
+    got = _read(lambda d: RatMatrix.from_json_dict(d).data, d)
+    assert got == _read(_rows_read_entry_by_entry, d)
+
+
 def _assert_stored_canonically(sub, dim):
     ech = sub.echelon
     assert ech.cols == sub.ambient_dim and ech.rows == sub.dim == dim
@@ -376,6 +435,14 @@ def test_subspaces_stored_as_canonical_rref(args):
     _assert_stored_canonically(subspace_sum(u, w), r_uw)
     _assert_stored_canonically(Subspace.full(d), d)
     _assert_stored_canonically(Subspace.zero(d), 0)
+
+
+def test_coordinate_subspace_is_the_span_of_its_units():
+    for n in range(5):
+        for k in range(n + 1):
+            units = [[int(i == c) for i in range(n)] for c in range(k)]
+            assert Subspace.coordinate(n, k) == Subspace.span(n, units)
+    assert Subspace.full(4) == Subspace.coordinate(4, 4)
 
 
 def test_span_canonical_under_shuffle():

@@ -1,6 +1,10 @@
 import json
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import cycle_incidence, mini_rank
 from wsscheck.errors import SchemaError, ValidationGateError
@@ -20,6 +24,7 @@ from wsscheck.strata import (
     TransferMaps,
     datum_from_json_dict,
     datum_to_json_dict,
+    dumps,
     load,
     save,
     to_weight_complex,
@@ -294,3 +299,101 @@ def test_declared_size_above_bound_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["validate", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _deep_nesting(path):
+    path.write_text("[" * 100000 + "]" * 100000)
+    return path
+
+
+def _not_utf8(path):
+    path.write_bytes(b'{"schema": "wss-\xff"}')
+    return path
+
+
+# inputs the loader cannot read as JSON text at all
+UNREADABLE = {
+    "directory": lambda path: path.parent,
+    "not-utf8": _not_utf8,
+    "nested-too-deeply": _deep_nesting,
+}
+
+
+@pytest.mark.parametrize("make", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_instance_exits_2(tmp_path, capsys, make):
+    from wsscheck import cli
+
+    path = make(tmp_path / "bad.json")
+    with pytest.raises(SchemaError):
+        load(path)
+    assert cli.main(["report", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+class _Level(IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
+class _Tagged(dict):
+    pass
+
+
+_WRITER_STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "\x00", "\n\t\r", "\x1f\x7f", '"\\', "é", " ", "\ud800",
+                     "\U0001f600", "٣"]),
+)
+_WRITER_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60),
+    st.floats(), st.sampled_from(list(_Level)), _WRITER_STRINGS,
+    # the stdlib rejects these
+    st.fractions(max_denominator=9), st.sets(st.integers(0, 3), max_size=2),
+)
+_WRITER_TREES = st.recursive(
+    _WRITER_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_WRITER_STRINGS, kids, max_size=4),
+        st.dictionaries(st.integers(-(10**20), 10**20), kids, max_size=4),
+        st.dictionaries(st.text(max_size=3), kids, max_size=3).map(_Tagged),
+        st.dictionaries(st.sampled_from(list(_Level)), kids, max_size=2),
+        st.dictionaries(st.one_of(st.booleans(), st.none(), st.floats(), st.integers(-2, 2),
+                                  st.text(max_size=2)), kids, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+def _circular():
+    doc = {"a": []}
+    doc["a"].append(doc)
+    return doc
+
+
+def _written(write, doc):
+    """write(doc), or the class and message of what it raises."""
+    try:
+        return write(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(_WRITER_TREES)
+@example({"a": [1, {"b": ()}], "c": {}, "d": [[]]})
+@example({2: "x", -10: {"y": None}, 10**30: [True, False]})
+@example([Fraction(1, 2)])
+@example({1: "int", "1": "str"})
+@example({0.5: 1, None: 2})
+@example({10**5000: 0, 1: [Fraction(1, 3)]})
+@example([10**5000])
+@example(float("nan"))
+@example(_circular())
+def test_dumps_writes_what_the_stdlib_writes(doc):
+    def stdlib(x):
+        return json.dumps(x, sort_keys=True, indent=1) + "\n"
+
+    assert _written(dumps, doc) == _written(stdlib, doc)
