@@ -462,10 +462,6 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def shipped_instance_paths():
-    return sorted(data_dir().glob("*.json"))
-
-
 def load_toy(name: str) -> SemistableDatum:
     path = data_dir() / f"{name}.json"
     if not path.exists():

@@ -26,9 +26,9 @@ order and, among the rows whose leading entry sits in that column, picks the
 shortest as pivot (Markowitz's rule, Management Science 3, 1957, restricted
 to row counts), which keeps the fill-in low on the sparse d1 blocks.  It
 cancels by integer cross-multiplication and removes each new row's gcd
-content.  ``rank``, containment and basis extension stop at this row echelon
-form; only ``rref`` back-substitutes above the pivots and divides by them
-into ``Fraction``s, at the very end.
+content.  ``rank``, containment and the column picks stop at this row
+echelon form; only ``rref`` back-substitutes above the pivots and divides
+by them into ``Fraction``s, at the very end.
 
 Canonical forms: a matrix has a unique reduced row echelon form, whatever
 the pivot order of the elimination, and a subspace is stored as one matrix,
@@ -41,12 +41,18 @@ computation yields bit-identical results.  Pivots 1, alone in their
 columns, make containment a reduction: v lies in the span of the rows e_i
 with pivots p_i iff v - sum v[p_i] e_i = 0.
 
-Quotient representatives come from ``extend_basis(small, big)``, which
-completes the basis of ``small`` to one of ``big`` with vectors of big's
-canonical basis.  One forward pass over ``[small | big]`` picks them: a
-column is a pivot exactly when it lies outside the span of the columns
-before it, so the picks are the ones a greedy left-to-right scan would keep,
-and they depend only on the two canonical bases.
+Quotient representatives come from one forward pass over generator columns.
+``independent_columns(m)`` eliminates m's rows and returns its pivot
+columns: a column is a pivot exactly when it lies outside the span of the
+columns before it, so the picks are the ones a greedy left-to-right scan
+would keep.  Put the generators of a small space first and those of a big
+one after: the picks among the first are a basis of the small space, and
+the picks among the rest complete it to a basis of the sum.  The E2 page
+picks the incoming d1 columns and integer kernel vectors this way, in
+whatever basis ``null_rows`` gives, and ``coordinates`` reads a map induced
+on such quotients off one rref of [basis | images].  These bases are not
+canonical; ``extend_basis`` runs the same pick over two canonical bases,
+and then the picks depend only on the two subspaces.
 
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the denominator is
 one) in every file format.
@@ -61,7 +67,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, compress, count
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, InvalidForm
+from .errors import DimensionMismatch, InvalidForm, PreconditionError
 
 
 def as_rat(x):
@@ -339,12 +345,14 @@ class RatMatrix:
 
     @classmethod
     def from_json_dict(cls, d):
-        raw = d["entries"]
+        raw, nr, nc = d["entries"], d["rows"], d["cols"]
+        # bool is an int subclass, but type() tells it apart, as it does floats
+        if type(raw) is not list or type(nr) is not int or type(nc) is not int:
+            raise TypeError("a matrix needs integer rows and cols and a list of entries")
         nonzeros = _int_nonzeros(raw)
         if nonzeros is None:
             ent = list(map(as_rat, raw))
             nonzeros = compress(enumerate(ent), ent)
-        nr, nc = int(d["rows"]), int(d["cols"])
         if nr < 0 or nc < 0:
             raise DimensionMismatch("negative matrix dimensions")
         if len(raw) != nr * nc:
@@ -355,16 +363,14 @@ class RatMatrix:
         return cls(nr, nc, tuple(data))
 
 
-def _int_nonzeros(raw):
-    """The (position, value) pairs of the nonzero entries of raw, a list of
-    integer strings, or None when raw is anything else.
+def _int_nonzeros(raw: list):
+    """The (position, value) pairs of the nonzero entries of raw when all its
+    entries are integer strings, or None otherwise.
 
     Only the entries other than "0" are read; as_rat would read each of them
     with the same int() call.  None sends the caller to as_rat on every entry,
     which gives any other input its values and errors.
     """
-    if type(raw) is not list:
-        return None
     try:
         if "_" in "".join(raw):  # TypeError on an entry that is not a str
             return None
@@ -497,6 +503,34 @@ def rank(m: RatMatrix) -> int:
     return len(_forward(m.data))
 
 
+def independent_columns(m: RatMatrix) -> tuple:
+    """The columns of m outside the span of the columns before them, in order.
+
+    They are the pivot columns of one forward elimination of m's rows: a
+    basis of the column space, the one a greedy left-to-right scan keeps.
+    """
+    return tuple(c for c, _ in _forward(m.data))
+
+
+def coordinates(basis: RatMatrix, m: RatMatrix):
+    """(x, outside): basis @ x = m on the columns of m inside the span of basis.
+
+    basis must have independent columns.  One rref of [basis | m]: outside
+    lists the columns of m outside the span of basis and of m's columns
+    before them, and x, basis.cols x m.cols, holds the rref's entries in the
+    basis rows, the coordinates of every column of m before outside[0].
+    """
+    if basis.rows != m.rows:
+        raise DimensionMismatch("coordinates: row mismatch")
+    k = basis.cols
+    r, piv = rref(basis.hstack(m))
+    if piv[:k] != tuple(range(k)):
+        raise PreconditionError("coordinates: basis columns are dependent")
+    x = RatMatrix(k, m.cols, tuple({j - k: v for j, v in row.items() if j >= k}
+                                   for row in r.data[:k]))
+    return x, tuple(p - k for p in piv[k:])
+
+
 def solve_matrix(a: RatMatrix, b: RatMatrix):
     """Exact solution X of a @ X = b with free variables zero; None if none."""
     if a.rows != b.rows:
@@ -596,13 +630,6 @@ def _reduces_to_zero(u: Subspace, rows) -> bool:
     return True
 
 
-def contains_image(u: Subspace, m: RatMatrix) -> bool:
-    """True iff u contains the column space of m."""
-    if m.rows != u.ambient_dim:
-        raise DimensionMismatch(f"ambient dims differ: {u.ambient_dim} vs {m.rows}")
-    return _reduces_to_zero(u, m.transpose().data)
-
-
 def _same_ambient(u: Subspace, w: Subspace):
     if u.ambient_dim != w.ambient_dim:
         raise DimensionMismatch(
@@ -671,8 +698,7 @@ def extend_basis(small: Subspace, big: Subspace):
     iff small is inside big.
     """
     _same_ambient(small, big)
-    stacked = small.echelon.vstack(big.echelon)
-    piv = [c for c, _ in _forward(stacked.transpose().data)]
+    piv = independent_columns(small.echelon.vstack(big.echelon).transpose())
     if len(piv) != big.dim:
         return None
     picked = [p - small.dim for p in piv[small.dim:]]

@@ -37,16 +37,7 @@ from .errors import (
 )
 from .filtration import Filtration, NilpotentOp, compare_shifted as _compare_shifted
 from .filtration import monodromy_filtration
-from .ratlin import (
-    RatMatrix,
-    Subspace,
-    contains_image,
-    extend_basis,
-    image,
-    kernel,
-    rank,
-    solve_matrix,
-)
+from .ratlin import RatMatrix, Subspace, coordinates, independent_columns, null_rows, rank
 from .strata import SemistableDatum
 
 
@@ -260,12 +251,17 @@ def _assert_e1_isos(page: WeightComplex):
 
 @dataclass(frozen=True)
 class E2Page:
-    """E2 terms with representative bases in E1 coordinates and induced N."""
+    """E2 terms with representative bases in E1 coordinates and induced N.
+
+    The bases are not canonical: they are the d1 columns and kernel vectors
+    one elimination picks, and n_maps is read in them.  Dimensions, ranks and
+    filtration jumps, all that reports carry, do not depend on that choice.
+    """
 
     n: int
     dims: dict      # (i, j) -> int
     reps: dict      # (i, j) -> RatMatrix, columns represent E2 classes
-    images: dict    # (i, j) -> Subspace (image of incoming d1)
+    images: dict    # (i, j) -> RatMatrix, independent columns spanning Im d1^{i-1,j}
     n_maps: dict    # (i, j) -> RatMatrix on E2 coordinates, to (i+2, j-2)
     page: WeightComplex
 
@@ -278,23 +274,37 @@ class E2Page:
 
 
 def build_e2(page: WeightComplex) -> E2Page:
-    """E2^{i,j} = Ker d1^{i,j} / Im d1^{i-1,j} with explicit representatives."""
+    """E2^{i,j} = Ker d1^{i,j} / Im d1^{i-1,j} with explicit representatives.
+
+    Each cell costs one kernel and one pivot pick.  Its generators are the
+    columns of the incoming d1 followed by integer kernel vectors of the
+    outgoing d1, and the columns independent of those before them are
+    picked: the picked d1 columns are a basis of the image, the picked
+    kernel vectors complete it to a basis of the kernel, and more picks than
+    kernel vectors mean the image leaves the kernel.  Each N edge s -> t then
+    costs one rref of [images_t | reps_t | N images_s | N reps_s]: N images_s
+    must have zero coordinates on reps_t, N reps_s must lie in the span, and
+    its coordinates on reps_t are the induced map.  Every cell is checked
+    before any N edge.
+    """
     dims, reps, images = {}, {}, {}
     for (i, j) in page.dims:
-        ker = kernel(page.d1_block(i, j))
-        img = image(page.d1_block(i - 1, j))
-        rep = extend_basis(img, ker)
-        if rep is None:
+        d_in = page.d1_block(i - 1, j)
+        ker = null_rows(page.d1_block(i, j))
+        gens = d_in.hstack(ker.transpose())
+        picked = independent_columns(gens)
+        if len(picked) > ker.rows:
             raise ConventionViolation(f"image not inside kernel at cell ({i}, {j})")
-        images[(i, j)] = img
-        reps[(i, j)] = rep
-        dims[(i, j)] = rep.cols
+        n_img = sum(1 for p in picked if p < d_in.cols)
+        everywhere = range(gens.rows)
+        images[(i, j)] = gens.submatrix(everywhere, picked[:n_img])
+        reps[(i, j)] = gens.submatrix(everywhere, picked[n_img:])
+        dims[(i, j)] = len(picked) - n_img
     n_maps = {}
     if page.n_blocks is not None:
         for (i, j) in page.dims:
             tgt = (i + 2, j - 2)
             src_dim = dims[(i, j)]
-            tgt_dim = dims.get(tgt, 0)
             if tgt not in page.dims:
                 if src_dim and not (page.n_block(i, j) @ reps[(i, j)]).is_zero():
                     raise InstanceInconsistency(
@@ -302,20 +312,21 @@ def build_e2(page: WeightComplex) -> E2Page:
                     )
                 n_maps[(i, j)] = RatMatrix.zeros(0, src_dim)
                 continue
-            # well-definedness: N maps incoming image into the target image
-            moved_img = page.n_block(i, j) @ images[(i, j)].basis
-            if not contains_image(images[tgt], moved_img):
+            moved = page.n_block(i, j) @ images[(i, j)].hstack(reps[(i, j)])
+            x, outside = coordinates(images[tgt].hstack(reps[tgt]), moved)
+            n_img = images[(i, j)].cols
+            on_reps = x.submatrix(range(images[tgt].cols, x.rows), range(x.cols))
+            # well-definedness: N maps the incoming image into the target image
+            if (outside and outside[0] < n_img) or any(
+                    min(row) < n_img for row in on_reps.data if row):
                 raise InstanceInconsistency(
                     f"induced N ill-defined at cell ({i}, {j})"
                 )
-            moved = page.n_block(i, j) @ reps[(i, j)]
-            basis = reps[tgt].hstack(images[tgt].basis)
-            sol = solve_matrix(basis, moved)
-            if sol is None:
+            if outside:
                 raise InstanceInconsistency(
                     f"induced N does not land in the kernel at cell ({i}, {j})"
                 )
-            n_maps[(i, j)] = sol.submatrix(range(tgt_dim), range(sol.cols))
+            n_maps[(i, j)] = on_reps.submatrix(range(on_reps.rows), range(n_img, x.cols))
     return E2Page(n=page.n, dims=dims, reps=reps, images=images,
                   n_maps=n_maps, page=page)
 

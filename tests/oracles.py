@@ -31,7 +31,7 @@ def gauss_jordan(rows, ncols):
         for r in range(len(m)):
             if r != r0 and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[r0])]
+                m[r] = [a - f * b if b else a for a, b in zip(m[r], m[r0])]
         pivots.append(col)
     return m, pivots
 

@@ -33,6 +33,8 @@ GOLDEN = {
         "7cd5e76e79e7cf66e9e859d5e24d0f986d4ca607cb8fd1fb4dba9ae63622bc85",
     "check-wmc --instance {tmp}/ngon3.json --tensor-power 3":
         "81bb5e35f6ebbb480fd758161a6e89c14994a07d4226709b820f45b6fae3b25c",
+    "check-wmc --instance {tmp}/ngon3.json --tensor-power 4":
+        "63817f614d7169117039eb041fb21c3d790435f713e41a67bae624cb82bc0bfc",
     "gen ngon --n 3":
         "de4ab10108f049e7f015e8f5154628d72fcba58e72f655940864936183f61b26",
     "check-threefold --instance src/wsscheck/data/toy_gon3_x_p2.json":

@@ -13,15 +13,16 @@ from oracles import (
     greedy_extension,
     mini_rank,
 )
-from wsscheck.errors import DimensionMismatch, InvalidForm
+from wsscheck.errors import DimensionMismatch, InvalidForm, PreconditionError
 from wsscheck.ratlin import (
     RatMatrix,
     Subspace,
     as_rat,
     contains,
-    contains_image,
+    coordinates,
     extend_basis,
     image,
+    independent_columns,
     intersect,
     kernel,
     rank,
@@ -157,8 +158,6 @@ def test_containment_by_reduction_matches_stacked_rank(args):
     base = mini_rank(gens)
     for ws in (inside, others, inside + others):
         assert contains(u, Subspace.span(d, ws)) == (mini_rank(gens + ws) == base)
-        cols = M(ws, cols=d).transpose()
-        assert contains_image(u, cols) == (mini_rank(gens + ws) == base)
         for v in ws:
             assert u.contains_vector(v) == (mini_rank(gens + [v]) == base)
 
@@ -274,6 +273,34 @@ def test_extend_basis_matches_greedy_scan(args):
     assert ext.cols == big.dim - small.dim
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d), vectors(d, 5), vectors(d, 4), st.lists(st.integers(-2, 2), min_size=5, max_size=5))))
+def test_independent_columns_and_coordinates_match_greedy_scan(args):
+    d, gens, others, combo = args
+    cols = gens + [tuple(sum(c * g[i] for c, g in zip(combo, gens)) for i in range(d))] + others
+    m = M(cols, cols=d).transpose()
+    picked = independent_columns(m)
+    assert [cols[p] for p in picked] == greedy_extension([], cols)
+    for kept in (picked, [p for p in picked if p < len(gens)]):
+        basis = m.submatrix(range(d), kept)
+        x, outside = coordinates(basis, m)
+        assert outside == tuple(p for p in picked if p not in kept)
+        inside = range(outside[0] if outside else m.cols)
+        assert basis @ x.submatrix(range(x.rows), inside) == m.submatrix(range(d), inside)
+
+
+def test_coordinates_of_vectors_outside_the_span():
+    basis = M([[1], [0], [0]])
+    x, outside = coordinates(basis, M([[2, 0, 0, 1], [0, 1, 2, 1], [0, 0, 0, 0]]))
+    assert outside == (1,)
+    assert x.submatrix([0], [0]) == M([[2]])
+    with pytest.raises(PreconditionError):
+        coordinates(M([[1, 2], [1, 2]]), M([[1], [0]]))
+    with pytest.raises(DimensionMismatch):
+        coordinates(basis, M([[1]]))
+
+
 def test_extend_basis_none_when_not_contained():
     line = Subspace.span(3, [(0, 0, 1)])
     plane = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
@@ -340,9 +367,15 @@ def test_as_rat_reads_strings_as_fraction_does(s):
 
 
 def _rows_read_entry_by_entry(d):
-    """RatMatrix.from_json_dict(d).data as as_rat on every entry, zeros included, gives it."""
-    ent = list(map(as_rat, d["entries"]))
-    nr, nc = int(d["rows"]), int(d["cols"])
+    """RatMatrix.from_json_dict(d).data as as_rat on every entry, zeros included, gives it.
+
+    Only a JSON list of entries with JSON integer rows and cols is a matrix.
+    """
+    raw, nr, nc = d["entries"], d["rows"], d["cols"]
+    if not isinstance(raw, list) or any(isinstance(x, bool) or not isinstance(x, int)
+                                        for x in (nr, nc)):
+        raise TypeError("a matrix needs integer rows and cols and a list of entries")
+    ent = list(map(as_rat, raw))
     if nr < 0 or nc < 0:
         raise DimensionMismatch("negative matrix dimensions")
     if len(ent) != nr * nc:
@@ -393,6 +426,10 @@ def _json_matrices(draw):
 @example({"rows": 1, "cols": 1, "entries": {"3": 0}})
 @example({"rows": 0, "cols": 2, "entries": ["1"]})
 @example({"rows": -1, "cols": 2, "entries": []})
+@example({"rows": 2.9, "cols": 1, "entries": ["1", "2"]})
+@example({"rows": 2.0, "cols": 1, "entries": ["1", "2"]})
+@example({"rows": 1, "cols": True, "entries": ["1"]})
+@example({"rows": 1, "cols": 1, "entries": ("1",)})
 def test_json_matrix_reads_as_entry_by_entry(d):
     got = _read(lambda d: RatMatrix.from_json_dict(d).data, d)
     assert got == _read(_rows_read_entry_by_entry, d)

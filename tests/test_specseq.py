@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import convolve_power, cycle_incidence, mini_rank, path_incidence
 from wsscheck.errors import ConventionViolation, InstanceInconsistency
-from wsscheck.instances import gen_chain, gen_ngon, gen_smooth
+from wsscheck.instances import gen_chain, gen_ngon, gen_smooth, load_toy, toy_names
 from wsscheck.ratlin import RatMatrix
 from wsscheck.specseq import (
     WeightComplex,
@@ -181,6 +183,65 @@ def test_renderers_cover_cells():
     assert "H^0(X(2))" in g1 and "j/i" in g1
     g2 = render_e2_grid(build_e2(page))
     assert "E2" in g2
+
+
+def _cols(m):
+    return [list(c) for c in m.columns()]
+
+
+def assert_e2_bases_span_the_right_spaces(page):
+    """build_e2's bases checked by rank alone, whatever basis it picks.
+
+    In each cell the images and reps are independent, lie in Ker d1 and
+    number dim Ker d1, and the images span Im d1; along each N edge s -> t,
+    N reps_s - reps_t n_maps[s] lies in the span of images_t.
+    """
+    e2 = build_e2(page)
+    for (i, j), n in page.dims.items():
+        d_out, d_in = page.d1_block(i, j), page.d1_block(i - 1, j)
+        images, reps = e2.images[(i, j)], e2.reps[(i, j)]
+        assert (d_out @ reps).is_zero()
+        gens = _cols(images) + _cols(reps)
+        ker_dim = n - mini_rank([d_out.row_list(r) for r in range(d_out.rows)])
+        assert len(gens) == mini_rank(gens) == ker_dim
+        incoming = _cols(d_in)
+        assert images.cols == mini_rank(incoming) == mini_rank(incoming + _cols(images))
+        assert e2.dims[(i, j)] == reps.cols
+    for (i, j) in page.dims:
+        tgt = (i + 2, j - 2)
+        if tgt not in page.dims:
+            continue
+        n_map = e2.n_maps[(i, j)]
+        assert n_map.shape == (e2.dims[tgt], e2.dims[(i, j)])
+        diff = page.n_block(i, j) @ e2.reps[(i, j)] - e2.reps[tgt] @ n_map
+        images_t = _cols(e2.images[tgt])
+        assert mini_rank(images_t + _cols(diff)) == mini_rank(images_t)
+
+
+@pytest.mark.parametrize("name", toy_names())
+def test_e2_bases_of_shipped_toys(name):
+    assert_e2_bases_span_the_right_spaces(to_weight_complex(load_toy(name)))
+
+
+@pytest.mark.parametrize("datum", [gen_ngon(3), gen_ngon(6), gen_chain(2), gen_chain(5)],
+                         ids=["ngon3", "ngon6", "chain2", "chain5"])
+def test_e2_bases_of_curve_pages(datum):
+    assert_e2_bases_span_the_right_spaces(to_weight_complex(datum))
+
+
+def test_e2_bases_of_tensor_cube():
+    assert_e2_bases_span_the_right_spaces(tensor_power(curve_page(3), 3))
+
+
+CURVES = st.tuples(st.sampled_from([gen_ngon, gen_chain]), st.integers(3, 5))
+
+
+@settings(max_examples=15, deadline=None)
+@given(CURVES, CURVES)
+def test_e2_bases_of_curve_products(left, right):
+    (gen_p, n_p), (gen_q, n_q) = left, right
+    prod = tensor_product(to_weight_complex(gen_p(n_p)), to_weight_complex(gen_q(n_q)))
+    assert_e2_bases_span_the_right_spaces(prod)
 
 
 def test_build_e2_rejects_d1_squared_nonzero():

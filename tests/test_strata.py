@@ -254,6 +254,10 @@ MALFORMED = {
     "cohomology-degree-repeated": _repeat_first_degree,
     "cohomology-degree-above-2n": _add_degree(10**6, 0),
     "pairing-rows-huge": lambda d: _first_pairing(d).update(rows=10**9, cols=0, entries=[]),
+    "pairing-entries-string": lambda d: _first_pairing(d).update(
+        entries="".join(_first_pairing(d)["entries"])),
+    "pairing-rows-fractional": lambda d: _first_pairing(d).update(
+        rows=_first_pairing(d)["rows"] + 0.9),
     "restriction-cols-huge": lambda d: d["restriction"][0]["matrix"].update(
         rows=0, cols=10**9, entries=[]),
 }
