@@ -20,7 +20,6 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     contains,
-    extend_basis,
     image,
     intersect,
     kernel,
@@ -75,13 +74,11 @@ from .lefschetz import (
 )
 from .cli import analyze
 from .instances import (
-    GeneratorSpec,
     blowup_point_datum,
     build_toy,
     gen_chain,
     gen_ngon,
     gen_smooth,
-    generate,
     load_toy,
     mutate,
     times_projective_plane,

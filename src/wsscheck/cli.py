@@ -225,17 +225,15 @@ def _report(args):
     return _exit_code(ok), strata.dumps(doc)
 
 
-def _gen(args):
+def _betti(args):
     try:
-        betti = tuple(int(x) for x in args.betti.split(",")) if args.betti else ()
+        return tuple(int(x) for x in args.betti.split(",")) if args.betti else ()
     except ValueError:
         raise ParameterError(f"bad --betti value {args.betti!r}")
-    if args.kind == "toy":
-        datum = instances.build_toy(args.name)
-    else:
-        spec = instances.GeneratorSpec(kind=args.kind, n=args.n, betti=betti)
-        datum = instances.generate(spec)
-    return EXIT_PASS, strata.dumps(strata.datum_to_json_dict(datum))
+
+
+def _gen(args):
+    return EXIT_PASS, strata.dumps(strata.datum_to_json_dict(args.build(args)))
 
 
 def run(args):
@@ -252,6 +250,9 @@ _FLAGS = {
     "--tensor-power": dict(
         type=int, default=1, help="check the k-fold tensor power of the instance page"
     ),
+    "--n": dict(type=int, default=0, help="size parameter / dimension"),
+    "--betti": dict(default="", help="comma-separated Betti numbers"),
+    "--name": dict(default="", help="toy instance name"),
 }
 
 # subcommand -> (view, the flags it reads)
@@ -261,6 +262,14 @@ _COMMANDS = {
     "check-wmc": (_check_wmc, ("--instance", "--format", "--out", "--w", "--tensor-power")),
     "check-threefold": (_check_threefold, ("--instance", "--format", "--out", "--strict")),
     "report": (_report, ("--instance", "--out", "--w", "--tensor-power")),
+}
+
+# gen kind -> (the datum built from the parsed flags, the flags it reads)
+_GENERATORS = {
+    "smooth": (lambda args: instances.gen_smooth(args.n, _betti(args)), ("--n", "--betti")),
+    "ngon": (lambda args: instances.gen_ngon(args.n), ("--n",)),
+    "chain": (lambda args: instances.gen_chain(args.n), ("--n",)),
+    "toy": (lambda args: instances.build_toy(args.name), ("--name",)),
 }
 
 
@@ -278,13 +287,14 @@ def _parser():
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
 
-    g = sub.add_parser("gen", help="emit a generated instance as JSON")
-    g.set_defaults(view=_gen)
-    g.add_argument("kind", choices=("smooth", "ngon", "chain", "toy"))
-    g.add_argument("--n", type=int, default=0, help="size parameter / dimension")
-    g.add_argument("--betti", default="", help="comma-separated Betti numbers (smooth)")
-    g.add_argument("--name", default="", help="toy instance name (toy)")
-    g.add_argument("--out", **_FLAGS["--out"])
+    kinds = sub.add_parser("gen", help="emit a generated instance as JSON").add_subparsers(
+        dest="kind", required=True)
+    for kind, (build, flags) in _GENERATORS.items():
+        # no abbreviations: toy's --name must not take --n for itself
+        sp = kinds.add_parser(kind, allow_abbrev=False)
+        sp.set_defaults(view=_gen, build=build)
+        for flag in flags + ("--out",):
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 

@@ -118,9 +118,6 @@ class Filtration:
     def graded_dim(self, i: int) -> int:
         return self.step(i).dim - self.step(i - 1).dim
 
-    def jump_dims(self):
-        return tuple((idx, sub.dim) for idx, sub in self.steps)
-
     def to_json_dict(self):
         return {
             "ambient_dim": self.ambient_dim,

@@ -11,11 +11,13 @@ Generators:
                      multiplicative-degeneration testbed.
   * ``gen_chain``    same with a path graph; monodromy acts trivially.
   * ``times_projective_plane``
-                     crosses a relative-dimension-1 datum with the cohomology
-                     of the projective plane, producing a threefold datum.
-                     A product of a semistable curve model with a smooth
-                     surface is again semistable, so this is an honest
-                     threefold family with nontrivial monodromy.
+                     crosses a relative-dimension-1 datum with the projective
+                     plane ``gen_smooth(2, (1, 0, 1, 0, 1))`` by Kuenneth:
+                     every pairing, Lefschetz, restriction and Gysin block is
+                     a sum of Kronecker products of a curve block with the
+                     matching plane block.  A product of a semistable curve
+                     model with a smooth surface is again semistable, so this
+                     is an honest threefold family with nontrivial monodromy.
   * ``blowup_point_datum``
                      the degeneration obtained by blowing up a point in the
                      special fiber of a constant projective-space family:
@@ -38,7 +40,7 @@ falls back to edits where the target is among the failures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import (
@@ -51,12 +53,21 @@ from .errors import (
 from .ratlin import RatMatrix, as_rat
 from .strata import (
     AXIOMS,
+    MAX_TOTAL_DIM,
     SemistableDatum,
     StratumLevel,
     TransferMaps,
     load,
     validate,
 )
+
+
+def _require_readable(total):
+    """Refuse a datum whose declared dimensions no reader would accept."""
+    if total > MAX_TOTAL_DIM:
+        raise ParameterError(
+            f"declared cohomology dimensions would sum to {total}, above {MAX_TOTAL_DIM}"
+        )
 
 
 # -- smooth profiles -----------------------------------------------------------
@@ -79,6 +90,7 @@ def gen_smooth(n: int, betti) -> SemistableDatum:
         raise InvalidProfile(f"betti profile must have length {2 * n + 1}")
     if any(b < 0 for b in betti):
         raise InvalidProfile("betti numbers must be nonnegative")
+    _require_readable(sum(betti))
     if betti != betti[::-1]:
         raise InvalidProfile("betti profile must be symmetric")
     if betti[0] != 1:
@@ -205,6 +217,7 @@ def gen_ngon(n: int) -> SemistableDatum:
     """
     if n < 3:
         raise ParameterError("an n-gon needs n >= 3")
+    _require_readable(3 * n)
     rows = []
     for i in range(n):
         a, b = i, (i + 1) % n
@@ -220,6 +233,7 @@ def gen_chain(n: int) -> SemistableDatum:
     """Path of n rational curves: n - 1 double points, trivial monodromy."""
     if n < 2:
         raise ParameterError("a chain needs n >= 2")
+    _require_readable(3 * n - 1)
     rows = []
     for i in range(n - 1):
         row = [0] * n
@@ -231,73 +245,71 @@ def gen_chain(n: int) -> SemistableDatum:
 
 # -- product with the projective plane -----------------------------------------
 
-_P2_DEGREES = (0, 2, 4)
-
 
 def times_projective_plane(datum: SemistableDatum) -> SemistableDatum:
-    """Cross a relative-dimension-1 datum with the projective plane."""
+    """Cross a relative-dimension-1 datum with the projective plane, by Kuenneth.
+
+    H^s of a product level is the sum over the plane's degrees c, ascending,
+    of H^{s-c}(curve level) (x) H^c(P^2).  The plane's cohomology sits in even
+    degrees only, so its Kronecker factors carry no Koszul sign.
+    """
     if datum.n != 1:
         raise PreconditionError("product builder expects a curve-type datum")
+    plane = gen_smooth(2, (1, 0, 1, 0, 1))
 
-    def blocks(j, s):
-        d_old = datum.level_dim(j)
-        out = []
-        for c in _P2_DEGREES:
-            so = s - c
-            if 0 <= so <= 2 * d_old:
-                out.append((c, so, datum.h(j, so)))
-        return out
-
-    def offsets(j, s):
-        out = {}
-        pos = 0
-        for c, so, h in blocks(j, s):
-            out[c] = (pos, so, h)
-            pos += h
+    def summands(j, s):
+        """([(curve degree, plane degree, offset)], dim) of H^s at level j."""
+        out, pos = [], 0
+        for c in range(5):
+            h = datum.h(j, s - c) * plane.h(1, c)
+            if h:
+                out.append((s - c, c, pos))
+                pos += h
         return out, pos
 
+    def product_map(j, s, k, t, terms):
+        """H^s(level j) -> H^t(level k): terms(a, c) yields (b, e, curve block, plane block)."""
+        src, cols = summands(j, s)
+        tgt, rows = summands(k, t)
+        where = {(b, e): ro for b, e, ro in tgt}
+        return RatMatrix.assemble(rows, cols, [
+            (where[b, e], co, x.kron(y))
+            for a, c, co in src for b, e, x, y in terms(a, c) if (b, e) in where])
+
+    def one(j, a):
+        return RatMatrix.identity(datum.h(j, a))
+
+    def plane_one(c):
+        return RatMatrix.identity(plane.h(1, c))
+
     levels = {}
+    restriction = {}
+    gysin = {}
     for j in sorted(datum.levels):
         lvl = datum.levels[j]
-        d_new = datum.level_dim(j) + 2
-        dims = tuple(
-            sum(h for _, _, h in blocks(j, s)) for s in range(0, 2 * d_new + 1)
-        )
-        pairings = {}
-        for s in range(0, 2 * d_new + 1):
-            rows_off, rdim = offsets(j, s)
-            cols_off, cdim = offsets(j, 2 * d_new - s)
-            if rdim == 0 or cdim == 0:
-                continue
-            placements = []
-            for c, (ro, so, h) in rows_off.items():
-                cc = 4 - c
-                if cc in cols_off and h:
-                    placements.append((ro, cols_off[cc][0], datum.pairing(j, so)))
-            pairings[s] = RatMatrix.assemble(rdim, cdim, placements)
-        lefschetz = {}
-        for s in range(0, 2 * d_new - 1):
-            src_off, sdim = offsets(j, s)
-            tgt_off, tdim = offsets(j, s + 2)
-            if sdim == 0 or tdim == 0:
-                continue
-            placements = []
-            for c, (co, so, h) in src_off.items():
-                if h == 0:
-                    continue
-                if c in tgt_off and tgt_off[c][1] == so + 2:
-                    placements.append((tgt_off[c][0], co, datum.lefschetz_map(j, so)))
-                if c + 2 in tgt_off and tgt_off[c + 2][1] == so:
-                    placements.append((tgt_off[c + 2][0], co, RatMatrix.identity(h)))
-            lefschetz[s] = RatMatrix.assemble(tdim, sdim, placements)
+        d = datum.level_dim(j)
+        top = 2 * d + 4
+        dims = tuple(summands(j, s)[1] for s in range(top + 1))
+        pairings = {
+            s: product_map(j, s, j, top - s, lambda a, c: [
+                (2 * d - a, 4 - c, datum.pairing(j, a), plane.pairing(1, c))])
+            for s in range(top + 1) if dims[s] and dims[top - s]
+        }
+        lefschetz = {
+            s: product_map(j, s, j, s + 2, lambda a, c: [
+                (a + 2, c, datum.lefschetz_map(j, a), plane_one(c)),
+                (a, c + 2, one(j, a), plane.lefschetz_map(1, c))])
+            for s in range(top - 1) if dims[s] and dims[s + 2]
+        }
         cblocks = {}
-        for s in range(0, 2 * d_new + 1):
-            acc = []
-            for c, so, h in blocks(j, s):
-                if h:
-                    acc.extend(lvl.component_blocks.get(so, (0,) * h))
+        for s in range(top + 1):
+            acc = tuple(
+                x for a, c, _ in summands(j, s)[0]
+                for x in lvl.component_blocks.get(a, (0,) * datum.h(j, a))
+                for _ in range(plane.h(1, c))
+            )
             if acc:
-                cblocks[s] = tuple(acc)
+                cblocks[s] = acc
         levels[j] = StratumLevel(
             level=j,
             components=lvl.components,
@@ -306,55 +318,27 @@ def times_projective_plane(datum: SemistableDatum) -> SemistableDatum:
             lefschetz=lefschetz,
             component_blocks=cblocks,
         )
-
-    restriction = {}
-    gysin = {}
-    for j in sorted(datum.levels):
-        d_new_src = datum.level_dim(j) + 2
-        if j + 1 in datum.levels:
-            for s in range(0, 2 * d_new_src + 1):
-                src_off, sdim = offsets(j, s)
-                tgt_off, tdim = offsets(j + 1, s)
-                if sdim == 0 or tdim == 0:
-                    continue
-                placements = []
-                for c, (co, so, h) in src_off.items():
-                    if c in tgt_off and h and tgt_off[c][2]:
-                        placements.append(
-                            (tgt_off[c][0], co, datum.restriction_map(j, so))
-                        )
-                mat = RatMatrix.assemble(tdim, sdim, placements)
-                if not mat.is_zero():
-                    restriction[(j, s)] = mat
-        if j - 1 in datum.levels:
-            for s in range(0, 2 * d_new_src + 1):
-                src_off, sdim = offsets(j, s)
-                tgt_off, tdim = offsets(j - 1, s + 2)
-                if sdim == 0 or tdim == 0:
-                    continue
-                placements = []
-                for c, (co, so, h) in src_off.items():
-                    if c in tgt_off and h and tgt_off[c][1] == so + 2 and tgt_off[c][2]:
-                        placements.append((tgt_off[c][0], co, datum.gysin_map(j, so)))
-                mat = RatMatrix.assemble(tdim, sdim, placements)
-                if not mat.is_zero():
-                    gysin[(j, s)] = mat
-    amp_off, amp_dim = offsets(1, 2)
-    ample = [0] * amp_dim
-    if 0 in amp_off:  # old H^2 block carries the old ample class
-        pos = amp_off[0][0]
-        for t, x in enumerate(datum.ample_class):
-            ample[pos + t] = as_rat(x)
-    if 2 in amp_off:  # old H^0 block carries the plane hyperplane class
-        pos, _, h = amp_off[2]
-        for t in range(h):
-            ample[pos + t] = 1
+        for s in range(top + 1):
+            mat = product_map(j, s, j + 1, s, lambda a, c: [
+                (a, c, datum.restriction_map(j, a), plane_one(c))])
+            if not mat.is_zero():
+                restriction[(j, s)] = mat
+            mat = product_map(j, s, j - 1, s + 2, lambda a, c: [
+                (a + 2, c, datum.gysin_map(j, a), plane_one(c))])
+            if not mat.is_zero():
+                gysin[(j, s)] = mat
+    # L = L_curve (x) 1 + 1 (x) L_plane: the curve's ample class on H^2 (x) H^0,
+    # the plane's on the unit of H^0 (x) H^2
+    factors = {(2, 0): (datum.ample_class, (1,) * plane.h(1, 0)),
+               (0, 2): ((1,) * datum.h(1, 0), plane.ample_class)}
+    ample = tuple(as_rat(x * y) for a, c, _ in summands(1, 2)[0]
+                  for x in factors[a, c][0] for y in factors[a, c][1])
     return SemistableDatum(
         n=3,
         m=datum.m,
         levels=levels,
         transfers=TransferMaps(restriction=restriction, gysin=gysin),
-        ample_class=tuple(ample),
+        ample_class=ample,
     )
 
 
@@ -467,46 +451,6 @@ def load_toy(name: str) -> SemistableDatum:
     if not path.exists():
         raise SchemaError(f"shipped instance {name!r} not found at {path}")
     return load(path)
-
-
-# -- generator dispatch ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Parsed generator request: smooth, ngon, chain or tensor."""
-
-    kind: str
-    n: int = 0
-    betti: tuple = ()
-    operands: tuple = ()
-
-
-def generate(spec: GeneratorSpec):
-    """Build a datum (smooth/ngon/chain) or a page (tensor)."""
-    if spec.kind == "smooth":
-        return gen_smooth(spec.n, spec.betti)
-    if spec.kind == "ngon":
-        return gen_ngon(spec.n)
-    if spec.kind == "chain":
-        return gen_chain(spec.n)
-    if spec.kind == "tensor":
-        from .specseq import tensor_product
-        from .strata import to_weight_complex
-
-        if len(spec.operands) < 2:
-            raise ParameterError("tensor needs at least two operands")
-        pages = []
-        for op in spec.operands:
-            built = generate(op)
-            if not isinstance(built, SemistableDatum):
-                raise ParameterError("tensor operands must be instance generators")
-            pages.append(to_weight_complex(built))
-        out = pages[0]
-        for page in pages[1:]:
-            out = tensor_product(out, page)
-        return out
-    raise ParameterError(f"unknown generator kind {spec.kind!r}")
 
 
 # -- mutation harness -------------------------------------------------------------------

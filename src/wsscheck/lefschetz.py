@@ -30,10 +30,9 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     contains,
-    extend_basis,
+    coordinates,
     image,
     intersect,
-    inverse,
     kernel,
     rank,
     signature,
@@ -55,6 +54,11 @@ class CheckResult:
 
 
 # -- the duality lemma for three-term complexes ---------------------------------
+
+
+def _adjoint(g: RatMatrix, pairing: RatMatrix) -> RatMatrix:
+    """g* = (P^T)^-1 g^T for the nondegenerate form P: <g* phi, .> = phi(g .)."""
+    return coordinates(pairing.transpose(), g.transpose())[0]
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,8 @@ def dual_cohomology_iso(triple: DualTriple) -> DualComplexReport:
     induced map is an isomorphism exactly when Ker g cap Im g* lies in Im f.
     """
     f, g, p = triple.f, triple.g, triple.pairing
-    pt = p.transpose()
-    gstar = (inverse(pt) @ g.transpose()) if p.rows else RatMatrix.zeros(0, g.rows)
-    fstar = f.transpose() @ pt
+    gstar = _adjoint(g, p)
+    fstar = f.transpose() @ p.transpose()
     ker_g = kernel(g)
     im_f = image(f)
     im_gstar = image(gstar)
@@ -172,17 +175,13 @@ def _require_threefold(datum: SemistableDatum):
 
 @dataclass(frozen=True)
 class PrimitiveDecomposition:
-    prim0_3fold: Subspace     # H^0 of the top stratum
+    l2_3fold: RatMatrix       # L^2 : H^2 -> H^6 of the top stratum
+    lefschetz_form: RatMatrix  # (x, y) -> <x, L y> on H^2 of the top stratum
     prim2_3fold: Subspace     # Ker(L^2 : H^2 -> H^6)
     l_prim0_3fold: Subspace   # L H^0 inside H^2
     l_prim2_3fold: Subspace   # L prim2 inside H^4
-    l2_prim0_3fold: Subspace  # L^2 H^0 inside H^4
-    l3_prim0_3fold: Subspace  # L^3 H^0 = H^6
-    prim0_surf: Subspace
     prim2_surf: Subspace     # Ker(L : H^2 -> H^4) on the surface level
-    l_prim0_surf: Subspace
-    l2_prim0_surf: Subspace
-    lefschetz_gram_prim2: RatMatrix  # (x, y) -> <x, L y> on prim2_3fold basis
+    l_prim0_surf: Subspace    # L H^0 inside H^2 of the surface level
 
 
 def _lef_pow(datum, level, start_degree, steps):
@@ -199,22 +198,17 @@ def primitive_decompose(datum: SemistableDatum) -> PrimitiveDecomposition:
     _require_threefold(datum)
     l2_a = _lef_pow(datum, 1, 2, 2)           # H^2(A) -> H^6(A)
     prim2_a = kernel(l2_a)
-    prim0_a = Subspace.full(datum.h(1, 0))
     l_prim0_a = image(datum.lefschetz_map(1, 0))
     l_prim2_a = image(datum.lefschetz_map(1, 2) @ prim2_a.basis)
     l2_prim0_a = image(_lef_pow(datum, 1, 0, 2))
-    l3_prim0_a = image(_lef_pow(datum, 1, 0, 3))
-    h2 = datum.h(1, 2)
-    if subspace_sum(prim2_a, l_prim0_a).dim != h2 or \
+    if subspace_sum(prim2_a, l_prim0_a).dim != datum.h(1, 2) or \
             intersect(prim2_a, l_prim0_a).dim != 0:
         raise InstanceInconsistency("H^2 of the top level does not split")
     if subspace_sum(l_prim2_a, l2_prim0_a).dim != datum.h(1, 4) or \
             intersect(l_prim2_a, l2_prim0_a).dim != 0:
         raise InstanceInconsistency("H^4 of the top level does not split")
-    prim0_b = Subspace.full(datum.h(2, 0))
     prim2_b = kernel(datum.lefschetz_map(2, 2))
     l_prim0_b = image(datum.lefschetz_map(2, 0))
-    l2_prim0_b = image(_lef_pow(datum, 2, 0, 2))
     if subspace_sum(prim2_b, l_prim0_b).dim != datum.h(2, 2) or \
             intersect(prim2_b, l_prim0_b).dim != 0:
         raise InstanceInconsistency("H^2 of the surface level does not split")
@@ -223,17 +217,13 @@ def primitive_decompose(datum: SemistableDatum) -> PrimitiveDecomposition:
     if gram != gram.transpose():
         raise InvalidForm("Lefschetz pairing on primitive H^2 is not symmetric")
     return PrimitiveDecomposition(
-        prim0_3fold=prim0_a,
+        l2_3fold=l2_a,
+        lefschetz_form=gram_full,
         prim2_3fold=prim2_a,
         l_prim0_3fold=l_prim0_a,
         l_prim2_3fold=l_prim2_a,
-        l2_prim0_3fold=l2_prim0_a,
-        l3_prim0_3fold=l3_prim0_a,
-        prim0_surf=prim0_b,
         prim2_surf=prim2_b,
         l_prim0_surf=l_prim0_b,
-        l2_prim0_surf=l2_prim0_b,
-        lefschetz_gram_prim2=gram,
     )
 
 
@@ -243,16 +233,13 @@ class ImDecomposition:
 
     im0_res / im0_gys map degree i in {0, 2, 4} to the distinguished
     subspace of the corresponding transfer image; im1 dimensions are the
-    quotient dimensions, with representative columns in im1_res_reps /
-    im1_gys_reps.
+    quotient dimensions.
     """
 
     im_res: dict
     im_gys: dict
     im0_res: dict
     im0_gys: dict
-    im1_res_reps: dict
-    im1_gys_reps: dict
 
     def im1_res_dim(self, i):
         return self.im_res[i].dim - self.im0_res[i].dim
@@ -299,18 +286,10 @@ def im_decompose(datum: SemistableDatum, prim: PrimitiveDecomposition) -> ImDeco
     im0_gys[2] = l_im0_gys0
     im0_gys[4] = Subspace.zero(datum.h(1, 6))
 
-    im1_res_reps = {i: extend_basis(im0_res[i], im_res[i]) for i in (0, 2, 4)}
-    im1_gys_reps = {i: extend_basis(im0_gys[i], im_gys[i]) for i in (0, 2, 4)}
-    if None in (*im1_res_reps.values(), *im1_gys_reps.values()):
+    if not all(contains(im_res[i], im0_res[i]) and contains(im_gys[i], im0_gys[i])
+               for i in (0, 2, 4)):
         raise InstanceInconsistency("im0 escapes its transfer image")
-    return ImDecomposition(
-        im_res=im_res,
-        im_gys=im_gys,
-        im0_res=im0_res,
-        im0_gys=im0_gys,
-        im1_res_reps=im1_res_reps,
-        im1_gys_reps=im1_gys_reps,
-    )
+    return ImDecomposition(im_res=im_res, im_gys=im_gys, im0_res=im0_res, im0_gys=im0_gys)
 
 
 # -- the individual checks -------------------------------------------------------
@@ -344,7 +323,7 @@ def check_lefschetz_isos(datum, prim, dec) -> CheckResult:
         dec.im1_res_dim(2) == dec.im1_res_dim(4) and rk == dec.im1_res_dim(2)
     )
     # induced L^2 : im1(gys_0) -> im1(gys_4) = Im gys_4
-    l2_a = _lef_pow(datum, 1, 2, 2)
+    l2_a = prim.l2_3fold
     if not contains(dec.im_gys[4], image(l2_a @ dec.im_gys[0].basis)):
         raise InstanceInconsistency("L^2 does not map Im gys_0 into Im gys_4")
     rk = image(l2_a @ dec.im_gys[0].basis).dim
@@ -404,8 +383,8 @@ def check_hodge_index(datum: SemistableDatum, prim: PrimitiveDecomposition) -> C
     lvl1 = datum.levels[1]
     blocks2 = _component_indices(lvl1, 2)
     blocks6 = _component_indices(lvl1, 6)
-    l2_a = _lef_pow(datum, 1, 2, 2)
-    gram_full = datum.pairing(1, 2) @ datum.lefschetz_map(1, 2)
+    l2_a = prim.l2_3fold
+    gram_full = prim.lefschetz_form
     for c in range(lvl1.components):
         idx2 = [t for t, b in enumerate(blocks2) if b == c]
         rest2 = [t for t in range(len(blocks2)) if t not in idx2]
@@ -443,9 +422,8 @@ def check_restricted_pairings(datum, prim, dec) -> CheckResult:
     b = dec.im0_res[2].basis
     gram1 = b.transpose() @ p22 @ b
     ok1 = rank(gram1) == gram1.rows
-    gram_full = datum.pairing(1, 2) @ datum.lefschetz_map(1, 2)
     c = dec.im0_gys[0].basis
-    gram2 = c.transpose() @ gram_full @ c
+    gram2 = c.transpose() @ prim.lefschetz_form @ c
     ok2 = rank(gram2) == gram2.rows
     return CheckResult(
         "restricted-pairings",
@@ -532,9 +510,8 @@ def check_e2_middle(datum: SemistableDatum, e2: E2Page, verdict: WmcVerdict,
         )
     pairing = page.pairing_block(-1, 4)
     triple = DualTriple.build(f1, g1, pairing)
-    pt = pairing.transpose()
-    gstar = (inverse(pt) @ g1.transpose()) if pt.rows else RatMatrix.zeros(0, g1.rows)
-    fstar = f1.transpose() @ pt
+    gstar = _adjoint(g1, pairing)
+    fstar = f1.transpose() @ pairing.transpose()
     rows_dual = image(gstar) == image(f2) and kernel(fstar) == kernel(g2)
     if not rows_dual:
         raise InstanceInconsistency(

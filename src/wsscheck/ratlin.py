@@ -51,8 +51,8 @@ the picks among the rest complete it to a basis of the sum.  The E2 page
 picks the incoming d1 columns and integer kernel vectors this way, in
 whatever basis ``null_rows`` gives, and ``coordinates`` reads a map induced
 on such quotients off one rref of [basis | images].  These bases are not
-canonical; ``extend_basis`` runs the same pick over two canonical bases,
-and then the picks depend only on the two subspaces.
+canonical.  With an invertible square basis, ``coordinates`` solves the
+square system, which is all the matrix inversion the package needs.
 
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the denominator is
 one) in every file format.
@@ -265,11 +265,6 @@ class RatMatrix:
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in +")
         return RatMatrix.assemble(self.rows, self.cols, [(0, 0, self), (0, 0, other)])
-
-    def __sub__(self, other):
-        if self.shape != other.shape:
-            raise DimensionMismatch("shape mismatch in -")
-        return self + -other
 
     def __neg__(self):
         return RatMatrix(self.rows, self.cols,
@@ -531,29 +526,6 @@ def coordinates(basis: RatMatrix, m: RatMatrix):
     return x, tuple(p - k for p in piv[k:])
 
 
-def solve_matrix(a: RatMatrix, b: RatMatrix):
-    """Exact solution X of a @ X = b with free variables zero; None if none."""
-    if a.rows != b.rows:
-        raise DimensionMismatch("solve: row mismatch")
-    r, piv = rref(a.hstack(b))
-    n = a.cols
-    if any(p >= n for p in piv):
-        return None
-    out = [{} for _ in range(n)]
-    for row, pc in zip(r.data, piv):
-        out[pc] = {j - n: v for j, v in row.items() if j >= n}
-    return RatMatrix(n, b.cols, tuple(out))
-
-
-def inverse(m: RatMatrix) -> RatMatrix:
-    if m.rows != m.cols:
-        raise DimensionMismatch("inverse of a non-square matrix")
-    x = solve_matrix(m, RatMatrix.identity(m.rows))
-    if x is None:
-        raise InvalidForm("matrix is singular")
-    return x
-
-
 # -- subspaces ----------------------------------------------------------------
 
 
@@ -686,23 +658,6 @@ def intersect(u: Subspace, w: Subspace) -> Subspace:
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     _same_ambient(u, w)
     return row_space(u.echelon.vstack(w.echelon))
-
-
-def extend_basis(small: Subspace, big: Subspace):
-    """Columns of big's basis completing small's basis to a basis of big.
-
-    One forward elimination of [small | big]: small's columns are
-    independent, so they are all pivots, and big's pivot columns are those
-    outside the span of the columns before them.  None when small is not
-    inside big, read off the same elimination: rank [small | big] = dim big
-    iff small is inside big.
-    """
-    _same_ambient(small, big)
-    piv = independent_columns(small.echelon.vstack(big.echelon).transpose())
-    if len(piv) != big.dim:
-        return None
-    picked = [p - small.dim for p in piv[small.dim:]]
-    return big.echelon.submatrix(picked, range(big.ambient_dim)).transpose()
 
 
 def contains(u: Subspace, w: Subspace) -> bool:

@@ -1,7 +1,12 @@
 """Shared randomized builders for the test suite (engine-aware)."""
 
 from wsscheck.lefschetz import DualTriple
-from wsscheck.ratlin import RatMatrix, image, intersect, inverse, kernel
+from wsscheck.ratlin import RatMatrix, coordinates
+
+
+def inverse(m):
+    """m^-1 for an invertible square m, read off one rref of [m | 1]."""
+    return coordinates(m, RatMatrix.identity(m.rows))[0]
 
 
 def jordan_matrix(sizes):

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from helpers import jordan_matrix, random_dual_triple, random_invertible
+from helpers import inverse, jordan_matrix, random_dual_triple, random_invertible
 from oracles import (
     convolve_power,
     cycle_incidence,
@@ -36,7 +36,7 @@ from wsscheck.instances import (
 )
 from wsscheck.errors import MutationNotApplicable
 from wsscheck.lefschetz import dual_cohomology_iso, run_threefold_suite
-from wsscheck.ratlin import image, inverse
+from wsscheck.ratlin import image
 from wsscheck.specseq import (
     antidiagonal_page,
     build_e2,

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from wsscheck import cli
-from wsscheck.instances import data_dir, gen_ngon, mutate, toy_names
-from wsscheck.strata import save
+from wsscheck.errors import ParameterError
+from wsscheck.instances import data_dir, gen_chain, gen_ngon, gen_smooth, mutate, toy_names
+from wsscheck.strata import MAX_TOTAL_DIM, save
 
 
 def run_cli(args):
@@ -145,6 +146,24 @@ def test_report_tensor_power_keeps_suite_on_base_page(capsys):
     assert power["filtration_agreement"] == {"3": True}
 
 
+def test_gen_refuses_documents_no_reader_accepts(tmp_path, capsys):
+    """Declared dimensions sum to 3n for an n-gon, 3n - 1 for an n-chain."""
+    assert MAX_TOTAL_DIM == 4096
+    for argv in (["ngon", "--n", "1366"], ["chain", "--n", "1366"],
+                 ["smooth", "--n", "2", "--betti", "1,0,4095,0,1"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run_cli(["gen", *argv, "--out", str(out)]) == 2
+        assert f"above {MAX_TOTAL_DIM}" in capsys.readouterr().err
+        assert not out.exists()
+    # at the bound the generators build: the 119 MB gen ngon --n 1365 document
+    # is left unwritten here
+    assert sum(sum(lvl.cohomology_dims) for lvl in gen_ngon(1365).levels.values()) == 4095
+    assert sum(sum(lvl.cohomology_dims) for lvl in gen_chain(1365).levels.values()) == 4094
+    assert sum(gen_smooth(2, (1, 0, 4094, 0, 1)).levels[1].cohomology_dims) == 4096
+    with pytest.raises(ParameterError):
+        gen_smooth(2, (1, 0, 4095, 0, 1))
+
+
 # each subcommand takes only the flags it reads
 UNREAD_FLAGS = [
     ("validate", "--w", "3"),
@@ -162,8 +181,12 @@ UNREAD_FLAGS = [
     "argv",
     [[cmd, "--instance", str(data_dir() / "toy_blowup_point.json"), flag, value]
      for cmd, flag, value in UNREAD_FLAGS]
-    + [["gen", "ngon", "--n", "3", "--format", "json"]],
-    ids=[f"{cmd} {flag}" for cmd, flag, _ in UNREAD_FLAGS] + ["gen --format"],
+    + [["gen", "ngon", "--n", "3", "--format", "json"],
+       ["gen", "ngon", "--n", "3", "--betti", "9,9"],
+       ["gen", "toy", "--name", "toy_gon3_x_p2", "--n", "7"],
+       ["gen", "chain", "--n", "3", "--name", "foo"]],
+    ids=[f"{cmd} {flag}" for cmd, flag, _ in UNREAD_FLAGS]
+    + ["gen --format", "gen ngon --betti", "gen toy --n", "gen chain --name"],
 )
 def test_unread_flag_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import inverse
 from oracles import jordan_graded_dims
 from wsscheck.errors import InvalidOperator
 from wsscheck.filtration import (
@@ -21,7 +22,6 @@ from wsscheck.ratlin import (
     Subspace,
     image,
     intersect,
-    inverse,
     kernel,
     subspace_sum,
 )

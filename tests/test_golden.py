@@ -37,6 +37,12 @@ GOLDEN = {
         "63817f614d7169117039eb041fb21c3d790435f713e41a67bae624cb82bc0bfc",
     "gen ngon --n 3":
         "de4ab10108f049e7f015e8f5154628d72fcba58e72f655940864936183f61b26",
+    "gen toy --name toy_gon3_x_p2":
+        "cd8ff63689f4f36b5f07f8c9a50ae4790497eb4f52e8c7e35c2eb7d68ddede73",
+    "gen chain --n 3":
+        "1fbccb67a586bef98a7c5c88179a893d0b158fc3dd0fc5cd73636748b9e7a973",
+    "gen smooth --n 3 --betti 1,0,1,0,1,0,1":
+        "722cddfd4932d713b97b48b85cbb59e55d0e3e21233fb77f156d84a84d879e3d",
     "check-threefold --instance src/wsscheck/data/toy_gon3_x_p2.json":
         "0ea794c13825ea5779274cef3f2980a9610c8a0e39d9c9852c04ec024e458494",
     "validate --format json --instance {tmp}/mutated.json":

@@ -1,18 +1,17 @@
 import pytest
 
+from oracles import convolve_dims, cycle_incidence, mini_rank, path_incidence
 from wsscheck.errors import (
     InvalidProfile,
     MutationNotApplicable,
     ParameterError,
 )
 from wsscheck.instances import (
-    GeneratorSpec,
     blowup_point_datum,
     build_toy,
     gen_chain,
     gen_ngon,
     gen_smooth,
-    generate,
     load_toy,
     mutate,
     times_projective_plane,
@@ -95,23 +94,6 @@ def test_tensor_products_of_curve_pages_pass_wmc():
             assert check_wmc(e2).overall, (a, b)
 
 
-def test_generate_dispatch():
-    datum = generate(GeneratorSpec(kind="ngon", n=4))
-    assert validate(datum).ok
-    page = generate(
-        GeneratorSpec(
-            kind="tensor",
-            operands=(
-                GeneratorSpec(kind="ngon", n=3),
-                GeneratorSpec(kind="chain", n=2),
-            ),
-        )
-    )
-    assert check_wmc(build_e2(page)).overall
-    with pytest.raises(ParameterError):
-        generate(GeneratorSpec(kind="mystery"))
-
-
 # -- mutation harness ----------------------------------------------------------
 
 
@@ -185,16 +167,19 @@ def test_blowup_is_pure():
     assert nonzero == {(0, 0): 1, (0, 2): 1, (0, 4): 1, (0, 6): 1}
 
 
-def test_product_toy_kunneth_dims():
-    # total cohomology of (curve) x (plane), weights split by the degeneration
-    e2 = build_e2(to_weight_complex(build_toy("toy_gon3_x_p2")))
-    nonzero = {k: v for k, v in e2.dims.items() if v}
-    assert nonzero == {
-        (0, 0): 1,
-        (1, 0): 1, (-1, 2): 1,
-        (0, 2): 2,
-        (1, 2): 1, (-1, 4): 1,
-        (0, 4): 2,
-        (1, 4): 1, (-1, 6): 1,
-        (0, 6): 1,
-    }
+@pytest.mark.parametrize(
+    "gen, incidence, n",
+    [pytest.param(gen_ngon, cycle_incidence, n, id=f"ngon{n}") for n in range(3, 7)]
+    + [pytest.param(gen_chain, path_incidence, n, id=f"chain{n}") for n in range(2, 6)],
+)
+def test_product_toy_kunneth_dims(gen, incidence, n):
+    # E2 of the curve from the rank r of its incidence matrix: n - r classes in
+    # rows 0 and 2 of weight 0, points - r in the monodromy cells (1, 0), (-1, 2)
+    rows = incidence(n)
+    r = mini_rank(rows)
+    curve = {0: {0: n - r, 2: n - r}, 1: {0: len(rows) - r}, -1: {2: len(rows) - r}}
+    # the plane is pure: Kunneth convolves each row with its degrees 0, 2, 4
+    expected = {(i, j): d for i, row in curve.items()
+                for j, d in convolve_dims(row, {0: 1, 2: 1, 4: 1}).items() if d}
+    e2 = build_e2(to_weight_complex(times_projective_plane(gen(n))))
+    assert {k: v for k, v in e2.dims.items() if v} == expected

@@ -92,13 +92,13 @@ def test_weight_filtration_ngon():
     e2 = build_e2(curve_page(3))
     filt = weight_filtration_graded(e2, 1)
     assert filt.center == 1
-    assert [(idx, d) for idx, d in filt.jump_dims()] == [(-1, 0), (0, 1), (2, 2)]
+    assert [(idx, sub.dim) for idx, sub in filt.steps] == [(-1, 0), (0, 1), (2, 2)]
 
 
 def test_weight_filtration_smooth_pure():
     e2 = build_e2(to_weight_complex(gen_smooth(2, (1, 0, 2, 0, 1))))
     filt = weight_filtration_graded(e2, 2)
-    assert [(idx, d) for idx, d in filt.jump_dims()] == [(1, 0), (2, 2)]
+    assert [(idx, sub.dim) for idx, sub in filt.steps] == [(1, 0), (2, 2)]
 
 
 def test_compare_paths_agree_on_generators():
@@ -213,7 +213,7 @@ def assert_e2_bases_span_the_right_spaces(page):
             continue
         n_map = e2.n_maps[(i, j)]
         assert n_map.shape == (e2.dims[tgt], e2.dims[(i, j)])
-        diff = page.n_block(i, j) @ e2.reps[(i, j)] - e2.reps[tgt] @ n_map
+        diff = page.n_block(i, j) @ e2.reps[(i, j)] + e2.reps[tgt] @ -n_map
         images_t = _cols(e2.images[tgt])
         assert mini_rank(images_t + _cols(diff)) == mini_rank(images_t)
 
