@@ -290,9 +290,10 @@ def times_projective_plane(datum: SemistableDatum) -> SemistableDatum:
         d = datum.level_dim(j)
         top = 2 * d + 4
         dims = tuple(summands(j, s)[1] for s in range(top + 1))
+        # pairing(j, s) has rows H^s: it maps H^{top-s} into the rows of H^s
         pairings = {
-            s: product_map(j, s, j, top - s, lambda a, c: [
-                (2 * d - a, 4 - c, datum.pairing(j, a), plane.pairing(1, c))])
+            s: product_map(j, top - s, j, s, lambda a, c: [
+                (2 * d - a, 4 - c, datum.pairing(j, 2 * d - a), plane.pairing(1, 4 - c))])
             for s in range(top + 1) if dims[s] and dims[top - s]
         }
         lefschetz = {

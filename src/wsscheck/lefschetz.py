@@ -178,7 +178,6 @@ class PrimitiveDecomposition:
     l2_3fold: RatMatrix       # L^2 : H^2 -> H^6 of the top stratum
     lefschetz_form: RatMatrix  # (x, y) -> <x, L y> on H^2 of the top stratum
     prim2_3fold: Subspace     # Ker(L^2 : H^2 -> H^6)
-    l_prim0_3fold: Subspace   # L H^0 inside H^2
     l_prim2_3fold: Subspace   # L prim2 inside H^4
     prim2_surf: Subspace     # Ker(L : H^2 -> H^4) on the surface level
     l_prim0_surf: Subspace    # L H^0 inside H^2 of the surface level
@@ -220,7 +219,6 @@ def primitive_decompose(datum: SemistableDatum) -> PrimitiveDecomposition:
         l2_3fold=l2_a,
         lefschetz_form=gram_full,
         prim2_3fold=prim2_a,
-        l_prim0_3fold=l_prim0_a,
         l_prim2_3fold=l_prim2_a,
         prim2_surf=prim2_b,
         l_prim0_surf=l_prim0_b,

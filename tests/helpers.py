@@ -1,12 +1,51 @@
 """Shared randomized builders for the test suite (engine-aware)."""
 
+from dataclasses import replace
+
 from wsscheck.lefschetz import DualTriple
 from wsscheck.ratlin import RatMatrix, coordinates
+from wsscheck.strata import TransferMaps
 
 
 def inverse(m):
     """m^-1 for an invertible square m, read off one rref of [m | 1]."""
     return coordinates(m, RatMatrix.identity(m.rows))[0]
+
+
+def change_basis(datum, j, s, t):
+    """The same datum with the basis of H^s at level j replaced by the columns of t.
+
+    Maps out of H^s become M t, maps into it t^-1 M; a pairing gets t^T on
+    the side of H^s (both sides in the middle degree).  The ample class is a
+    vector of level-1 H^2, so it moves by t^-1 there.
+    """
+    ti = inverse(t)
+    dual = 2 * datum.level_dim(j) - s
+    lvl = datum.levels[j]
+    pairings = dict(lvl.pairings)
+    if s in pairings:
+        pairings[s] = t.transpose() @ pairings[s]
+    if dual in pairings:
+        pairings[dual] = pairings[dual] @ t
+    lefschetz = dict(lvl.lefschetz)
+    if s in lefschetz:
+        lefschetz[s] = lefschetz[s] @ t
+    if s - 2 in lefschetz:
+        lefschetz[s - 2] = ti @ lefschetz[s - 2]
+    restriction = dict(datum.transfers.restriction)
+    gysin = dict(datum.transfers.gysin)
+    for maps, into in ((restriction, (j - 1, s)), (gysin, (j + 1, s - 2))):
+        if (j, s) in maps:
+            maps[j, s] = maps[j, s] @ t
+        if into in maps:
+            maps[into] = ti @ maps[into]
+    ample = datum.ample_class
+    if (j, s) == (1, 2):
+        ample = ti.apply(ample)
+    levels = dict(datum.levels)
+    levels[j] = replace(lvl, pairings=pairings, lefschetz=lefschetz)
+    return replace(datum, levels=levels, ample_class=ample,
+                   transfers=TransferMaps(restriction=restriction, gysin=gysin))
 
 
 def jordan_matrix(sizes):

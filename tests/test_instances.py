@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import change_basis
 from oracles import convolve_dims, cycle_incidence, mini_rank, path_incidence
 from wsscheck.errors import (
     InvalidProfile,
@@ -165,6 +166,25 @@ def test_blowup_is_pure():
     e2 = build_e2(to_weight_complex(blowup_point_datum()))
     nonzero = {k: v for k, v in e2.dims.items() if v}
     assert nonzero == {(0, 0): 1, (0, 2): 1, (0, 4): 1, (0, 6): 1}
+
+
+def test_product_follows_a_curve_basis_change():
+    # a non-symmetric S on the curve's H^2 makes pairing(1, 0) = S differ from
+    # pairing(1, 2) = S^T, so a product that places either Kunneth block at
+    # the wrong summand differs from the base change of the product
+    s = RatMatrix.from_rows([[1, 1, 0], [0, 1, 2], [0, 0, 1]])
+    curve = change_basis(gen_ngon(3), 1, 2, s)
+    assert validate(curve).ok
+    assert curve.pairing(1, 0) != curve.pairing(1, 2)
+    # H^s of the product at level 1 starts with H^2(curve) (x) H^{s-2}(P^2)
+    one = RatMatrix.identity(3)
+    expected = times_projective_plane(gen_ngon(3))
+    for deg, t in ((2, RatMatrix.block_diag([s, one])),
+                   (4, RatMatrix.block_diag([s, one])), (6, s)):
+        expected = change_basis(expected, 1, deg, t)
+    product = times_projective_plane(curve)
+    assert product == expected
+    assert validate(product).ok
 
 
 @pytest.mark.parametrize(

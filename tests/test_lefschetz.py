@@ -24,7 +24,7 @@ from wsscheck.lefschetz import (
     primitive_decompose,
     run_threefold_suite,
 )
-from wsscheck.ratlin import RatMatrix
+from wsscheck.ratlin import RatMatrix, image
 from wsscheck.specseq import build_e2, check_wmc
 from wsscheck.strata import (
     SemistableDatum,
@@ -98,9 +98,10 @@ def test_lemma_random_suite_small():
 
 
 def test_primitive_trivial_profile():
-    prim = primitive_decompose(gen_smooth(3, (1, 0, 1, 0, 1, 0, 1)))
+    datum = gen_smooth(3, (1, 0, 1, 0, 1, 0, 1))
+    prim = primitive_decompose(datum)
     assert prim.prim2_3fold.dim == 0
-    assert prim.l_prim0_3fold.dim == 1
+    assert image(datum.lefschetz_map(1, 0)).dim == 1
 
 
 def test_primitive_rank_one_kernel():
