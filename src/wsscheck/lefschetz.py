@@ -368,8 +368,8 @@ def check_hodge_index(datum: SemistableDatum, prim: PrimitiveDecomposition) -> C
         p22 = datum.pairing(2, 2)
         for c in range(lvl.components):
             idx = [t for t, b in enumerate(blocks) if b == c]
-            rest = [t for t in range(len(blocks)) if t not in idx]
-            if any(p22.entry(a, b) != 0 for a in idx for b in rest):
+            mine = set(idx)
+            if any(b not in mine for a in idx for b in p22.data[a]):
                 raise InvalidForm(
                     f"surface pairing mixes components at component {c}"
                 )
@@ -385,15 +385,11 @@ def check_hodge_index(datum: SemistableDatum, prim: PrimitiveDecomposition) -> C
     gram_full = prim.lefschetz_form
     for c in range(lvl1.components):
         idx2 = [t for t, b in enumerate(blocks2) if b == c]
-        rest2 = [t for t in range(len(blocks2)) if t not in idx2]
-        if any(
-            l2_a.entry(a, b) != 0
-            for a, bc in enumerate(blocks6)
-            if bc != c
-            for b in idx2
-        ):
+        mine = set(idx2)
+        if any(b in mine for a, bc in enumerate(blocks6) if bc != c
+               for b in l2_a.data[a]):
             raise InvalidForm(f"L^2 mixes components at threefold component {c}")
-        if any(gram_full.entry(a, b) != 0 for a in idx2 for b in rest2):
+        if any(b not in mine for a in idx2 for b in gram_full.data[a]):
             raise InvalidForm(
                 f"Lefschetz pairing mixes components at threefold component {c}"
             )

@@ -26,9 +26,9 @@ order and, among the rows whose leading entry sits in that column, picks the
 shortest as pivot (Markowitz's rule, Management Science 3, 1957, restricted
 to row counts), which keeps the fill-in low on the sparse d1 blocks.  It
 cancels by integer cross-multiplication and removes each new row's gcd
-content.  ``rank``, containment and the column picks stop at this row
-echelon form; only ``rref`` back-substitutes above the pivots and divides
-by them into ``Fraction``s, at the very end.
+content.  ``rank`` and containment stop at this row echelon form; ``rref``
+and the kernel rows back-substitute above the pivots, and only ``rref``
+divides by them into ``Fraction``s, at the very end.
 
 Canonical forms: a matrix has a unique reduced row echelon form, whatever
 the pivot order of the elimination, and a subspace is stored as one matrix,
@@ -41,18 +41,18 @@ computation yields bit-identical results.  Pivots 1, alone in their
 columns, make containment a reduction: v lies in the span of the rows e_i
 with pivots p_i iff v - sum v[p_i] e_i = 0.
 
-Quotient representatives come from one forward pass over generator columns.
-``independent_columns(m)`` eliminates m's rows and returns its pivot
-columns: a column is a pivot exactly when it lies outside the span of the
-columns before it, so the picks are the ones a greedy left-to-right scan
-would keep.  Put the generators of a small space first and those of a big
-one after: the picks among the first are a basis of the small space, and
-the picks among the rest complete it to a basis of the sum.  The E2 page
-picks the incoming d1 columns and integer kernel vectors this way, in
-whatever basis ``null_rows`` gives, and ``coordinates`` reads a map induced
-on such quotients off one rref of [basis | images].  These bases are not
-canonical.  With an invertible square basis, ``coordinates`` solves the
-square system, which is all the matrix inversion the package needs.
+Quotient representatives come from one reduction.
+``null_rows_and_pivots(m)`` reduces m's rows once and returns integer
+kernel rows, one per free column f, with the pivot columns: m's columns at
+the pivots are a basis of its image.  A kernel vector is fixed by its free
+coordinates, so a subspace of the kernel is reduced in those coordinates
+alone, and the kernel rows at the free columns where that reduction has no
+pivot complete it to a basis of the kernel.  The E2 page reads each d1 block
+this way and reads the induced N through a quotient projection built from
+the two reductions.  These bases are not canonical.  ``coordinates`` reads
+coordinates off one rref of [basis | images]; with an invertible square
+basis it solves the square system, which is all the matrix inversion the
+package needs.
 
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the denominator is
 one) in every file format.
@@ -498,15 +498,6 @@ def rank(m: RatMatrix) -> int:
     return len(_forward(m.data))
 
 
-def independent_columns(m: RatMatrix) -> tuple:
-    """The columns of m outside the span of the columns before them, in order.
-
-    They are the pivot columns of one forward elimination of m's rows: a
-    basis of the column space, the one a greedy left-to-right scan keeps.
-    """
-    return tuple(c for c, _ in _forward(m.data))
-
-
 def coordinates(basis: RatMatrix, m: RatMatrix):
     """(x, outside): basis @ x = m on the columns of m inside the span of basis.
 
@@ -610,30 +601,38 @@ def _same_ambient(u: Subspace, w: Subspace):
 
 
 def null_rows(m: RatMatrix, *, transposed=False) -> RatMatrix:
-    """A basis of {v : m v = 0} (of m^T when transposed) as integer rows; not canonical.
-
-    One row per non-pivot column f of the reduced rows (c, r): L at f and
-    -r[f] L / r[c] at each pivot c, where L is the lcm of |r[c]| over the
-    rows with an entry at f, so that every entry is an integer.
-    """
+    """A basis of {v : m v = 0} (of m^T when transposed) as integer rows; not canonical."""
     if transposed:
         m = m.transpose()
+    return null_rows_and_pivots(m)[0]
+
+
+def null_rows_and_pivots(m: RatMatrix):
+    """(null_rows(m), pivots) from one reduction of m's rows.
+
+    pivots are the pivot columns of the reduced rows (c, r): m's columns
+    there are a basis of its column space.  The null rows are one per other
+    column f, in increasing order: L at f and -r[f] L / r[c] at each pivot
+    c, where L is the lcm of |r[c]| over the rows with an entry at f, so
+    that every entry is an integer.
+    """
     n = m.cols
     red = _reduce(m.data)
-    pivots = {c for c, _ in red}
+    pivots = tuple(c for c, _ in red)
     scale = [1] * n
     for c, row in red:
         pv = abs(row[c])
         if pv != 1:
             for j in row:
                 scale[j] = lcm(scale[j], pv)
-    out = {f: {f: scale[f]} for f in range(n) if f not in pivots}
+    taken = set(pivots)
+    out = {f: {f: scale[f]} for f in range(n) if f not in taken}
     for c, row in red:
         pv = row[c]
         for j, x in row.items():
             if j != c:  # a reduced row's other entries sit at free columns
                 out[j][c] = -x * (scale[j] // pv)
-    return RatMatrix(len(out), n, tuple(out.values()))
+    return RatMatrix(len(out), n, tuple(out.values())), pivots
 
 
 def kernel(m: RatMatrix) -> Subspace:

@@ -28,6 +28,7 @@ d = d (x) 1 + (-1)^column 1 (x) d and N = N (x) 1 + 1 (x) N.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .errors import (
     ConventionViolation,
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .filtration import Filtration, NilpotentOp, compare_shifted as _compare_shifted
 from .filtration import monodromy_filtration
-from .ratlin import RatMatrix, Subspace, coordinates, independent_columns, null_rows, rank
+from .ratlin import RatMatrix, Subspace, as_rat, null_rows_and_pivots, rank, rref
 from .strata import SemistableDatum
 
 
@@ -253,9 +254,10 @@ def _assert_e1_isos(page: WeightComplex):
 class E2Page:
     """E2 terms with representative bases in E1 coordinates and induced N.
 
-    The bases are not canonical: they are the d1 columns and kernel vectors
-    one elimination picks, and n_maps is read in them.  Dimensions, ranks and
-    filtration jumps, all that reports carry, do not depend on that choice.
+    The bases are not canonical: they are the d1 columns at the pivots of
+    one reduction and kernel rows of another, and n_maps is read in them.
+    Dimensions, ranks and filtration jumps, all that reports carry, do not
+    depend on that choice.
     """
 
     n: int
@@ -276,57 +278,74 @@ class E2Page:
 def build_e2(page: WeightComplex) -> E2Page:
     """E2^{i,j} = Ker d1^{i,j} / Im d1^{i-1,j} with explicit representatives.
 
-    Each cell costs one kernel and one pivot pick.  Its generators are the
-    columns of the incoming d1 followed by integer kernel vectors of the
-    outgoing d1, and the columns independent of those before them are
-    picked: the picked d1 columns are a basis of the image, the picked
-    kernel vectors complete it to a basis of the kernel, and more picks than
-    kernel vectors mean the image leaves the kernel.  Each N edge s -> t then
-    costs one rref of [images_t | reps_t | N images_s | N reps_s]: N images_s
-    must have zero coordinates on reps_t, N reps_s must lie in the span, and
-    its coordinates on reps_t are the induced map.  Every cell is checked
-    before any N edge.
+    Each d1 block is reduced once, the cells taken row by row (j, then i).
+    The reduction of d1^{i,j} gives the integer kernel rows at (i, j), one
+    K_f per free column f, with K_f[f] = L_f; the d1 columns at its pivots
+    are the image basis at (i + 1, j).  A kernel vector is fixed by its free
+    coordinates, so a small reduction of the image columns restricted to
+    them, with rows r_p of pivot p and r_p[p] = 1, picks the reps: the K_f
+    with f no pivot p.  The quotient projection Q has row f: 1/L_f at f and
+    -r_p[f]/L_f at each p.  It sends a kernel vector to its coordinates on
+    the reps and the image to zero.  Each N edge s -> t is then sparse
+    products: d1 and Q_t must kill N images_s, d1 must kill N reps_s, and
+    Q_t N reps_s is the induced map.  Every cell is checked before any N
+    edge.
     """
-    dims, reps, images = {}, {}, {}
-    for (i, j) in page.dims:
-        d_in = page.d1_block(i - 1, j)
-        ker = null_rows(page.d1_block(i, j))
-        gens = d_in.hstack(ker.transpose())
-        picked = independent_columns(gens)
-        if len(picked) > ker.rows:
-            raise ConventionViolation(f"image not inside kernel at cell ({i}, {j})")
-        n_img = sum(1 for p in picked if p < d_in.cols)
-        everywhere = range(gens.rows)
-        images[(i, j)] = gens.submatrix(everywhere, picked[:n_img])
-        reps[(i, j)] = gens.submatrix(everywhere, picked[n_img:])
-        dims[(i, j)] = len(picked) - n_img
+    dims, reps, images, quotients = {}, {}, {}, {}
+    for (i, j) in sorted(page.dims, key=lambda cell: (cell[1], cell[0])):
+        d_out = page.d1_block(i, j)
+        ker, pivots = null_rows_and_pivots(d_out)
+        n = d_out.cols
+        if (i + 1, j) in page.dims:
+            images[(i + 1, j)] = d_out.submatrix(range(d_out.rows), pivots)
+        img = images.setdefault((i, j), RatMatrix.zeros(n, 0))
+        taken = set(pivots)
+        free = [f for f in range(n) if f not in taken]  # ker's rows, in order
+        red, img_pivots = RatMatrix.zeros(0, n), ()
+        if img.cols:
+            on_free = tuple({f: v for f, v in row.items() if f not in taken}
+                            for row in img.transpose().data)
+            red, img_pivots = rref(RatMatrix(img.cols, n, on_free))
+            if not (d_out @ img).is_zero() or len(img_pivots) < img.cols:
+                raise ConventionViolation(f"image not inside kernel at cell ({i}, {j})")
+            taken.update(img_pivots)
+        kept = [(f, row) for f, row in zip(free, ker.data) if f not in taken]
+        q = {f: {f: 1} for f, _ in kept}
+        for p, row in zip(img_pivots, red.data):
+            for f, v in row.items():
+                if f != p:
+                    q[f][p] = -v
+        for f, row in kept:
+            if row[f] != 1:
+                q[f] = {c: as_rat(Fraction(x, row[f])) for c, x in q[f].items()}
+        quotients[(i, j)] = RatMatrix(len(q), n, tuple(q.values()))
+        reps[(i, j)] = RatMatrix(len(kept), n, tuple(row for _, row in kept)).transpose()
+        dims[(i, j)] = len(kept)
     n_maps = {}
     if page.n_blocks is not None:
         for (i, j) in page.dims:
             tgt = (i + 2, j - 2)
-            src_dim = dims[(i, j)]
+            n_blk = page.n_block(i, j)
             if tgt not in page.dims:
-                if src_dim and not (page.n_block(i, j) @ reps[(i, j)]).is_zero():
+                if dims[(i, j)] and not (n_blk @ reps[(i, j)]).is_zero():
                     raise InstanceInconsistency(
                         f"induced N leaves the page at cell ({i}, {j})"
                     )
-                n_maps[(i, j)] = RatMatrix.zeros(0, src_dim)
+                n_maps[(i, j)] = RatMatrix.zeros(0, dims[(i, j)])
                 continue
-            moved = page.n_block(i, j) @ images[(i, j)].hstack(reps[(i, j)])
-            x, outside = coordinates(images[tgt].hstack(reps[tgt]), moved)
-            n_img = images[(i, j)].cols
-            on_reps = x.submatrix(range(images[tgt].cols, x.rows), range(x.cols))
+            d_t, q_t = page.d1_block(*tgt), quotients[tgt]
             # well-definedness: N maps the incoming image into the target image
-            if (outside and outside[0] < n_img) or any(
-                    min(row) < n_img for row in on_reps.data if row):
+            moved = n_blk @ images[(i, j)]
+            if not ((d_t @ moved).is_zero() and (q_t @ moved).is_zero()):
                 raise InstanceInconsistency(
                     f"induced N ill-defined at cell ({i}, {j})"
                 )
-            if outside:
+            moved = n_blk @ reps[(i, j)]
+            if not (d_t @ moved).is_zero():
                 raise InstanceInconsistency(
                     f"induced N does not land in the kernel at cell ({i}, {j})"
                 )
-            n_maps[(i, j)] = on_reps.submatrix(range(on_reps.rows), range(n_img, x.cols))
+            n_maps[(i, j)] = q_t @ moved
     return E2Page(n=page.n, dims=dims, reps=reps, images=images,
                   n_maps=n_maps, page=page)
 

@@ -2,10 +2,10 @@
 
 Deliberately separate from the engine: a dense textbook Gauss-Jordan
 elimination over Fraction for reduced echelon forms and ranks, a greedy
-basis extension built on it, dense list-of-rows matrix products, Kronecker
+basis scan built on it, dense list-of-rows matrix products, Kronecker
 products, transposes and block assembly, the Jordan-type formula for
-monodromy graded dimensions, a dictionary convolution for Kunneth
-dimensions, and raw incidence matrices of cycle/path graphs.  Nothing here
+monodromy graded dimensions, dictionary convolutions for Kunneth
+dimensions (graded and bigraded), and raw incidence matrices of cycle/path graphs.  Nothing here
 imports wsscheck.
 """
 
@@ -41,14 +41,13 @@ def mini_rank(rows):
     return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
-def greedy_extension(small, big):
-    """The vectors of big kept by a left-to-right scan that keeps each one
-    outside the span of small and of the vectors kept before it."""
+def greedy_picks(vectors):
+    """The positions a left-to-right scan keeps: each vector outside the
+    span of the vectors kept before it."""
     kept = []
-    for v in big:
-        span = list(small) + kept
-        if mini_rank(span + [v]) > mini_rank(span):
-            kept.append(v)
+    for p, v in enumerate(vectors):
+        if mini_rank([vectors[q] for q in kept] + [v]) > len(kept):
+            kept.append(p)
     return kept
 
 
@@ -123,4 +122,18 @@ def convolve_power(dims, k):
     acc = {0: 1}
     for _ in range(k):
         acc = convolve_dims(acc, dims)
+    return acc
+
+
+def kunneth_power(dims, k):
+    """Dims {(i, j): d} of the k-th tensor power of a bigraded space with dims
+    dims: the k-fold convolution by bidegree.  By Kunneth over Q, the E2 dims
+    of a page's k-th tensor power are this power of the page's E2 dims."""
+    acc = {(0, 0): 1}
+    for _ in range(k):
+        out = {}
+        for (i, j), a in acc.items():
+            for (p, q), b in dims.items():
+                out[(i + p, j + q)] = out.get((i + p, j + q), 0) + a * b
+        acc = out
     return acc

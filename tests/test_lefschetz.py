@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -200,8 +201,6 @@ def test_hodge_index_positive_primitive_fails():
     rows[1][1] = 1  # flip the primitive block to positive
     pairings = dict(lvl.pairings)
     pairings[2] = RatMatrix.from_rows(rows, cols=p2.cols)
-    from dataclasses import replace
-
     bad = replace(datum, levels={1: replace(lvl, pairings=pairings)})
     assert validate(bad).ok
     report = check_hodge_index(bad, primitive_decompose(bad))
@@ -215,6 +214,33 @@ def test_hodge_index_negative_primitive_passes():
     assert report.ok
     entry = report.details["threefold"][0]
     assert entry["prim2_dim"] == 2 and entry["signature"] == (0, 2, 0)
+
+
+def _with_entry(m, a, b):
+    """m with the entry at (a, b) set to 1."""
+    rows = [m.row_list(i) for i in range(m.rows)]
+    rows[a][b] = 1
+    return M(rows, cols=m.cols)
+
+
+@pytest.mark.parametrize("where, at, message", [
+    ("surface", (1, 2), r"surface pairing mixes components at component 1"),
+    ("l2_3fold", (2, 1), r"L\^2 mixes components at threefold component 1"),
+    ("lefschetz_form", (1, 2), r"Lefschetz pairing mixes components at threefold component 1"),
+])
+def test_hodge_index_rejects_mixed_components(where, at, message):
+    # three components on each level; the new entry joins component 1 to 2
+    datum = times_projective_plane(gen_ngon(3))
+    prim = primitive_decompose(datum)
+    assert check_hodge_index(datum, prim).ok
+    if where == "surface":
+        lvl = datum.levels[2]
+        pairings = {**lvl.pairings, 2: _with_entry(lvl.pairings[2], *at)}
+        datum = replace(datum, levels={**datum.levels, 2: replace(lvl, pairings=pairings)})
+    else:
+        prim = replace(prim, **{where: _with_entry(getattr(prim, where), *at)})
+    with pytest.raises(InvalidForm, match=message):
+        check_hodge_index(datum, prim)
 
 
 # -- identities and the middle comparison --------------------------------------------

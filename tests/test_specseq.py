@@ -1,8 +1,13 @@
+import random
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import convolve_power, cycle_incidence, mini_rank, path_incidence
+from helpers import inverse, random_invertible
+from oracles import convolve_power, cycle_incidence, kunneth_power, mini_rank, path_incidence
 from wsscheck.errors import ConventionViolation, InstanceInconsistency
 from wsscheck.instances import gen_chain, gen_ngon, gen_smooth, load_toy, toy_names
 from wsscheck.ratlin import RatMatrix
@@ -242,6 +247,64 @@ def test_e2_bases_of_curve_products(left, right):
     (gen_p, n_p), (gen_q, n_q) = left, right
     prod = tensor_product(to_weight_complex(gen_p(n_p)), to_weight_complex(gen_q(n_q)))
     assert_e2_bases_span_the_right_spaces(prod)
+
+
+def _change_cell_bases(page, rng):
+    """The page in new bases: g_c unimodular times a diagonal with |det| > 1
+    on each cell c, d1' = g_t d1 g_s^-1 and N' = g_t N g_s^-1."""
+    g = {}
+    for cell, n in page.dims.items():
+        diag = [rng.choice((1, -1, 2)) if k else rng.choice((2, -2, 3)) for k in range(n)]
+        scale = RatMatrix(n, n, tuple({k: d} for k, d in enumerate(diag)))
+        g[cell] = random_invertible(n, rng) @ scale
+    inv = {cell: inverse(m) for cell, m in g.items()}
+    d1 = {(i, j): g[(i + 1, j)] @ m @ inv[(i, j)] for (i, j), m in page.d1.items()}
+    n_blocks = {(i, j): g[(i + 2, j - 2)] @ m @ inv[(i, j)]
+                for (i, j), m in page.n_blocks.items()}
+    return replace(page, d1=d1, n_blocks=n_blocks, pairings=None)
+
+
+def _has_fraction(matrices):
+    return any(type(x) is Fraction for m in matrices for row in m.data for x in row.values())
+
+
+# squares of 3-curves only: a 4-curve's square takes seconds in the dense oracle
+@settings(max_examples=20, deadline=None)
+@given(CURVES, st.booleans(), st.integers(0, 2**32 - 1))
+@example((gen_ngon, 3), True, 3)
+def test_e2_invariant_under_cell_basis_change(curve, square, seed):
+    gen, n = curve
+    page = to_weight_complex(gen(3 if square else n))
+    if square:
+        page = tensor_product(page, page)
+    moved = _change_cell_bases(page, random.Random(seed))
+    e2, e2_moved = build_e2(page), build_e2(moved)
+    assert e2_moved.dims == e2.dims
+    assert check_wmc(e2_moved) == check_wmc(e2)
+    for w in range(0, 2 * page.n + 1):
+        assert compare_monodromy_vs_weight(e2_moved, w) == compare_monodromy_vs_weight(e2, w)
+    assert_e2_bases_span_the_right_spaces(moved)
+
+
+def test_cell_basis_change_reaches_fraction_quotients():
+    # the pinned example above: d1 rows with non-unit pivots, so kernel
+    # rows with L_f != 1 and Fraction entries in the quotient projections
+    page = tensor_product(curve_page(3), curve_page(3))
+    moved = _change_cell_bases(page, random.Random(3))
+    assert _has_fraction(moved.d1.values())
+    assert _has_fraction(build_e2(moved).n_maps.values())
+
+
+@pytest.mark.parametrize("gen", [gen_ngon, gen_chain], ids=["ngon3", "chain3"])
+def test_tensor_power_e2_matches_kunneth(gen):
+    page = to_weight_complex(gen(3))
+    base = build_e2(page).dims
+    for k in (2, 3, 4):
+        e2 = build_e2(tensor_power(page, k))
+        oracle = kunneth_power(base, k)
+        assert {c: d for c, d in e2.dims.items() if d} == {c: d for c, d in oracle.items() if d}
+        for entry in check_wmc(e2).entries:
+            assert entry.rank == oracle.get((-entry.r, entry.w + entry.r), 0)
 
 
 def test_build_e2_rejects_d1_squared_nonzero():
