@@ -5,8 +5,8 @@ elimination over Fraction for reduced echelon forms and ranks, a greedy
 basis scan built on it, dense list-of-rows matrix products, Kronecker
 products, transposes and block assembly, the Jordan-type formula for
 monodromy graded dimensions, dictionary convolutions for Kunneth
-dimensions (graded and bigraded), and raw incidence matrices of cycle/path graphs.  Nothing here
-imports wsscheck.
+dimensions (graded and bigraded), and raw incidence matrices of cycle/path
+graphs.  Nothing here imports wsscheck.
 """
 
 from fractions import Fraction

@@ -287,8 +287,8 @@ def test_e2_invariant_under_cell_basis_change(curve, square, seed):
 
 
 def test_cell_basis_change_reaches_fraction_quotients():
-    # the pinned example above: d1 rows with non-unit pivots, so kernel
-    # rows with L_f != 1 and Fraction entries in the quotient projections
+    # the pinned example above: d1 with Fraction entries, so kernel rows
+    # with L_f != 1, and induced maps read through Fraction projections
     page = tensor_product(curve_page(3), curve_page(3))
     moved = _change_cell_bases(page, random.Random(3))
     assert _has_fraction(moved.d1.values())
