@@ -139,12 +139,16 @@ def test_base_change_invariance():
     st.integers(0, 2**32 - 1),
     st.booleans(),
 )
-# blocks of 9 to 12, 2e - 2 >= 16 recurrence steps from the top, where the
-# draws above and the pinned conjugates stop at blocks of 5 and 4; the
-# scaled T gives N Fraction entries
+# chains of 9 to 15, 2e - 1 >= 17 filtration steps, where the draws above
+# and the pinned conjugates stop at blocks of 5 and 4; repeated block sizes,
+# whose chain tops of one height must be picked apart; the scaled T gives N
+# Fraction entries
 @example([12, 3, 1], 0, 11, False)
 @example([11, 2], -1, 12, True)
 @example([9, 7, 1], 2, 13, False)
+@example([15, 2], 1, 14, True)
+@example([4, 4, 4], 0, 15, False)
+@example([6, 6, 2, 2], -1, 16, True)
 def test_matches_full_kernel_image_convolution(sizes, center, seed, scale):
     # every step against the unpruned convolution, built from intersections:
     # M_{c+k} = sum over i - j = k, i, j >= 0 of Ker N^{i+1} ∩ Im N^j
@@ -253,3 +257,21 @@ def test_filtration_bytes_pinned():
         "379936657d796f4653e5dad4977bc2187b32814f36b09dae3e587bea4a41ea2b")
     assert _digest(_conjugates(10)) == (
         "79609ebd297fe32b6ae4d212ccfc626de1cfd8e414601b0c2623ef42158faa3b")
+
+
+def test_large_operator_bytes_pinned():
+    # the long-chain Jordan types of the conjugated tail of the benchmark's
+    # operator stream, with dense coefficients; the last T also scales by
+    # diag(2, 3), which gives N Fraction entries
+    rng = random.Random(1414)
+    operators = []
+    for sizes, center, scale in (([18, 2], 0, False), ([18, 1], 1, False),
+                                 ([5, 1, 8, 4, 2], -2, False), ([10, 7, 1, 1], 2, True)):
+        n = sum(sizes)
+        t = random_conjugator(n, rng)
+        if scale:
+            t = t @ _diag((2, 3), n)
+        operators.append((t @ jordan_matrix(sizes) @ inverse(t), center))
+    assert any(type(x) is Fraction for x in operators[-1][0].entries)
+    assert _digest(operators) == (
+        "68f922a5bdbcb52a03af3110f7cf31c67826c6ec0a196e78e02de192daee42b6")
