@@ -6,62 +6,76 @@ the unique increasing filtration M with
   (a) N M_i ⊆ M_{i-2},
   (b) N^r : Gr_{c+r} -> Gr_{c-r} an isomorphism for every r >= 0.
 
-With e the nilpotency index, M_i = V for i >= c+e-1 and M_{c-e} = 0, and
-the steps in between follow from the top down, each by one product with N:
+It is read off a Jordan basis.  A chain v, N v, ..., N^{t-1} v of length t
+puts weight c + t - 1 - 2a on N^a v; a vector of height s (in Ker N^s, not
+in Ker N^{s-1}) sits at a = t - s, so its weight is c + 2s - t - 1.  The
+span of the basis vectors of weight <= i satisfies (a), since N lowers a
+weight by 2 or kills the vector, and (b), since N^r takes the vectors of
+weight c + r one to one onto the vectors of weight c - r of the same
+chains.  By uniqueness every Jordan basis gives the same M, and it is the
+kernel/image convolution of Deligne (Weil II, 1.6),
+M_{c+k} = sum over j >= 0 of N^j(Ker N^{k+2j+1}).
 
-  M_{c+k} = Ker N^{k+1} + N M_{c+k+2},   k = e-2, ..., 0,
-  M_{c-k} = N M_{c-k+2},                 k = 1, ..., e-1.
-
-The upper recurrence holds term by term in the kernel/image convolution
-(Deligne, Weil II, 1.6) M_{c+k} = sum over j >= 0 of N^j(Ker N^{k+2j+1}):
-N maps the terms of M_{c+k+2} onto the terms j >= 1 of M_{c+k}.  The lower
-one holds in a Jordan basis: a chain vector N^a v_b has weight s_b - 1 - 2a,
-which is >= 0 for a = 0, so for k >= 1 each basis vector of M_{c-k} is N of
-one in M_{c-k+2}.  A step eliminates at most 2n rows: the integer echelon
-rows of M_{c+k+2} times N^T and, in the upper half, the integer null rows of
-N^{k+1}.
+NilpotentOp.build keeps the kernel flag K_s = Ker N^s, s = 0 .. e, from
+``ratlin.kernel_flag``, a chain of shrinking reductions that forms no power
+of N.  The basis is built from the top down: at each height s = e .. 1 the
+vectors H_{s+1} of height s + 1 are multiplied by N, and the new chain tops
+are the rows of K_s outside K_{s-1} + N H_{s+1}, picked by
+``greedy_extension`` from the rows of K_{s-1}, N H_{s+1} and K_s, in this
+order.  All of them lie in K_s, where a vector is fixed by its entries off
+the pivot columns kernel_flag gives, so the picks are made on those columns
+alone.  The vectors of height s then complete K_{s-1} to K_s, so the chains
+make a basis.  The vectors go in weight order into one reduced echelon
+(``prefix_row_spaces``), and M_i is its snapshot after the last vector of
+weight at most i.  Each snapshot is the RREF of the step, divided by its pivots
+as ``rref`` divides, and the RREF of a subspace is unique: the steps, and
+every byte written from them, do not depend on the basis picked or on the
+way the steps are computed.
 
 verify_monodromy_axioms checks (a) and (b) on any filtration by ranks
-alone and never uses the identities above, so it stays an independent test
-of the construction; Jordan theory is the oracle for the graded dimensions
-in the test suite.
+alone, with powers of N it forms itself, and never reads the kernel flag or
+a Jordan basis, so it stays an independent test of the construction;
+Jordan theory is the oracle for the graded dimensions in the test suite.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidForm, InvalidOperator
-from .ratlin import RatMatrix, Subspace, contains, null_rows, rank, row_space
+from .ratlin import (
+    RatMatrix,
+    Subspace,
+    contains,
+    greedy_extension,
+    kernel_flag,
+    prefix_row_spaces,
+    primitive_rows,
+    rank,
+)
 
 
 @dataclass(frozen=True)
 class NilpotentOp:
     """A validated nilpotent operator with its nilpotency index e (N^e = 0).
 
-    powers holds N^0 .. N^{e-1}, the nonzero powers found while computing e.
+    kernels holds, for s = 0 .. e, integer rows spanning Ker N^s with the
+    pivot columns of the rank chain that found e (``ratlin.kernel_flag``).
     """
 
     dim: int
     matrix: RatMatrix
     nilpotency_index: int
-    powers: tuple = field(repr=False, compare=False)
+    kernels: tuple = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, matrix: RatMatrix) -> "NilpotentOp":
         if matrix.rows != matrix.cols:
             raise InvalidOperator("operator matrix must be square")
-        n = matrix.rows
-        powers = [RatMatrix.identity(n)]
-        power = matrix
-        # a 0x0 matrix is already zero: e = 1
-        for e in range(1, max(n, 1) + 1):
-            if power.is_zero():
-                return cls(n, matrix, e, tuple(powers))
-            powers.append(power)
-            power = power @ matrix
-        raise InvalidOperator("matrix is not nilpotent")
+        kernels = kernel_flag(matrix)  # InvalidOperator when the ranks stall
+        return cls(matrix.rows, matrix, len(kernels) - 1, kernels)
 
 
 @dataclass(frozen=True)
@@ -100,9 +114,12 @@ class Filtration:
             raise InvalidForm("filtration must exhaust the ambient space")
         return cls(ambient_dim, center, tuple(compressed))
 
+    def position(self, i: int) -> int:
+        """The position in steps of the step that holds at index i, -1 below them all."""
+        return bisect_right(self.steps, i, key=itemgetter(0)) - 1
+
     def step(self, i: int) -> Subspace:
-        keys = [idx for idx, _ in self.steps]
-        pos = bisect_right(keys, i) - 1
+        pos = self.position(i)
         if pos < 0:
             return Subspace.zero(self.ambient_dim)
         return self.steps[pos][1]
@@ -132,23 +149,45 @@ class Filtration:
 def monodromy_filtration(op: NilpotentOp, center: int) -> Filtration:
     """The unique filtration characterized by N M_i ⊆ M_{i-2} and graded isos.
 
-    Built from the top down by the two recurrences of the module docstring:
-    M_{c+k} = Ker N^{k+1} + N M_{c+k+2} for k = e-2 .. 0, the term-by-term
-    form of the kernel/image convolution, and M_{c-k} = N M_{c-k+2} for
-    k = 1 .. e-1, since in a Jordan basis every chain vector of negative
-    weight is N of the one above it.
+    Read off a Jordan basis built from the top down out of the kernel flag,
+    as the module docstring sets out: M_i is the span of the basis vectors
+    of weight at most i.
     """
     n, e = op.dim, op.nilpotency_index
+    # weights run from c - e + 1 to c + e - 1: M_{c-e} = 0, M_{c+e-1} = V, and
+    # only the steps between, none when N = 0, need the basis
+    steps = [(center - e, Subspace.zero(n)), (center + e - 1, Subspace.full(n))]
+    if e > 1:
+        weighted = _weighted_jordan_basis(op, center)
+        ends = {w: k + 1 for k, (w, _) in enumerate(weighted)}  # by increasing weight
+        del ends[center + e - 1]
+        vectors = RatMatrix(n, n, tuple(v for _, v in weighted))
+        steps += zip(ends, prefix_row_spaces(vectors, ends.values()))
+    return Filtration.from_steps(n, center, steps)
+
+
+def _weighted_jordan_basis(op: NilpotentOp, center: int) -> list:
+    """(weight, vector) over a Jordan basis of N, by increasing weight."""
+    n, e, kernels = op.dim, op.nilpotency_index, op.kernels
     nt = op.matrix.transpose()
-    full = Subspace.full(n)
-    steps = {center + e - 1: full, center - e: Subspace.zero(n)}
-    for k in range(e - 2, -e, -1):
-        # N M_{c+k+2} as rows: M's integer echelon rows times N^T
-        gens = steps.get(center + k + 2, full).int_rows() @ nt
-        if k >= 0:
-            gens = null_rows(op.powers[k + 1]).vstack(gens)
-        steps[center + k] = row_space(gens)
-    return Filtration.from_steps(n, center, steps.items())
+    weighted = []
+    height = ()    # the vectors of the current height, as rows
+    lengths = []   # the length of the chain of each of them
+    for s in range(e, 0, -1):
+        (below, _), (ks, pivots) = kernels[s - 1], kernels[s]
+        offset = below.rows + len(height)
+        gens = RatMatrix(offset + ks.rows, n, below.data + height + ks.data)
+        # a vector of Ker N^s is fixed by its entries off the pivots
+        free = sorted(set(range(n)).difference(pivots))
+        picks = greedy_extension(gens.submatrix(range(gens.rows), free))
+        height += tuple(ks.data[p - offset] for p in picks if p >= offset)
+        lengths += [s] * (len(height) - len(lengths))
+        weighted.extend((center + 2 * s - t - 1, v) for t, v in zip(lengths, height))
+        if s > 1:
+            # N v for every v of height s, scaled to integers, has height s - 1
+            height = primitive_rows(RatMatrix(len(height), n, height) @ nt).data
+    weighted.sort(key=itemgetter(0))
+    return weighted
 
 
 @dataclass(frozen=True)
@@ -175,34 +214,44 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
 
     Both are read off ranks: N M_i lies in M_{i-2} iff appending it to M_{i-2}
     adds no rank, and the rank N^r induces from Gr_{c+r} to Gr_{c-r} is what
-    N^r M_{c+r} adds to M_{c-r-1}.
+    N^r M_{c+r} adds to M_{c-r-1}.  The powers N^r are formed here.  Steps
+    are keyed by their position in filt.steps, so each pair of steps is
+    checked for lowering once, however many indices share it.
     """
     if op.dim != filt.ambient_dim:
         raise DimensionMismatch("operator and filtration dimensions differ")
-    c = filt.center
+    c, n = filt.center, op.dim
     lo, hi = filt.lowest_index, filt.highest_index
     int_basis = {}
 
-    def basis(i):
+    def basis(pos):
         # integer columns span the same step, so every product stays in int
-        if i not in int_basis:
-            int_basis[i] = filt.step(i).int_rows().transpose()
-        return int_basis[i]
+        if pos not in int_basis:
+            sub = filt.steps[pos][1] if pos >= 0 else Subspace.zero(n)
+            int_basis[pos] = sub.int_rows().transpose()
+        return int_basis[pos]
 
     def added_rank(below, gens):
-        return rank(basis(below).hstack(gens)) - filt.step(below).dim
+        return rank(basis(below).hstack(gens)) - basis(below).cols
 
+    lowers = {}
     lowering = []
     for idx in range(lo, hi + 1):
-        lowering.append((idx, added_rank(idx - 2, op.matrix @ basis(idx)) == 0))
+        pair = (filt.position(idx), filt.position(idx - 2))
+        if pair not in lowers:
+            lowers[pair] = added_rank(pair[1], op.matrix @ basis(pair[0])) == 0
+        lowering.append((idx, lowers[pair]))
     rmax = max(hi - c, c - lo, 0) + 1
     graded = []
+    power = RatMatrix.identity(n)
     for r in range(0, rmax + 1):
         dp = filt.graded_dim(c + r)
         dm = filt.graded_dim(c - r)
         rk = 0  # N^r = 0 from r = e on
         if r < op.nilpotency_index:
-            rk = added_rank(c - r - 1, op.powers[r] @ basis(c + r))
+            if r:
+                power = power @ op.matrix
+            rk = added_rank(filt.position(c - r - 1), power @ basis(filt.position(c + r)))
         graded.append((r, dp, dm, rk, dp == dm and rk == dp))
     ok = all(x[1] for x in lowering) and all(g[4] for g in graded)
     return MonodromyAxiomReport(tuple(lowering), tuple(graded), ok)

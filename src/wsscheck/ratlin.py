@@ -54,6 +54,13 @@ coordinates off one rref of [basis | images]; with an invertible square
 basis it solves the square system, which is all the matrix inversion the
 package needs.
 
+Some callers build many subspaces from one run of rows.  ``kernel_flag``
+gives the kernels of all the powers of a nilpotent matrix from a chain of
+shrinking reductions; ``greedy_extension`` picks the rows outside the span
+of the rows before them with one forward echelon; ``prefix_row_spaces``
+gives the canonical row space of every prefix of the rows from one
+incremental reduced echelon, each equal to what ``row_space`` gives.
+
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the denominator is
 one) in every file format.
 """
@@ -67,7 +74,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, compress, count
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, InvalidForm, PreconditionError
+from .errors import DimensionMismatch, InvalidForm, InvalidOperator, PreconditionError
 
 
 def as_rat(x):
@@ -559,7 +566,7 @@ class Subspace:
 
     def int_rows(self) -> RatMatrix:
         """The echelon rows, each scaled to coprime integers: a basis of the same space."""
-        return RatMatrix(self.dim, self.ambient_dim, tuple(map(_primitive, self.echelon.data)))
+        return primitive_rows(self.echelon)
 
     def contains_vector(self, v) -> bool:
         return _reduces_to_zero(self, RatMatrix.from_rows([v], cols=self.ambient_dim).data)
@@ -572,6 +579,81 @@ def row_space(gens: RatMatrix, *, transposed=False) -> Subspace:
     """The span of the rows (columns when transposed) of gens: the nonzero rows of their RREF."""
     r, piv = rref(gens, transposed=transposed)
     return Subspace(r.cols, RatMatrix(len(piv), r.cols, r.data[:len(piv)]))
+
+
+def prefix_row_spaces(m: RatMatrix, ends) -> tuple:
+    """row_space of the first k rows of m, for each k of the non-decreasing ends.
+
+    One reduced echelon in coprime integers takes the rows in order.  A new
+    row is cancelled at the pivots it meets, which leaves it zero at every
+    pivot, and its leading column becomes a new pivot, at which the rows
+    already held are cancelled against it.  Each row leads at its pivot
+    and is zero at the others, so at each end the rows sorted by pivot and
+    divided by it are the RREF of the prefix, as ``rref`` gives it; a row
+    is divided again only after it changed.
+    """
+    ech = {}   # pivot -> reduced integer row
+    done = {}  # pivot -> that row divided by its pivot
+    out = []
+    taken = 0
+    for end in ends:
+        for row in m.data[taken:end]:
+            if not row:
+                continue
+            row = _primitive(row)
+            for p in [j for j in row if j in ech]:
+                row = _cancel(row, ech[p], p)
+            if not row:
+                continue
+            q = min(row)
+            for p, other in ech.items():
+                if q in other:
+                    ech[p] = _cancel(other, row, q)
+                    done.pop(p, None)
+            ech[q] = row
+        taken = max(taken, end)
+        pivots = sorted(ech)
+        for p in pivots:
+            if p not in done:
+                row, pv = ech[p], ech[p][p]  # divided as rref divides
+                done[p] = (_unit_row(p) if len(row) == 1 else row if pv == 1 else
+                           {j: v // pv if v % pv == 0 else Fraction(v, pv) for j, v in row.items()})
+        out.append(Subspace(m.cols, RatMatrix(len(pivots), m.cols,
+                                              tuple(done[p] for p in pivots))))
+    return tuple(out)
+
+
+def greedy_extension(m: RatMatrix) -> tuple:
+    """The positions of the rows of m outside the span of the rows before them.
+
+    The rows go in order into one forward echelon in coprime integers: a row
+    is cancelled at its leading column while another row leads there, and
+    joins the echelon at the column it then leads at, unless it vanished.
+    The kept rows are a basis of the row space of m.
+    """
+    ech = {}  # leading column -> row
+    picks = []
+    for pos, row in enumerate(m.data):
+        if len(ech) == m.cols:
+            break  # the kept rows span the whole space
+        if not row:
+            continue
+        row = _primitive(row)
+        lead = min(row)
+        while lead in ech:
+            row = _cancel(row, ech[lead], lead)
+            if not row:
+                break
+            lead = min(row)
+        else:
+            ech[lead] = row
+            picks.append(pos)
+    return tuple(picks)
+
+
+def primitive_rows(m: RatMatrix) -> RatMatrix:
+    """m with each row scaled to coprime integers: the same rows up to scalars."""
+    return RatMatrix(m.rows, m.cols, tuple(map(_primitive, m.data)))
 
 
 def _reduces_to_zero(u: Subspace, rows) -> bool:
@@ -616,23 +698,51 @@ def null_rows_and_pivots(m: RatMatrix):
     c, where L is the lcm of |r[c]| over the rows with an entry at f, so
     that every entry is an integer.
     """
-    n = m.cols
     red = _reduce(m.data)
-    pivots = tuple(c for c, _ in red)
+    return _null_rows(red, m.cols), tuple(c for c, _ in red)
+
+
+def _null_rows(red: list, n: int) -> RatMatrix:
+    """The integer null rows of null_rows_and_pivots, read off the reduced rows red."""
     scale = [1] * n
     for c, row in red:
         pv = abs(row[c])
         if pv != 1:
             for j in row:
                 scale[j] = lcm(scale[j], pv)
-    taken = set(pivots)
+    taken = {c for c, _ in red}
     out = {f: {f: scale[f]} for f in range(n) if f not in taken}
     for c, row in red:
         pv = row[c]
         for j, x in row.items():
             if j != c:  # a reduced row's other entries sit at free columns
                 out[j][c] = -x * (scale[j] // pv)
-    return RatMatrix(len(out), n, tuple(out.values())), pivots
+    return RatMatrix(len(out), n, tuple(out.values()))
+
+
+def kernel_flag(m: RatMatrix) -> tuple:
+    """(null_rows(m^s), pivots) for s = 0 .. e, with e the first power that is zero.
+
+    R_1 is the reduced integer rows of m and R_{s+1} the reduced rows of
+    R_s m.  R_s spans the row space of m^s, so Ker m^s is the null space of
+    R_s, read off its reduction as ``null_rows_and_pivots`` reads it, and no
+    power of m is formed.  The ranks r_s fall until the first s with
+    r_{s+1} = r_s (Fitting), so r_{s+1} = r_s > 0 means that m is not
+    nilpotent, and the chain stops there.  A 0x0 matrix has e = 1.
+    """
+    n = m.rows
+    if m.cols != n:
+        raise DimensionMismatch("kernel_flag needs a square matrix")
+    flag = [(RatMatrix.zeros(0, n), tuple(range(n)))]  # m^0 = 1
+    rows = m.data
+    while True:
+        red = _reduce(rows)
+        if red and len(red) == len(flag[-1][1]):
+            raise InvalidOperator("matrix is not nilpotent")
+        flag.append((_null_rows(red, n), tuple(c for c, _ in red)))
+        if not red:
+            return tuple(flag)
+        rows = (RatMatrix(len(red), n, tuple(row for _, row in red)) @ m).data
 
 
 def kernel(m: RatMatrix) -> Subspace:

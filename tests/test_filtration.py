@@ -59,6 +59,27 @@ def test_nilpotency_index():
     assert NilpotentOp.build(jordan_matrix([4])).nilpotency_index == 4
 
 
+def test_rank_stall_is_not_nilpotent():
+    # the ranks of the powers stop falling above zero: 4, 3, 2, 1, 1 for
+    # diag(J_3, 2), 2, 1, 1 for the idempotent, 3, 2, 1, 1 for the conjugate
+    t = random_conjugator(3, random.Random(5)) @ _diag((2, 3), 3)
+    half = RatMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, Fraction(1, 2)]])
+    conj = t @ half @ inverse(t)
+    assert any(type(x) is Fraction for x in conj.entries)
+    three_two = RatMatrix.block_diag([jordan_matrix([3]), RatMatrix.from_rows([[2]])])
+    for m in (three_two, RatMatrix.from_rows([[1, 1], [0, 0]]), conj):
+        with pytest.raises(InvalidOperator, match="matrix is not nilpotent"):
+            NilpotentOp.build(m)
+
+
+def test_kernel_flag_of_the_extremes():
+    op = NilpotentOp.build(jordan_matrix([30]))
+    assert op.nilpotency_index == 30
+    assert [rows.rows for rows, _ in op.kernels] == list(range(31))
+    empty = NilpotentOp.build(RatMatrix.zeros(0, 0))
+    assert empty.nilpotency_index == 1 and len(empty.kernels) == 2
+
+
 def test_zero_operator_filtration():
     op = NilpotentOp.build(RatMatrix.zeros(4, 4))
     f = monodromy_filtration(op, 0)
@@ -91,6 +112,24 @@ def test_axioms_fail_on_trivial_filtration_for_j2():
     report = verify_monodromy_axioms(op, triv)
     assert not report.ok
     assert dict(report.lowering)[0] is False
+    # steps one apart: N M_1 lies in M_0 but not in M_{-1}
+    half = Filtration.from_steps(2, 0, [(0, image(op.matrix)), (1, Subspace.full(2))])
+    assert dict(verify_monodromy_axioms(op, half).lowering) == {
+        -1: True, 0: True, 1: False}
+
+
+def test_axioms_fail_on_a_shifted_center_where_lowering_holds():
+    # J_3's steps with the center one off: N still lowers every step by two,
+    # but no N^r matches the graded pieces around the declared center
+    op = NilpotentOp.build(jordan_matrix([3]))
+    steps = monodromy_filtration(op, 0).steps
+    for center in (1, -1):
+        report = verify_monodromy_axioms(op, Filtration(3, center, steps))
+        assert all(ok for _, ok in report.lowering)
+        assert not report.ok
+    # at center -1 the chain top sits in Gr_{c+3}, which N^3 = 0 cannot map
+    # onto anything
+    assert (3, 1, 0, 0, False) in report.graded_isos
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,17 +13,21 @@ from oracles import (
     greedy_picks,
     mini_rank,
 )
-from wsscheck.errors import DimensionMismatch, InvalidForm, PreconditionError
+from wsscheck.errors import DimensionMismatch, InvalidForm, InvalidOperator, PreconditionError
 from wsscheck.ratlin import (
     RatMatrix,
     Subspace,
     as_rat,
     contains,
     coordinates,
+    greedy_extension,
     image,
     intersect,
     kernel,
+    kernel_flag,
+    prefix_row_spaces,
     rank,
+    row_space,
     rref,
     signature,
     subspace_sum,
@@ -138,6 +142,80 @@ def test_rref_and_rank_match_gauss_jordan(args):
         assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
                    for x in r.entries)
         assert rank(got) == len(pivots)
+
+
+@settings(max_examples=200)
+@given(_eliminator_inputs(), st.data())
+@example(([], 3), None)
+@example(([[0, 0], [1, 2], [2, 4], [0, 0], [3, 5]], 2), None)
+@example(([[Fraction(1, 2), 3, 0], [1, 6, 0], [0, 0, Fraction(-2, 3)]], 3), None)
+def test_prefix_row_spaces_match_row_space_of_each_prefix(args, data):
+    rows, nc = args
+    m = M(rows, cols=nc)
+    if data is None:
+        ends = list(range(len(rows) + 1))
+    else:
+        ends = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=5)))
+    got = prefix_row_spaces(m, ends)
+    assert len(got) == len(ends)
+    for end, sub in zip(ends, got):
+        want = row_space(M(rows[:end], cols=nc))
+        assert sub == want and _typed(sub) == _typed(want)
+
+
+def _typed(sub):
+    """The echelon entries with their types: == does not tell 2 from Fraction(2)."""
+    return [sorted((j, type(v), v) for j, v in row.items()) for row in sub.echelon.data]
+
+
+@settings(max_examples=200)
+@given(_eliminator_inputs())
+@example(([], 3))
+@example(([[0, 0, 0], [1, 1, 0], [2, 2, 0], [0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 5]], 3))
+@example(([[1, 0], [0, 1], [1, 1]], 2))
+def test_greedy_extension_matches_greedy_scan(args):
+    rows, nc = args
+    assert greedy_extension(M(rows, cols=nc)) == tuple(greedy_picks(rows))
+
+
+@st.composite
+def _square_with_powers(draw):
+    """(m, nilpotent): a triangular matrix with zero or random diagonal, moved
+    by a unimodular conjugation that keeps it triangular only by chance."""
+    n = draw(st.integers(0, 6))
+    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    diag = draw(st.booleans())
+    rows = [[draw(entry) if j > i or (diag and j == i) else 0 for j in range(n)]
+            for i in range(n)]
+    upper = [[1 if i == j else draw(st.integers(-1, 1)) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    lower = [[1 if i == j else draw(st.integers(-1, 1)) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    t = M(upper, cols=n) @ M(lower, cols=n)
+    t_inv = coordinates(t, RatMatrix.identity(n))[0]
+    return t @ M(rows, cols=n) @ t_inv, not any(rows[i][i] for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_with_powers())
+@example((RatMatrix.zeros(0, 0), True))
+@example((M([[1, 1], [0, 0]]), False))
+def test_kernel_flag_matches_kernels_of_powers(args):
+    m, nilpotent = args
+    n = m.rows
+    if not nilpotent:
+        with pytest.raises(InvalidOperator, match="matrix is not nilpotent"):
+            kernel_flag(m)
+        return
+    flag = kernel_flag(m)
+    power = RatMatrix.identity(n)
+    for s, (rows, pivots) in enumerate(flag):
+        assert row_space(rows) == kernel(power)
+        assert rows.rows == n - mini_rank([power.row_list(i) for i in range(n)])
+        assert pivots == rref(power)[1]
+        # e = len(flag) - 1 is the first s >= 1 with m^s = 0
+        assert (s >= 1 and power.is_zero()) == (s == len(flag) - 1)
+        power = power @ m
 
 
 @settings(max_examples=120)
