@@ -59,6 +59,16 @@ def jordan_matrix(sizes):
     return RatMatrix.from_rows(rows, cols=n) if n else RatMatrix.zeros(0, 0)
 
 
+def random_jordan_type(rng, dim):
+    """Block sizes summing to dim, each drawn from 1 up to what is left."""
+    sizes = []
+    left = dim
+    while left:
+        sizes.append(rng.randint(1, left))
+        left -= sizes[-1]
+    return sizes
+
+
 def random_matrix(rows, cols, rng, lo=-2, hi=2):
     return RatMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)],

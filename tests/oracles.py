@@ -4,9 +4,10 @@ Deliberately separate from the engine: a dense textbook Gauss-Jordan
 elimination over Fraction for reduced echelon forms and ranks, a greedy
 basis scan built on it, dense list-of-rows matrix products, Kronecker
 products, transposes and block assembly, the Jordan-type formula for
-monodromy graded dimensions, dictionary convolutions for Kunneth
-dimensions (graded and bigraded), and raw incidence matrices of cycle/path
-graphs.  Nothing here imports wsscheck.
+monodromy graded dimensions, the report on the monodromy axioms from dense
+ranks and powers, dictionary convolutions for Kunneth dimensions (graded
+and bigraded), and raw incidence matrices of cycle/path graphs.  Nothing
+here imports wsscheck.
 """
 
 from fractions import Fraction
@@ -137,3 +138,49 @@ def kunneth_power(dims, k):
                 out[(i + p, j + q)] = out.get((i + p, j + q), 0) + a * b
         acc = out
     return acc
+
+
+def axiom_report(nrows, steps, center, e):
+    """The verdicts on the two monodromy axioms, by dense ranks, as a report dict.
+
+    nrows is the nilpotent N as a list of rows and e its nilpotency index;
+    steps lists (index, vectors) by increasing index, the step at index i
+    being the span of the vectors of the last step at or below i, zero below
+    them all.  N M_i lies in M_{i-2} iff N M_i adds no rank to M_{i-2}, and
+    the rank N^r induces from Gr_{c+r} to Gr_{c-r} is the rank N^r M_{c+r}
+    adds to M_{c-r-1}; N^r = 0 from r = e on.  The powers are dense products
+    formed here.  The dict has the layout of the package's report.
+    """
+    n = len(nrows)
+
+    def step(i):
+        vectors = []
+        for idx, vecs in steps:
+            if idx <= i:
+                vectors = [list(v) for v in vecs]
+        return vectors
+
+    def dim(i):
+        return mini_rank(step(i))
+
+    def added(below, vectors):
+        return mini_rank(below + vectors) - mini_rank(below)
+
+    def apply(mat, vectors):
+        return [[sum((row[k] * v[k] for k in range(n)), Fraction(0)) for row in mat]
+                for v in vectors]
+
+    lo, hi = steps[0][0], steps[-1][0]
+    lowering = [{"index": i, "ok": added(step(i - 2), apply(nrows, step(i))) == 0}
+                for i in range(lo, hi + 1)]
+    graded = []
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for r in range(max(hi - center, center - lo, 0) + 2):
+        dp = dim(center + r) - dim(center + r - 1)
+        dm = dim(center - r) - dim(center - r - 1)
+        rk = added(step(center - r - 1), apply(power, step(center + r))) if r < e else 0
+        graded.append({"r": r, "dim_plus": dp, "dim_minus": dm, "rank": rk,
+                       "ok": dp == dm and rk == dp})
+        power = dense_matmul(power, nrows, n)
+    ok = all(x["ok"] for x in lowering) and all(g["ok"] for g in graded)
+    return {"lowering": lowering, "graded_isos": graded, "ok": ok}

@@ -12,7 +12,13 @@ import time
 
 import pytest
 
-from helpers import inverse, jordan_matrix, random_dual_triple, random_invertible
+from helpers import (
+    inverse,
+    jordan_matrix,
+    random_dual_triple,
+    random_invertible,
+    random_jordan_type,
+)
 from oracles import (
     convolve_power,
     cycle_incidence,
@@ -116,16 +122,6 @@ def test_criterion_3_duality_lemma_suite():
     )
 
 
-def _random_jordan_type(rng, dim):
-    sizes = []
-    left = dim
-    while left:
-        part = rng.randint(1, left)
-        sizes.append(part)
-        left -= part
-    return sizes
-
-
 def test_criterion_4_monodromy_filtrations():
     """200 random nilpotents against the Jordan oracle, plus 50 conjugations."""
     t0 = time.time()
@@ -136,7 +132,7 @@ def test_criterion_4_monodromy_filtrations():
         + [rng.randint(25, 30) for _ in range(5)]
     )
     for dim in dims:
-        sizes = _random_jordan_type(rng, dim)
+        sizes = random_jordan_type(rng, dim)
         op = NilpotentOp.build(jordan_matrix(sizes))
         center = rng.randint(-2, 2)
         filt = monodromy_filtration(op, center)
@@ -146,15 +142,15 @@ def test_criterion_4_monodromy_filtrations():
         assert verify_monodromy_axioms(op, filt).ok
     for _ in range(50):
         dim = rng.randint(1, 12)
-        sizes = _random_jordan_type(rng, dim)
+        sizes = random_jordan_type(rng, dim)
         nmat = jordan_matrix(sizes)
         t = random_invertible(dim, rng)
         plain = monodromy_filtration(NilpotentOp.build(nmat), 0)
-        conj = monodromy_filtration(
-            NilpotentOp.build(t @ nmat @ inverse(t)), 0
-        )
+        conj_op = NilpotentOp.build(t @ nmat @ inverse(t))
+        conj = monodromy_filtration(conj_op, 0)
         for idx in range(plain.lowest_index - 1, plain.highest_index + 2):
             assert image(t @ plain.step(idx).basis) == conj.step(idx)
+        assert verify_monodromy_axioms(conj_op, conj).ok
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"monodromy suite took {elapsed:.2f}s"
     _announce("criterion-4", f"200 nilpotents + 50 conjugations exact, {elapsed:.2f}s")

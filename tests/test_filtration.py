@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import inverse
-from oracles import jordan_graded_dims
+from helpers import inverse, random_jordan_type
+from oracles import axiom_report, jordan_graded_dims
 from wsscheck.errors import InvalidOperator
 from wsscheck.filtration import (
     Filtration,
@@ -314,3 +314,81 @@ def test_large_operator_bytes_pinned():
     assert any(type(x) is Fraction for x in operators[-1][0].entries)
     assert _digest(operators) == (
         "68f922a5bdbcb52a03af3110f7cf31c67826c6ec0a196e78e02de192daee42b6")
+
+
+def _conjugate(sizes, rng, scale):
+    """T J T^-1 for the Jordan type sizes; a scaled T also has diag(2, 3, 1, ...)."""
+    n = sum(sizes)
+    t = random_conjugator(n, rng)
+    if scale:
+        t = t @ _diag((2, 3), n)
+    return NilpotentOp.build(t @ jordan_matrix(sizes) @ inverse(t))
+
+
+def _variants(op, center, rng):
+    """op's monodromy filtration, then filtrations that fail its axioms: the
+    center one off either way, every index one up, a random nested flag of
+    random spans, and another operator's monodromy filtration on the space."""
+    n = op.dim
+    filt = monodromy_filtration(op, center)
+    vectors = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n + 1)]
+    flag, idx = [], center - 3
+    for end in sorted(rng.randint(0, n + 1) for _ in range(rng.randint(1, 4))):
+        idx += rng.randint(1, 2)
+        flag.append((idx, Subspace.span(n, vectors[:end])))
+    flag.append((idx + 1, Subspace.full(n)))
+    other = _conjugate(random_jordan_type(rng, n), rng, rng.random() < 0.5)
+    return [
+        filt,
+        Filtration(n, center + 1, filt.steps),
+        Filtration(n, center - 1, filt.steps),
+        Filtration(n, center, tuple((i + 1, sub) for i, sub in filt.steps)),
+        Filtration.from_steps(n, center, flag),
+        monodromy_filtration(other, center),
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), max_size=3),
+    st.integers(-2, 2),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example([], 0, 1, False)          # the 0 x 0 operator
+@example([1, 1, 1], 1, 2, True)    # N = 0, e = 1
+@example([4, 2, 1], -1, 3, True)   # Fraction entries
+def test_axiom_report_matches_dense_oracle(sizes, center, seed, scale):
+    rng = random.Random(seed)
+    op = _conjugate(sizes, rng, scale)
+    nrows = [op.matrix.row_list(i) for i in range(op.dim)]
+    for k, filt in enumerate(_variants(op, center, rng)):
+        steps = [(i, [sub.echelon.row_list(j) for j in range(sub.dim)])
+                 for i, sub in filt.steps]
+        want = axiom_report(nrows, steps, filt.center, op.nilpotency_index)
+        got = verify_monodromy_axioms(op, filt).to_json_dict()
+        for key in ("lowering", "graded_isos", "ok"):
+            assert got[key] == want[key], (k, key)
+        if k == 0:
+            assert got["ok"]
+        elif k <= 3 and op.dim:
+            assert not got["ok"]  # the graded pieces are not symmetric about the center
+
+
+def test_failing_report_bytes_pinned():
+    # the reports on the failing filtrations of a fixed draw of conjugates;
+    # the pins above hash passing reports only
+    rng = random.Random(1515)
+    h = hashlib.sha256()
+    failing = 0
+    for i in range(12):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+        op = _conjugate(sizes, rng, i % 2)
+        for filt in _variants(op, rng.randint(-2, 2), rng)[1:]:
+            report = verify_monodromy_axioms(op, filt)
+            failing += not report.ok
+            h.update(json.dumps(report.to_json_dict()).encode() + b"\n")
+    # of 60: the other operator on Q^1 is zero, like op, and its filtration passes
+    assert failing == 58
+    assert h.hexdigest() == (
+        "4e985eb8b0474226bc06aebeb7046d1b64a068bf5296155526f99ffa2e283ece")
