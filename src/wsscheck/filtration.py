@@ -32,16 +32,21 @@ as ``rref`` divides, and the RREF of a subspace is unique: the steps, and
 every byte written from them, do not depend on the basis picked or on the
 way the steps are computed.
 
-verify_monodromy_axioms checks (a) and (b) on any filtration by ranks
-alone, with powers of N it forms itself, and never reads the kernel flag or
-a Jordan basis, so it stays an independent test of the construction;
-Jordan theory is the oracle for the graded dimensions in the test suite.
+verify_monodromy_axioms checks (a) and (b) on any filtration in a basis
+adapted to it, the echelon rows of each step at its new pivots in step
+order, where one ``coordinates`` call gives the matrix A of N: N M_i lies in
+M_{i-2} iff A vanishes on the columns of M_i and the rows beyond M_{i-2},
+and N^r : Gr_{c+r} -> Gr_{c-r} has the rank of A^r on the columns of M_{c+r}
+and the rows beyond M_{c-r-1}.  Reading no power of N, kernel flag or Jordan
+basis, it stays an independent test of the construction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import lcm
 from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidForm, InvalidOperator
@@ -49,6 +54,7 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     contains,
+    coordinates,
     greedy_extension,
     kernel_flag,
     prefix_row_spaces,
@@ -212,46 +218,40 @@ class MonodromyAxiomReport:
 def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiomReport:
     """Check both defining properties of the monodromy filtration against filt.
 
-    Both are read off ranks: N M_i lies in M_{i-2} iff appending it to M_{i-2}
-    adds no rank, and the rank N^r induces from Gr_{c+r} to Gr_{c-r} is what
-    N^r M_{c+r} adds to M_{c-r-1}.  The powers N^r are formed here.  Steps
-    are keyed by their position in filt.steps, so each pair of steps is
-    checked for lowering once, however many indices share it.
+    Both are read off A, scaled to integers, as the module docstring sets out;
+    InvalidForm when the steps' pivots are not nested or do not exhaust Q^n.
     """
     if op.dim != filt.ambient_dim:
         raise DimensionMismatch("operator and filtration dimensions differ")
-    c, n = filt.center, op.dim
+    c, n, e = filt.center, op.dim, op.nilpotency_index
     lo, hi = filt.lowest_index, filt.highest_index
-    int_basis = {}
+    rows, labels, before = [], [], {}  # the basis vectors and the position of the step of each
+    for pos, (_, sub) in enumerate(filt.steps):
+        leads = {min(row): row for row in sub.echelon.data}
+        if not before.keys() <= leads.keys():
+            raise InvalidForm("filtration steps must be increasing")
+        rows += [row for lead, row in leads.items() if lead not in before]
+        labels += [pos] * (len(rows) - len(labels))
+        before = leads
+    if len(rows) != n:
+        raise InvalidForm("filtration must exhaust the ambient space")
 
-    def basis(pos):
-        # integer columns span the same step, so every product stays in int
-        if pos not in int_basis:
-            sub = filt.steps[pos][1] if pos >= 0 else Subspace.zero(n)
-            int_basis[pos] = sub.int_rows().transpose()
-        return int_basis[pos]
+    def end(i):  # the first end(i) basis vectors span M_i
+        return bisect_right(labels, filt.position(i))
 
-    def added_rank(below, gens):
-        return rank(basis(below).hstack(gens)) - basis(below).cols
-
-    lowers = {}
-    lowering = []
-    for idx in range(lo, hi + 1):
-        pair = (filt.position(idx), filt.position(idx - 2))
-        if pair not in lowers:
-            lowers[pair] = added_rank(pair[1], op.matrix @ basis(pair[0])) == 0
-        lowering.append((idx, lowers[pair]))
-    rmax = max(hi - c, c - lo, 0) + 1
-    graded = []
-    power = RatMatrix.identity(n)
-    for r in range(0, rmax + 1):
-        dp = filt.graded_dim(c + r)
-        dm = filt.graded_dim(c - r)
-        rk = 0  # N^r = 0 from r = e on
-        if r < op.nilpotency_index:
-            if r:
-                power = power @ op.matrix
-            rk = added_rank(filt.position(c - r - 1), power @ basis(filt.position(c + r)))
+    bt = primitive_rows(RatMatrix(n, n, tuple(rows))).transpose()
+    a = coordinates(bt, op.matrix @ bt)[0]
+    a = a.scaled(lcm(*(v.denominator for row in a.data for v in row.values())))
+    # reach[k]: the highest position of a row that one of the first k columns of A meets
+    reach = list(accumulate((labels[max(col)] if col else -1 for col in a.transpose().data),
+                            max, initial=-1))
+    lowering = [(idx, reach[end(idx)] <= filt.position(idx - 2)) for idx in range(lo, hi + 1)]
+    graded, power = [], RatMatrix.identity(n)
+    for r in range(max(hi - c, c - lo, 0) + 2):
+        dp, dm, rk = filt.graded_dim(c + r), filt.graded_dim(c - r), 0  # N^r = 0 from r = e on
+        if r < e:
+            power = power @ a if r else power
+            rk = rank(power.submatrix(range(end(c - r - 1), n), range(end(c + r))))
         graded.append((r, dp, dm, rk, dp == dm and rk == dp))
     ok = all(x[1] for x in lowering) and all(g[4] for g in graded)
     return MonodromyAxiomReport(tuple(lowering), tuple(graded), ok)

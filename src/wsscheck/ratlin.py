@@ -564,10 +564,6 @@ class Subspace:
         """The span of the first k coordinate vectors: its unit rows are already its RREF."""
         return cls(ambient_dim, RatMatrix(k, ambient_dim, tuple(map(_unit_row, range(k)))))
 
-    def int_rows(self) -> RatMatrix:
-        """The echelon rows, each scaled to coprime integers: a basis of the same space."""
-        return primitive_rows(self.echelon)
-
     def contains_vector(self, v) -> bool:
         return _reduces_to_zero(self, RatMatrix.from_rows([v], cols=self.ambient_dim).data)
 

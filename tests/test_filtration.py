@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import inverse, random_jordan_type
 from oracles import axiom_report, jordan_graded_dims
-from wsscheck.errors import InvalidOperator
+from wsscheck.errors import InvalidForm, InvalidOperator
 from wsscheck.filtration import (
     Filtration,
     NilpotentOp,
@@ -130,6 +130,21 @@ def test_axioms_fail_on_a_shifted_center_where_lowering_holds():
     # at center -1 the chain top sits in Gr_{c+3}, which N^3 = 0 cannot map
     # onto anything
     assert (3, 1, 0, 0, False) in report.graded_isos
+
+
+def test_axioms_refuse_steps_that_are_not_nested_or_not_exhaustive():
+    # the raw constructor takes any steps
+    e1, e2 = Subspace.coordinate(3, 1), Subspace.span(3, [(0, 1, 0)])
+    op = NilpotentOp.build(jordan_matrix([2, 1]))
+    for steps, message in (
+        (((-1, e1), (0, e2), (1, Subspace.full(3))), "steps must be increasing"),
+        # the pivots 1, then 0 and 2, alone would make a basis
+        (((0, e2), (1, Subspace.span(3, [(1, 0, 0), (0, 0, 1)]))), "steps must be increasing"),
+        (((0, e1), (1, Subspace.coordinate(3, 2))), "must exhaust the ambient space"),
+        (((0, Subspace.zero(3)),), "must exhaust the ambient space"),
+    ):
+        with pytest.raises(InvalidForm, match=message):
+            verify_monodromy_axioms(op, Filtration(3, 0, steps))
 
 
 @settings(max_examples=40, deadline=None)
