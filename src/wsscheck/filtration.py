@@ -225,7 +225,7 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
         raise DimensionMismatch("operator and filtration dimensions differ")
     c, n, e = filt.center, op.dim, op.nilpotency_index
     lo, hi = filt.lowest_index, filt.highest_index
-    rows, labels, before = [], [], {}  # the basis vectors and the position of the step of each
+    rows, labels, before = [], [], {}  # the basis vectors in step order, each step's position
     for pos, (_, sub) in enumerate(filt.steps):
         leads = {min(row): row for row in sub.echelon.data}
         if not before.keys() <= leads.keys():
