@@ -4,7 +4,8 @@
 Prints one line per instance: validation verdict, WMC verdict, whether the
 monodromy/weight filtration comparison agrees with the rank checks at every
 abutment degree, the full structure suite for threefolds, and the nonzero E2
-dimensions.  Exits nonzero if anything fails.
+dimensions.  The small curves are also checked as tensor squares, which
+build E2 from the tensor product page.  Exits nonzero if anything fails.
 """
 
 import sys
@@ -23,9 +24,9 @@ from wsscheck import (  # noqa: E402
 )
 
 
-def inspect(name, datum):
+def inspect(name, datum, tensor_power=1):
     t0 = time.time()
-    rec = analyze(datum)
+    rec = analyze(datum, tensor_power=tensor_power)
     if not rec.validation.ok:
         print(f"{name}: VALIDATION FAILED {rec.validation.failed_axioms}")
         return False
@@ -54,6 +55,10 @@ def main():
         ok &= inspect(f"ngon({n})", gen_ngon(n))
     for n in range(2, 6):
         ok &= inspect(f"chain({n})", gen_chain(n))
+    for n in range(3, 6):
+        ok &= inspect(f"ngon({n})^2", gen_ngon(n), tensor_power=2)
+    for n in range(2, 5):
+        ok &= inspect(f"chain({n})^2", gen_chain(n), tensor_power=2)
     ok &= inspect("smooth(3)", gen_smooth(3, (1, 0, 1, 0, 1, 0, 1)))
     for name in instances.toy_names():
         ok &= inspect(name, instances.load_toy(name))

@@ -40,7 +40,8 @@ class Analysis:
     """The checks of one datum as stages computed on first read, each once.
 
     ``e2`` is the page the WMC verdict and the filtration agreement read: the
-    datum's own E2, or that of its ``tensor_power``-fold tensor power.  The
+    datum's own E2, or that of its ``tensor_power``-fold tensor power, which
+    is built from the E1 page ``base_page`` without the datum's own E2.  The
     threefold suite reads the datum's own E2 and its unfiltered verdict,
     ``base_verdict``, in either case; with neither ``tensor_power`` nor ``w``
     that is ``verdict`` itself.
@@ -59,15 +60,18 @@ class Analysis:
         return strata.validate(self.datum)
 
     @cached_property
-    def base_e2(self):
+    def base_page(self):
         strata.require_valid(self.validation)
-        return specseq.build_e2(specseq.install_n(specseq.build_e1(self.datum)))
+        return specseq.install_n(specseq.build_e1(self.datum))
+
+    @cached_property
+    def base_e2(self):
+        return specseq.build_e2(self.base_page)
 
     @cached_property
     def e2(self):
         if self.tensor_power > 1:
-            page = specseq.tensor_power(self.base_e2.page, self.tensor_power)
-            return specseq.build_e2(page)
+            return specseq.build_e2(specseq.tensor_power(self.base_page, self.tensor_power))
         return self.base_e2
 
     @cached_property

@@ -90,6 +90,14 @@ class Filtration:
 
     steps[0] is the zero-subspace sentinel and the final step is the full
     space; queries between jumps resolve to the nearest lower step.
+
+    ``from_steps`` is the entry for steps from outside: it checks that each
+    step lies in Q^n, contains the one before it (one ``contains`` per pair)
+    and that the last is Q^n.  ``from_nested_steps`` skips those checks, for
+    builders whose steps are nested and exhaustive by construction
+    (``monodromy_filtration``, ``specseq.weight_filtration_graded``).  Both
+    sort the steps, keep the first of equal ones and add the sentinel, so
+    on the same valid steps they give the same filtration.
     """
 
     ambient_dim: int
@@ -98,27 +106,28 @@ class Filtration:
 
     @classmethod
     def from_steps(cls, ambient_dim, center, steps):
-        steps = sorted(steps, key=lambda p: p[0])
+        steps = sorted(steps, key=itemgetter(0))
         if not steps:
             raise InvalidForm("a filtration needs at least one step")
-        compressed = []
-        prev = None
-        for idx, sub in steps:
+        for k, (_, sub) in enumerate(steps):
             if sub.ambient_dim != ambient_dim:
                 raise DimensionMismatch("step in wrong ambient space")
-            if prev is not None:
-                if not contains(sub, prev[1]):
-                    raise InvalidForm("filtration steps must be increasing")
-                if sub == prev[1]:
-                    continue
-            compressed.append((idx, sub))
-            prev = (idx, sub)
-        lo_idx, lo_sub = compressed[0]
-        if lo_sub.dim != 0:
-            compressed.insert(0, (lo_idx - 1, Subspace.zero(ambient_dim)))
-        if compressed[-1][1].dim != ambient_dim:
+            if k and not contains(sub, steps[k - 1][1]):
+                raise InvalidForm("filtration steps must be increasing")
+        if steps[-1][1].dim != ambient_dim:
             raise InvalidForm("filtration must exhaust the ambient space")
-        return cls(ambient_dim, center, tuple(compressed))
+        return cls.from_nested_steps(ambient_dim, center, steps)
+
+    @classmethod
+    def from_nested_steps(cls, ambient_dim, center, steps):
+        """from_steps without its checks: the steps must be nested, the last Q^n."""
+        kept = []
+        for idx, sub in sorted(steps, key=itemgetter(0)):
+            if not kept or sub.dim != kept[-1][1].dim:  # nested: equal iff equal dims
+                kept.append((idx, sub))
+        if kept[0][1].dim != 0:
+            kept.insert(0, (kept[0][0] - 1, Subspace.zero(ambient_dim)))
+        return cls(ambient_dim, center, tuple(kept))
 
     def position(self, i: int) -> int:
         """The position in steps of the step that holds at index i, -1 below them all."""
@@ -169,7 +178,7 @@ def monodromy_filtration(op: NilpotentOp, center: int) -> Filtration:
         del ends[center + e - 1]
         vectors = RatMatrix(n, n, tuple(v for _, v in weighted))
         steps += zip(ends, prefix_row_spaces(vectors, ends.values()))
-    return Filtration.from_steps(n, center, steps)
+    return Filtration.from_nested_steps(n, center, steps)
 
 
 def _weighted_jordan_basis(op: NilpotentOp, center: int) -> list:
@@ -219,7 +228,8 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
     """Check both defining properties of the monodromy filtration against filt.
 
     Both are read off A, scaled to integers, as the module docstring sets out;
-    InvalidForm when the steps' pivots are not nested or do not exhaust Q^n.
+    InvalidForm when the steps are not nested or do not exhaust Q^n, which
+    the raw constructor does not check.
     """
     if op.dim != filt.ambient_dim:
         raise DimensionMismatch("operator and filtration dimensions differ")
@@ -227,9 +237,9 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
     lo, hi = filt.lowest_index, filt.highest_index
     rows, labels, before = [], [], {}  # the basis vectors in step order, each step's position
     for pos, (_, sub) in enumerate(filt.steps):
-        leads = {min(row): row for row in sub.echelon.data}
-        if not before.keys() <= leads.keys():
+        if pos and not contains(sub, filt.steps[pos - 1][1]):
             raise InvalidForm("filtration steps must be increasing")
+        leads = {min(row): row for row in sub.echelon.data}
         rows += [row for lead, row in leads.items() if lead not in before]
         labels += [pos] * (len(rows) - len(labels))
         before = leads

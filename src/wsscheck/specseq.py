@@ -27,7 +27,7 @@ d = d (x) 1 + (-1)^column 1 (x) d and N = N (x) 1 + 1 (x) N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -53,7 +53,15 @@ class E1Summand:
 
 @dataclass(frozen=True)
 class WeightComplex:
-    """An E1 page: graded cells, d1 blocks, optional N blocks and pairings."""
+    """An E1 page: graded cells, d1 blocks, optional N blocks and pairings.
+
+    checked certifies that d1 o d1 = 0 and N o d1 = d1 o N hold on every
+    cell.  Only the builders that assert both set it, after the asserts
+    pass: ``install_n`` and ``tensor_product``.  It is no constructor
+    argument and ``dataclasses.replace`` resets it, because a page built by
+    hand or with edited blocks carries no such proof; ``build_e2`` re-checks
+    both identities on those pages.
+    """
 
     n: int
     cells: dict      # (i, j) -> tuple of E1Summand, or None for formal cells
@@ -61,6 +69,7 @@ class WeightComplex:
     d1: dict         # (i, j) -> RatMatrix  E1^{i,j} -> E1^{i+1,j}
     n_blocks: dict   # (i, j) -> RatMatrix  E1^{i,j} -> E1^{i+2,j-2}; None before install_n
     pairings: dict   # (i, j) -> RatMatrix pairing with E1^{-i, 2n-j}; None when unavailable
+    checked: bool = field(default=False, init=False, compare=False)
 
     def dim(self, i, j):
         return self.dims.get((i, j), 0)
@@ -158,10 +167,7 @@ def build_e1(datum: SemistableDatum) -> WeightComplex:
         d1[(i, j)] = RatMatrix.assemble(tgt_dim, src_dim, placements)
     page = WeightComplex(n=n, cells=cells, dims=dims, d1=d1,
                          n_blocks=None, pairings=None)
-    for (i, j) in cells:
-        comp = page.d1_block(i + 1, j) @ page.d1_block(i, j)
-        if not comp.is_zero():
-            raise ConventionViolation(f"d1 o d1 != 0 at cell ({i}, {j})")
+    _assert_d1_squared_zero(page)
     pairings = {}
     for (i, j), summands in cells.items():
         dual = cells.get((-i, 2 * n - j))
@@ -184,8 +190,23 @@ def build_e1(datum: SemistableDatum) -> WeightComplex:
     return replace(page, pairings=pairings)
 
 
+def _assert_d1_squared_zero(page: WeightComplex):
+    for (i, j) in page.dims:
+        if not (page.d1_block(i + 1, j) @ page.d1_block(i, j)).is_zero():
+            raise ConventionViolation(f"d1 o d1 != 0 at cell ({i}, {j})")
+
+
+def _mark_checked(page: WeightComplex) -> WeightComplex:
+    object.__setattr__(page, "checked", True)
+    return page
+
+
 def install_n(page: WeightComplex) -> WeightComplex:
-    """Install monodromy blocks; asserts N o d1 = d1 o N and the E1-level isos."""
+    """Install monodromy blocks; asserts d1 o d1 = 0, N o d1 = d1 o N and the E1-level isos.
+
+    d1 o d1 = 0 is asserted again, as ``build_e1`` does, since the page may
+    come from elsewhere; the result is marked checked.
+    """
     if page.cells is None or any(v is None for v in page.cells.values()):
         raise PreconditionError("install_n needs summand bookkeeping (datum-built page)")
     n_blocks = {}
@@ -215,9 +236,10 @@ def install_n(page: WeightComplex) -> WeightComplex:
             )
         n_blocks[(i, j)] = RatMatrix.assemble(tgt_dim, src_dim, placements)
     out = replace(page, n_blocks=n_blocks)
+    _assert_d1_squared_zero(out)
     _assert_n_compatible(out)
     _assert_e1_isos(out)
-    return out
+    return _mark_checked(out)
 
 
 def _assert_n_compatible(page: WeightComplex):
@@ -290,7 +312,14 @@ def build_e2(page: WeightComplex) -> E2Page:
     products: d1 and Q_t must kill N images_s, d1 must kill N reps_s, and
     Q_t N reps_s is the induced map.  Every cell is checked before any N
     edge.
+
+    On a page marked ``checked`` d1 o d1 = 0 and N o d1 = d1 o N are known,
+    so the products that only re-check them are skipped: d1 @ images per
+    cell, and N @ images_s with its d1 and Q_t products and d1 @ N reps_s
+    per edge.  The rank of the image columns on the free coordinates and
+    the N edges that leave the page are still checked.
     """
+    checked = page.checked
     dims, reps, images, quotients = {}, {}, {}, {}
     for (i, j) in sorted(page.dims, key=lambda cell: (cell[1], cell[0])):
         d_out = page.d1_block(i, j)
@@ -306,7 +335,7 @@ def build_e2(page: WeightComplex) -> E2Page:
             on_free = tuple({f: v for f, v in row.items() if f not in taken}
                             for row in img.transpose().data)
             red, img_pivots = rref(RatMatrix(img.cols, n, on_free))
-            if not (d_out @ img).is_zero() or len(img_pivots) < img.cols:
+            if len(img_pivots) < img.cols or not (checked or (d_out @ img).is_zero()):
                 raise ConventionViolation(f"image not inside kernel at cell ({i}, {j})")
             taken.update(img_pivots)
         kept = [(f, row) for f, row in zip(free, ker.data) if f not in taken]
@@ -333,18 +362,20 @@ def build_e2(page: WeightComplex) -> E2Page:
                     )
                 n_maps[(i, j)] = RatMatrix.zeros(0, dims[(i, j)])
                 continue
-            d_t, q_t = page.d1_block(*tgt), quotients[tgt]
-            # well-definedness: N maps the incoming image into the target image
-            moved = n_blk @ images[(i, j)]
-            if not ((d_t @ moved).is_zero() and (q_t @ moved).is_zero()):
-                raise InstanceInconsistency(
-                    f"induced N ill-defined at cell ({i}, {j})"
-                )
+            q_t = quotients[tgt]
             moved = n_blk @ reps[(i, j)]
-            if not (d_t @ moved).is_zero():
-                raise InstanceInconsistency(
-                    f"induced N does not land in the kernel at cell ({i}, {j})"
-                )
+            if not checked:
+                d_t = page.d1_block(*tgt)
+                # well-definedness: N maps the incoming image into the target image
+                imaged = n_blk @ images[(i, j)]
+                if not ((d_t @ imaged).is_zero() and (q_t @ imaged).is_zero()):
+                    raise InstanceInconsistency(
+                        f"induced N ill-defined at cell ({i}, {j})"
+                    )
+                if not (d_t @ moved).is_zero():
+                    raise InstanceInconsistency(
+                        f"induced N does not land in the kernel at cell ({i}, {j})"
+                    )
             n_maps[(i, j)] = q_t @ moved
     return E2Page(n=page.n, dims=dims, reps=reps, images=images,
                   n_maps=n_maps, page=page)
@@ -419,23 +450,17 @@ def check_wmc(e2: E2Page, w_filter=None) -> WmcVerdict:
 
 def weight_filtration_graded(e2: E2Page, w: int) -> Filtration:
     """On the sum of E2^{i,j} with i+j = w, the filtration by weight j."""
-    n = e2.n
-    js = [j for j in range(0, 2 * n + 1) if (w - j, j) in e2.dims]
+    js = [j for j in range(0, 2 * e2.n + 1) if (w - j, j) in e2.dims]
     total = sum(e2.dims[(w - j, j)] for j in js)
-    ambient = total
-    steps = []
+    if total == 0:
+        return Filtration.from_nested_steps(0, w, [(w, Subspace.zero(0))])
+    # the spans of growing prefixes of the coordinates, nested by construction
+    steps = [(js[0] - 1, Subspace.zero(total))]
     cum = 0
-    lowest = js[0] if js else 0
-    steps.append((lowest - 1, Subspace.zero(ambient)))
     for j in js:
         cum += e2.dims[(w - j, j)]
-        steps.append((j, Subspace.coordinate(ambient, cum)))
-    if total == 0:
-        steps = [(w, Subspace.zero(0))]
-        return Filtration.from_steps(0, w, steps)
-    if steps[-1][1].dim != ambient:
-        steps.append((2 * n, Subspace.full(ambient)))
-    return Filtration.from_steps(ambient, w, steps)
+        steps.append((j, Subspace.coordinate(total, cum)))
+    return Filtration.from_nested_steps(total, w, steps)
 
 
 def graded_monodromy_operator(e2: E2Page, w: int):
@@ -550,17 +575,13 @@ def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:
         n_blocks=n_blocks,
         pairings=None,
     )
-    for (i, j) in out.dims:
-        if not (out.d1_block(i + 1, j) @ out.d1_block(i, j)).is_zero():
-            raise InternalConsistencyError(
-                f"tensor construction broke d1 o d1 = 0 at ({i}, {j})"
-            )
     try:
+        _assert_d1_squared_zero(out)
         _assert_n_compatible(out)
         _assert_e1_isos(out)
-    except InstanceInconsistency as exc:
+    except (ConventionViolation, InstanceInconsistency) as exc:
         raise InternalConsistencyError(f"tensor construction bug: {exc}") from exc
-    return out
+    return _mark_checked(out)
 
 
 def tensor_power(page: WeightComplex, k: int) -> WeightComplex:

@@ -1,10 +1,31 @@
 """Shared randomized builders for the test suite (engine-aware)."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 
+import pytest
+
+from wsscheck.filtration import Filtration
 from wsscheck.lefschetz import DualTriple
 from wsscheck.ratlin import RatMatrix, coordinates
 from wsscheck.strata import TransferMaps
+
+
+@contextmanager
+def nested_step_calls():
+    """Record (ambient_dim, center, steps, result) of each Filtration.from_nested_steps call."""
+    calls = []
+    trusted = Filtration.from_nested_steps
+
+    def recording(ambient_dim, center, steps):
+        steps = list(steps)
+        out = trusted(ambient_dim, center, steps)
+        calls.append((ambient_dim, center, steps, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Filtration, "from_nested_steps", recording)
+        yield calls
 
 
 def inverse(m):

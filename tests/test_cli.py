@@ -120,6 +120,14 @@ def test_tensor_power_flag(tmp_path, capsys):
     assert doc["overall"] is True
 
 
+def test_tensor_power_builds_the_base_e2_only_when_read():
+    rec = cli.analyze(gen_ngon(3), tensor_power=3)
+    assert rec.verdict.overall and rec.agreement == {str(w): True for w in range(7)}
+    assert rec.threefold is None
+    assert "base_e2" not in vars(rec)
+    assert rec.base_verdict.overall and rec.base_e2.page is rec.base_page
+
+
 @pytest.mark.parametrize("power", ["0", "-3"])
 @pytest.mark.parametrize("command", ["pages", "check-wmc", "report"])
 def test_tensor_power_below_one_is_an_input_error(tmp_path, capsys, command, power):

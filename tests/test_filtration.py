@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import inverse, random_jordan_type
+from helpers import inverse, nested_step_calls, random_jordan_type
 from oracles import axiom_report, jordan_graded_dims
 from wsscheck.errors import InvalidForm, InvalidOperator
 from wsscheck.filtration import (
@@ -140,11 +140,33 @@ def test_axioms_refuse_steps_that_are_not_nested_or_not_exhaustive():
         (((-1, e1), (0, e2), (1, Subspace.full(3))), "steps must be increasing"),
         # the pivots 1, then 0 and 2, alone would make a basis
         (((0, e2), (1, Subspace.span(3, [(1, 0, 0), (0, 0, 1)]))), "steps must be increasing"),
+        # nested pivots, 0 then 0 and 2, but (1, 1, 0) is not in span(e1, e3)
+        (((0, Subspace.span(3, [(1, 1, 0)])), (1, Subspace.span(3, [(1, 0, 0), (0, 0, 1)])),
+          (2, Subspace.full(3))), "steps must be increasing"),
         (((0, e1), (1, Subspace.coordinate(3, 2))), "must exhaust the ambient space"),
         (((0, Subspace.zero(3)),), "must exhaust the ambient space"),
     ):
         with pytest.raises(InvalidForm, match=message):
             verify_monodromy_axioms(op, Filtration(3, 0, steps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), max_size=4),
+    st.integers(-3, 3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example([], 0, 1, False)          # the 0 x 0 operator
+@example([1, 1, 1], 2, 2, True)    # N = 0
+def test_monodromy_filtration_equals_checked_construction(sizes, center, seed, scale):
+    # the trusted path against from_steps on the same steps
+    op = _conjugate(sizes, random.Random(seed), scale)
+    with nested_step_calls() as calls:
+        filt = monodromy_filtration(op, center)
+    [(ambient_dim, c, steps, out)] = calls
+    assert out is filt
+    assert filt == Filtration.from_steps(ambient_dim, c, steps)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import inverse, random_invertible
+from helpers import inverse, nested_step_calls, random_invertible
 from oracles import convolve_power, cycle_incidence, kunneth_power, mini_rank, path_incidence
 from wsscheck.errors import ConventionViolation, InstanceInconsistency
+from wsscheck.filtration import Filtration
 from wsscheck.instances import gen_chain, gen_ngon, gen_smooth, load_toy, toy_names
 from wsscheck.ratlin import RatMatrix
 from wsscheck.specseq import (
+    E1Summand,
     WeightComplex,
     antidiagonal_page,
+    build_e1,
     build_e2,
     check_wmc,
     compare_monodromy_vs_weight,
@@ -104,6 +107,19 @@ def test_weight_filtration_smooth_pure():
     e2 = build_e2(to_weight_complex(gen_smooth(2, (1, 0, 2, 0, 1))))
     filt = weight_filtration_graded(e2, 2)
     assert [(idx, sub.dim) for idx, sub in filt.steps] == [(1, 0), (2, 2)]
+
+
+def test_weight_filtration_equals_checked_construction():
+    # the trusted path against from_steps on the same steps, at every w of
+    # the shipped pages
+    with nested_step_calls() as calls:
+        for name in toy_names():
+            e2 = build_e2(to_weight_complex(load_toy(name)))
+            for w in range(0, 2 * e2.n + 1):
+                weight_filtration_graded(e2, w)
+    assert len(calls) == 7 * len(toy_names())
+    for ambient_dim, center, steps, filt in calls:
+        assert filt == Filtration.from_steps(ambient_dim, center, steps)
 
 
 def test_compare_paths_agree_on_generators():
@@ -344,3 +360,93 @@ def _formal_page(dims, d1, n_blocks):
 def test_build_e2_rejects_bad_induced_n(dims, d1, n_blocks, message):
     with pytest.raises(InstanceInconsistency, match=message):
         build_e2(_formal_page(dims, d1, n_blocks))
+
+
+# -- the checked marker ----------------------------------------------------------
+
+
+def test_only_the_asserting_builders_mark_a_page_checked():
+    base = curve_page(3)
+    for page in (base, tensor_product(base, base), tensor_power(base, 3)):
+        assert page.checked
+    hand_built = _formal_page({(0, 0): 1}, [], [])
+    for page in (build_e1(gen_ngon(3)), unit_page(), antidiagonal_page(build_e2(base), 1),
+                 hand_built, replace(base), replace(tensor_power(base, 2), pairings=None)):
+        assert not page.checked
+    with pytest.raises(TypeError):
+        WeightComplex(n=0, cells={}, dims={}, d1={}, n_blocks={}, pairings=None, checked=True)
+    with pytest.raises(ValueError):
+        replace(hand_built, checked=True)
+
+
+def test_install_n_checks_d1_squared_itself():
+    # the page of test_build_e2_rejects_d1_squared_nonzero with summand
+    # bookkeeping: install_n raises rather than mark it
+    one = RatMatrix.identity(1)
+    cells = {(i, 0): (E1Summand(k=i, level=i + 1, degree=0, twist=0, dim=1),)
+             for i in range(3)}
+    page = WeightComplex(n=1, cells=cells, dims={cell: 1 for cell in cells},
+                         d1={(0, 0): one, (1, 0): one}, n_blocks=None, pairings=None)
+    with pytest.raises(ConventionViolation, match=r"d1 o d1 != 0 at cell \(0, 0\)"):
+        install_n(page)
+
+
+CHECKED_PAGES = {
+    **{name: lambda name=name: to_weight_complex(load_toy(name)) for name in toy_names()},
+    **{f"ngon{n}": lambda n=n: curve_page(n) for n in range(3, 7)},
+    **{f"chain{n}": lambda n=n: to_weight_complex(gen_chain(n)) for n in range(2, 6)},
+    "ngon3_cube": lambda: tensor_power(curve_page(3), 3),
+    "gon3_x_p2_square": lambda: tensor_power(to_weight_complex(load_toy("toy_gon3_x_p2")), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_PAGES))
+def test_build_e2_same_on_checked_and_unchecked_pages(name):
+    page = CHECKED_PAGES[name]()
+    copy = replace(page)
+    assert page.checked and not copy.checked
+    e2, e2_copy = build_e2(page), build_e2(copy)
+    for field in ("dims", "reps", "images", "n_maps"):
+        assert getattr(e2, field) == getattr(e2_copy, field), field
+
+
+def test_build_e2_on_a_checked_page_forms_only_the_induced_maps(monkeypatch):
+    # per N edge N reps_s and Q_t N reps_s, per cell whose N leaves the page
+    # the guard N reps_s; nothing that re-checks d1 o d1 or N o d1 = d1 o N
+    page = tensor_power(curve_page(3), 2)
+    products = []
+    matmul = RatMatrix.__matmul__
+    monkeypatch.setattr(RatMatrix, "__matmul__",
+                        lambda a, b: products.append(None) or matmul(a, b))
+    e2 = build_e2(page)
+    edges = sum((i + 2, j - 2) in page.dims for (i, j) in page.dims)
+    leaving = sum((i + 2, j - 2) not in page.dims and e2.dims[(i, j)] > 0
+                  for (i, j) in page.dims)
+    assert len(products) == 2 * edges + leaving
+    products.clear()
+    build_e2(replace(page))
+    assert len(products) > 2 * edges + leaving
+
+
+def _negate_column(m, col):
+    return RatMatrix(m.rows, m.cols,
+                     tuple({c: -v if c == col else v for c, v in row.items()} for row in m.data))
+
+
+# negating a whole block keeps every kernel and image, so no check can see
+# it; one Künneth column negated breaks d1 o d1 = 0 or N o d1 = d1 o N
+@pytest.mark.parametrize("blocks, cell, error, message", [
+    ("d1", (0, 2), ConventionViolation, r"image not inside kernel at cell \(0, 2\)"),
+    ("d1", (-2, 4), InstanceInconsistency,
+     r"induced N does not land in the kernel at cell \(-2, 4\)"),
+    ("n_blocks", (-1, 4), InstanceInconsistency, r"induced N ill-defined at cell \(-1, 4\)"),
+    ("n_blocks", (-2, 4), InstanceInconsistency,
+     r"induced N does not land in the kernel at cell \(-2, 4\)"),
+])
+def test_build_e2_checks_an_edited_copy_of_a_checked_page(blocks, cell, error, message):
+    page = tensor_power(curve_page(3), 2)
+    edited = dict(getattr(page, blocks))
+    edited[cell] = _negate_column(edited[cell], 0)
+    build_e2(page)
+    with pytest.raises(error, match=message):
+        build_e2(replace(page, **{blocks: edited}))
