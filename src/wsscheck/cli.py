@@ -34,6 +34,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
+# bound on the E1 total dimension of a tensor power; gen_ngon(3)'s fifth, 12**5, is inside
+MAX_POWER_TOTAL = 2 ** 18
+
 
 @dataclass(frozen=True)
 class Analysis:
@@ -44,7 +47,9 @@ class Analysis:
     is built from the E1 page ``base_page`` without the datum's own E2.  The
     threefold suite reads the datum's own E2 and its unfiltered verdict,
     ``base_verdict``, in either case; with neither ``tensor_power`` nor ``w``
-    that is ``verdict`` itself.
+    that is ``verdict`` itself.  A power whose E1 total, max(base total, 2)
+    to the ``tensor_power``, exceeds ``MAX_POWER_TOTAL`` is refused before
+    it is built.
     """
 
     datum: strata.SemistableDatum
@@ -71,7 +76,14 @@ class Analysis:
     @cached_property
     def e2(self):
         if self.tensor_power > 1:
-            return specseq.build_e2(specseq.tensor_power(self.base_page, self.tensor_power))
+            total, k = max(sum(self.base_page.dims.values()), 2), self.tensor_power
+            # 2**k > MAX_POWER_TOTAL from this k on, so a huge k never forms the power
+            if k >= MAX_POWER_TOTAL.bit_length() or total ** k > MAX_POWER_TOTAL:
+                raise ParameterError(
+                    f"tensor power {k} of an E1 page of total dimension {total} "
+                    f"exceeds {MAX_POWER_TOTAL}"
+                )
+            return specseq.build_e2(specseq.tensor_power(self.base_page, k))
         return self.base_e2
 
     @cached_property

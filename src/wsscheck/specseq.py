@@ -27,11 +27,12 @@ d = d (x) 1 + (-1)^column 1 (x) d and N = N (x) 1 + 1 (x) N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
     ConventionViolation,
+    DimensionMismatch,
     InstanceInconsistency,
     InternalConsistencyError,
     PreconditionError,
@@ -55,12 +56,11 @@ class E1Summand:
 class WeightComplex:
     """An E1 page: graded cells, d1 blocks, optional N blocks and pairings.
 
-    checked certifies that d1 o d1 = 0 and N o d1 = d1 o N hold on every
-    cell.  Only the builders that assert both set it, after the asserts
-    pass: ``install_n`` and ``tensor_product``.  It is no constructor
-    argument and ``dataclasses.replace`` resets it, because a page built by
-    hand or with edited blocks carries no such proof; ``build_e2`` re-checks
-    both identities on those pages.
+    Every page, ``dataclasses.replace`` copies included, is checked when it
+    is made: each d1 and N block has the shape (dim of its target cell, dim
+    of its source cell), else ``DimensionMismatch``; d1 o d1 = 0, else
+    ``ConventionViolation``; and, once N blocks are installed,
+    N o d1 = d1 o N, else ``InstanceInconsistency``.
     """
 
     n: int
@@ -69,7 +69,20 @@ class WeightComplex:
     d1: dict         # (i, j) -> RatMatrix  E1^{i,j} -> E1^{i+1,j}
     n_blocks: dict   # (i, j) -> RatMatrix  E1^{i,j} -> E1^{i+2,j-2}; None before install_n
     pairings: dict   # (i, j) -> RatMatrix pairing with E1^{-i, 2n-j}; None when unavailable
-    checked: bool = field(default=False, init=False, compare=False)
+
+    def __post_init__(self):
+        for name, blocks, (di, dj) in (("d1", self.d1, (1, 0)),
+                                       ("N", self.n_blocks or {}, (2, -2))):
+            for (i, j), blk in blocks.items():
+                shape = (self.dim(i + di, j + dj), self.dim(i, j))
+                if (blk.rows, blk.cols) != shape:
+                    raise DimensionMismatch(
+                        f"{name} block at cell ({i}, {j}) is {blk.rows}x{blk.cols}, "
+                        f"not {shape[0]}x{shape[1]}"
+                    )
+        _assert_d1_squared_zero(self)
+        if self.n_blocks is not None:
+            _assert_n_compatible(self)
 
     def dim(self, i, j):
         return self.dims.get((i, j), 0)
@@ -128,7 +141,7 @@ def _offsets(summands):
 
 
 def build_e1(datum: SemistableDatum) -> WeightComplex:
-    """Assemble the E1 page of a validated datum; asserts d1 o d1 = 0."""
+    """Assemble the E1 page of a validated datum, with its duality pairings."""
     n = datum.n
     cells = {}
     dims = {}
@@ -165,9 +178,6 @@ def build_e1(datum: SemistableDatum) -> WeightComplex:
                         blk = -blk
                     placements.append((ro, co, blk))
         d1[(i, j)] = RatMatrix.assemble(tgt_dim, src_dim, placements)
-    page = WeightComplex(n=n, cells=cells, dims=dims, d1=d1,
-                         n_blocks=None, pairings=None)
-    _assert_d1_squared_zero(page)
     pairings = {}
     for (i, j), summands in cells.items():
         dual = cells.get((-i, 2 * n - j))
@@ -187,7 +197,8 @@ def build_e1(datum: SemistableDatum) -> WeightComplex:
                 )
             blocks.append(datum.pairing(sm.level, sm.degree))
         pairings[(i, j)] = RatMatrix.block_diag(blocks)
-    return replace(page, pairings=pairings)
+    return WeightComplex(n=n, cells=cells, dims=dims, d1=d1,
+                         n_blocks=None, pairings=pairings)
 
 
 def _assert_d1_squared_zero(page: WeightComplex):
@@ -196,17 +207,8 @@ def _assert_d1_squared_zero(page: WeightComplex):
             raise ConventionViolation(f"d1 o d1 != 0 at cell ({i}, {j})")
 
 
-def _mark_checked(page: WeightComplex) -> WeightComplex:
-    object.__setattr__(page, "checked", True)
-    return page
-
-
 def install_n(page: WeightComplex) -> WeightComplex:
-    """Install monodromy blocks; asserts d1 o d1 = 0, N o d1 = d1 o N and the E1-level isos.
-
-    d1 o d1 = 0 is asserted again, as ``build_e1`` does, since the page may
-    come from elsewhere; the result is marked checked.
-    """
+    """Install monodromy blocks, checked by the page constructor; asserts the E1-level isos."""
     if page.cells is None or any(v is None for v in page.cells.values()):
         raise PreconditionError("install_n needs summand bookkeeping (datum-built page)")
     n_blocks = {}
@@ -236,10 +238,8 @@ def install_n(page: WeightComplex) -> WeightComplex:
             )
         n_blocks[(i, j)] = RatMatrix.assemble(tgt_dim, src_dim, placements)
     out = replace(page, n_blocks=n_blocks)
-    _assert_d1_squared_zero(out)
-    _assert_n_compatible(out)
     _assert_e1_isos(out)
-    return _mark_checked(out)
+    return out
 
 
 def _assert_n_compatible(page: WeightComplex):
@@ -308,18 +308,14 @@ def build_e2(page: WeightComplex) -> E2Page:
     them, with rows r_p of pivot p and r_p[p] = 1, picks the reps: the K_f
     with f no pivot p.  The quotient projection Q has row f: 1/L_f at f and
     -r_p[f]/L_f at each p.  It sends a kernel vector to its coordinates on
-    the reps and the image to zero.  Each N edge s -> t is then sparse
-    products: d1 and Q_t must kill N images_s, d1 must kill N reps_s, and
-    Q_t N reps_s is the induced map.  Every cell is checked before any N
-    edge.
+    the reps and the image to zero.  The induced map of each N edge s -> t
+    is Q_t N reps_s, two sparse products.
 
-    On a page marked ``checked`` d1 o d1 = 0 and N o d1 = d1 o N are known,
-    so the products that only re-check them are skipped: d1 @ images per
-    cell, and N @ images_s with its d1 and Q_t products and d1 @ N reps_s
-    per edge.  The rank of the image columns on the free coordinates and
-    the N edges that leave the page are still checked.
+    The page's constructor has checked d1 o d1 = 0 and N o d1 = d1 o N, so
+    the image lies in the kernel, N maps kernel to kernel and image to
+    image, and an N block whose target is no cell is empty.  Only the rank
+    of the image columns on the free coordinates is checked here.
     """
-    checked = page.checked
     dims, reps, images, quotients = {}, {}, {}, {}
     for (i, j) in sorted(page.dims, key=lambda cell: (cell[1], cell[0])):
         d_out = page.d1_block(i, j)
@@ -335,7 +331,7 @@ def build_e2(page: WeightComplex) -> E2Page:
             on_free = tuple({f: v for f, v in row.items() if f not in taken}
                             for row in img.transpose().data)
             red, img_pivots = rref(RatMatrix(img.cols, n, on_free))
-            if len(img_pivots) < img.cols or not (checked or (d_out @ img).is_zero()):
+            if len(img_pivots) < img.cols:
                 raise ConventionViolation(f"image not inside kernel at cell ({i}, {j})")
             taken.update(img_pivots)
         kept = [(f, row) for f, row in zip(free, ker.data) if f not in taken]
@@ -354,29 +350,10 @@ def build_e2(page: WeightComplex) -> E2Page:
     if page.n_blocks is not None:
         for (i, j) in page.dims:
             tgt = (i + 2, j - 2)
-            n_blk = page.n_block(i, j)
-            if tgt not in page.dims:
-                if dims[(i, j)] and not (n_blk @ reps[(i, j)]).is_zero():
-                    raise InstanceInconsistency(
-                        f"induced N leaves the page at cell ({i}, {j})"
-                    )
+            if tgt in page.dims:
+                n_maps[(i, j)] = quotients[tgt] @ (page.n_block(i, j) @ reps[(i, j)])
+            else:
                 n_maps[(i, j)] = RatMatrix.zeros(0, dims[(i, j)])
-                continue
-            q_t = quotients[tgt]
-            moved = n_blk @ reps[(i, j)]
-            if not checked:
-                d_t = page.d1_block(*tgt)
-                # well-definedness: N maps the incoming image into the target image
-                imaged = n_blk @ images[(i, j)]
-                if not ((d_t @ imaged).is_zero() and (q_t @ imaged).is_zero()):
-                    raise InstanceInconsistency(
-                        f"induced N ill-defined at cell ({i}, {j})"
-                    )
-                if not (d_t @ moved).is_zero():
-                    raise InstanceInconsistency(
-                        f"induced N does not land in the kernel at cell ({i}, {j})"
-                    )
-            n_maps[(i, j)] = q_t @ moved
     return E2Page(n=page.n, dims=dims, reps=reps, images=images,
                   n_maps=n_maps, page=page)
 
@@ -567,21 +544,19 @@ def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:
                 d1[key] = blk
             else:
                 n_blocks[key] = blk
-    out = WeightComplex(
-        n=n,
-        cells={key: None for key in dims},
-        dims=dims,
-        d1=d1,
-        n_blocks=n_blocks,
-        pairings=None,
-    )
     try:
-        _assert_d1_squared_zero(out)
-        _assert_n_compatible(out)
+        out = WeightComplex(
+            n=n,
+            cells={key: None for key in dims},
+            dims=dims,
+            d1=d1,
+            n_blocks=n_blocks,
+            pairings=None,
+        )
         _assert_e1_isos(out)
     except (ConventionViolation, InstanceInconsistency) as exc:
         raise InternalConsistencyError(f"tensor construction bug: {exc}") from exc
-    return _mark_checked(out)
+    return out
 
 
 def tensor_power(page: WeightComplex, k: int) -> WeightComplex:

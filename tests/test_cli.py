@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wsscheck import cli
+from wsscheck import cli, specseq
 from wsscheck.errors import ParameterError
 from wsscheck.instances import data_dir, gen_chain, gen_ngon, gen_smooth, mutate, toy_names
 from wsscheck.strata import MAX_TOTAL_DIM, save
@@ -136,6 +136,21 @@ def test_tensor_power_below_one_is_an_input_error(tmp_path, capsys, command, pow
     assert run_cli([command, "--instance", str(path), "--tensor-power", power]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "tensor power must be >= 1" in err
+
+
+@pytest.mark.parametrize("power", ["6", str(10**12)])
+@pytest.mark.parametrize("command", ["pages", "check-wmc", "report"])
+def test_tensor_power_above_the_bound_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                                        command, power):
+    # gen_ngon(3) has E1 total 12: its fifth power is inside the bound, its sixth is not
+    assert 12 ** 5 <= cli.MAX_POWER_TOTAL < 12 ** 6
+    path = tmp_path / "ngon.json"
+    save(gen_ngon(3), path)
+    monkeypatch.setattr(specseq, "tensor_product",
+                        lambda p, q: pytest.fail("tensor_product called"))
+    assert run_cli([command, "--instance", str(path), "--tensor-power", power]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"exceeds {cli.MAX_POWER_TOTAL}" in err
 
 
 def test_report_tensor_power_keeps_suite_on_base_page(capsys):

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from helpers import inverse, nested_step_calls, random_invertible
 from oracles import convolve_power, cycle_incidence, kunneth_power, mini_rank, path_incidence
-from wsscheck.errors import ConventionViolation, InstanceInconsistency
+from wsscheck.errors import (
+    ConventionViolation,
+    DimensionMismatch,
+    InstanceInconsistency,
+    InternalConsistencyError,
+)
 from wsscheck.filtration import Filtration
 from wsscheck.instances import gen_chain, gen_ngon, gen_smooth, load_toy, toy_names
 from wsscheck.ratlin import RatMatrix
@@ -16,11 +21,9 @@ from wsscheck.specseq import (
     E1Summand,
     WeightComplex,
     antidiagonal_page,
-    build_e1,
     build_e2,
     check_wmc,
     compare_monodromy_vs_weight,
-    install_n,
     render_e1_grid,
     render_e2_grid,
     tensor_power,
@@ -323,109 +326,75 @@ def test_tensor_power_e2_matches_kunneth(gen):
             assert entry.rank == oracle.get((-entry.r, entry.w + entry.r), 0)
 
 
-def test_build_e2_rejects_d1_squared_nonzero():
-    # a row 0 -> 0 -> 0 of one-dimensional cells with both d1 the identity:
-    # the image into (1, 0) is not inside the kernel out of it
-    one = RatMatrix.identity(1)
-    page = WeightComplex(
-        n=1,
-        cells={(0, 0): None, (1, 0): None, (2, 0): None},
-        dims={(0, 0): 1, (1, 0): 1, (2, 0): 1},
-        d1={(0, 0): one, (1, 0): one},
-        n_blocks=None,
-        pairings=None,
-    )
-    with pytest.raises(ConventionViolation, match=r"image not inside kernel at cell \(1, 0\)"):
-        build_e2(page)
-
-
 def _formal_page(dims, d1, n_blocks):
-    """A formal page with the given blocks, past install_n's checks."""
+    """A formal page of the given cells, with 1x1 identity blocks at the given keys."""
     one = RatMatrix.identity(1)
     return WeightComplex(n=1, cells={key: None for key in dims}, dims=dims,
                          d1={key: one for key in d1}, n_blocks={key: one for key in n_blocks},
                          pairings=None)
 
 
-@pytest.mark.parametrize("dims, d1, n_blocks, message", [
-    # E2^{0,0} = Q, and N sends it to (2, -2), which is no cell of the page
-    ({(0, 0): 1}, [], [(0, 0)], r"induced N leaves the page at cell \(0, 0\)"),
-    # Im d1 = E1^{0,2} is moved by N onto E1^{2,0}, where the image is zero
-    ({(-1, 2): 1, (0, 2): 1, (2, 0): 1}, [(-1, 2)], [(0, 2)],
-     r"induced N ill-defined at cell \(0, 2\)"),
-    # E2^{0,2} = Q is moved by N onto E1^{2,0}, where d1 is injective
-    ({(0, 2): 1, (2, 0): 1, (3, 0): 1}, [(2, 0)], [(0, 2)],
-     r"induced N does not land in the kernel at cell \(0, 2\)"),
-])
-def test_build_e2_rejects_bad_induced_n(dims, d1, n_blocks, message):
-    with pytest.raises(InstanceInconsistency, match=message):
-        build_e2(_formal_page(dims, d1, n_blocks))
-
-
-# -- the checked marker ----------------------------------------------------------
-
-
-def test_only_the_asserting_builders_mark_a_page_checked():
-    base = curve_page(3)
-    for page in (base, tensor_product(base, base), tensor_power(base, 3)):
-        assert page.checked
-    hand_built = _formal_page({(0, 0): 1}, [], [])
-    for page in (build_e1(gen_ngon(3)), unit_page(), antidiagonal_page(build_e2(base), 1),
-                 hand_built, replace(base), replace(tensor_power(base, 2), pairings=None)):
-        assert not page.checked
-    with pytest.raises(TypeError):
-        WeightComplex(n=0, cells={}, dims={}, d1={}, n_blocks={}, pairings=None, checked=True)
-    with pytest.raises(ValueError):
-        replace(hand_built, checked=True)
-
-
-def test_install_n_checks_d1_squared_itself():
-    # the page of test_build_e2_rejects_d1_squared_nonzero with summand
-    # bookkeeping: install_n raises rather than mark it
-    one = RatMatrix.identity(1)
+@pytest.mark.parametrize("summands", [False, True], ids=["formal", "summands"])
+def test_constructor_refuses_d1_squared_nonzero(summands):
+    # a row 0 -> 0 -> 0 of one-dimensional cells with both d1 the identity
     cells = {(i, 0): (E1Summand(k=i, level=i + 1, degree=0, twist=0, dim=1),)
-             for i in range(3)}
-    page = WeightComplex(n=1, cells=cells, dims={cell: 1 for cell in cells},
-                         d1={(0, 0): one, (1, 0): one}, n_blocks=None, pairings=None)
+             if summands else None for i in range(3)}
+    one = RatMatrix.identity(1)
     with pytest.raises(ConventionViolation, match=r"d1 o d1 != 0 at cell \(0, 0\)"):
-        install_n(page)
+        WeightComplex(n=1, cells=cells, dims={cell: 1 for cell in cells},
+                      d1={(0, 0): one, (1, 0): one}, n_blocks=None, pairings=None)
 
 
-CHECKED_PAGES = {
-    **{name: lambda name=name: to_weight_complex(load_toy(name)) for name in toy_names()},
-    **{f"ngon{n}": lambda n=n: curve_page(n) for n in range(3, 7)},
-    **{f"chain{n}": lambda n=n: to_weight_complex(gen_chain(n)) for n in range(2, 6)},
-    "ngon3_cube": lambda: tensor_power(curve_page(3), 3),
-    "gon3_x_p2_square": lambda: tensor_power(to_weight_complex(load_toy("toy_gon3_x_p2")), 2),
-}
+@pytest.mark.parametrize("dims, d1, n_blocks, message", [
+    # d1 out of E1^{0,0} = Q, where E1^{1,0} is no cell
+    ({(0, 0): 1}, [(0, 0)], [], r"d1 block at cell \(0, 0\) is 1x1, not 0x1"),
+    # d1 from Q into E1^{1,0} = Q^2
+    ({(0, 0): 1, (1, 0): 2}, [(0, 0)], [], r"d1 block at cell \(0, 0\) is 1x1, not 2x1"),
+    # N out of E1^{0,0} = Q, where E1^{2,-2} is no cell
+    ({(0, 0): 1}, [], [(0, 0)], r"N block at cell \(0, 0\) is 1x1, not 0x1"),
+])
+def test_constructor_refuses_blocks_of_the_wrong_shape(dims, d1, n_blocks, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        _formal_page(dims, d1, n_blocks)
 
 
-@pytest.mark.parametrize("name", sorted(CHECKED_PAGES))
-def test_build_e2_same_on_checked_and_unchecked_pages(name):
-    page = CHECKED_PAGES[name]()
-    copy = replace(page)
-    assert page.checked and not copy.checked
-    e2, e2_copy = build_e2(page), build_e2(copy)
-    for field in ("dims", "reps", "images", "n_maps"):
-        assert getattr(e2, field) == getattr(e2_copy, field), field
+@pytest.mark.parametrize("dims, d1, n_blocks, cell", [
+    # N moves Im d1 = E1^{0,2} onto E1^{2,0}, where the image is zero
+    ({(-1, 2): 1, (0, 2): 1, (2, 0): 1}, [(-1, 2)], [(0, 2)], (-1, 2)),
+    # N moves the kernel E1^{0,2} onto E1^{2,0}, where d1 is injective
+    ({(0, 2): 1, (2, 0): 1, (3, 0): 1}, [(2, 0)], [(0, 2)], (0, 2)),
+])
+def test_constructor_refuses_n_not_commuting_with_d1(dims, d1, n_blocks, cell):
+    with pytest.raises(InstanceInconsistency,
+                       match=rf"N o d1 != d1 o N out of cell \({cell[0]}, {cell[1]}\)"):
+        _formal_page(dims, d1, n_blocks)
 
 
 def test_build_e2_on_a_checked_page_forms_only_the_induced_maps(monkeypatch):
-    # per N edge N reps_s and Q_t N reps_s, per cell whose N leaves the page
-    # the guard N reps_s; nothing that re-checks d1 o d1 or N o d1 = d1 o N
-    page = tensor_power(curve_page(3), 2)
+    # Q_t @ (N @ reps_s) per N edge s -> t, and no other product
+    pages = [
+        tensor_power(curve_page(3), 2),
+        # two N edges, each commuting with the d1 blocks on its row
+        _formal_page({(-1, 2): 1, (0, 2): 1, (1, 0): 1, (2, 0): 1},
+                     [(-1, 2), (1, 0)], [(-1, 2), (0, 2)]),
+    ]
     products = []
     matmul = RatMatrix.__matmul__
     monkeypatch.setattr(RatMatrix, "__matmul__",
                         lambda a, b: products.append(None) or matmul(a, b))
-    e2 = build_e2(page)
-    edges = sum((i + 2, j - 2) in page.dims for (i, j) in page.dims)
-    leaving = sum((i + 2, j - 2) not in page.dims and e2.dims[(i, j)] > 0
-                  for (i, j) in page.dims)
-    assert len(products) == 2 * edges + leaving
-    products.clear()
-    build_e2(replace(page))
-    assert len(products) > 2 * edges + leaving
+    for page in pages:
+        products.clear()
+        build_e2(page)
+        assert len(products) == 2 * sum((i + 2, j - 2) in page.dims for (i, j) in page.dims)
+
+
+def test_tensor_product_reports_a_construction_bug(monkeypatch):
+    # without the Koszul sign the tensor d1 squares to nonzero
+    page = curve_page(3)
+    monkeypatch.setattr(RatMatrix, "__neg__", lambda self: self)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^tensor construction bug: d1 o d1 != 0 at cell \(-2, 4\)$"):
+        tensor_product(page, page)
 
 
 def _negate_column(m, col):
@@ -436,17 +405,15 @@ def _negate_column(m, col):
 # negating a whole block keeps every kernel and image, so no check can see
 # it; one Künneth column negated breaks d1 o d1 = 0 or N o d1 = d1 o N
 @pytest.mark.parametrize("blocks, cell, error, message", [
-    ("d1", (0, 2), ConventionViolation, r"image not inside kernel at cell \(0, 2\)"),
-    ("d1", (-2, 4), InstanceInconsistency,
-     r"induced N does not land in the kernel at cell \(-2, 4\)"),
-    ("n_blocks", (-1, 4), InstanceInconsistency, r"induced N ill-defined at cell \(-1, 4\)"),
-    ("n_blocks", (-2, 4), InstanceInconsistency,
-     r"induced N does not land in the kernel at cell \(-2, 4\)"),
+    ("d1", (0, 2), ConventionViolation, r"d1 o d1 != 0 at cell \(-1, 2\)"),
+    ("d1", (-2, 4), InstanceInconsistency, r"N o d1 != d1 o N out of cell \(-2, 4\)"),
+    ("n_blocks", (-1, 4), InstanceInconsistency, r"N o d1 != d1 o N out of cell \(-2, 4\)"),
+    ("n_blocks", (-2, 4), InstanceInconsistency, r"N o d1 != d1 o N out of cell \(-2, 4\)"),
 ])
-def test_build_e2_checks_an_edited_copy_of_a_checked_page(blocks, cell, error, message):
+def test_replace_checks_an_edited_copy(blocks, cell, error, message):
     page = tensor_power(curve_page(3), 2)
     edited = dict(getattr(page, blocks))
     edited[cell] = _negate_column(edited[cell], 0)
-    build_e2(page)
+    assert replace(page) == page
     with pytest.raises(error, match=message):
-        build_e2(replace(page, **{blocks: edited}))
+        replace(page, **{blocks: edited})
