@@ -51,7 +51,6 @@ from .specseq import (
     build_e2,
     check_wmc,
     compare_monodromy_vs_weight,
-    install_n,
     tensor_product,
     unit_page,
     weight_filtration_graded,

@@ -67,7 +67,7 @@ class Analysis:
     @cached_property
     def base_page(self):
         strata.require_valid(self.validation)
-        return specseq.install_n(specseq.build_e1(self.datum))
+        return specseq.build_e1(self.datum)
 
     @cached_property
     def base_e2(self):

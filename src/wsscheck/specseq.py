@@ -27,7 +27,7 @@ d = d (x) 1 + (-1)^column 1 (x) d and N = N (x) 1 + 1 (x) N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -54,25 +54,25 @@ class E1Summand:
 
 @dataclass(frozen=True)
 class WeightComplex:
-    """An E1 page: graded cells, d1 blocks, optional N blocks and pairings.
+    """An E1 page: graded cells, d1 blocks, N blocks and optional pairings.
 
     Every page, ``dataclasses.replace`` copies included, is checked when it
     is made: each d1 and N block has the shape (dim of its target cell, dim
     of its source cell), else ``DimensionMismatch``; d1 o d1 = 0, else
-    ``ConventionViolation``; and, once N blocks are installed,
-    N o d1 = d1 o N, else ``InstanceInconsistency``.
+    ``ConventionViolation``; and N o d1 = d1 o N, else
+    ``InstanceInconsistency``.
     """
 
     n: int
     cells: dict      # (i, j) -> tuple of E1Summand, or None for formal cells
     dims: dict       # (i, j) -> int
     d1: dict         # (i, j) -> RatMatrix  E1^{i,j} -> E1^{i+1,j}
-    n_blocks: dict   # (i, j) -> RatMatrix  E1^{i,j} -> E1^{i+2,j-2}; None before install_n
+    n_blocks: dict   # (i, j) -> RatMatrix  E1^{i,j} -> E1^{i+2,j-2}
     pairings: dict   # (i, j) -> RatMatrix pairing with E1^{-i, 2n-j}; None when unavailable
 
     def __post_init__(self):
         for name, blocks, (di, dj) in (("d1", self.d1, (1, 0)),
-                                       ("N", self.n_blocks or {}, (2, -2))):
+                                       ("N", self.n_blocks, (2, -2))):
             for (i, j), blk in blocks.items():
                 shape = (self.dim(i + di, j + dj), self.dim(i, j))
                 if (blk.rows, blk.cols) != shape:
@@ -81,8 +81,7 @@ class WeightComplex:
                         f"not {shape[0]}x{shape[1]}"
                     )
         _assert_d1_squared_zero(self)
-        if self.n_blocks is not None:
-            _assert_n_compatible(self)
+        _assert_n_compatible(self)
 
     def dim(self, i, j):
         return self.dims.get((i, j), 0)
@@ -94,8 +93,6 @@ class WeightComplex:
         return blk
 
     def n_block(self, i, j):
-        if self.n_blocks is None:
-            raise PreconditionError("monodromy blocks not installed; call install_n")
         blk = self.n_blocks.get((i, j))
         if blk is None:
             return RatMatrix.zeros(self.dim(i + 2, j - 2), self.dim(i, j))
@@ -131,115 +128,89 @@ def e1_summands(datum: SemistableDatum, i: int, j: int):
     return tuple(out)
 
 
-def _offsets(summands):
-    off = {}
-    pos = 0
-    for sm in summands:
-        off[sm.k] = (pos, sm)
-        pos += sm.dim
-    return off, pos
+def _cell_blocks(layout, step, parts):
+    """The blocks from each cell to the cell ``step`` away, summand by summand.
+
+    ``layout`` maps each cell to its ordered summands, as (label, dim) pairs.
+    ``parts(cell, label, dim)`` yields (target label, block) for one source
+    summand; each block lands at the rows of that label in the target cell
+    and the columns of the source summand.  A target label the target cell
+    lacks is dropped, and zero-dimensional summands yield nothing.
+    """
+    di, dj = step
+    blocks = {}
+    for (i, j), summands in layout.items():
+        target = layout.get((i + di, j + dj))
+        if target is None:
+            continue
+        rows, pos = {}, 0
+        for label, dim in target:
+            rows[label], pos = pos, pos + dim
+        placements, col = [], 0
+        for label, dim in summands:
+            if dim:
+                placements.extend((rows[t], col, blk)
+                                  for t, blk in parts((i, j), label, dim) if t in rows)
+            col += dim
+        blocks[(i, j)] = RatMatrix.assemble(pos, col, placements)
+    return blocks
 
 
 def build_e1(datum: SemistableDatum) -> WeightComplex:
-    """Assemble the E1 page of a validated datum, with its duality pairings."""
+    """The E1 page of a validated datum: d1, N and the duality pairings.
+
+    Summand k of E1^{i,j} is H^s of level l with l = 2k - i + 1 and
+    s = j + 2i - 2k, so each block finds its target summand by label alone:
+
+      * summand k + 1 of E1^{i+2,j-2} has level l and degree s, the same
+        dimension, so N is a signed identity onto it;
+      * summands k + 1 and k of E1^{i+1,j} have levels l + 1 and l - 1 and
+        degrees s and s + 2, the targets of restriction and Gysin;
+      * summand k - i of E1^{-i,2n-j} has level l and degree 2(n - l + 1) - s,
+        and k -> k - i is an order-preserving bijection of the two cells'
+        summands, so the pairing is block diagonal.
+
+    A target label outside the allowed k-range is dropped.  The page's
+    constructor checks the blocks; then N^r : E1^{-r,w+r} -> E1^{r,w-r} must
+    be an isomorphism, else ``InstanceInconsistency``.
+    """
     n = datum.n
     cells = {}
-    dims = {}
     for i in range(-n, n + 1):
         for j in range(0, 2 * n + 1):
             summands = e1_summands(datum, i, j)
             if summands:
                 cells[(i, j)] = summands
-                dims[(i, j)] = sum(sm.dim for sm in summands)
-    d1 = {}
-    for (i, j), summands in cells.items():
-        tgt = cells.get((i + 1, j))
-        if tgt is None:
-            continue
-        tgt_off, tgt_dim = _offsets(tgt)
-        src_off, src_dim = _offsets(summands)
-        placements = []
-        for sm in summands:
-            co = src_off[sm.k][0]
-            # restriction component: summand k -> k+1, level +1, same degree
-            if sm.k + 1 in tgt_off:
-                ro, tsm = tgt_off[sm.k + 1]
-                if tsm.level == sm.level + 1 and tsm.degree == sm.degree:
-                    blk = datum.restriction_map(sm.level, sm.degree)
-                    if (i + sm.k) % 2 != 0:
-                        blk = -blk
-                    placements.append((ro, co, blk))
-            # gysin component: summand k -> k, level -1, degree +2
-            if sm.k in tgt_off:
-                ro, tsm = tgt_off[sm.k]
-                if tsm.level == sm.level - 1 and tsm.degree == sm.degree + 2:
-                    blk = datum.gysin_map(sm.level, sm.degree)
-                    if sm.k % 2 != 0:
-                        blk = -blk
-                    placements.append((ro, co, blk))
-        d1[(i, j)] = RatMatrix.assemble(tgt_dim, src_dim, placements)
-    pairings = {}
-    for (i, j), summands in cells.items():
-        dual = cells.get((-i, 2 * n - j))
-        if dual is None:
-            if dims[(i, j)] > 0:
-                raise InstanceInconsistency(
-                    f"cell ({i},{j}) has no duality partner"
-                )
-            continue
-        dual_off, _ = _offsets(dual)
-        blocks = []
-        for sm in summands:
-            partner = dual_off.get(sm.k - i)
-            if partner is None or partner[1].level != sm.level:
-                raise InstanceInconsistency(
-                    f"summand mismatch in duality at cell ({i},{j})"
-                )
-            blocks.append(datum.pairing(sm.level, sm.degree))
-        pairings[(i, j)] = RatMatrix.block_diag(blocks)
-    return WeightComplex(n=n, cells=cells, dims=dims, d1=d1,
-                         n_blocks=None, pairings=pairings)
+    layout = {cell: [(sm.k, sm.dim) for sm in summands] for cell, summands in cells.items()}
+
+    def d1_parts(cell, k, dim):
+        i, j = cell
+        level, s = 2 * k - i + 1, j + 2 * i - 2 * k
+        restriction, gysin = datum.restriction_map(level, s), datum.gysin_map(level, s)
+        yield k + 1, -restriction if (i + k) % 2 else restriction
+        yield k, -gysin if k % 2 else gysin
+
+    def n_parts(cell, k, dim):
+        yield k + 1, RatMatrix.identity(dim).scaled(1 if cell[0] % 2 else -1)  # (-1)^(i+1)
+
+    page = WeightComplex(
+        n=n,
+        cells=cells,
+        dims={cell: sum(d for _, d in summands) for cell, summands in layout.items()},
+        d1=_cell_blocks(layout, (1, 0), d1_parts),
+        n_blocks=_cell_blocks(layout, (2, -2), n_parts),
+        pairings={(i, j): RatMatrix.block_diag(datum.pairing(sm.level, sm.degree)
+                                                for sm in summands)
+                  for (i, j), summands in cells.items()},
+    )
+    _assert_e1_isos(page)
+    return page
 
 
 def _assert_d1_squared_zero(page: WeightComplex):
     for (i, j) in page.dims:
         if not (page.d1_block(i + 1, j) @ page.d1_block(i, j)).is_zero():
             raise ConventionViolation(f"d1 o d1 != 0 at cell ({i}, {j})")
-
-
-def install_n(page: WeightComplex) -> WeightComplex:
-    """Install monodromy blocks, checked by the page constructor; asserts the E1-level isos."""
-    if page.cells is None or any(v is None for v in page.cells.values()):
-        raise PreconditionError("install_n needs summand bookkeeping (datum-built page)")
-    n_blocks = {}
-    for (i, j), summands in page.cells.items():
-        tgt = page.cells.get((i + 2, j - 2))
-        if tgt is None:
-            continue
-        tgt_off, tgt_dim = _offsets(tgt)
-        src_off, src_dim = _offsets(summands)
-        sign = 1 if i % 2 != 0 else -1  # (-1)^(i+1)
-        placements = []
-        for sm in summands:
-            partner = tgt_off.get(sm.k + 1)
-            if partner is None:
-                continue
-            ro, tsm = partner
-            if tsm.level != sm.level or tsm.degree != sm.degree:
-                raise InstanceInconsistency(
-                    f"monodromy shift mismatch at cell ({i},{j}) summand k={sm.k}"
-                )
-            if sm.dim != tsm.dim:
-                raise InstanceInconsistency(
-                    f"monodromy block not square at cell ({i},{j}) summand k={sm.k}"
-                )
-            placements.append(
-                (ro, src_off[sm.k][0], RatMatrix.identity(sm.dim).scaled(sign))
-            )
-        n_blocks[(i, j)] = RatMatrix.assemble(tgt_dim, src_dim, placements)
-    out = replace(page, n_blocks=n_blocks)
-    _assert_e1_isos(out)
-    return out
 
 
 def _assert_n_compatible(page: WeightComplex):
@@ -252,21 +223,20 @@ def _assert_n_compatible(page: WeightComplex):
             )
 
 
+def _n_power_rank(n_block, ds, r, w):
+    """Rank of N^r out of a ds-dimensional (-r, w + r), composed from n_block(i, j)."""
+    mat = RatMatrix.identity(ds)
+    for i in range(-r, r, 2):
+        mat = n_block(i, w - i) @ mat
+    return rank(mat)
+
+
 def _assert_e1_isos(page: WeightComplex):
     n = page.n
     for r in range(1, n + 1):
         for w in range(0, 2 * n + 1):
-            src = (-r, w + r)
-            tgt = (r, w - r)
-            ds, dt = page.dim(*src), page.dim(*tgt)
-            if ds == 0 and dt == 0:
-                continue
-            mat = RatMatrix.identity(ds)
-            pos = src
-            for _ in range(r):
-                mat = page.n_block(*pos) @ mat
-                pos = (pos[0] + 2, pos[1] - 2)
-            if ds != dt or rank(mat) != ds:
+            ds, dt = page.dim(-r, w + r), page.dim(r, w - r)
+            if ds != dt or (ds and _n_power_rank(page.n_block, ds, r, w) != ds):
                 raise InstanceInconsistency(
                     f"N^{r} is not an isomorphism on E1 at (r={r}, w={w})"
                 )
@@ -347,13 +317,12 @@ def build_e2(page: WeightComplex) -> E2Page:
         reps[(i, j)] = RatMatrix(len(kept), n, tuple(row for _, row in kept)).transpose()
         dims[(i, j)] = len(kept)
     n_maps = {}
-    if page.n_blocks is not None:
-        for (i, j) in page.dims:
-            tgt = (i + 2, j - 2)
-            if tgt in page.dims:
-                n_maps[(i, j)] = quotients[tgt] @ (page.n_block(i, j) @ reps[(i, j)])
-            else:
-                n_maps[(i, j)] = RatMatrix.zeros(0, dims[(i, j)])
+    for (i, j) in page.dims:
+        tgt = (i + 2, j - 2)
+        if tgt in page.dims:
+            n_maps[(i, j)] = quotients[tgt] @ (page.n_block(i, j) @ reps[(i, j)])
+        else:
+            n_maps[(i, j)] = RatMatrix.zeros(0, dims[(i, j)])
     return E2Page(n=page.n, dims=dims, reps=reps, images=images,
                   n_maps=n_maps, page=page)
 
@@ -409,18 +378,7 @@ def check_wmc(e2: E2Page, w_filter=None) -> WmcVerdict:
                 continue
             ds = e2.dims.get((-r, w + r), 0)
             dt = e2.dims.get((r, w - r), 0)
-            if r == 0:
-                entries.append(WmcEntry(0, w, ds, dt, ds, True))
-                continue
-            if ds == 0 and dt == 0:
-                entries.append(WmcEntry(r, w, 0, 0, 0, True))
-                continue
-            mat = RatMatrix.identity(ds)
-            pos = (-r, w + r)
-            for _ in range(r):
-                mat = e2.n_map_block(*pos) @ mat
-                pos = (pos[0] + 2, pos[1] - 2)
-            rk = rank(mat)
+            rk = _n_power_rank(e2.n_map_block, ds, r, w) if r and ds else ds
             entries.append(WmcEntry(r, w, ds, dt, rk, ds == dt and rk == ds))
     return WmcVerdict(tuple(entries), all(e.iso for e in entries))
 
@@ -487,70 +445,33 @@ def unit_page() -> WeightComplex:
 
 def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:
     """Bigraded tensor with Koszul-signed d1 and N = N x 1 + 1 x N."""
-    if p.n_blocks is None or q.n_blocks is None:
-        raise PreconditionError("both tensor factors must carry N blocks")
-    n = p.n + q.n
-    pairs = {}
-    dims = {}
+    layout = {}
     for c1 in sorted(p.dims):
         for c2 in sorted(q.dims):
             key = (c1[0] + c2[0], c1[1] + c2[1])
-            pairs.setdefault(key, []).append((c1, c2))
-    offsets = {}
-    for key, plist in pairs.items():
-        off = {}
-        pos = 0
-        for c1, c2 in plist:
-            off[(c1, c2)] = pos
-            pos += p.dims[c1] * q.dims[c2]
-        offsets[key] = off
-        dims[key] = pos
-    d1 = {}
-    n_blocks = {}
-    for key, plist in pairs.items():
-        i, j = key
-        for tgt_key, builder, sign_by_col in (
-            ((i + 1, j), "d1", True),
-            ((i + 2, j - 2), "n", False),
-        ):
-            if tgt_key not in pairs:
-                continue
-            tgt_off = offsets[tgt_key]
-            placements = []
-            for c1, c2 in plist:
-                co = offsets[key][(c1, c2)]
-                a, b = p.dims[c1], q.dims[c2]
-                if builder == "d1":
-                    left = p.d1_block(*c1)
-                    t1 = ((c1[0] + 1, c1[1]), c2)
-                    right = q.d1_block(*c2)
-                    t2 = (c1, (c2[0] + 1, c2[1]))
-                else:
-                    left = p.n_block(*c1)
-                    t1 = ((c1[0] + 2, c1[1] - 2), c2)
-                    right = q.n_block(*c2)
-                    t2 = (c1, (c2[0] + 2, c2[1] - 2))
-                if t1 in tgt_off and left.rows and a and b:
-                    placements.append(
-                        (tgt_off[t1], co, left.kron(RatMatrix.identity(b)))
-                    )
-                if t2 in tgt_off and right.rows and a and b:
-                    blk = RatMatrix.identity(a).kron(right)
-                    if sign_by_col and c1[0] % 2 != 0:
-                        blk = -blk
-                    placements.append((tgt_off[t2], co, blk))
-            blk = RatMatrix.assemble(dims[tgt_key], dims[key], placements)
-            if builder == "d1":
-                d1[key] = blk
-            else:
-                n_blocks[key] = blk
+            layout.setdefault(key, []).append(((c1, c2), p.dims[c1] * q.dims[c2]))
+
+    def koszul(step, block, signed):
+        """Parts of block x 1 + (-1)^(column of c1 if signed) 1 x block."""
+        di, dj = step
+
+        def parts(cell, label, dim):
+            c1, c2 = label
+            left, right = block(p, *c1), block(q, *c2)
+            if left.rows:
+                yield ((c1[0] + di, c1[1] + dj), c2), left.kron(RatMatrix.identity(q.dims[c2]))
+            if right.rows:
+                blk = RatMatrix.identity(p.dims[c1]).kron(right)
+                yield (c1, (c2[0] + di, c2[1] + dj)), -blk if signed and c1[0] % 2 else blk
+        return parts
+
     try:
         out = WeightComplex(
-            n=n,
-            cells={key: None for key in dims},
-            dims=dims,
-            d1=d1,
-            n_blocks=n_blocks,
+            n=p.n + q.n,
+            cells={key: None for key in layout},
+            dims={key: sum(d for _, d in summands) for key, summands in layout.items()},
+            d1=_cell_blocks(layout, (1, 0), koszul((1, 0), WeightComplex.d1_block, True)),
+            n_blocks=_cell_blocks(layout, (2, -2), koszul((2, -2), WeightComplex.n_block, False)),
             pairings=None,
         )
         _assert_e1_isos(out)
@@ -628,14 +549,10 @@ def page_json_dict(page: WeightComplex, e2: E2Page = None, verdict: WmcVerdict =
             {"i": i, "j": j, "matrix": m.to_json_dict()}
             for (i, j), m in sorted(page.d1.items())
         ],
-        "n_op": (
-            []
-            if page.n_blocks is None
-            else [
-                {"i": i, "j": j, "matrix": m.to_json_dict()}
-                for (i, j), m in sorted(page.n_blocks.items())
-            ]
-        ),
+        "n_op": [
+            {"i": i, "j": j, "matrix": m.to_json_dict()}
+            for (i, j), m in sorted(page.n_blocks.items())
+        ],
     }
     if e2 is not None:
         doc["e2"] = [

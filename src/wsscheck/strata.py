@@ -631,4 +631,4 @@ def to_weight_complex(datum: SemistableDatum):
     from . import specseq  # late import: specseq depends on this module
 
     require_valid(validate(datum))
-    return specseq.install_n(specseq.build_e1(datum))
+    return specseq.build_e1(datum)

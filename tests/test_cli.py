@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from wsscheck import cli, specseq
+from wsscheck import cli, specseq, strata
 from wsscheck.errors import ParameterError
 from wsscheck.instances import data_dir, gen_chain, gen_ngon, gen_smooth, mutate, toy_names
 from wsscheck.strata import MAX_TOTAL_DIM, save
@@ -99,6 +100,21 @@ def test_report_contains_sections(tmp_path, capsys):
     assert doc["threefold"]["ok"]
     assert doc["pages"]["verdict"]["overall"]
     assert all(doc["filtration_agreement"].values())
+
+
+@pytest.mark.parametrize("name", ["toy_blowup_point", "toy_gon3_x_p2"])
+def test_report_runs_each_stage_once(name, capsys, monkeypatch):
+    calls = Counter()
+    stages = ((strata, "validate"), (specseq, "build_e1"), (specseq, "build_e2"),
+              (specseq, "_assert_d1_squared_zero"))
+    for module, stage in stages:
+        def counted(*args, _run=getattr(module, stage), _stage=stage):
+            calls[_stage] += 1
+            return _run(*args)
+        monkeypatch.setattr(module, stage, counted)
+    assert run_cli(["report", "--instance", str(data_dir() / f"{name}.json")]) == 0
+    capsys.readouterr()
+    assert calls == {stage: 1 for _, stage in stages}
 
 
 def test_pages_text_grid(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -44,6 +45,37 @@ def test_smooth_page_trivial_differentials():
     assert e2.dims == page.dims
     assert all(m.is_zero() for m in page.n_blocks.values())
     assert check_wmc(e2).overall
+
+
+PAIRED_DATA = {
+    **{name: (load_toy, name) for name in toy_names()},
+    "ngon3": (gen_ngon, 3), "ngon4": (gen_ngon, 4),
+    "chain3": (gen_chain, 3), "chain4": (gen_chain, 4),
+    "smooth2": (gen_smooth, 2, (1, 0, 2, 0, 1)),
+    "smooth3": (gen_smooth, 3, (1, 0, 1, 0, 1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("build", PAIRED_DATA.values(), ids=PAIRED_DATA.keys())
+def test_e1_pairings_are_perfect(build):
+    # E1^{i,j} x E1^{-i,2n-j} is nondegenerate, and summand k meets only
+    # summand k - i of the dual cell, which has the same level
+    page = to_weight_complex(build[0](*build[1:]))
+
+    def spans(summands):
+        ends = itertools.accumulate(sm.dim for sm in summands)
+        return {sm.k: (sm, range(end - sm.dim, end)) for sm, end in zip(summands, ends)}
+
+    for (i, j), summands in page.cells.items():
+        dim, dual = page.dim(i, j), (-i, 2 * page.n - j)
+        blk = page.pairing_block(i, j)
+        assert blk.shape == (dim, page.dim(*dual))
+        assert mini_rank([blk.row_list(r) for r in range(blk.rows)]) == dim
+        partners = spans(page.cells[dual])
+        for sm, rows in spans(summands).values():
+            partner, cols = partners[sm.k - i]
+            assert partner.level == sm.level
+            assert all(c in cols for r in rows for c in blk.data[r])
 
 
 def test_ngon_row_zero_rank():
@@ -342,7 +374,7 @@ def test_constructor_refuses_d1_squared_nonzero(summands):
     one = RatMatrix.identity(1)
     with pytest.raises(ConventionViolation, match=r"d1 o d1 != 0 at cell \(0, 0\)"):
         WeightComplex(n=1, cells=cells, dims={cell: 1 for cell in cells},
-                      d1={(0, 0): one, (1, 0): one}, n_blocks=None, pairings=None)
+                      d1={(0, 0): one, (1, 0): one}, n_blocks={}, pairings=None)
 
 
 @pytest.mark.parametrize("dims, d1, n_blocks, message", [
