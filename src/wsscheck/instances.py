@@ -466,71 +466,46 @@ def _mat_with_entry(m: RatMatrix, r, c, v):
     return RatMatrix(m.rows, m.cols, tuple(rows))
 
 
-def _with_pairing(datum, j, s, mat):
+_TRANSFERS = ("restriction", "gysin")
+
+# the kinds of matrix whose entries mutate edits to break each axiom, in order
+_EDITABLE = {
+    "rho-squared": ("restriction",),
+    "tau-squared": ("gysin",),
+    "anticommute": ("restriction", "gysin"),
+    "adjunction": ("pairings",),
+    "poincare": ("pairings",),
+    "lefschetz-commute": ("lefschetz",),
+    "hard-lefschetz": ("lefschetz",),
+}
+
+
+def _with_matrix(datum, kind, key, mat):
+    """``datum`` with its ``kind`` matrix at ``key`` = (level, degree) set to ``mat``."""
+    if kind in _TRANSFERS:
+        table = {**getattr(datum.transfers, kind), key: mat}
+        return replace(datum, transfers=replace(datum.transfers, **{kind: table}))
+    j, s = key
     lvl = datum.levels[j]
-    pairings = dict(lvl.pairings)
-    pairings[s] = mat
-    levels = dict(datum.levels)
-    levels[j] = replace(lvl, pairings=pairings)
-    return replace(datum, levels=levels)
-
-
-def _with_lefschetz(datum, j, s, mat):
-    lvl = datum.levels[j]
-    lef = dict(lvl.lefschetz)
-    lef[s] = mat
-    levels = dict(datum.levels)
-    levels[j] = replace(lvl, lefschetz=lef)
-    return replace(datum, levels=levels)
-
-
-def _with_restriction(datum, key, mat):
-    restriction = dict(datum.transfers.restriction)
-    restriction[key] = mat
-    return replace(datum, transfers=replace(datum.transfers, restriction=restriction))
-
-
-def _with_gysin(datum, key, mat):
-    gysin = dict(datum.transfers.gysin)
-    gysin[key] = mat
-    return replace(datum, transfers=replace(datum.transfers, gysin=gysin))
-
-
-def _entry_edits(mat, include_zero):
-    for r in range(mat.rows):
-        for c in range(mat.cols):
-            cur = mat.entry(r, c)
-            vals = [cur + 1, cur - 1]
-            if include_zero and cur != 0:
-                vals.append(0)
-            for v in vals:
-                yield r, c, v
+    table = {**getattr(lvl, kind), s: mat}
+    return replace(datum, levels={**datum.levels, j: replace(lvl, **{kind: table})})
 
 
 def _candidates(datum, target):
+    """Every one-entry edit (kind, key, matrix, row, col, value) for ``target``."""
     out = []
-    if target in ("rho-squared", "anticommute"):
-        for key, mat in sorted(datum.transfers.restriction.items()):
-            for r, c, v in _entry_edits(mat, include_zero=True):
-                out.append(lambda d, key=key, mat=mat, r=r, c=c, v=v: _with_restriction(
-                    d, key, _mat_with_entry(mat, r, c, v)))
-    if target in ("tau-squared", "anticommute"):
-        for key, mat in sorted(datum.transfers.gysin.items()):
-            for r, c, v in _entry_edits(mat, include_zero=True):
-                out.append(lambda d, key=key, mat=mat, r=r, c=c, v=v: _with_gysin(
-                    d, key, _mat_with_entry(mat, r, c, v)))
-    if target in ("adjunction", "poincare"):
-        for j in sorted(datum.levels):
-            for s, mat in sorted(datum.levels[j].pairings.items()):
-                for r, c, v in _entry_edits(mat, include_zero=True):
-                    out.append(lambda d, j=j, s=s, mat=mat, r=r, c=c, v=v: _with_pairing(
-                        d, j, s, _mat_with_entry(mat, r, c, v)))
-    if target in ("lefschetz-commute", "hard-lefschetz"):
-        for j in sorted(datum.levels):
-            for s, mat in sorted(datum.levels[j].lefschetz.items()):
-                for r, c, v in _entry_edits(mat, include_zero=True):
-                    out.append(lambda d, j=j, s=s, mat=mat, r=r, c=c, v=v: _with_lefschetz(
-                        d, j, s, _mat_with_entry(mat, r, c, v)))
+    for kind in _EDITABLE[target]:
+        if kind in _TRANSFERS:
+            mats = sorted(getattr(datum.transfers, kind).items())
+        else:
+            mats = [((j, s), mat) for j in sorted(datum.levels)
+                    for s, mat in sorted(getattr(datum.levels[j], kind).items())]
+        for key, mat in mats:
+            for r in range(mat.rows):
+                for c in range(mat.cols):
+                    cur = mat.entry(r, c)
+                    for v in (cur + 1, cur - 1, 0) if cur else (cur + 1, cur - 1):
+                        out.append((kind, key, mat, r, c, v))
     return out
 
 
@@ -583,8 +558,8 @@ def mutate(datum: SemistableDatum, target: str, seed: int) -> SemistableDatum:
     rng = random.Random(seed)
     rng.shuffle(candidates)
     fallback = None
-    for make in candidates[:250]:
-        mutated = make(datum)
+    for kind, key, mat, r, c, v in candidates[:250]:
+        mutated = _with_matrix(datum, kind, key, _mat_with_entry(mat, r, c, v))
         report = validate(mutated)
         if report.ok:
             continue

@@ -1,12 +1,15 @@
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
 from helpers import random_dual_triple
+from wsscheck import cli
 from wsscheck.errors import InvalidComplex, InvalidForm, PreconditionError
 from wsscheck.instances import (
     blowup_point_datum,
+    gen_chain,
     gen_ngon,
     gen_smooth,
     times_projective_plane,
@@ -25,12 +28,13 @@ from wsscheck.lefschetz import (
     primitive_decompose,
     run_threefold_suite,
 )
-from wsscheck.ratlin import RatMatrix, image
+from wsscheck.ratlin import RatMatrix, contains, image, intersect, kernel, subspace_sum
 from wsscheck.specseq import build_e2, check_wmc
 from wsscheck.strata import (
     SemistableDatum,
     StratumLevel,
     TransferMaps,
+    save,
     to_weight_complex,
     validate,
 )
@@ -193,7 +197,7 @@ def test_hodge_index_definite_surface_fails():
     assert report.details["surface"][0]["signature"] == (2, 0, 0)
 
 
-def test_hodge_index_positive_primitive_fails():
+def _positive_primitive_datum():
     datum = gen_smooth(3, (1, 0, 2, 0, 2, 0, 1))
     lvl = datum.levels[1]
     p2 = lvl.pairings[2]
@@ -201,7 +205,11 @@ def test_hodge_index_positive_primitive_fails():
     rows[1][1] = 1  # flip the primitive block to positive
     pairings = dict(lvl.pairings)
     pairings[2] = RatMatrix.from_rows(rows, cols=p2.cols)
-    bad = replace(datum, levels={1: replace(lvl, pairings=pairings)})
+    return replace(datum, levels={1: replace(lvl, pairings=pairings)})
+
+
+def test_hodge_index_positive_primitive_fails():
+    bad = _positive_primitive_datum()
     assert validate(bad).ok
     report = check_hodge_index(bad, primitive_decompose(bad))
     assert not report.ok
@@ -291,3 +299,79 @@ def test_full_suite_on_all_toys():
         e2 = build_e2(to_weight_complex(datum))
         report = run_threefold_suite(datum, e2, check_wmc(e2))
         assert report.ok, [c.name for c in report.checks if not c.ok]
+
+
+# -- facts the suite reads from the validated axioms ---------------------------------
+
+SUITE_DATA = {
+    **{f"smooth{p}": (lambda p=p: gen_smooth(3, p)) for p in (
+        (1, 0, 1, 0, 1, 0, 1), (1, 0, 2, 0, 2, 0, 1), (1, 0, 3, 0, 3, 0, 1),
+        (1, 2, 1, 2, 1, 2, 1), (1, 0, 2, 2, 2, 0, 1),
+    )},
+    **{f"ngon{n}_x_p2": (lambda n=n: times_projective_plane(gen_ngon(n))) for n in (3, 4, 5, 6)},
+    **{f"chain{n}_x_p2": (lambda n=n: times_projective_plane(gen_chain(n))) for n in (2, 3, 4)},
+    "blowup_point": blowup_point_datum,
+    "hyperbolic_surface": lambda: _with_fake_surface(M([[0, 1], [1, 0]]), 2),
+    "definite_surface": lambda: _with_fake_surface(RatMatrix.identity(2), 2),
+    "positive_primitive": _positive_primitive_datum,
+}
+
+
+def _is_direct_sum(total_dim, u, w):
+    return u.dim + w.dim == total_dim and subspace_sum(u, w).dim == total_dim
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DATA))
+def test_axioms_give_the_facts_the_suite_reads(name):
+    datum = SUITE_DATA[name]()
+    assert validate(datum).ok
+    prim = primitive_decompose(datum)
+    dec = im_decompose(datum, prim)
+    lef = datum.lefschetz_map
+    # hard Lefschetz: H^2(A), H^4(A) and H^2(B) split along powers of L
+    assert _is_direct_sum(datum.h(1, 2), prim.prim2_3fold, image(lef(1, 0)))
+    assert _is_direct_sum(
+        datum.h(1, 4), image(lef(1, 2) @ prim.prim2_3fold.basis), image(lef(1, 2) @ lef(1, 0))
+    )
+    assert _is_direct_sum(datum.h(2, 2), prim.prim2_surf, prim.l_prim0_surf)
+    # L commutes with the transfer maps: each im0 lies in its transfer image,
+    # and L, L^2 map the transfer images into one another
+    for i in (0, 2, 4):
+        assert contains(dec.im_res[i], dec.im0_res[i])
+        assert contains(dec.im_gys[i], dec.im0_gys[i])
+    assert contains(dec.im0_res[4], image(lef(2, 2) @ dec.im0_res[2].basis))
+    assert contains(dec.im_res[4], image(lef(2, 2) @ dec.im_res[2].basis))
+    assert contains(dec.im_gys[4], image(prim.l2_3fold @ dec.im_gys[0].basis))
+    # axioms 3 and 2: Im(res_2 gys_0) lies in Ker gys_2 cap Im res_2
+    res2 = datum.restriction_map(1, 2)
+    assert contains(
+        intersect(kernel(datum.gysin_map(2, 2)), image(res2)),
+        image(res2 @ datum.gysin_map(2, 0)),
+    )
+    # N d1 = d1 N: the duality lemma's hypothesis on the middle row
+    e2 = build_e2(to_weight_complex(datum))
+    middle = check_e2_middle(datum, e2, check_wmc(e2), check_kernel_image_identity(datum))
+    assert middle.details["lemma"]["hypothesis"]
+
+
+SUITE_NAMES = [
+    "hodge-index", "lefschetz-isos", "image-dims", "restricted-pairings",
+    "splitting-iso", "kernel-image-identity", "e2-middle", "wmc",
+]
+
+
+def test_fail_fast_stops_at_the_first_failed_check(tmp_path, capsys):
+    datum = _with_fake_surface(RatMatrix.identity(2), 2)
+    e2 = build_e2(to_weight_complex(datum))
+    verdict = check_wmc(e2)
+    fast = run_threefold_suite(datum, e2, verdict, fail_fast=True)
+    assert [(c.name, c.ok) for c in fast.checks] == [("hodge-index", False)]
+    full = run_threefold_suite(datum, e2, verdict)
+    assert [c.name for c in full.checks] == SUITE_NAMES
+    assert [c.name for c in full.checks if not c.ok] == ["hodge-index"]
+    path = tmp_path / "definite_surface.json"
+    save(datum, path)
+    for strict, names in (("fail-fast", SUITE_NAMES[:1]), ("collect-all", SUITE_NAMES)):
+        assert cli.main(["check-threefold", "--instance", str(path), "--strict", strict]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["check"] for c in doc["checks"]] == names
