@@ -4,8 +4,10 @@
 Prints one line per instance: validation verdict, WMC verdict, whether the
 monodromy/weight filtration comparison agrees with the rank checks at every
 abutment degree, the full structure suite for threefolds, and the nonzero E2
-dimensions.  The small curves are also checked as tensor squares, which
-build E2 from the tensor product page.  Exits nonzero if anything fails.
+dimensions.  The small curves are also checked as tensor squares, and
+ngon(3), chain(3) as cubes and toy_blowup_point as a square, which build E2
+from the tensor product page of a third power or of a threefold's page.
+Exits nonzero if anything fails.
 """
 
 import sys
@@ -59,9 +61,12 @@ def main():
         ok &= inspect(f"ngon({n})^2", gen_ngon(n), tensor_power=2)
     for n in range(2, 5):
         ok &= inspect(f"chain({n})^2", gen_chain(n), tensor_power=2)
+    ok &= inspect("ngon(3)^3", gen_ngon(3), tensor_power=3)
+    ok &= inspect("chain(3)^3", gen_chain(3), tensor_power=3)
     ok &= inspect("smooth(3)", gen_smooth(3, (1, 0, 1, 0, 1, 0, 1)))
     for name in instances.toy_names():
         ok &= inspect(name, instances.load_toy(name))
+    ok &= inspect("toy_blowup_point^2", instances.load_toy("toy_blowup_point"), tensor_power=2)
     raise SystemExit(0 if ok else 1)
 
 

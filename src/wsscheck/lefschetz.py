@@ -184,7 +184,6 @@ class PrimitiveDecomposition:
     lefschetz_form: RatMatrix  # (x, y) -> <x, L y> on H^2 of the top stratum
     prim2_3fold: Subspace     # Ker(L^2 : H^2 -> H^6)
     prim2_surf: Subspace     # Ker(L : H^2 -> H^4) on the surface level
-    l_prim0_surf: Subspace    # L H^0 inside H^2 of the surface level
 
 
 def _lef_pow(datum, level, start_degree, steps):
@@ -216,7 +215,6 @@ def primitive_decompose(datum: SemistableDatum) -> PrimitiveDecomposition:
         lefschetz_form=gram_full,
         prim2_3fold=prim2_a,
         prim2_surf=kernel(datum.lefschetz_map(2, 2)),
-        l_prim0_surf=image(datum.lefschetz_map(2, 0)),
     )
 
 

@@ -6,7 +6,8 @@ basis scan built on it, dense list-of-rows matrix products, Kronecker
 products, transposes and block assembly, the Jordan-type formula for
 monodromy graded dimensions, the report on the monodromy axioms from dense
 ranks and powers, dictionary convolutions for Kunneth dimensions (graded
-and bigraded), and raw incidence matrices of cycle/path graphs.  Nothing
+and bigraded), the Clebsch-Gordan rule for the Jordan strings of a tensor
+product of pages, and raw incidence matrices of cycle/path graphs.  Nothing
 here imports wsscheck.
 """
 
@@ -19,7 +20,8 @@ def gauss_jordan(rows, ncols):
     Returns the len(rows) x ncols RREF as lists of Fraction (zero rows last)
     and the list of pivot columns.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    zero = Fraction(0)
+    m = [[Fraction(x) if x else zero for x in row] for row in rows]
     pivots = []
     for col in range(ncols):
         r0 = len(pivots)
@@ -28,7 +30,7 @@ def gauss_jordan(rows, ncols):
             continue
         m[r0], m[piv] = m[piv], m[r0]
         pv = m[r0][col]
-        m[r0] = [x / pv for x in m[r0]]
+        m[r0] = [x / pv if x else x for x in m[r0]]
         for r in range(len(m)):
             if r != r0 and m[r][col] != 0:
                 f = m[r][col]
@@ -53,9 +55,16 @@ def greedy_picks(vectors):
 
 
 def dense_matmul(a, b, ncols):
-    """a @ b for lists of rows, b having ncols columns."""
-    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(ncols)]
-            for row in a]
+    """a @ b for lists of rows, b having ncols columns: each row of the
+    product sums, over the nonzero entries x = a[i][k], x times row k of b."""
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * ncols
+        for k, x in enumerate(row):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b[k])]
+        out.append(acc)
+    return out
 
 
 def dense_kron(a, b):
@@ -138,6 +147,61 @@ def kunneth_power(dims, k):
                 out[(i + p, j + q)] = out.get((i + p, j + q), 0) + a * b
         acc = out
     return acc
+
+
+def graded_strings(dims, power_rank):
+    """The Jordan strings of a page's N, as a sorted list of (w, start, length).
+
+    dims maps each cell (i, j) to its dimension, and power_rank(i, j, m) is
+    the rank of N^m from (i, j) to (i + 2m, j - 2m).  N keeps the
+    antidiagonal w = i + j and raises the column by 2, so a homogeneous
+    Jordan basis splits each antidiagonal into strings of columns start,
+    start + 2, ..., and N^m has one rank for each string through both of its
+    columns.  The strings through column i that reach i + 2m and do not come
+    from i - 2 number power_rank(i, j, m) - power_rank(i - 2, j + 2, m + 1).
+    """
+    def rank(i, j, m):
+        if (i, j) not in dims or (i + 2 * m, j - 2 * m) not in dims:
+            return 0
+        return power_rank(i, j, m) if m else dims[(i, j)]
+
+    out = []
+    for (i, j) in sorted(dims):
+        m = 0
+        while rank(i, j, m):
+            reach = rank(i, j, m) - rank(i - 2, j + 2, m + 1)
+            longer = rank(i, j, m + 1) - rank(i - 2, j + 2, m + 2)
+            out.extend([(i + j, i, m + 1)] * (reach - longer))
+            m += 1
+    return sorted(out)
+
+
+def clebsch_gordan(strings_p, strings_q):
+    """The Jordan strings of N = N x 1 + 1 x N on the tensor of two pages.
+
+    A string of length a from column s is the sl2-module J_a shifted to
+    centre s + a - 1, so over Q, J_a x J_b is the sum of J_{a+b-1-2k} for
+    k < min(a, b), each centred at the sum of the two centres: it starts at
+    column s1 + s2 + 2k, on antidiagonal w1 + w2.
+    """
+    return sorted((w1 + w2, s1 + s2 + 2 * k, a + b - 1 - 2 * k)
+                  for w1, s1, a in strings_p for w2, s2, b in strings_q
+                  for k in range(min(a, b)))
+
+
+def string_dims(strings):
+    """Cell dims {(i, j): d} of the strings: a string covers each of its columns."""
+    out = {}
+    for w, s, a in strings:
+        for i in range(s, s + 2 * a, 2):
+            out[(i, w - i)] = out.get((i, w - i), 0) + 1
+    return out
+
+
+def string_rank(strings, r, w):
+    """Rank of N^r from (-r, w + r) to (r, w - r): the strings through both columns."""
+    return sum(1 for v, s, a in strings
+               if v == w and s <= -r and (s + r) % 2 == 0 and s + 2 * (a - 1) >= r)
 
 
 def axiom_report(nrows, steps, center, e):

@@ -123,7 +123,7 @@ def test_surface_split_dimension_count():
     datum = times_projective_plane(gen_ngon(3))
     prim = primitive_decompose(datum)
     h2_surf = datum.h(2, 2)
-    assert prim.l_prim0_surf.dim + prim.prim2_surf.dim == h2_surf
+    assert image(datum.lefschetz_map(2, 0)).dim + prim.prim2_surf.dim == h2_surf
 
 
 # -- image decompositions ----------------------------------------------------------
@@ -333,7 +333,7 @@ def test_axioms_give_the_facts_the_suite_reads(name):
     assert _is_direct_sum(
         datum.h(1, 4), image(lef(1, 2) @ prim.prim2_3fold.basis), image(lef(1, 2) @ lef(1, 0))
     )
-    assert _is_direct_sum(datum.h(2, 2), prim.prim2_surf, prim.l_prim0_surf)
+    assert _is_direct_sum(datum.h(2, 2), prim.prim2_surf, image(lef(2, 0)))
     # L commutes with the transfer maps: each im0 lies in its transfer image,
     # and L, L^2 map the transfer images into one another
     for i in (0, 2, 4):

@@ -8,7 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import inverse, nested_step_calls, random_invertible
-from oracles import convolve_power, cycle_incidence, kunneth_power, mini_rank, path_incidence
+from oracles import (
+    clebsch_gordan,
+    convolve_power,
+    cycle_incidence,
+    dense_matmul,
+    graded_strings,
+    kunneth_power,
+    mini_rank,
+    path_incidence,
+    string_dims,
+    string_rank,
+)
 from wsscheck.errors import (
     ConventionViolation,
     DimensionMismatch,
@@ -165,9 +176,9 @@ def test_compare_paths_agree_on_generators():
             assert compare_monodromy_vs_weight(e2, w) == verdict.at_w(w)
 
 
-def test_forced_zero_monodromy_fails_both_paths():
+def _forced_zero_page():
     # hand-built page: nonzero weight-2 cell but N identically zero
-    page = WeightComplex(
+    return WeightComplex(
         n=1,
         cells={(-1, 2): None, (1, 0): None},
         dims={(-1, 2): 1, (1, 0): 1},
@@ -175,9 +186,25 @@ def test_forced_zero_monodromy_fails_both_paths():
         n_blocks={},
         pairings=None,
     )
-    e2 = build_e2(page)
+
+
+def test_forced_zero_monodromy_fails_both_paths():
+    e2 = build_e2(_forced_zero_page())
     assert not compare_monodromy_vs_weight(e2, 1)
     assert not check_wmc(e2).at_w(1)
+
+
+def test_square_of_a_page_without_the_isos_fails_wmc():
+    # the product of factors without the E1 isos is a page whose check
+    # fails, not a construction bug; its ranks are Clebsch-Gordan's
+    page = _forced_zero_page()
+    verdict = check_wmc(build_e2(tensor_product(page, page)))
+    assert not verdict.overall
+    assert [(e.r, e.w) for e in verdict.entries if not e.iso] == [(2, 2)]
+    strings = _jordan_strings(page)
+    predicted = clebsch_gordan(strings, strings)
+    assert [e.rank for e in verdict.entries] == [
+        string_rank(predicted, e.r, e.w) for e in verdict.entries]
 
 
 def test_unit_page_is_monoidal_unit():
@@ -245,23 +272,27 @@ def _cols(m):
     return [list(c) for c in m.columns()]
 
 
+def _rows(m):
+    return [m.row_list(r) for r in range(m.rows)]
+
+
 def assert_e2_bases_span_the_right_spaces(page):
     """build_e2's bases checked by rank alone, whatever basis it picks.
 
-    In each cell the images and reps are independent, lie in Ker d1 and
-    number dim Ker d1, and the images span Im d1; along each N edge s -> t,
-    N reps_s - reps_t n_maps[s] lies in the span of images_t.
+    In each cell the image rows and rep columns are independent, lie in
+    Ker d1 and number dim Ker d1, and the images span Im d1; along each N
+    edge s -> t, N reps_s - reps_t n_maps[s] lies in the span of images_t.
     """
     e2 = build_e2(page)
     for (i, j), n in page.dims.items():
         d_out, d_in = page.d1_block(i, j), page.d1_block(i - 1, j)
         images, reps = e2.images[(i, j)], e2.reps[(i, j)]
         assert (d_out @ reps).is_zero()
-        gens = _cols(images) + _cols(reps)
-        ker_dim = n - mini_rank([d_out.row_list(r) for r in range(d_out.rows)])
+        gens = _rows(images) + _cols(reps)
+        ker_dim = n - mini_rank(_rows(d_out))
         assert len(gens) == mini_rank(gens) == ker_dim
         incoming = _cols(d_in)
-        assert images.cols == mini_rank(incoming) == mini_rank(incoming + _cols(images))
+        assert images.rows == mini_rank(incoming) == mini_rank(incoming + _rows(images))
         assert e2.dims[(i, j)] == reps.cols
     for (i, j) in page.dims:
         tgt = (i + 2, j - 2)
@@ -270,7 +301,7 @@ def assert_e2_bases_span_the_right_spaces(page):
         n_map = e2.n_maps[(i, j)]
         assert n_map.shape == (e2.dims[tgt], e2.dims[(i, j)])
         diff = page.n_block(i, j) @ e2.reps[(i, j)] + e2.reps[tgt] @ -n_map
-        images_t = _cols(e2.images[tgt])
+        images_t = _rows(e2.images[tgt])
         assert mini_rank(images_t + _cols(diff)) == mini_rank(images_t)
 
 
@@ -356,6 +387,47 @@ def test_tensor_power_e2_matches_kunneth(gen):
         assert {c: d for c, d in e2.dims.items() if d} == {c: d for c, d in oracle.items() if d}
         for entry in check_wmc(e2).entries:
             assert entry.rank == oracle.get((-entry.r, entry.w + entry.r), 0)
+
+
+def _dense_power_rank(page):
+    """rank of N^m out of (i, j), from dense products of the page's N blocks."""
+    def power_rank(i, j, m):
+        mat = _rows(page.n_block(i, j))
+        for t in range(1, m):
+            mat = dense_matmul(_rows(page.n_block(i + 2 * t, j - 2 * t)), mat, page.dim(i, j))
+        return mini_rank(mat)
+    return power_rank
+
+
+def _jordan_strings(page):
+    return graded_strings(page.dims, _dense_power_rank(page))
+
+
+CG_BASES = {
+    **{f"ngon{n}^{k}": ((gen_ngon, n), k) for n in (3, 4, 5) for k in (2, 3)},
+    **{f"chain{n}^{k}": ((gen_chain, n), k) for n in (2, 3, 4) for k in (2, 3)},
+    "smooth2^2": ((gen_smooth, 2, (1, 0, 2, 0, 1)), 2),
+    "toy_blowup_point^2": ((load_toy, "toy_blowup_point"), 2),
+    "toy_gon3_x_p2^2": ((load_toy, "toy_gon3_x_p2"), 2),
+}
+
+
+@pytest.mark.parametrize("build, k", CG_BASES.values(), ids=CG_BASES.keys())
+def test_tensor_power_has_the_e1_isos_clebsch_gordan_predicts(build, k):
+    # tensor_product does not re-check the E1 isos of a product: the
+    # factor's Jordan strings predict its cell dims and every rank of N^r,
+    # and dense ranks of the power's N blocks give them
+    base = to_weight_complex(build[0](*build[1:]))
+    strings = predicted = _jordan_strings(base)
+    for _ in range(k - 1):
+        predicted = clebsch_gordan(predicted, strings)
+    page = tensor_power(base, k)
+    assert string_dims(predicted) == {c: d for c, d in page.dims.items() if d}
+    power_rank = _dense_power_rank(page)
+    for r in range(1, page.n + 1):
+        for w in range(0, 2 * page.n + 1):
+            ds, dt = page.dim(-r, w + r), page.dim(r, w - r)
+            assert power_rank(-r, w + r, r) == string_rank(predicted, r, w) == ds == dt
 
 
 def _formal_page(dims, d1, n_blocks):
