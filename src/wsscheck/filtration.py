@@ -18,32 +18,46 @@ M_{c+k} = sum over j >= 0 of N^j(Ker N^{k+2j+1}).
 
 NilpotentOp.build keeps the kernel flag K_s = Ker N^s, s = 0 .. e, from
 ``ratlin.kernel_flag``, a chain of shrinking reductions that forms no power
-of N.  The basis is built from the top down: at each height s = e .. 1 the
+of N.  K_s is held as integer rows, one per column off the pivot columns P_s
+of the chain: the row at f is nonzero at f and at columns of P_s before f
+only.  The basis is built from the top down: at each height s = e .. 1 the
 vectors H_{s+1} of height s + 1 are multiplied by N, and the new chain tops
-are the rows of K_s outside K_{s-1} + N H_{s+1}, picked by
-``greedy_extension`` from the rows of K_{s-1}, N H_{s+1} and K_s, in this
-order.  All of them lie in K_s, where a vector is fixed by its entries off
-the pivot columns kernel_flag gives, so the picks are made on those columns
-alone.  The vectors of height s then complete K_{s-1} to K_s, so the chains
-make a basis.  The vectors go in weight order into one reduced echelon
-(``prefix_row_spaces``), and M_i is its snapshot after the last vector of
-weight at most i.  Each snapshot is the RREF of the step, divided by its pivots
-as ``rref`` divides, and the RREF of a subspace is unique: the steps, and
-every byte written from them, do not depend on the basis picked or on the
-way the steps are computed.
+are the rows of K_s outside K_{s-1} + N H_{s+1}, the rows of K_s that
+``greedy_extension`` keeps from the rows of K_{s-1}, N H_{s+1} and K_s in
+this order.  They are picked in the coordinates of K_s / K_{s-1}.  A vector
+of K_s is fixed by its entries off P_s.  There the rows of K_s are
+multiples of unit vectors, and a row of K_{s-1} has its own column and
+otherwise columns of J, the columns of P_{s-1} outside P_s.  Cancelling at
+the columns off P_{s-1} against those rows maps K_s onto Q^J with kernel
+K_{s-1}, and takes the row of K_s at a column off P_{s-1} into the span of
+the unit vectors of J before it.  So the tops are the rows of K_s at the
+columns j of J whose unit vector is outside the span of the images of
+N H_{s+1} and of the unit vectors of J before j, and one greedy_extension
+over those rows finds them without reducing K_{s-1} again.  The vectors of
+height s then complete K_{s-1} to K_s, so the chains make a basis.  The
+vectors go in weight order into one reduced echelon (``prefix_row_spaces``),
+and M_i is its snapshot after the last vector of weight at most i.  Each
+snapshot is the RREF of the step, divided by its pivots as ``rref``
+divides, and the RREF of a subspace is unique: the steps, and every byte
+written from them, do not depend on the basis picked or on the way the
+steps are computed.
 
 verify_monodromy_axioms checks (a) and (b) on any filtration in a basis
 adapted to it, the echelon rows of each step at its new pivots in step
 order, where one ``coordinates`` call gives the matrix A of N: N M_i lies in
 M_{i-2} iff A vanishes on the columns of M_i and the rows beyond M_{i-2},
 and N^r : Gr_{c+r} -> Gr_{c-r} has the rank of A^r on the columns of M_{c+r}
-and the rows beyond M_{c-r-1}.  Reading no power of N, kernel flag or Jordan
-basis, it stays an independent test of the construction.
+and the rows beyond M_{c-r-1}.  The same rows check that the steps are
+nested (``_adapted_rows``, which ``Filtration.from_steps`` calls too): a
+step holds the one before it iff it has all its pivots and each row of the
+one before, cancelled against the new rows at the new pivots, is the step's
+row at the same pivot.  Reading no power of N, kernel flag or Jordan basis,
+it stays an independent test of the construction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import lcm
@@ -53,7 +67,7 @@ from .errors import DimensionMismatch, InvalidForm, InvalidOperator
 from .ratlin import (
     RatMatrix,
     Subspace,
-    contains,
+    cancel_at,
     coordinates,
     greedy_extension,
     kernel_flag,
@@ -92,10 +106,11 @@ class Filtration:
     space; queries between jumps resolve to the nearest lower step.
 
     ``from_steps`` is the entry for steps from outside: it checks that each
-    step lies in Q^n, contains the one before it (one ``contains`` per pair)
-    and that the last is Q^n.  ``from_nested_steps`` skips those checks, for
-    builders whose steps are nested and exhaustive by construction
-    (``monodromy_filtration``, ``specseq.weight_filtration_graded``).  Both
+    step lies in Q^n, contains the one before it (``_adapted_rows``, the
+    nesting check of ``verify_monodromy_axioms``) and that the last is Q^n.
+    ``from_nested_steps`` skips those checks, for builders whose steps are
+    nested and exhaustive by construction (``monodromy_filtration``,
+    ``specseq.weight_filtration_graded``).  Both
     sort the steps, keep the first of equal ones and add the sentinel, so
     on the same valid steps they give the same filtration.
     """
@@ -109,11 +124,7 @@ class Filtration:
         steps = sorted(steps, key=itemgetter(0))
         if not steps:
             raise InvalidForm("a filtration needs at least one step")
-        for k, (_, sub) in enumerate(steps):
-            if sub.ambient_dim != ambient_dim:
-                raise DimensionMismatch("step in wrong ambient space")
-            if k and not contains(sub, steps[k - 1][1]):
-                raise InvalidForm("filtration steps must be increasing")
+        _adapted_rows(ambient_dim, [sub for _, sub in steps])
         if steps[-1][1].dim != ambient_dim:
             raise InvalidForm("filtration must exhaust the ambient space")
         return cls.from_nested_steps(ambient_dim, center, steps)
@@ -161,6 +172,35 @@ class Filtration:
         }
 
 
+def _adapted_rows(ambient_dim, subspaces):
+    """(rows, labels): a basis adapted to the nested subspaces of Q^n, in order.
+
+    The rows are each subspace's echelon rows, scaled to coprime integers,
+    at the pivots the one before it lacks; labels[k] is the position of the
+    subspace that row k enters at.  A subspace with RREF rows f holds one
+    with RREF rows e iff it has all their pivots p and each e_p is f_p plus
+    the sum of e_p[q] f_q over the new pivots q, as e_p is 1 at p and 0 at
+    the other old pivots.  Cancelling e_p against the f_q at the new pivots
+    (``cancel_at``) leaves e_p minus that sum times a positive factor, so
+    the entry at p stays positive, and two primitive rows positive at p are
+    proportional iff they are equal.  DimensionMismatch for a subspace of
+    another space, InvalidForm for subspaces that are not nested.
+    """
+    rows, labels, before = [], [], {}
+    for pos, sub in enumerate(subspaces):
+        if sub.ambient_dim != ambient_dim:
+            raise DimensionMismatch("step in wrong ambient space")
+        leads = {min(row): row for row in primitive_rows(sub.echelon).data}
+        new = {p: row for p, row in leads.items() if p not in before}
+        if (len(leads) - len(new) != len(before)
+                or any(cancel_at(row, new) != leads[p] for p, row in before.items())):
+            raise InvalidForm("filtration steps must be increasing")
+        rows += new.values()
+        labels += [pos] * len(new)
+        before = leads
+    return rows, labels
+
+
 def monodromy_filtration(op: NilpotentOp, center: int) -> Filtration:
     """The unique filtration characterized by N M_i ⊆ M_{i-2} and graded isos.
 
@@ -189,13 +229,22 @@ def _weighted_jordan_basis(op: NilpotentOp, center: int) -> list:
     height = ()    # the vectors of the current height, as rows
     lengths = []   # the length of the chain of each of them
     for s in range(e, 0, -1):
-        (below, _), (ks, pivots) = kernels[s - 1], kernels[s]
-        offset = below.rows + len(height)
-        gens = RatMatrix(offset + ks.rows, n, below.data + height + ks.data)
-        # a vector of Ker N^s is fixed by its entries off the pivots
-        free = sorted(set(range(n)).difference(pivots))
-        picks = greedy_extension(gens.submatrix(range(gens.rows), free))
-        height += tuple(ks.data[p - offset] for p in picks if p >= offset)
+        (below, outer), (ks, pivots) = kernels[s - 1], kernels[s]
+        taken = set(pivots)
+        fresh = [c for c in outer if c not in taken]  # J: the columns of P_{s-1} outside P_s
+        # N H_{s+1} off P_s, cancelled at the columns off P_{s-1} against the
+        # rows of K_{s-1} there, at their own column and J: rows on J
+        images = [{c: v for c, v in row.items() if c not in taken} for row in height]
+        lower = {}
+        for f in set().union(*images).difference(outer):
+            row = below.data[f - bisect_left(outer, f)]  # K_{s-1}'s row at f
+            lower[f] = {f: row[f], **{j: row[j] for j in fresh if j in row}}
+        images = [cancel_at(row, lower) for row in images]
+        # after them the rows of K_s at J, unit vectors off P_s up to scale
+        units = tuple({j: 1} for j in fresh)
+        picks = greedy_extension(RatMatrix(len(images) + len(units), n, (*images, *units)))
+        tops = (fresh[p - len(images)] for p in picks if p >= len(images))
+        height += tuple(ks.data[f - bisect_left(pivots, f)] for f in tops)  # K_s's row at f
         lengths += [s] * (len(height) - len(lengths))
         weighted.extend((center + 2 * s - t - 1, v) for t, v in zip(lengths, height))
         if s > 1:
@@ -228,28 +277,22 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
     """Check both defining properties of the monodromy filtration against filt.
 
     Both are read off A, scaled to integers, as the module docstring sets out;
-    InvalidForm when the steps are not nested or do not exhaust Q^n, which
-    the raw constructor does not check.
+    InvalidForm when the steps are not nested or do not exhaust Q^n, and
+    DimensionMismatch for a step in another space, which the raw constructor
+    does not check.
     """
     if op.dim != filt.ambient_dim:
         raise DimensionMismatch("operator and filtration dimensions differ")
     c, n, e = filt.center, op.dim, op.nilpotency_index
     lo, hi = filt.lowest_index, filt.highest_index
-    rows, labels, before = [], [], {}  # the basis vectors in step order, each step's position
-    for pos, (_, sub) in enumerate(filt.steps):
-        if pos and not contains(sub, filt.steps[pos - 1][1]):
-            raise InvalidForm("filtration steps must be increasing")
-        leads = {min(row): row for row in sub.echelon.data}
-        rows += [row for lead, row in leads.items() if lead not in before]
-        labels += [pos] * (len(rows) - len(labels))
-        before = leads
+    rows, labels = _adapted_rows(n, [sub for _, sub in filt.steps])
     if len(rows) != n:
         raise InvalidForm("filtration must exhaust the ambient space")
 
     def end(i):  # the first end(i) basis vectors span M_i
         return bisect_right(labels, filt.position(i))
 
-    bt = primitive_rows(RatMatrix(n, n, tuple(rows))).transpose()
+    bt = RatMatrix(n, n, tuple(rows)).transpose()
     a = coordinates(bt, op.matrix @ bt)[0]
     a = a.scaled(lcm(*(v.denominator for row in a.data for v in row.values())))
     # reach[k]: the highest position of a row that one of the first k columns of A meets

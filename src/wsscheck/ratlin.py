@@ -60,6 +60,8 @@ shrinking reductions; ``greedy_extension`` picks the rows outside the span
 of the rows before them with one forward echelon; ``prefix_row_spaces``
 gives the canonical row space of every prefix of the rows from one
 incremental reduced echelon, each equal to what ``row_space`` gives.
+``cancel_at`` is the step they share with containment: a row cancelled at
+the pivots of rows that are zero at each other's pivots.
 
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the denominator is
 one) in every file format.
@@ -423,6 +425,19 @@ def _cancel(row: dict, prow: dict, c: int) -> dict:
     return new
 
 
+def cancel_at(row: dict, ech: dict) -> dict:
+    """row cancelled, in coprime integers, at each column of ech where it has an entry.
+
+    ech maps columns to integer rows, each nonzero at its own column and
+    zero at the other columns of ech, so a cancellation against one of them
+    leaves row's entries at the other columns as they were: each column
+    where row has an entry is visited once.  row holds integers.
+    """
+    for p in [j for j in row if j in ech]:
+        row = _cancel(row, ech[p], p)
+    return row
+
+
 def _forward(rows) -> list:
     """Row echelon form of {column: value} rows: [(pivot column, row)] by pivot.
 
@@ -596,9 +611,7 @@ def prefix_row_spaces(m: RatMatrix, ends) -> tuple:
         for row in m.data[taken:end]:
             if not row:
                 continue
-            row = _primitive(row)
-            for p in [j for j in row if j in ech]:
-                row = _cancel(row, ech[p], p)
+            row = cancel_at(_primitive(row), ech)
             if not row:
                 continue
             q = min(row)
@@ -662,13 +675,7 @@ def _reduces_to_zero(u: Subspace, rows) -> bool:
     has an entry are visited.
     """
     ech = {min(e): _primitive(e) for e in u.echelon.data}
-    for v in rows:
-        res = _primitive(v)
-        for p in [j for j in res if j in ech]:
-            res = _cancel(res, ech[p], p)
-        if res:
-            return False
-    return True
+    return not any(cancel_at(_primitive(v), ech) for v in rows)
 
 
 def _same_ambient(u: Subspace, w: Subspace):
@@ -725,20 +732,55 @@ def kernel_flag(m: RatMatrix) -> tuple:
     power of m is formed.  The ranks r_s fall until the first s with
     r_{s+1} = r_s (Fitting), so r_{s+1} = r_s > 0 means that m is not
     nilpotent, and the chain stops there.  A 0x0 matrix has e = 1.
+
+    R_s m lies in the row space of m^{s+1}, inside that of R_s, where a
+    row x is fixed by its entries at the r_s pivots of R_s: x is the sum of
+    x[p] / r[p] r over the rows r of R_s and their pivots p.  So R_s m is
+    formed only at those columns, from m's rows restricted to them, and
+    reduced there.  A reduced row b gives the row sum of b[p] / r[p] r of
+    R_{s+1}.  It agrees with b at the pivots of R_s, so it leads where b
+    leads and is zero at the other pivots of the reduction.  Scaled to
+    coprime integers it is the row that reducing all of R_s m gives, up to
+    a sign, which the null rows do not see; a b with one entry gives a row
+    of R_s itself.
     """
     n = m.rows
     if m.cols != n:
         raise DimensionMismatch("kernel_flag needs a square matrix")
     flag = [(RatMatrix.zeros(0, n), tuple(range(n)))]  # m^0 = 1
-    rows = m.data
+    red = _reduce(m.data)
+    rows = m.data  # m's rows at the pivot columns of R_s
     while True:
-        red = _reduce(rows)
         if red and len(red) == len(flag[-1][1]):
             raise InvalidOperator("matrix is not nilpotent")
-        flag.append((_null_rows(red, n), tuple(c for c, _ in red)))
+        pivots = tuple(c for c, _ in red)
+        flag.append((_null_rows(red, n), pivots))
         if not red:
             return tuple(flag)
-        rows = (RatMatrix(len(red), n, tuple(row for _, row in red)) @ m).data
+        gone = set(flag[-2][1]).difference(pivots)
+        rows = tuple([row if gone.isdisjoint(row) else
+                      {j: v for j, v in row.items() if j not in gone} for row in rows])
+        prior = dict(red)
+        product = RatMatrix(len(red), n, tuple(prior.values())) @ RatMatrix(n, n, rows)
+        red = [(c, _combine(prior, row)) for c, row in _reduce(product.data)]
+
+
+def _combine(rows: dict, coeffs: dict) -> dict:
+    """The row sum of coeffs[p] / r[p] r over the rows r = rows[p], in coprime integers.
+
+    rows maps pivots to primitive integer rows; one coefficient gives its
+    row as it is.
+    """
+    if len(coeffs) == 1:
+        return rows[next(iter(coeffs))]
+    scale = lcm(*(rows[p][p] for p in coeffs))
+    out = {}
+    for p, x in coeffs.items():
+        row = rows[p]
+        x *= scale // row[p]
+        for j, y in row.items():
+            out[j] = out.get(j, 0) + x * y
+    return _primitive({j: v for j, v in out.items() if v})
 
 
 def kernel(m: RatMatrix) -> Subspace:

@@ -2,12 +2,13 @@
 
 from contextlib import contextmanager
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 
 from wsscheck.filtration import Filtration
 from wsscheck.lefschetz import DualTriple
-from wsscheck.ratlin import RatMatrix, coordinates
+from wsscheck.ratlin import RatMatrix, coordinates, greedy_extension, primitive_rows
 from wsscheck.strata import TransferMaps
 
 
@@ -26,6 +27,35 @@ def nested_step_calls():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Filtration, "from_nested_steps", recording)
         yield calls
+
+
+def stacked_jordan_basis(op, center):
+    """(weight, vector) over a Jordan basis of op.matrix, by increasing weight.
+
+    The chain tops of height s are picked by one greedy_extension over the
+    rows of Ker N^{s-1}, N H_{s+1} and Ker N^s stacked in this order, on the
+    columns off the pivots of Ker N^s: the construction that
+    filtration._weighted_jordan_basis makes in the coordinates of
+    Ker N^s / Ker N^{s-1}, kept as its oracle.
+    """
+    n, e, kernels = op.dim, op.nilpotency_index, op.kernels
+    nt = op.matrix.transpose()
+    weighted = []
+    height = ()
+    lengths = []
+    for s in range(e, 0, -1):
+        (below, _), (ks, pivots) = kernels[s - 1], kernels[s]
+        offset = below.rows + len(height)
+        gens = RatMatrix(offset + ks.rows, n, below.data + height + ks.data)
+        free = sorted(set(range(n)).difference(pivots))
+        picks = greedy_extension(gens.submatrix(range(gens.rows), free))
+        height += tuple(ks.data[p - offset] for p in picks if p >= offset)
+        lengths += [s] * (len(height) - len(lengths))
+        weighted.extend((center + 2 * s - t - 1, v) for t, v in zip(lengths, height))
+        if s > 1:
+            height = primitive_rows(RatMatrix(len(height), n, height) @ nt).data
+    weighted.sort(key=itemgetter(0))
+    return weighted
 
 
 def inverse(m):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import inverse, nested_step_calls, random_jordan_type
+from helpers import inverse, nested_step_calls, random_jordan_type, stacked_jordan_basis
 from oracles import axiom_report, jordan_graded_dims
-from wsscheck.errors import InvalidForm, InvalidOperator
+from wsscheck.errors import DimensionMismatch, InvalidForm, InvalidOperator
 from wsscheck.filtration import (
     Filtration,
     NilpotentOp,
+    _weighted_jordan_basis,
     compare_shifted,
     monodromy_filtration,
     verify_monodromy_axioms,
@@ -133,21 +134,33 @@ def test_axioms_fail_on_a_shifted_center_where_lowering_holds():
 
 
 def test_axioms_refuse_steps_that_are_not_nested_or_not_exhaustive():
-    # the raw constructor takes any steps
+    # the raw constructor takes any steps; from_steps makes the same checks
     e1, e2 = Subspace.coordinate(3, 1), Subspace.span(3, [(0, 1, 0)])
     op = NilpotentOp.build(jordan_matrix([2, 1]))
-    for steps, message in (
-        (((-1, e1), (0, e2), (1, Subspace.full(3))), "steps must be increasing"),
+    for steps, error, message in (
+        (((-1, e1), (0, e2), (1, Subspace.full(3))), InvalidForm, "steps must be increasing"),
         # the pivots 1, then 0 and 2, alone would make a basis
-        (((0, e2), (1, Subspace.span(3, [(1, 0, 0), (0, 0, 1)]))), "steps must be increasing"),
+        (((0, e2), (1, Subspace.span(3, [(1, 0, 0), (0, 0, 1)]))),
+         InvalidForm, "steps must be increasing"),
         # nested pivots, 0 then 0 and 2, but (1, 1, 0) is not in span(e1, e3)
         (((0, Subspace.span(3, [(1, 1, 0)])), (1, Subspace.span(3, [(1, 0, 0), (0, 0, 1)])),
-          (2, Subspace.full(3))), "steps must be increasing"),
-        (((0, e1), (1, Subspace.coordinate(3, 2))), "must exhaust the ambient space"),
-        (((0, Subspace.zero(3)),), "must exhaust the ambient space"),
+          (2, Subspace.full(3))), InvalidForm, "steps must be increasing"),
+        # equal dimensions and the same pivot, different lines
+        (((0, Subspace.span(3, [(1, 1, 0)])), (1, Subspace.span(3, [(1, 0, 1)])),
+          (2, Subspace.full(3))), InvalidForm, "steps must be increasing"),
+        # (1, 1, 1) cancelled at the new pivot 1 is (1, 0, 1): it agrees with
+        # the row (1, 0, 0) at both pivots and differs at the free column 2
+        (((0, Subspace.span(3, [(1, 1, 1)])), (1, Subspace.coordinate(3, 2)),
+          (2, Subspace.full(3))), InvalidForm, "steps must be increasing"),
+        (((0, Subspace.coordinate(4, 1)), (1, Subspace.full(3))),
+         DimensionMismatch, "step in wrong ambient space"),
+        (((0, e1), (1, Subspace.coordinate(3, 2))), InvalidForm, "must exhaust the ambient space"),
+        (((0, Subspace.zero(3)),), InvalidForm, "must exhaust the ambient space"),
     ):
-        with pytest.raises(InvalidForm, match=message):
+        with pytest.raises(error, match=message):
             verify_monodromy_axioms(op, Filtration(3, 0, steps))
+        with pytest.raises(error, match=message):
+            Filtration.from_steps(3, 0, steps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -360,6 +373,26 @@ def _conjugate(sizes, rng, scale):
     if scale:
         t = t @ _diag((2, 3), n)
     return NilpotentOp.build(t @ jordan_matrix(sizes) @ inverse(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 6), max_size=4),
+    st.integers(-3, 3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+# long chains over a short one, several heights with one chain each, three
+# chains of one length, whose tops are picked apart at one height; the
+# scaled T gives N Fraction entries
+@example([18, 2], 0, 21, False)
+@example([9, 7, 1, 2], -1, 22, False)
+@example([4, 4, 4], 2, 23, False)
+@example([6, 3, 3], 1, 24, True)
+def test_jordan_basis_matches_stacked_greedy(sizes, center, seed, scale):
+    # the quotient-coordinate picks against the stacked greedy, vector for vector
+    op = _conjugate(sizes, random.Random(seed), scale)
+    assert _weighted_jordan_basis(op, center) == stacked_jordan_basis(op, center)
 
 
 def _variants(op, center, rng):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import inverse, jordan_matrix, random_invertible
 from oracles import (
     dense_assemble,
     dense_kron,
@@ -25,6 +27,7 @@ from wsscheck.ratlin import (
     intersect,
     kernel,
     kernel_flag,
+    null_rows_and_pivots,
     prefix_row_spaces,
     rank,
     row_space,
@@ -196,10 +199,26 @@ def _square_with_powers(draw):
     return t @ M(rows, cols=n) @ t_inv, not any(rows[i][i] for i in range(n))
 
 
+def _dense_conjugate(sizes, seed, scale):
+    """T J T^-1 for the Jordan type sizes and a dense T; a scaled T also has diag(2, 3, 1, ...)."""
+    n = sum(sizes)
+    t = random_invertible(n, random.Random(seed))
+    if scale:
+        t = t @ RatMatrix.block_diag([M([[2, 0], [0, 3]]), RatMatrix.identity(n - 2)])
+    return t @ jordan_matrix(sizes) @ inverse(t)
+
+
+_LONG_CHAINS = _dense_conjugate([12, 3], 31, False)
+_FRACTIONAL = _dense_conjugate([7, 4, 1], 32, True)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_square_with_powers())
 @example((RatMatrix.zeros(0, 0), True))
 @example((M([[1, 1], [0, 0]]), False))
+# the regime of the dense reductions: long chains, e = 12, and Fraction entries
+@example((_LONG_CHAINS, True))
+@example((_FRACTIONAL, True))
 def test_kernel_flag_matches_kernels_of_powers(args):
     m, nilpotent = args
     n = m.rows
@@ -210,6 +229,8 @@ def test_kernel_flag_matches_kernels_of_powers(args):
     flag = kernel_flag(m)
     power = RatMatrix.identity(n)
     for s, (rows, pivots) in enumerate(flag):
+        # the rows one reduction of m^s gives, whatever the chain that reached them
+        assert (rows, pivots) == null_rows_and_pivots(power)
         assert row_space(rows) == kernel(power)
         assert rows.rows == n - mini_rank([power.row_list(i) for i in range(n)])
         assert pivots == rref(power)[1]

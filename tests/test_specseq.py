@@ -194,6 +194,16 @@ def test_forced_zero_monodromy_fails_both_paths():
     assert not check_wmc(e2).at_w(1)
 
 
+def test_antidiagonal_slice_where_wmc_fails_is_a_page_that_fails():
+    # the slice of an E2 without the graded isos is returned, not refused
+    # as an input without the E1 isos, and its own check fails where E2's does
+    e2 = build_e2(_forced_zero_page())
+    slice_ = antidiagonal_page(e2, 1)
+    assert slice_.dims == {(-1, 2): 1, (1, 0): 1}
+    verdict = check_wmc(build_e2(slice_))
+    assert [(e.r, e.w) for e in verdict.entries if not e.iso] == [(1, 1)]
+
+
 def test_square_of_a_page_without_the_isos_fails_wmc():
     # the product of factors without the E1 isos is a page whose check
     # fails, not a construction bug; its ranks are Clebsch-Gordan's
