@@ -44,13 +44,17 @@ steps are computed.
 
 verify_monodromy_axioms checks (a) and (b) on any filtration in a basis
 adapted to it, the echelon rows of each step at its new pivots in step
-order, where one ``coordinates`` call gives the matrix A of N: N M_i lies in
-M_{i-2} iff A vanishes on the columns of M_i and the rows beyond M_{i-2},
-and N^r : Gr_{c+r} -> Gr_{c-r} has the rank of A^r on the columns of M_{c+r}
-and the rows beyond M_{c-r-1}.  The same rows check that the steps are
-nested (``_adapted_rows``, which ``Filtration.from_steps`` calls too): a
-step holds the one before it iff it has all its pivots and each row of the
-one before, cancelled against the new rows at the new pivots, is the step's
+order.  Each of these rows is zero at the pivot of every row before it, so
+the matrix A of N in that basis comes from forward substitution, one pass
+over the rows that visits each pivot once (``_adapted_coordinates``).
+N M_i lies in M_{i-2} iff A vanishes on the columns of M_i and the rows
+beyond M_{i-2}, and N^r : Gr_{c+r} -> Gr_{c-r} has the rank of A^r on the
+columns of M_{c+r} and the rows beyond M_{c-r-1}.  A is scaled to integers by one scalar, and each power's rows
+to coprime integers, which changes no such rank and keeps the powers from
+growing in bit size.  The same rows check that the steps are nested
+(``_adapted_rows``, which ``Filtration.from_steps`` calls too): a step
+holds the one before it iff it has all its pivots and each row of the one
+before, cancelled against the new rows at the new pivots, is the step's
 row at the same pivot.  Reading no power of N, kernel flag or Jordan basis,
 it stays an independent test of the construction.
 """
@@ -60,7 +64,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidForm, InvalidOperator
@@ -68,7 +72,6 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     cancel_at,
-    coordinates,
     greedy_extension,
     kernel_flag,
     prefix_row_spaces,
@@ -276,10 +279,11 @@ class MonodromyAxiomReport:
 def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiomReport:
     """Check both defining properties of the monodromy filtration against filt.
 
-    Both are read off A, scaled to integers, as the module docstring sets out;
-    InvalidForm when the steps are not nested or do not exhaust Q^n, and
-    DimensionMismatch for a step in another space, which the raw constructor
-    does not check.
+    Both are read off A, the matrix of N in the adapted basis, scaled to
+    integers by one scalar, and off its powers, each scaled row by row to
+    coprime integers, as the module docstring sets out.  InvalidForm when the
+    steps are not nested or do not exhaust Q^n, and DimensionMismatch for a
+    step in another space, which the raw constructor does not check.
     """
     if op.dim != filt.ambient_dim:
         raise DimensionMismatch("operator and filtration dimensions differ")
@@ -292,9 +296,7 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
     def end(i):  # the first end(i) basis vectors span M_i
         return bisect_right(labels, filt.position(i))
 
-    bt = RatMatrix(n, n, tuple(rows)).transpose()
-    a = coordinates(bt, op.matrix @ bt)[0]
-    a = a.scaled(lcm(*(v.denominator for row in a.data for v in row.values())))
+    a = _adapted_coordinates(rows, op.matrix)
     # reach[k]: the highest position of a row that one of the first k columns of A meets
     reach = list(accumulate((labels[max(col)] if col else -1 for col in a.transpose().data),
                             max, initial=-1))
@@ -303,11 +305,65 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
     for r in range(max(hi - c, c - lo, 0) + 2):
         dp, dm, rk = filt.graded_dim(c + r), filt.graded_dim(c - r), 0  # N^r = 0 from r = e on
         if r < e:
-            power = power @ a if r else power
+            power = primitive_rows(power @ a) if r else power
             rk = rank(power.submatrix(range(end(c - r - 1), n), range(end(c + r))))
         graded.append((r, dp, dm, rk, dp == dm and rk == dp))
     ok = all(x[1] for x in lowering) and all(g[4] for g in graded)
     return MonodromyAxiomReport(tuple(lowering), tuple(graded), ok)
+
+
+def _adapted_coordinates(rows, matrix):
+    """A positive multiple of the matrix A of N in the basis rows: N b_k = sum of A[l, k] b_l.
+
+    rows are n integer rows of Q^n, each zero at the leading column of every
+    row before it, as ``_adapted_rows`` gives them.  N is scaled to integers
+    by one scalar, so each N b_k is an integer row, and one pass over the
+    rows in order gives its coordinates by forward substitution: the rest of
+    N b_k is zero at the leading columns of the rows before b_l, so its
+    coordinate on b_l is its entry at b_l's leading column over b_l's, and
+    cancelling it there changes no entry at those columns.  The rest is held
+    as an integer row over an integer m, and the coordinates, in lowest
+    terms, are scaled by the lcm of their denominators, one scalar for all.
+    """
+    n = len(rows)
+    nt = matrix.scaled(lcm(*(v.denominator for row in matrix.data for v in row.values())))
+    images = RatMatrix(n, n, tuple(rows)) @ nt.transpose()  # row k: N b_k
+    leads = [(min(row), row) for row in rows]
+    coords = []  # (l, k, numerator, denominator)
+    for k, w in enumerate(images.data):
+        w, m = dict(w), 1
+        for l, (p, b) in enumerate(leads):
+            if not w:
+                break
+            x = w.get(p)
+            if not x:
+                continue
+            d = b[p]
+            g = gcd(x, d)
+            x, d = x // g, d // g
+            if d != 1:
+                for j in w:
+                    w[j] *= d
+            g = gcd(x, m * d)
+            coords.append((l, k, x // g, m * d // g))
+            for j, y in b.items():  # d w - x b is zero at p
+                v = w.get(j, 0) - x * y
+                if v:
+                    w[j] = v
+                else:
+                    del w[j]
+            if d != 1:
+                m *= d
+                g = gcd(m, *w.values())
+                if g > 1:
+                    for j in w:
+                        w[j] //= g
+                    m //= g
+    scale = lcm(*(den for *_, den in coords))
+    out = [{} for _ in range(n)]
+    for l, k, num, den in coords:
+        out[l][k] = num * (scale // den)
+    return RatMatrix(n, n, tuple(out))
 
 
 def compare_shifted(m: Filtration, w: Filtration, shift: int) -> bool:

@@ -51,8 +51,10 @@ pivot complete it to a basis of the kernel.  The E2 page reads each d1 block
 this way and reads the induced N through a quotient projection built from
 the two reductions.  These bases are not canonical.  ``coordinates`` reads
 coordinates off one rref of [basis | images]; with an invertible square
-basis it solves the square system, which is all the matrix inversion the
-package needs.
+basis it solves the square system, as ``lefschetz`` does for the adjoint
+g*.  A basis that is already triangular needs no elimination: the
+filtration check reads coordinates in its adapted basis by forward
+substitution.
 
 Some callers build many subspaces from one run of rows.  ``kernel_flag``
 gives the kernels of all the powers of a nilpotent matrix from a chain of

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from helpers import inverse, nested_step_calls, random_jordan_type, stacked_jordan_basis
 from oracles import axiom_report, jordan_graded_dims
+from wsscheck import filtration, ratlin
 from wsscheck.errors import DimensionMismatch, InvalidForm, InvalidOperator
 from wsscheck.filtration import (
     Filtration,
     NilpotentOp,
+    _adapted_coordinates,
+    _adapted_rows,
     _weighted_jordan_basis,
     compare_shifted,
     monodromy_filtration,
@@ -21,6 +25,7 @@ from wsscheck.filtration import (
 from wsscheck.ratlin import (
     RatMatrix,
     Subspace,
+    coordinates,
     image,
     intersect,
     kernel,
@@ -428,6 +433,11 @@ def _variants(op, center, rng):
 @example([], 0, 1, False)          # the 0 x 0 operator
 @example([1, 1, 1], 1, 2, True)    # N = 0, e = 1
 @example([4, 2, 1], -1, 3, True)   # Fraction entries
+# chains of 9 to 11, whose failing variants read powers up to N^10, where
+# the draws above stop at N^3; the scaled T gives N Fraction entries
+@example([9, 2], 0, 4, False)
+@example([9, 1], 1, 5, True)
+@example([11], -1, 6, False)
 def test_axiom_report_matches_dense_oracle(sizes, center, seed, scale):
     rng = random.Random(seed)
     op = _conjugate(sizes, rng, scale)
@@ -443,6 +453,63 @@ def test_axiom_report_matches_dense_oracle(sizes, center, seed, scale):
             assert got["ok"]
         elif k <= 3 and op.dim:
             assert not got["ok"]  # the graded pieces are not symmetric about the center
+
+
+def test_adapted_coordinates_match_stacked_coordinates():
+    # forward substitution against one rref of [B^T | N B^T], B's rows the
+    # adapted basis of a random nested flag: equal up to one positive scalar
+    rng = random.Random(1717)
+    fractional_steps = fractional_n = 0
+    for trial in range(60):
+        n = trial % 9  # 0 .. 8, the 0 x 0 case among them
+        vectors = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + 2)]
+        ends = sorted(rng.randint(0, n + 2) for _ in range(rng.randint(0, 4)))
+        flag = [Subspace.span(n, vectors[:end]) for end in ends] + [Subspace.full(n)]
+        fractional_steps += any(type(x) is Fraction for sub in flag for x in sub.echelon.entries)
+        if trial % 2:
+            entries = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                       for _ in range(n)]
+        else:
+            entries = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        nmat = RatMatrix.from_rows(entries, cols=n)
+        fractional_n += any(type(x) is Fraction for x in nmat.entries)
+        rows, _ = _adapted_rows(n, flag)
+        bt = RatMatrix(n, n, tuple(rows)).transpose()
+        want = coordinates(bt, nmat @ bt)[0]
+        got = _adapted_coordinates(rows, nmat)
+        assert got.shape == (n, n)
+        assert all(type(x) is int for x in got.entries)
+        nonzero = [(l, k, x) for l, row in enumerate(want.data) for k, x in row.items()]
+        if nonzero:
+            l, k, x = nonzero[0]
+            scale = Fraction(got.entry(l, k)) / x
+            assert scale > 0 and got == want.scaled(scale)
+        else:
+            assert got.is_zero()
+    assert fractional_steps and fractional_n
+
+
+def test_verify_makes_no_stacked_elimination(monkeypatch):
+    # A by forward substitution and its powers by products: no rref and no
+    # coordinates call, on passing and failing filtrations, Fraction N too
+    rng = random.Random(1818)
+    cases = [(op, filt)
+             for op in (NilpotentOp.build(jordan_matrix([5, 3, 1])),
+                        _conjugate([6, 2], rng, True), _conjugate([4, 4, 1], rng, False))
+             for filt in _variants(op, 1, rng)]
+    calls = Counter()
+    for name in ("rref", "coordinates"):
+        def counted(*args, _run=getattr(ratlin, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(ratlin, name, counted)
+        monkeypatch.setattr(filtration, name, counted, raising=False)
+    reports = [verify_monodromy_axioms(op, filt) for op, filt in cases]
+    assert calls == Counter()
+    assert reports[0].ok and not reports[1].ok
+    # the counters see ratlin's calls inside ratlin
+    Subspace.span(2, [(1, 2)])
+    assert calls == {"rref": 1}
 
 
 def test_failing_report_bytes_pinned():
