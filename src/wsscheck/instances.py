@@ -40,7 +40,6 @@ falls back to edits where the target is among the failures.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import (
@@ -53,7 +52,11 @@ from .errors import (
 from .ratlin import RatMatrix, as_rat
 from .strata import (
     AXIOMS,
+    GYSIN,
+    LEFSCHETZ,
     MAX_TOTAL_DIM,
+    PAIRING,
+    RESTRICTION,
     SemistableDatum,
     StratumLevel,
     TransferMaps,
@@ -466,41 +469,23 @@ def _mat_with_entry(m: RatMatrix, r, c, v):
     return RatMatrix(m.rows, m.cols, tuple(rows))
 
 
-_TRANSFERS = ("restriction", "gysin")
-
 # the kinds of matrix whose entries mutate edits to break each axiom, in order
 _EDITABLE = {
-    "rho-squared": ("restriction",),
-    "tau-squared": ("gysin",),
-    "anticommute": ("restriction", "gysin"),
-    "adjunction": ("pairings",),
-    "poincare": ("pairings",),
-    "lefschetz-commute": ("lefschetz",),
-    "hard-lefschetz": ("lefschetz",),
+    "rho-squared": (RESTRICTION,),
+    "tau-squared": (GYSIN,),
+    "anticommute": (RESTRICTION, GYSIN),
+    "adjunction": (PAIRING,),
+    "poincare": (PAIRING,),
+    "lefschetz-commute": (LEFSCHETZ,),
+    "hard-lefschetz": (LEFSCHETZ,),
 }
-
-
-def _with_matrix(datum, kind, key, mat):
-    """``datum`` with its ``kind`` matrix at ``key`` = (level, degree) set to ``mat``."""
-    if kind in _TRANSFERS:
-        table = {**getattr(datum.transfers, kind), key: mat}
-        return replace(datum, transfers=replace(datum.transfers, **{kind: table}))
-    j, s = key
-    lvl = datum.levels[j]
-    table = {**getattr(lvl, kind), s: mat}
-    return replace(datum, levels={**datum.levels, j: replace(lvl, **{kind: table})})
 
 
 def _candidates(datum, target):
     """Every one-entry edit (kind, key, matrix, row, col, value) for ``target``."""
     out = []
     for kind in _EDITABLE[target]:
-        if kind in _TRANSFERS:
-            mats = sorted(getattr(datum.transfers, kind).items())
-        else:
-            mats = [((j, s), mat) for j in sorted(datum.levels)
-                    for s, mat in sorted(getattr(datum.levels[j], kind).items())]
-        for key, mat in mats:
+        for key, mat in sorted(kind.stored(datum), key=lambda block: block[0]):
             for r in range(mat.rows):
                 for c in range(mat.cols):
                     cur = mat.entry(r, c)
@@ -559,7 +544,7 @@ def mutate(datum: SemistableDatum, target: str, seed: int) -> SemistableDatum:
     rng.shuffle(candidates)
     fallback = None
     for kind, key, mat, r, c, v in candidates[:250]:
-        mutated = _with_matrix(datum, kind, key, _mat_with_entry(mat, r, c, v))
+        mutated = kind.with_block(datum, *key, _mat_with_entry(mat, r, c, v))
         report = validate(mutated)
         if report.ok:
             continue

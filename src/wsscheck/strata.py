@@ -16,6 +16,13 @@ j -> j+1, degree-preserving) and Gysin maps (level j -> j-1, degree +2).
   6. hard-lefschetz     L^i : H^{d-i} -> H^{d+i} invertible per level
   7. poincare           pairings nondegenerate; middle pairings symmetric
 
+Axioms 1-5 are identities between maps out of H^s of one level j, read at
+each (level, degree) in one pass over the grid (``_identities``); axioms 6
+and 7 are rank conditions (``_rank_failures``).  Every block kind, pairing,
+Lefschetz, restriction and Gysin, has one shape rule (``BlockKind``): the
+structural check holds each stored block to it, and an omitted block is
+the zero matrix of that shape.
+
 Levels with no intersections are encoded by omission; maps into or out of a
 missing level are the zero maps.  The anticommutation axiom is only imposed
 for source levels >= 2: for level-1 classes the Gysin-after-restriction
@@ -30,8 +37,9 @@ memory; matrices are {rows, cols, entries} with row-major rational strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from .errors import SchemaError, ValidationGateError
 from .ratlin import RatMatrix, as_rat, rank, rat_str
@@ -79,29 +87,76 @@ class SemistableDatum:
     def restriction_map(self, j, s):
         m = self.transfers.restriction.get((j, s))
         if m is None:
-            return RatMatrix.zeros(self.h(j + 1, s), self.h(j, s))
+            return RatMatrix.zeros(*RESTRICTION.shape(self, j, s))
         return m
 
     def gysin_map(self, j, s):
         m = self.transfers.gysin.get((j, s))
         if m is None:
-            return RatMatrix.zeros(self.h(j - 1, s + 2), self.h(j, s))
+            return RatMatrix.zeros(*GYSIN.shape(self, j, s))
         return m
 
     def lefschetz_map(self, j, s):
         lvl = self.levels.get(j)
         m = lvl.lefschetz.get(s) if lvl else None
         if m is None:
-            return RatMatrix.zeros(self.h(j, s + 2), self.h(j, s))
+            return RatMatrix.zeros(*LEFSCHETZ.shape(self, j, s))
         return m
 
     def pairing(self, j, s):
         lvl = self.levels.get(j)
         m = lvl.pairings.get(s) if lvl else None
         if m is None:
-            dual = 2 * self.level_dim(j) - s
-            return RatMatrix.zeros(self.h(j, s), self.h(j, dual))
+            return RatMatrix.zeros(*PAIRING.shape(self, j, s))
         return m
+
+
+# -- block kinds --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlockKind:
+    """One kind of matrix block: where a datum stores it, and its shape.
+
+    The blocks live in the dict ``attribute``: of each ``StratumLevel``,
+    keyed by degree, when ``per_level``; else of the datum's
+    ``TransferMaps``, keyed by (level, degree).  ``shape(datum, j, s)`` is
+    the (rows, cols) of the block at level j and degree s; the datum's
+    accessors read an omitted block as the zero matrix of that shape.
+    ``name`` names a block in ``SchemaError`` texts.
+    """
+
+    attribute: str
+    per_level: bool
+    name: str
+    shape: Callable
+
+    def stored(self, datum):
+        """The stored blocks as ((level, degree), matrix), in storage order."""
+        if self.per_level:
+            return (((j, s), m) for j, lvl in datum.levels.items()
+                    for s, m in getattr(lvl, self.attribute).items())
+        return getattr(datum.transfers, self.attribute).items()
+
+    def with_block(self, datum, j, s, mat):
+        """``datum`` with its block at (j, s) set to ``mat``."""
+        if self.per_level:
+            lvl = datum.levels[j]
+            lvl = replace(lvl, **{self.attribute: {**getattr(lvl, self.attribute), s: mat}})
+            return replace(datum, levels={**datum.levels, j: lvl})
+        table = {**getattr(datum.transfers, self.attribute), (j, s): mat}
+        return replace(datum, transfers=replace(datum.transfers, **{self.attribute: table}))
+
+
+PAIRING = BlockKind("pairings", True, "level {j} pairing degree {s}",
+                    lambda datum, j, s: (datum.h(j, s), datum.h(j, 2 * datum.level_dim(j) - s)))
+LEFSCHETZ = BlockKind("lefschetz", True, "level {j} lefschetz degree {s}",
+                      lambda datum, j, s: (datum.h(j, s + 2), datum.h(j, s)))
+RESTRICTION = BlockKind("restriction", False, "restriction (level {j}, degree {s})",
+                        lambda datum, j, s: (datum.h(j + 1, s), datum.h(j, s)))
+GYSIN = BlockKind("gysin", False, "gysin (level {j}, degree {s})",
+                  lambda datum, j, s: (datum.h(j - 1, s + 2), datum.h(j, s)))
+BLOCK_KINDS = (PAIRING, LEFSCHETZ, RESTRICTION, GYSIN)
 
 
 # -- structural checks (raise before any axiom runs) ------------------------
@@ -131,18 +186,6 @@ def _check_structure(datum: SemistableDatum):
             raise SchemaError(f"level {j}: negative cohomology dimension")
         if lvl.components < 1:
             raise SchemaError(f"level {j}: components must be >= 1")
-        for s, mat in lvl.pairings.items():
-            want = (datum.h(j, s), datum.h(j, 2 * d - s))
-            if mat.shape != want:
-                raise SchemaError(
-                    f"level {j} pairing degree {s}: shape {mat.shape} != {want}"
-                )
-        for s, mat in lvl.lefschetz.items():
-            want = (datum.h(j, s + 2), datum.h(j, s))
-            if mat.shape != want:
-                raise SchemaError(
-                    f"level {j} lefschetz degree {s}: shape {mat.shape} != {want}"
-                )
         for s, blocks in lvl.component_blocks.items():
             if len(blocks) != datum.h(j, s):
                 raise SchemaError(
@@ -159,18 +202,13 @@ def _check_structure(datum: SemistableDatum):
                 and s not in lvl.pairings
             ):
                 raise SchemaError(f"level {j}: missing pairing block for degree {s}")
-    for (j, s), mat in datum.transfers.restriction.items():
-        want = (datum.h(j + 1, s), datum.h(j, s))
-        if mat.shape != want:
-            raise SchemaError(
-                f"restriction (level {j}, degree {s}): shape {mat.shape} != {want}"
-            )
-    for (j, s), mat in datum.transfers.gysin.items():
-        want = (datum.h(j - 1, s + 2), datum.h(j, s))
-        if mat.shape != want:
-            raise SchemaError(
-                f"gysin (level {j}, degree {s}): shape {mat.shape} != {want}"
-            )
+    for kind in BLOCK_KINDS:
+        for (j, s), mat in kind.stored(datum):
+            want = kind.shape(datum, j, s)
+            if mat.shape != want:
+                raise SchemaError(
+                    f"{kind.name.format(j=j, s=s)}: shape {mat.shape} != {want}"
+                )
     if len(datum.ample_class) != datum.h(1, 2):
         raise SchemaError("ample_class length must equal dim H^2 of level 1")
 
@@ -224,102 +262,62 @@ class ValidationReport:
         }
 
 
-def _fail(failures, j, s, detail):
-    failures.append({"level": j, "degree": s, "detail": detail})
+def _identities(datum):
+    """The identities of axioms 1-5, as (axiom, level, degree, lhs, rhs, detail).
 
-
-def _check_rho_squared(datum):
-    failures = []
+    Each holds when lhs == rhs, or lhs is zero when rhs is None.  Every
+    identity at (j, s) is one between maps out of H^s of level j, so none is
+    formed where that space is zero.  Adjunction pairs with H^{2d'-s} of
+    level j + 1, d' its dimension, and is skipped where that is zero; L's
+    commuting with restriction (Gysin) is skipped where level j + 1 (j - 1)
+    is missing, since both sides would be zero-shaped.  The identities come
+    level by level, degree by degree, restriction before Gysin, and the
+    check of L(1) against the declared ample class last: the order in which
+    each axiom lists its failures.
+    """
     for j in sorted(datum.levels):
         d = datum.level_dim(j)
         for s in range(0, 2 * d + 1):
             if datum.h(j, s) == 0:
                 continue
-            comp = datum.restriction_map(j + 1, s) @ datum.restriction_map(j, s)
-            if not comp.is_zero():
-                _fail(failures, j, s, "restriction composed with restriction is nonzero")
-    return AxiomCheck("rho-squared", not failures, tuple(failures))
-
-
-def _check_tau_squared(datum):
-    failures = []
-    for j in sorted(datum.levels):
-        d = datum.level_dim(j)
-        for s in range(0, 2 * d + 1):
-            if datum.h(j, s) == 0:
-                continue
-            comp = datum.gysin_map(j - 1, s + 2) @ datum.gysin_map(j, s)
-            if not comp.is_zero():
-                _fail(failures, j, s, "gysin composed with gysin is nonzero")
-    return AxiomCheck("tau-squared", not failures, tuple(failures))
-
-
-def _check_anticommute(datum):
-    failures = []
-    for j in sorted(datum.levels):
-        if j < 2:
-            continue
-        d = datum.level_dim(j)
-        for s in range(0, 2 * d + 1):
-            if datum.h(j, s) == 0:
-                continue
-            a = datum.gysin_map(j + 1, s) @ datum.restriction_map(j, s)
-            b = datum.restriction_map(j - 1, s + 2) @ datum.gysin_map(j, s)
-            if not (a + b).is_zero():
-                _fail(failures, j, s, "tau o rho + rho o tau is nonzero")
-    return AxiomCheck("anticommute", not failures, tuple(failures))
-
-
-def _check_adjunction(datum):
-    failures = []
-    for j in sorted(datum.levels):
-        if j + 1 not in datum.levels:
-            continue
-        d_next = datum.level_dim(j + 1)
-        for s in range(0, 2 * d_next + 1):
-            sdual = 2 * d_next - s
-            if datum.h(j, s) == 0 or datum.h(j + 1, sdual) == 0:
-                continue
-            lhs = datum.restriction_map(j, s).transpose() @ datum.pairing(j + 1, s)
-            rhs = datum.pairing(j, s) @ datum.gysin_map(j + 1, sdual)
-            if lhs != rhs:
-                _fail(failures, j, s, "<rho(a), b> != <a, tau(b)>")
-    return AxiomCheck("adjunction", not failures, tuple(failures))
-
-
-def _check_lefschetz_commute(datum):
-    failures = []
-    for j in sorted(datum.levels):
-        d = datum.level_dim(j)
-        for s in range(0, 2 * d + 1):
-            if j + 1 in datum.levels and datum.h(j, s) > 0:
-                lhs = datum.lefschetz_map(j + 1, s) @ datum.restriction_map(j, s)
-                rhs = datum.restriction_map(j, s + 2) @ datum.lefschetz_map(j, s)
-                if lhs != rhs:
-                    _fail(failures, j, s, "L does not commute with restriction")
-            if j - 1 in datum.levels and datum.h(j, s) > 0:
-                lhs = datum.lefschetz_map(j - 1, s + 2) @ datum.gysin_map(j, s)
-                rhs = datum.gysin_map(j, s + 2) @ datum.lefschetz_map(j, s)
-                if lhs != rhs:
-                    _fail(failures, j, s, "L does not commute with gysin")
-    # declared consistency: L applied to the unit of level 1 is the ample class
+            rho, tau = datum.restriction_map(j, s), datum.gysin_map(j, s)
+            lef = datum.lefschetz_map(j, s)
+            yield ("rho-squared", j, s, datum.restriction_map(j + 1, s) @ rho, None,
+                   "restriction composed with restriction is nonzero")
+            yield ("tau-squared", j, s, datum.gysin_map(j - 1, s + 2) @ tau, None,
+                   "gysin composed with gysin is nonzero")
+            if j >= 2:
+                yield ("anticommute", j, s,
+                       datum.gysin_map(j + 1, s) @ rho + datum.restriction_map(j - 1, s + 2) @ tau,
+                       None, "tau o rho + rho o tau is nonzero")
+            sdual = 2 * datum.level_dim(j + 1) - s
+            if datum.h(j + 1, sdual) > 0:
+                yield ("adjunction", j, s, rho.transpose() @ datum.pairing(j + 1, s),
+                       datum.pairing(j, s) @ datum.gysin_map(j + 1, sdual),
+                       "<rho(a), b> != <a, tau(b)>")
+            if j + 1 in datum.levels:
+                yield ("lefschetz-commute", j, s, datum.lefschetz_map(j + 1, s) @ rho,
+                       datum.restriction_map(j, s + 2) @ lef,
+                       "L does not commute with restriction")
+            if j - 1 in datum.levels:
+                yield ("lefschetz-commute", j, s, datum.lefschetz_map(j - 1, s + 2) @ tau,
+                       datum.gysin_map(j, s + 2) @ lef,
+                       "L does not commute with gysin")
     h0 = datum.h(1, 0)
     if h0 > 0 and datum.h(1, 2) > 0:
-        got = datum.lefschetz_map(1, 0).apply((1,) * h0)
-        want = tuple(as_rat(x) for x in datum.ample_class)
-        if tuple(got) != want:
-            _fail(failures, 1, 0, "L(1) differs from the declared ample class")
-    return AxiomCheck("lefschetz-commute", not failures, tuple(failures))
+        yield ("lefschetz-commute", 1, 0, datum.lefschetz_map(1, 0).apply((1,) * h0),
+               tuple(as_rat(x) for x in datum.ample_class),
+               "L(1) differs from the declared ample class")
 
 
-def _check_hard_lefschetz(datum):
-    failures = []
+def _rank_failures(datum):
+    """The failures of axioms 6 and 7, as (axiom, level, degree, detail)."""
     for j in sorted(datum.levels):
         d = datum.level_dim(j)
         for i in range(1, d + 1):
             lo, hi = d - i, d + i
             if datum.h(j, lo) != datum.h(j, hi):
-                _fail(failures, j, lo, f"h^{lo} != h^{hi}, L^{i} cannot be invertible")
+                yield "hard-lefschetz", j, lo, f"h^{lo} != h^{hi}, L^{i} cannot be invertible"
                 continue
             if datum.h(j, lo) == 0:
                 continue
@@ -327,43 +325,31 @@ def _check_hard_lefschetz(datum):
             for s in range(lo, hi, 2):
                 comp = datum.lefschetz_map(j, s) @ comp
             if rank(comp) != datum.h(j, lo):
-                _fail(failures, j, lo, f"L^{i} : H^{lo} -> H^{hi} is not invertible")
-    return AxiomCheck("hard-lefschetz", not failures, tuple(failures))
-
-
-def _check_poincare(datum):
-    failures = []
-    for j in sorted(datum.levels):
-        d = datum.level_dim(j)
+                yield "hard-lefschetz", j, lo, f"L^{i} : H^{lo} -> H^{hi} is not invertible"
         for s in range(0, 2 * d + 1):
             hs, hd = datum.h(j, s), datum.h(j, 2 * d - s)
             if hs == 0 and hd == 0:
                 continue
             p = datum.pairing(j, s)
             if hs != hd or rank(p) != hs:
-                _fail(failures, j, s, "pairing is degenerate")
+                yield "poincare", j, s, "pairing is degenerate"
         if d % 2 == 0 and datum.h(j, d) > 0:
             p = datum.pairing(j, d)
             if p != p.transpose():
-                _fail(failures, j, d, "middle-degree pairing is not symmetric")
-    return AxiomCheck("poincare", not failures, tuple(failures))
-
-
-_AXIOM_CHECKS = {
-    "rho-squared": _check_rho_squared,
-    "tau-squared": _check_tau_squared,
-    "anticommute": _check_anticommute,
-    "adjunction": _check_adjunction,
-    "lefschetz-commute": _check_lefschetz_commute,
-    "hard-lefschetz": _check_hard_lefschetz,
-    "poincare": _check_poincare,
-}
+                yield "poincare", j, d, "middle-degree pairing is not symmetric"
 
 
 def validate(datum: SemistableDatum) -> ValidationReport:
     """Run the seven axiom checks; structural defects raise SchemaError first."""
     _check_structure(datum)
-    return ValidationReport(tuple(_AXIOM_CHECKS[name](datum) for name in AXIOMS))
+    failures = {axiom: [] for axiom in AXIOMS}
+    for axiom, j, s, lhs, rhs, detail in _identities(datum):
+        if not (lhs.is_zero() if rhs is None else lhs == rhs):
+            failures[axiom].append({"level": j, "degree": s, "detail": detail})
+    for axiom, j, s, detail in _rank_failures(datum):
+        failures[axiom].append({"level": j, "degree": s, "detail": detail})
+    return ValidationReport(tuple(AxiomCheck(axiom, not found, tuple(found))
+                                  for axiom, found in failures.items()))
 
 
 def require_valid(report: ValidationReport):

@@ -9,7 +9,9 @@ import pytest
 
 from wsscheck import cli, specseq, strata
 from wsscheck.errors import ParameterError
-from wsscheck.instances import data_dir, gen_chain, gen_ngon, gen_smooth, mutate, toy_names
+from wsscheck.instances import (
+    build_toy, data_dir, gen_chain, gen_ngon, gen_smooth, mutate, toy_names,
+)
 from wsscheck.strata import MAX_TOTAL_DIM, save
 
 
@@ -32,6 +34,34 @@ def test_validate_failure_names_axiom(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     failed = [c["axiom"] for c in doc["checks"] if not c["ok"]]
     assert failed == ["adjunction"]
+
+
+def test_exit_codes_of_a_datum_that_fails_an_axiom(tmp_path, capsys):
+    # validate and report exit 1 with the validate document; pages and
+    # check-wmc stop at the gate in front of the E1 page, an input error;
+    # check-threefold tests the relative dimension before the axioms
+    path = tmp_path / "bad.json"
+    save(mutate(gen_ngon(4), "adjunction", seed=3), path)
+    results = {}
+    for command in ("validate", "report", "check-threefold", "pages", "check-wmc"):
+        code, out, err = _in_process([command, "--instance", str(path)], capsys)
+        results[command] = code, json.loads(out) if out else err
+    assert results["validate"][0] == 1
+    assert [c["axiom"] for c in results["validate"][1]["checks"] if not c["ok"]] == ["adjunction"]
+    assert results["report"] == (1, {"instance": str(path), "validate": results["validate"][1]})
+    assert results["check-threefold"] == (
+        2, "error: check-threefold needs relative dimension 3, got 1\n")
+    for command in ("pages", "check-wmc"):
+        assert results[command] == (2, "error: datum fails axioms: adjunction\n")
+
+
+def test_check_threefold_on_a_threefold_that_fails_an_axiom(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    save(mutate(build_toy("toy_gon3_x_p2"), "adjunction", seed=101), path)
+    assert run_cli(["check-threefold", "--instance", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["validate"]
+    assert [c["axiom"] for c in doc["validate"]["checks"] if not c["ok"]] == ["adjunction"]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -89,6 +89,38 @@ def test_e1_pairings_are_perfect(build):
             assert all(c in cols for r in rows for c in blk.data[r])
 
 
+@pytest.mark.parametrize("build", PAIRED_DATA.values(), ids=PAIRED_DATA.keys())
+def test_e1_n_powers_are_signed_identities(build):
+    # build_e1 does not check the E1 isos: N^r sends summand k of
+    # E1^{-r,w+r} to summand k + r of E1^{r,w-r}, a summand of the same
+    # level, degree and dimension, by +-1 times the identity
+    page = to_weight_complex(build[0](*build[1:]))
+
+    def offsets(i, j):
+        summands = page.cells.get((i, j), ())
+        ends = itertools.accumulate(sm.dim for sm in summands)
+        return {sm.k: (sm, end - sm.dim) for sm, end in zip(summands, ends)}
+
+    for r in range(1, page.n + 1):
+        for w in range(0, 2 * page.n + 1):
+            source, target = offsets(-r, w + r), offsets(r, w - r)
+            assert {k + r for k in source} == set(target)
+            power = _rows(page.n_block(-r, w + r))
+            for t in range(1, r):
+                step = _rows(page.n_block(2 * t - r, w + r - 2 * t))
+                power = dense_matmul(step, power, page.dim(-r, w + r))
+            want = [[0] * page.dim(-r, w + r) for _ in range(page.dim(r, w - r))]
+            for k, (sm, col) in source.items():
+                partner, row = target[k + r]
+                assert (partner.level, partner.degree, partner.dim) == (
+                    sm.level, sm.degree, sm.dim)
+                sign = power[row][col] if sm.dim else 1
+                assert sign in (1, -1)
+                for x in range(sm.dim):
+                    want[row + x][col + x] = sign
+            assert power == want, (r, w)
+
+
 def test_ngon_row_zero_rank():
     n = 5
     page = curve_page(n)

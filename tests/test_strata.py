@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
 
@@ -7,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cycle_incidence, mini_rank
-from wsscheck.errors import SchemaError, ValidationGateError
+from wsscheck.errors import MutationNotApplicable, SchemaError, ValidationGateError
 from wsscheck.instances import (
     blowup_point_datum,
+    build_toy,
     gen_chain,
     gen_ngon,
     gen_smooth,
@@ -19,6 +22,7 @@ from wsscheck.instances import (
 from wsscheck.ratlin import RatMatrix
 from wsscheck.specseq import e1_summands
 from wsscheck.strata import (
+    AXIOMS,
     SemistableDatum,
     StratumLevel,
     TransferMaps,
@@ -53,6 +57,115 @@ def test_validate_names_mutated_axiom():
     assert "adjunction" in report.failed_axioms
     bad = [c for c in report.checks if c.axiom == "adjunction"][0]
     assert bad.failures and "level" in bad.failures[0]
+
+
+# SHA-256 of the validate document of mutate(datum, axiom, seed=101), per
+# axiom; None where mutate raises MutationNotApplicable.  The documents list
+# each axiom's failures, so a reordered list changes a digest here.
+_ADJUNCTION = "fbdf1f4481a8a67b07ee7929c4fc776ceb687bd96578d152f1c9b2070c2a18ea"
+_CURVE_MUTANTS = {
+    "rho-squared": None,
+    "tau-squared": None,
+    "anticommute": None,
+    "adjunction": _ADJUNCTION,
+    "lefschetz-commute": "ac5e909ae2ce1872bf2dcc957b807fcfc96507c324ad57d42045f866e4fbf991",
+    "hard-lefschetz": "515194ff4f9c60eab8a9ebc0c66848fdf5c124aa11f7a6d6668cda12bcabb2a9",
+    "poincare": "fabf250742519c628a85e988e8246c7a83920f712ddff5444fcc969510ced04b",
+}
+MUTANT_DIGESTS = {
+    "ngon4": ((gen_ngon, 4), _CURVE_MUTANTS),
+    "chain3": ((gen_chain, 3), _CURVE_MUTANTS),
+    "smooth3": ((gen_smooth, 3, (1, 0, 2, 0, 2, 0, 1)), {
+        "rho-squared": None,
+        "tau-squared": None,
+        "anticommute": None,
+        "adjunction": None,
+        "lefschetz-commute": "ac5e909ae2ce1872bf2dcc957b807fcfc96507c324ad57d42045f866e4fbf991",
+        "hard-lefschetz": "038dbb92e91c56e50acb26f50f17e0b3ca1ef397d0fa7279b2f4fd3978b0c21e",
+        "poincare": "c34cc429825e6f44ef92e5f6c1a4577629689b00574e28a122b515386f6ea640",
+    }),
+    "toy_gon3_x_p2": ((build_toy, "toy_gon3_x_p2"), {
+        "rho-squared": None,
+        "tau-squared": None,
+        "anticommute": "a730bedb0a08be8094bdaf0bbd4159ff81223a113ac81084b8e7fcdb94d1302d",
+        "adjunction": _ADJUNCTION,
+        "lefschetz-commute": "f4fea0a02474f52b896a2d195a276bffc79d21559ac8ab99077bb406f192bc2d",
+        "hard-lefschetz": "18144bb8f1708971acef09454d269cc3be9c58399527534ebfe8bf999d68f940",
+        "poincare": "af0fbef92d0fdc83f826a9ab0fc542c4e85d5c664c3bf469c2c64c6ef262b4e5",
+    }),
+    "toy_blowup_point": ((build_toy, "toy_blowup_point"), {
+        "rho-squared": None,
+        "tau-squared": None,
+        "anticommute": "25b1f9d0cf342b1a3da2cc538f3c622ff95e6a4b3d5227af39e356bb3ec454dd",
+        "adjunction": "e40ad1726b965c67a4589aed79f2edcf8da9f9de84f1a9fb53ee1aa12f2da982",
+        "lefschetz-commute": "8e2dba6c14db87a3daf490316e34bba29bdb503a3d089756bc553db2c1de73d6",
+        "hard-lefschetz": "038dbb92e91c56e50acb26f50f17e0b3ca1ef397d0fa7279b2f4fd3978b0c21e",
+        "poincare": "c34cc429825e6f44ef92e5f6c1a4577629689b00574e28a122b515386f6ea640",
+    }),
+}
+
+
+@pytest.mark.parametrize("build, digests", MUTANT_DIGESTS.values(), ids=MUTANT_DIGESTS.keys())
+def test_validate_bytes_of_mutants_pinned(build, digests):
+    datum = build[0](*build[1:])
+    got = {}
+    for axiom in AXIOMS:
+        try:
+            mutated = mutate(datum, axiom, seed=101)
+        except MutationNotApplicable:
+            got[axiom] = None
+            continue
+        doc = dumps(validate(mutated).to_json_dict())
+        got[axiom] = hashlib.sha256(doc.encode()).hexdigest()
+    assert got == digests
+
+
+def _twice_mutated(name, axiom, seed):
+    return mutate(mutate(build_toy(name), axiom, seed=seed), axiom, seed=seed + 7)
+
+
+def _rank_defects():
+    # hard-lefschetz fails for L^2 and L^4; poincare at degree 6 and in the middle
+    datum = gen_smooth(4, (1, 0, 1, 0, 2, 0, 1, 0, 1))
+    lvl = datum.levels[1]
+    lvl = replace(
+        lvl,
+        pairings={**lvl.pairings, 6: RatMatrix.zeros(1, 1),
+                  4: RatMatrix.from_rows([[1, 1], [0, 1]])},
+        lefschetz={**lvl.lefschetz, 4: RatMatrix.zeros(1, 2)},
+    )
+    return replace(datum, levels={1: lvl})
+
+
+_COMMUTE = "L does not commute with "
+FAILURE_ORDER = {
+    "L(1)-last": (lambda: _twice_mutated("toy_gon3_x_p2", "lefschetz-commute", 1), {
+        "lefschetz-commute": [(2, 0, _COMMUTE + "gysin"),
+                              (1, 0, "L(1) differs from the declared ample class")],
+    }),
+    "level-then-degree": (lambda: _twice_mutated("toy_blowup_point", "anticommute", 2), {
+        "anticommute": [(2, 0, "tau o rho + rho o tau is nonzero"),
+                        (2, 2, "tau o rho + rho o tau is nonzero")],
+        "adjunction": [(1, 2, "<rho(a), b> != <a, tau(b)>")],
+        "lefschetz-commute": [(1, 0, _COMMUTE + "restriction"), (1, 2, _COMMUTE + "restriction"),
+                              (2, 0, _COMMUTE + "gysin"), (2, 2, _COMMUTE + "gysin")],
+    }),
+    "rank-conditions": (_rank_defects, {
+        "hard-lefschetz": [(1, 2, "L^2 : H^2 -> H^6 is not invertible"),
+                           (1, 0, "L^4 : H^0 -> H^8 is not invertible")],
+        "poincare": [(1, 6, "pairing is degenerate"),
+                     (1, 4, "middle-degree pairing is not symmetric")],
+    }),
+}
+
+
+@pytest.mark.parametrize("build, want", FAILURE_ORDER.values(), ids=FAILURE_ORDER.keys())
+def test_failure_order_within_each_axiom(build, want):
+    # by level, then degree; lefschetz-commute checks L(1) last; hard-lefschetz
+    # lists L^i by i; poincare lists the degrees before the middle symmetry
+    got = {check.axiom: [(f["level"], f["degree"], f["detail"]) for f in check.failures]
+           for check in validate(build()).checks if check.failures}
+    assert got == want
 
 
 def test_round_trip(tmp_path):
