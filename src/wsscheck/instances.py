@@ -60,6 +60,7 @@ from .strata import (
     SemistableDatum,
     StratumLevel,
     TransferMaps,
+    _identities,
     load,
     validate,
 )
@@ -494,48 +495,19 @@ def _candidates(datum, target):
     return out
 
 
-def _breakable_shapes(datum, target):
-    """Cheap necessary condition: the axiom's expressions have nonzero shape."""
-    levels = sorted(datum.levels)
-    if target == "rho-squared":
-        return any(
-            datum.h(j, s) and datum.h(j + 1, s) and datum.h(j + 2, s)
-            for j in levels
-            for s in range(0, 2 * datum.level_dim(j) + 1)
-        )
-    if target == "tau-squared":
-        return any(
-            datum.h(j, s) and datum.h(j - 1, s + 2) and datum.h(j - 2, s + 4)
-            for j in levels
-            for s in range(0, 2 * datum.level_dim(j) + 1)
-        )
-    if target == "anticommute":
-        return any(
-            datum.h(j, s)
-            and datum.h(j, s + 2)
-            and (datum.h(j + 1, s) or datum.h(j - 1, s + 2))
-            for j in levels
-            if j >= 2
-            for s in range(0, 2 * datum.level_dim(j) + 1)
-        )
-    if target == "adjunction":
-        has_transfer = any(
-            not m.is_zero() for m in datum.transfers.restriction.values()
-        ) or any(not m.is_zero() for m in datum.transfers.gysin.values())
-        return has_transfer
-    return True
-
-
 def mutate(datum: SemistableDatum, target: str, seed: int) -> SemistableDatum:
     """A datum differing in one matrix entry on which the target axiom fails.
 
     Prefers edits breaking only the target axiom; falls back to edits whose
     failure set contains the target.  Raises MutationNotApplicable when no
-    single-entry edit can break the target on this datum.
+    single-entry edit can break the target on this datum: at once for an
+    identity axiom (1-5) without a row in ``strata._identities``, where
+    every product it would compare is zero-shaped, whatever the entries.
     """
     if target not in AXIOMS:
         raise ParameterError(f"unknown axiom {target!r}; have {AXIOMS}")
-    if not _breakable_shapes(datum, target):
+    identity_axioms = AXIOMS[:5]  # the rest are rank conditions
+    if target in identity_axioms and all(row[0] != target for row in _identities(datum)):
         raise MutationNotApplicable(
             f"axiom {target!r} is vacuous on this datum (zero-shaped expressions)"
         )

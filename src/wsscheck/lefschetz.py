@@ -124,6 +124,12 @@ class DualComplexReport:
         }
 
 
+def _first_outside(sub: Subspace, other: Subspace):
+    """The first echelon row of ``sub`` that ``other`` does not contain, or None."""
+    rows = (tuple(sub.echelon.row_list(k)) for k in range(sub.dim))
+    return next((v for v in rows if not other.contains_vector(v)), None)
+
+
 def dual_cohomology_iso(triple: DualTriple) -> DualComplexReport:
     """Decide whether the pairing-induced map Ker g/Im f -> Ker f*/Im g* is an iso.
 
@@ -141,13 +147,7 @@ def dual_cohomology_iso(triple: DualTriple) -> DualComplexReport:
     overlap = intersect(ker_g, im_gstar)
     criterion = contains(im_f, overlap)
     hypothesis = contains(im_gstar, im_f)
-    witness = None
-    if not criterion:
-        for idx in range(overlap.dim):
-            v = tuple(overlap.echelon.row_list(idx))
-            if not im_f.contains_vector(v):
-                witness = v
-                break
+    witness = None if criterion else _first_outside(overlap, im_f)
     iso = None
     rank_induced = 0
     if hypothesis:
@@ -429,17 +429,12 @@ def check_kernel_image_identity(datum: SemistableDatum) -> CheckResult:
     lhs = intersect(kernel(datum.gysin_map(2, 2)), image(res2))
     rhs = image(res2 @ datum.gysin_map(2, 0))
     holds = lhs == rhs
-    witness = None
-    if not holds:
-        for idx in range(lhs.dim):
-            v = lhs.echelon.row_list(idx)
-            if not rhs.contains_vector(v):
-                witness = [str(x) for x in v]
-                break
+    witness = None if holds else _first_outside(lhs, rhs)
     return CheckResult(
         "kernel-image-identity",
         holds,
-        {"lhs_dim": lhs.dim, "rhs_dim": rhs.dim, "witness": witness},
+        {"lhs_dim": lhs.dim, "rhs_dim": rhs.dim,
+         "witness": None if witness is None else [str(x) for x in witness]},
     )
 
 

@@ -16,12 +16,14 @@ j -> j+1, degree-preserving) and Gysin maps (level j -> j-1, degree +2).
   6. hard-lefschetz     L^i : H^{d-i} -> H^{d+i} invertible per level
   7. poincare           pairings nondegenerate; middle pairings symmetric
 
-Axioms 1-5 are identities between maps out of H^s of one level j, read at
-each (level, degree) in one pass over the grid (``_identities``); axioms 6
-and 7 are rank conditions (``_rank_failures``).  Every block kind, pairing,
-Lefschetz, restriction and Gysin, has one shape rule (``BlockKind``): the
-structural check holds each stored block to it, and an omitted block is
-the zero matrix of that shape.
+Axioms 1-5 are the rows of one table of identities (``_identities``),
+each side a sum of products of two blocks, formed only where one shape
+rule says the product can be nonzero; an axiom with no row is vacuous on
+the datum, and ``mutate`` reads that from the same table.  Axioms 6 and 7
+are rank conditions (``_rank_failures``).  Each block kind has one shape
+(``BlockKind``), an omitted block being the zero matrix of that shape.  A
+datum checks its structure, these shapes included, when it is built, so
+``validate`` checks only the axioms.
 
 Levels with no intersections are encoded by omission; maps into or out of a
 missing level are the zero maps.  The anticommutation axiom is only imposed
@@ -68,6 +70,9 @@ class SemistableDatum:
     levels: dict       # level j -> StratumLevel
     transfers: TransferMaps
     ample_class: tuple
+
+    def __post_init__(self):
+        _check_structure(self)
 
     # -- shape helpers ----------------------------------------------------
 
@@ -159,7 +164,7 @@ GYSIN = BlockKind("gysin", False, "gysin (level {j}, degree {s})",
 BLOCK_KINDS = (PAIRING, LEFSCHETZ, RESTRICTION, GYSIN)
 
 
-# -- structural checks (raise before any axiom runs) ------------------------
+# -- structural checks (run when a datum is built) ---------------------------
 
 
 def _check_structure(datum: SemistableDatum):
@@ -262,52 +267,63 @@ class ValidationReport:
         }
 
 
-def _identities(datum):
-    """The identities of axioms 1-5, as (axiom, level, degree, lhs, rhs, detail).
+def _live(*pairs):
+    """The shape rule: the factor pairs (a, b) whose product a @ b can be nonzero."""
+    return [(a, b) for a, b in pairs if a.rows and a.cols and b.cols]
 
-    Each holds when lhs == rhs, or lhs is zero when rhs is None.  Every
-    identity at (j, s) is one between maps out of H^s of level j, so none is
-    formed where that space is zero.  Adjunction pairs with H^{2d'-s} of
-    level j + 1, d' its dimension, and is skipped where that is zero; L's
-    commuting with restriction (Gysin) is skipped where level j + 1 (j - 1)
-    is missing, since both sides would be zero-shaped.  The identities come
-    level by level, degree by degree, restriction before Gysin, and the
-    check of L(1) against the declared ample class last: the order in which
-    each axiom lists its failures.
+
+def _identities(datum):
+    """The table of axioms 1-5: rows (axiom, level, degree, lhs, rhs, detail).
+
+    A side is a list of factor pairs (a, b), the sum of the products a @ b,
+    and an empty side is zero.  ``_live`` keeps the pairs of each side, and
+    a row with both sides empty holds trivially and is left out.  Rows at
+    (j, s) compare maps out of H^s of level j, so none are built where that
+    is zero.  The last row checks L on the unit of H^0 of level 1, the
+    column of ones, against the ample class.  Rows come level by level,
+    degree by degree, restriction before Gysin: the order in which each
+    axiom lists its failures.
     """
+    rows = []
     for j in sorted(datum.levels):
-        d = datum.level_dim(j)
-        for s in range(0, 2 * d + 1):
-            if datum.h(j, s) == 0:
+        for s in range(0, 2 * datum.level_dim(j) + 1):
+            if not datum.h(j, s):
                 continue
             rho, tau = datum.restriction_map(j, s), datum.gysin_map(j, s)
             lef = datum.lefschetz_map(j, s)
-            yield ("rho-squared", j, s, datum.restriction_map(j + 1, s) @ rho, None,
-                   "restriction composed with restriction is nonzero")
-            yield ("tau-squared", j, s, datum.gysin_map(j - 1, s + 2) @ tau, None,
-                   "gysin composed with gysin is nonzero")
-            if j >= 2:
-                yield ("anticommute", j, s,
-                       datum.gysin_map(j + 1, s) @ rho + datum.restriction_map(j - 1, s + 2) @ tau,
-                       None, "tau o rho + rho o tau is nonzero")
             sdual = 2 * datum.level_dim(j + 1) - s
-            if datum.h(j + 1, sdual) > 0:
-                yield ("adjunction", j, s, rho.transpose() @ datum.pairing(j + 1, s),
-                       datum.pairing(j, s) @ datum.gysin_map(j + 1, sdual),
-                       "<rho(a), b> != <a, tau(b)>")
-            if j + 1 in datum.levels:
-                yield ("lefschetz-commute", j, s, datum.lefschetz_map(j + 1, s) @ rho,
-                       datum.restriction_map(j, s + 2) @ lef,
-                       "L does not commute with restriction")
-            if j - 1 in datum.levels:
-                yield ("lefschetz-commute", j, s, datum.lefschetz_map(j - 1, s + 2) @ tau,
-                       datum.gysin_map(j, s + 2) @ lef,
-                       "L does not commute with gysin")
+            rows += [
+                ("rho-squared", j, s, _live((datum.restriction_map(j + 1, s), rho)), [],
+                 "restriction composed with restriction is nonzero"),
+                ("tau-squared", j, s, _live((datum.gysin_map(j - 1, s + 2), tau)), [],
+                 "gysin composed with gysin is nonzero"),
+                ("anticommute", j, s, _live((datum.gysin_map(j + 1, s), rho),
+                                            (datum.restriction_map(j - 1, s + 2), tau))
+                 if j >= 2 else [], [], "tau o rho + rho o tau is nonzero"),
+                ("adjunction", j, s, _live((rho.transpose(), datum.pairing(j + 1, s))),
+                 _live((datum.pairing(j, s), datum.gysin_map(j + 1, sdual))),
+                 "<rho(a), b> != <a, tau(b)>"),
+                ("lefschetz-commute", j, s, _live((datum.lefschetz_map(j + 1, s), rho)),
+                 _live((datum.restriction_map(j, s + 2), lef)),
+                 "L does not commute with restriction"),
+                ("lefschetz-commute", j, s, _live((datum.lefschetz_map(j - 1, s + 2), tau)),
+                 _live((datum.gysin_map(j, s + 2), lef)),
+                 "L does not commute with gysin"),
+            ]
     h0 = datum.h(1, 0)
-    if h0 > 0 and datum.h(1, 2) > 0:
-        yield ("lefschetz-commute", 1, 0, datum.lefschetz_map(1, 0).apply((1,) * h0),
-               tuple(as_rat(x) for x in datum.ample_class),
-               "L(1) differs from the declared ample class")
+    if h0:
+        ample = RatMatrix.from_rows([[x] for x in datum.ample_class], cols=1)
+        rows.append(("lefschetz-commute", 1, 0,
+                     _live((datum.lefschetz_map(1, 0), RatMatrix(h0, 1, ({0: 1},) * h0))),
+                     _live((ample, RatMatrix.identity(1))),
+                     "L(1) differs from the declared ample class"))
+    return [row for row in rows if row[3] or row[4]]
+
+
+def _sum_of_products(side):
+    """The matrix a nonempty side of ``_identities`` stands for."""
+    first, *rest = [a @ b for a, b in side]
+    return sum(rest, first)
 
 
 def _rank_failures(datum):
@@ -340,11 +356,11 @@ def _rank_failures(datum):
 
 
 def validate(datum: SemistableDatum) -> ValidationReport:
-    """Run the seven axiom checks; structural defects raise SchemaError first."""
-    _check_structure(datum)
+    """Run the seven axiom checks on a datum, whose structure its constructor checked."""
     failures = {axiom: [] for axiom in AXIOMS}
     for axiom, j, s, lhs, rhs, detail in _identities(datum):
-        if not (lhs.is_zero() if rhs is None else lhs == rhs):
+        sums = [_sum_of_products(side) for side in (lhs, rhs) if side]
+        if not (sums[0].is_zero() if len(sums) == 1 else sums[0] == sums[1]):
             failures[axiom].append({"level": j, "degree": s, "detail": detail})
     for axiom, j, s, detail in _rank_failures(datum):
         failures[axiom].append({"level": j, "degree": s, "detail": detail})
@@ -525,15 +541,13 @@ def datum_from_json_dict(doc) -> SemistableDatum:
         raise SchemaError("ample_class: rational with zero denominator") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"ample_class: {exc}") from exc
-    datum = SemistableDatum(
+    return SemistableDatum(
         n=n,
         m=_int_field(doc["m"], "m"),
         levels=levels,
         transfers=TransferMaps(restriction=restriction, gysin=gysin),
         ample_class=ample,
     )
-    _check_structure(datum)
-    return datum
 
 
 _quote = json.encoder.encode_basestring_ascii

@@ -136,7 +136,7 @@ def test_report_contains_sections(tmp_path, capsys):
 def test_report_runs_each_stage_once(name, capsys, monkeypatch):
     calls = Counter()
     stages = ((strata, "validate"), (specseq, "build_e1"), (specseq, "build_e2"),
-              (specseq, "_assert_d1_squared_zero"))
+              (specseq, "_assert_d1_squared_zero"), (strata, "_check_structure"))
     for module, stage in stages:
         def counted(*args, _run=getattr(module, stage), _stage=stage):
             calls[_stage] += 1

@@ -120,6 +120,35 @@ def test_validate_bytes_of_mutants_pinned(build, digests):
     assert got == digests
 
 
+def test_validate_forms_no_zero_dimension_product(monkeypatch):
+    data = [build_toy(name) for name in ("toy_blowup_point", "toy_chain3_x_p2",
+                                         "toy_gon3_x_p2", "toy_gon4_x_p2")]
+    data += [gen_ngon(n) for n in (3, 4, 5)] + [gen_chain(3), gen_chain(4)]
+    data += [gen_smooth(3, (1, 0, 2, 0, 2, 0, 1)), gen_smooth(2, (1, 2, 3, 2, 1))]
+    data += [mutate(gen_ngon(4), "adjunction", seed=101),
+             mutate(build_toy("toy_gon3_x_p2"), "anticommute", seed=101)]
+    shapes = []
+
+    def recorded(a, b, _matmul=RatMatrix.__matmul__):
+        shapes.append((a.rows, a.cols, b.cols))
+        return _matmul(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", recorded)
+    for datum in data:
+        validate(datum)
+    assert shapes and all(all(shape) for shape in shapes)
+
+
+def test_a_copy_with_a_misshapen_block_is_refused():
+    datum = gen_ngon(3)
+    lvl = datum.levels[1]
+    with pytest.raises(SchemaError, match="level 1 lefschetz degree 0"):
+        replace(datum, levels={**datum.levels,
+                               1: replace(lvl, lefschetz={0: RatMatrix.identity(2)})})
+    with pytest.raises(SchemaError, match=r"restriction \(level 1, degree 0\)"):
+        replace(datum, transfers=TransferMaps({(1, 0): RatMatrix.zeros(3, 2)}, {}))
+
+
 def _twice_mutated(name, axiom, seed):
     return mutate(mutate(build_toy(name), axiom, seed=seed), axiom, seed=seed + 7)
 
@@ -244,7 +273,7 @@ def _shell_level(level, dim, h=1):
         level=level,
         components=1,
         cohomology_dims=profile,
-        pairings={},
+        pairings={s: RatMatrix.zeros(h, h) for s in range(2 * dim + 1)},
         lefschetz={},
         component_blocks={},
     )
