@@ -40,6 +40,7 @@ falls back to edits where the target is among the failures.
 from __future__ import annotations
 
 import random
+from functools import partial
 from pathlib import Path
 
 from .errors import (
@@ -60,9 +61,8 @@ from .strata import (
     SemistableDatum,
     StratumLevel,
     TransferMaps,
-    _identities,
+    _checks,
     load,
-    validate,
 )
 
 
@@ -495,19 +495,36 @@ def _candidates(datum, target):
     return out
 
 
+def _failures_after(datum, checks, edits):
+    """Per edit (kind, key, mat, row, col, value): (kind, key, edited block, failed axioms).
+
+    ``checks`` is the table of ``datum``.  An edit keeps every shape, so the
+    table, and the verdict of each entry that does not read the edited block:
+    only the entries that do are evaluated again, with that block in place.
+    """
+    verdicts = [holds(datum.block) for *_, holds in checks]
+    for kind, key, mat, r, c, v in edits:
+        at, edited = (kind, *key), _mat_with_entry(mat, r, c, v)
+
+        def edited_block(want):
+            return edited if want == at else datum.block(want)
+
+        yield kind, key, edited, {axiom for (axiom, *_, reads, holds), ok in zip(checks, verdicts)
+                                  if not (holds(edited_block) if at in reads else ok)}
+
+
 def mutate(datum: SemistableDatum, target: str, seed: int) -> SemistableDatum:
     """A datum differing in one matrix entry on which the target axiom fails.
 
     Prefers edits breaking only the target axiom; falls back to edits whose
     failure set contains the target.  Raises MutationNotApplicable when no
-    single-entry edit can break the target on this datum: at once for an
-    identity axiom (1-5) without a row in ``strata._identities``, where
-    every product it would compare is zero-shaped, whatever the entries.
+    single-entry edit can break the target on this datum: at once when the
+    target has no entry in the table ``strata._checks``, which no edit changes.
     """
     if target not in AXIOMS:
         raise ParameterError(f"unknown axiom {target!r}; have {AXIOMS}")
-    identity_axioms = AXIOMS[:5]  # the rest are rank conditions
-    if target in identity_axioms and all(row[0] != target for row in _identities(datum)):
+    checks = _checks(datum)
+    if all(check[0] != target for check in checks):
         raise MutationNotApplicable(
             f"axiom {target!r} is vacuous on this datum (zero-shaped expressions)"
         )
@@ -515,18 +532,14 @@ def mutate(datum: SemistableDatum, target: str, seed: int) -> SemistableDatum:
     rng = random.Random(seed)
     rng.shuffle(candidates)
     fallback = None
-    for kind, key, mat, r, c, v in candidates[:250]:
-        mutated = kind.with_block(datum, *key, _mat_with_entry(mat, r, c, v))
-        report = validate(mutated)
-        if report.ok:
-            continue
-        failed = report.failed_axioms
-        if failed == (target,):
-            return mutated
+    for kind, key, edited, failed in _failures_after(datum, checks, candidates[:250]):
+        build = partial(kind.with_block, datum, *key, edited)
+        if failed == {target}:
+            return build()
         if target in failed and fallback is None:
-            fallback = mutated
+            fallback = build
     if fallback is not None:
-        return fallback
+        return fallback()
     raise MutationNotApplicable(
         f"axiom {target!r} cannot be broken on this datum by one entry edit"
     )

@@ -16,14 +16,16 @@ j -> j+1, degree-preserving) and Gysin maps (level j -> j-1, degree +2).
   6. hard-lefschetz     L^i : H^{d-i} -> H^{d+i} invertible per level
   7. poincare           pairings nondegenerate; middle pairings symmetric
 
-Axioms 1-5 are the rows of one table of identities (``_identities``),
-each side a sum of products of two blocks, formed only where one shape
-rule says the product can be nonzero; an axiom with no row is vacuous on
-the datum, and ``mutate`` reads that from the same table.  Axioms 6 and 7
-are rank conditions (``_rank_failures``).  Each block kind has one shape
-(``BlockKind``), an omitted block being the zero matrix of that shape.  A
-datum checks its structure, these shapes included, when it is built, so
-``validate`` checks only the axioms.
+Every check is one entry of one table (``_checks``): an identity of axioms
+1-5, each side a sum of products of two blocks, an L^i of hard Lefschetz,
+a pairing's rank or a middle symmetry.  Each block kind has one shape
+(``BlockKind``), an omitted block being the zero matrix of that shape.  The
+entries, and the blocks each reads, follow from these shapes alone: no
+product whose shapes make it zero is formed, and a failure fixed by shapes
+(h^lo != h^hi) reads nothing.  ``validate`` evaluates the table in order;
+``mutate`` evaluates it once, then per one-entry edit only the entries
+that read the edited block.  A datum checks its structure, the shapes
+included, when it is built, so the table checks only the axioms.
 
 Levels with no intersections are encoded by omission; maps into or out of a
 missing level are the zero maps.  The anticommutation axiom is only imposed
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -89,45 +92,41 @@ class SemistableDatum:
             return 0
         return lvl.cohomology_dims[s]
 
+    def block(self, key):
+        """The block at key = (kind, level, degree), the zero matrix of its shape if omitted."""
+        kind, j, s = key
+        if kind.per_level:
+            lvl = self.levels.get(j)
+            mat = getattr(lvl, kind.attribute).get(s) if lvl else None
+        else:
+            mat = getattr(self.transfers, kind.attribute).get((j, s))
+        return RatMatrix.zeros(*kind.shape(self, j, s)) if mat is None else mat
+
     def restriction_map(self, j, s):
-        m = self.transfers.restriction.get((j, s))
-        if m is None:
-            return RatMatrix.zeros(*RESTRICTION.shape(self, j, s))
-        return m
+        return self.block((RESTRICTION, j, s))
 
     def gysin_map(self, j, s):
-        m = self.transfers.gysin.get((j, s))
-        if m is None:
-            return RatMatrix.zeros(*GYSIN.shape(self, j, s))
-        return m
+        return self.block((GYSIN, j, s))
 
     def lefschetz_map(self, j, s):
-        lvl = self.levels.get(j)
-        m = lvl.lefschetz.get(s) if lvl else None
-        if m is None:
-            return RatMatrix.zeros(*LEFSCHETZ.shape(self, j, s))
-        return m
+        return self.block((LEFSCHETZ, j, s))
 
     def pairing(self, j, s):
-        lvl = self.levels.get(j)
-        m = lvl.pairings.get(s) if lvl else None
-        if m is None:
-            return RatMatrix.zeros(*PAIRING.shape(self, j, s))
-        return m
+        return self.block((PAIRING, j, s))
 
 
 # -- block kinds --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # one object per kind, hashed by identity
 class BlockKind:
     """One kind of matrix block: where a datum stores it, and its shape.
 
     The blocks live in the dict ``attribute``: of each ``StratumLevel``,
     keyed by degree, when ``per_level``; else of the datum's
     ``TransferMaps``, keyed by (level, degree).  ``shape(datum, j, s)`` is
-    the (rows, cols) of the block at level j and degree s; the datum's
-    accessors read an omitted block as the zero matrix of that shape.
+    the (rows, cols) of the block at level j and degree s; the datum reads
+    an omitted block as the zero matrix of that shape.
     ``name`` names a block in ``SchemaError`` texts.
     """
 
@@ -267,103 +266,127 @@ class ValidationReport:
         }
 
 
-def _live(*pairs):
+def _shape(datum, factor):
+    """The (rows, cols) of a factor (kind, level, degree), transposed if it has a 4th item."""
+    rows, cols = factor[0].shape(datum, factor[1], factor[2])
+    return (cols, rows) if factor[3:] else (rows, cols)
+
+
+def _live(datum, pairs):
     """The shape rule: the factor pairs (a, b) whose product a @ b can be nonzero."""
-    return [(a, b) for a, b in pairs if a.rows and a.cols and b.cols]
+    return [(a, b) for a, b in pairs if all(_shape(datum, a)) and _shape(datum, b)[1]]
 
 
-def _identities(datum):
-    """The table of axioms 1-5: rows (axiom, level, degree, lhs, rhs, detail).
+def _side(block, pairs):
+    """The sum of the products a @ b over a nonempty side."""
+    first, *rest = [(block(a[:3]).transpose() if a[3:] else block(a[:3])) @ block(b)
+                    for a, b in pairs]
+    return sum(rest, first)
 
-    A side is a list of factor pairs (a, b), the sum of the products a @ b,
-    and an empty side is zero.  ``_live`` keeps the pairs of each side, and
-    a row with both sides empty holds trivially and is left out.  Rows at
-    (j, s) compare maps out of H^s of level j, so none are built where that
-    is zero.  The last row checks L on the unit of H^0 of level 1, the
-    column of ones, against the ample class.  Rows come level by level,
-    degree by degree, restriction before Gysin: the order in which each
-    axiom lists its failures.
+
+def _sides_agree(lhs, rhs, block):
+    sums = [_side(block, side) for side in (lhs, rhs) if side]
+    return sums[0].is_zero() if len(sums) == 1 else sums[0] == sums[1]
+
+
+def _full_rank(keys, dim, block):
+    """Whether the composite of the blocks ``keys``, the first applied first, has rank dim."""
+    comp = block(keys[0])
+    for key in keys[1:]:
+        comp = block(key) @ comp
+    return rank(comp) == dim
+
+
+def _symmetric(key, block):
+    p = block(key)
+    return p == p.transpose()
+
+
+def _maps_unit_to(ample, block):
+    lef = block((LEFSCHETZ, 1, 0))
+    return lef @ RatMatrix(lef.cols, 1, ({0: 1},) * lef.cols) == ample
+
+
+def _checks(datum):
+    """The table of checks: entries (axiom, level, degree, detail, reads, holds).
+
+    ``reads`` is the set of blocks (kind, level, degree) the entry fetches,
+    and ``holds(block)`` decides it, fetching each of them as ``block((kind,
+    level, degree))`` and nothing else; the L(1) entry takes the ample class
+    from ``datum`` when the table is built.  Which entries there are, and
+    what each reads, follows from shapes alone, so the table of a datum
+    serves every datum with its shapes and ample class.  An identity at
+    (j, s) compares maps out of H^s of level j, so there is none where that
+    is zero.  Entries come in the order in which each axiom lists its
+    failures: for axioms 1-5 level by level, degree by degree, restriction
+    before Gysin, L(1) last; then per level the L^i by i, the pairings by
+    degree and the middle symmetry.
     """
-    rows = []
+    R, G, L, P = RESTRICTION, GYSIN, LEFSCHETZ, PAIRING
+    checks = []
+
+    def add(axiom, j, s, detail, reads=(), holds=lambda block: False):
+        checks.append((axiom, j, s, detail, frozenset(reads), holds))
+
+    def identity(axiom, j, s, detail, lhs, rhs=()):
+        lhs, rhs = _live(datum, lhs), _live(datum, rhs)
+        if lhs or rhs:
+            add(axiom, j, s, detail, (f[:3] for pair in lhs + rhs for f in pair),
+                partial(_sides_agree, lhs, rhs))
+
     for j in sorted(datum.levels):
         for s in range(0, 2 * datum.level_dim(j) + 1):
             if not datum.h(j, s):
                 continue
-            rho, tau = datum.restriction_map(j, s), datum.gysin_map(j, s)
-            lef = datum.lefschetz_map(j, s)
+            rho, tau, lef = (R, j, s), (G, j, s), (L, j, s)
             sdual = 2 * datum.level_dim(j + 1) - s
-            rows += [
-                ("rho-squared", j, s, _live((datum.restriction_map(j + 1, s), rho)), [],
-                 "restriction composed with restriction is nonzero"),
-                ("tau-squared", j, s, _live((datum.gysin_map(j - 1, s + 2), tau)), [],
-                 "gysin composed with gysin is nonzero"),
-                ("anticommute", j, s, _live((datum.gysin_map(j + 1, s), rho),
-                                            (datum.restriction_map(j - 1, s + 2), tau))
-                 if j >= 2 else [], [], "tau o rho + rho o tau is nonzero"),
-                ("adjunction", j, s, _live((rho.transpose(), datum.pairing(j + 1, s))),
-                 _live((datum.pairing(j, s), datum.gysin_map(j + 1, sdual))),
-                 "<rho(a), b> != <a, tau(b)>"),
-                ("lefschetz-commute", j, s, _live((datum.lefschetz_map(j + 1, s), rho)),
-                 _live((datum.restriction_map(j, s + 2), lef)),
-                 "L does not commute with restriction"),
-                ("lefschetz-commute", j, s, _live((datum.lefschetz_map(j - 1, s + 2), tau)),
-                 _live((datum.gysin_map(j, s + 2), lef)),
-                 "L does not commute with gysin"),
-            ]
-    h0 = datum.h(1, 0)
-    if h0:
+            identity("rho-squared", j, s, "restriction composed with restriction is nonzero",
+                     [((R, j + 1, s), rho)])
+            identity("tau-squared", j, s, "gysin composed with gysin is nonzero",
+                     [((G, j - 1, s + 2), tau)])
+            if j >= 2:
+                identity("anticommute", j, s, "tau o rho + rho o tau is nonzero",
+                         [((G, j + 1, s), rho), ((R, j - 1, s + 2), tau)])
+            identity("adjunction", j, s, "<rho(a), b> != <a, tau(b)>",
+                     [((R, j, s, "T"), (P, j + 1, s))], [((P, j, s), (G, j + 1, sdual))])
+            identity("lefschetz-commute", j, s, "L does not commute with restriction",
+                     [((L, j + 1, s), rho)], [((R, j, s + 2), lef)])
+            identity("lefschetz-commute", j, s, "L does not commute with gysin",
+                     [((L, j - 1, s + 2), tau)], [((G, j, s + 2), lef)])
+    if datum.h(1, 0) and datum.h(1, 2):  # L on the unit, the column of ones
         ample = RatMatrix.from_rows([[x] for x in datum.ample_class], cols=1)
-        rows.append(("lefschetz-commute", 1, 0,
-                     _live((datum.lefschetz_map(1, 0), RatMatrix(h0, 1, ({0: 1},) * h0))),
-                     _live((ample, RatMatrix.identity(1))),
-                     "L(1) differs from the declared ample class"))
-    return [row for row in rows if row[3] or row[4]]
-
-
-def _sum_of_products(side):
-    """The matrix a nonempty side of ``_identities`` stands for."""
-    first, *rest = [a @ b for a, b in side]
-    return sum(rest, first)
-
-
-def _rank_failures(datum):
-    """The failures of axioms 6 and 7, as (axiom, level, degree, detail)."""
+        add("lefschetz-commute", 1, 0, "L(1) differs from the declared ample class",
+            [(L, 1, 0)], partial(_maps_unit_to, ample))
     for j in sorted(datum.levels):
         d = datum.level_dim(j)
         for i in range(1, d + 1):
             lo, hi = d - i, d + i
             if datum.h(j, lo) != datum.h(j, hi):
-                yield "hard-lefschetz", j, lo, f"h^{lo} != h^{hi}, L^{i} cannot be invertible"
-                continue
-            if datum.h(j, lo) == 0:
-                continue
-            comp = RatMatrix.identity(datum.h(j, lo))
-            for s in range(lo, hi, 2):
-                comp = datum.lefschetz_map(j, s) @ comp
-            if rank(comp) != datum.h(j, lo):
-                yield "hard-lefschetz", j, lo, f"L^{i} : H^{lo} -> H^{hi} is not invertible"
+                add("hard-lefschetz", j, lo, f"h^{lo} != h^{hi}, L^{i} cannot be invertible")
+            elif datum.h(j, lo):  # through a zero H^s, L^i is zero: it reads nothing
+                keys = [(L, j, s) for s in range(lo, hi, 2)]
+                live = all(datum.h(j, s) for s in range(lo, hi, 2))
+                add("hard-lefschetz", j, lo, f"L^{i} : H^{lo} -> H^{hi} is not invertible",
+                    *((keys, partial(_full_rank, keys, datum.h(j, lo))) if live else ()))
         for s in range(0, 2 * d + 1):
             hs, hd = datum.h(j, s), datum.h(j, 2 * d - s)
-            if hs == 0 and hd == 0:
-                continue
-            p = datum.pairing(j, s)
-            if hs != hd or rank(p) != hs:
-                yield "poincare", j, s, "pairing is degenerate"
-        if d % 2 == 0 and datum.h(j, d) > 0:
-            p = datum.pairing(j, d)
-            if p != p.transpose():
-                yield "poincare", j, d, "middle-degree pairing is not symmetric"
+            if hs != hd:
+                add("poincare", j, s, "pairing is degenerate")
+            elif hs:
+                add("poincare", j, s, "pairing is degenerate",
+                    [(P, j, s)], partial(_full_rank, [(P, j, s)], hs))
+        if d % 2 == 0 and datum.h(j, d):
+            add("poincare", j, d, "middle-degree pairing is not symmetric",
+                [(P, j, d)], partial(_symmetric, (P, j, d)))
+    return checks
 
 
 def validate(datum: SemistableDatum) -> ValidationReport:
     """Run the seven axiom checks on a datum, whose structure its constructor checked."""
     failures = {axiom: [] for axiom in AXIOMS}
-    for axiom, j, s, lhs, rhs, detail in _identities(datum):
-        sums = [_sum_of_products(side) for side in (lhs, rhs) if side]
-        if not (sums[0].is_zero() if len(sums) == 1 else sums[0] == sums[1]):
+    for axiom, j, s, detail, _, holds in _checks(datum):
+        if not holds(datum.block):
             failures[axiom].append({"level": j, "degree": s, "detail": detail})
-    for axiom, j, s, detail in _rank_failures(datum):
-        failures[axiom].append({"level": j, "degree": s, "detail": detail})
     return ValidationReport(tuple(AxiomCheck(axiom, not found, tuple(found))
                                   for axiom, found in failures.items()))
 
@@ -382,9 +405,10 @@ SCHEMA_VERSION = "wss-1"
 
 # Largest sum of the declared cohomology dimensions, over all levels and
 # degrees, that a document may have: validation builds matrices whose
-# sides are these dimensions (zero maps for omitted blocks included) before
-# any axiom can reject the document.  It also bounds each side of a stored
-# matrix, which takes memory in proportion to its row count.
+# sides are these dimensions before any axiom can reject the document.  It
+# also bounds each side of a stored matrix, which takes memory in proportion
+# to its row count, and n, as a level's profile has 2n + 1 degrees (a datum
+# with H^0 that passes hard Lefschetz has total dimension n + 1 or more).
 MAX_TOTAL_DIM = 4096
 
 
@@ -485,6 +509,8 @@ def datum_from_json_dict(doc) -> SemistableDatum:
         if key not in doc:
             raise SchemaError(f"missing top-level field {key!r}")
     n = _int_field(doc["n"], "n")
+    if n > MAX_TOTAL_DIM:
+        raise SchemaError(f"relative dimension n = {n} above {MAX_TOTAL_DIM}")
     levels = {}
     for entry in _entries(doc, "levels"):
         where = f"levels[{entry.get('level')}]"

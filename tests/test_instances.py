@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from helpers import change_basis
@@ -15,12 +17,16 @@ from wsscheck.instances import (
     gen_smooth,
     load_toy,
     mutate,
+    _candidates,
+    _failures_after,
     times_projective_plane,
     toy_names,
 )
 from wsscheck.ratlin import RatMatrix
 from wsscheck.specseq import build_e2, check_wmc, tensor_product
-from wsscheck.strata import AXIOMS, to_weight_complex, validate
+from wsscheck.strata import (
+    AXIOMS, _checks, datum_to_json_dict, dumps, to_weight_complex, validate,
+)
 
 
 def test_parameter_guards():
@@ -140,6 +146,57 @@ def test_mutations_not_applicable_on_smooth_transfer_axioms():
     for axiom in ("rho-squared", "tau-squared", "anticommute", "adjunction"):
         with pytest.raises(MutationNotApplicable):
             mutate(datum, axiom, seed=9)
+
+
+# The data of the mutation-harness set-up of the report-corpus benchmark,
+# then gen_ngon(5) and toy_chain3_x_p2
+ORACLE_DATA = {
+    "ngon4": lambda: gen_ngon(4),
+    "chain3": lambda: gen_chain(3),
+    "smooth3": lambda: gen_smooth(3, (1, 0, 2, 0, 2, 0, 1)),
+    "toy_gon3_x_p2": lambda: load_toy("toy_gon3_x_p2"),
+    "toy_blowup_point": lambda: load_toy("toy_blowup_point"),
+    "ngon5": lambda: gen_ngon(5),
+    "toy_chain3_x_p2": lambda: load_toy("toy_chain3_x_p2"),
+}
+
+
+@pytest.mark.parametrize("build", ORACLE_DATA.values(), ids=ORACLE_DATA.keys())
+def test_incremental_failures_match_validate_on_every_candidate(build):
+    # mutate re-evaluates only the checks that read the edited block; every
+    # candidate, chosen or not, must fail exactly the axioms validate names
+    datum = build()
+    checks = _checks(datum)
+    for axiom in AXIOMS:
+        edits = _failures_after(datum, checks, _candidates(datum, axiom))
+        for kind, key, edited, failed in edits:
+            want = validate(kind.with_block(datum, *key, edited)).failed_axioms
+            assert failed == set(want), (axiom, kind.name.format(j=key[0], s=key[1]))
+
+
+MUTANT_DATA = (
+    (gen_ngon, 4), (gen_ngon, 5), (gen_chain, 3),
+    (gen_smooth, 3, (1, 0, 2, 0, 2, 0, 1)), (gen_smooth, 2, (1, 2, 3, 2, 1)),
+    (build_toy, "toy_gon3_x_p2"), (build_toy, "toy_blowup_point"),
+    (build_toy, "toy_chain3_x_p2"), (build_toy, "toy_gon4_x_p2"),
+)
+
+
+def test_mutants_pinned():
+    # SHA-256 over every mutant's document, or the text of MutationNotApplicable,
+    # per datum, axiom and seed: that of a search that validates every candidate in full
+    digest = hashlib.sha256()
+    for build in MUTANT_DATA:
+        datum = build[0](*build[1:])
+        for axiom in AXIOMS:
+            for seed in (1, 7, 101):
+                try:
+                    text = dumps(datum_to_json_dict(mutate(datum, axiom, seed)))
+                except MutationNotApplicable as exc:
+                    text = str(exc)
+                digest.update(text.encode())
+    assert digest.hexdigest() == (
+        "464201ca127a7045ea0da039a5980e6306fcdfe8efcc1a606a2c77afac4f0291")
 
 
 def test_mutation_deterministic():

@@ -26,6 +26,7 @@ from wsscheck.strata import (
     SemistableDatum,
     StratumLevel,
     TransferMaps,
+    _checks,
     datum_from_json_dict,
     datum_to_json_dict,
     dumps,
@@ -120,13 +121,17 @@ def test_validate_bytes_of_mutants_pinned(build, digests):
     assert got == digests
 
 
-def test_validate_forms_no_zero_dimension_product(monkeypatch):
+def _shape_rule_data():
     data = [build_toy(name) for name in ("toy_blowup_point", "toy_chain3_x_p2",
                                          "toy_gon3_x_p2", "toy_gon4_x_p2")]
     data += [gen_ngon(n) for n in (3, 4, 5)] + [gen_chain(3), gen_chain(4)]
     data += [gen_smooth(3, (1, 0, 2, 0, 2, 0, 1)), gen_smooth(2, (1, 2, 3, 2, 1))]
-    data += [mutate(gen_ngon(4), "adjunction", seed=101),
-             mutate(build_toy("toy_gon3_x_p2"), "anticommute", seed=101)]
+    return data + [mutate(gen_ngon(4), "adjunction", seed=101),
+                   mutate(build_toy("toy_gon3_x_p2"), "anticommute", seed=101)]
+
+
+def test_validate_forms_no_zero_dimension_product(monkeypatch):
+    data = _shape_rule_data()
     shapes = []
 
     def recorded(a, b, _matmul=RatMatrix.__matmul__):
@@ -137,6 +142,36 @@ def test_validate_forms_no_zero_dimension_product(monkeypatch):
     for datum in data:
         validate(datum)
     assert shapes and all(all(shape) for shape in shapes)
+
+
+def test_validate_builds_no_zero_side_matrix(monkeypatch):
+    # the shape rule is decided before any block is fetched, so no omitted
+    # block is built as a zero matrix only to be dropped
+    data = _shape_rule_data()
+    sides = []
+
+    def recorded(cls, rows, cols, _zeros=RatMatrix.zeros.__func__):
+        sides.append((rows, cols))
+        return _zeros(cls, rows, cols)
+
+    monkeypatch.setattr(RatMatrix, "zeros", classmethod(recorded))
+    for datum in data:
+        validate(datum)
+    assert all(all(side) for side in sides), sides
+
+
+def test_each_check_fetches_exactly_the_blocks_it_reads():
+    # mutate trusts reads: an edit of a block outside an entry's reads keeps its verdict
+    for datum in _shape_rule_data() + [blowup_point_datum(), _rank_defects()]:
+        for axiom, j, s, detail, reads, holds in _checks(datum):
+            fetched = set()
+
+            def block(key):
+                fetched.add(key)
+                return datum.block(key)
+
+            holds(block)
+            assert fetched == reads, (axiom, j, s, detail)
 
 
 def test_a_copy_with_a_misshapen_block_is_refused():
@@ -445,6 +480,35 @@ def test_declared_size_above_bound_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["validate", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _top_classes_only(n):
+    """A one-level document of relative dimension n with h^0 = h^2n = 1."""
+    one = {"rows": 1, "cols": 1, "entries": ["1"]}
+    return {"schema": "wss-1", "n": n, "m": 1, "restriction": [], "gysin": [],
+            "ample_class": [], "levels": [{
+                "level": 0, "components": 1,
+                "cohomology": [{"degree": 0, "dim": 1}, {"degree": 2 * n, "dim": 1}],
+                "pairings": {"0": one, str(2 * n): one}}]}
+
+
+def test_relative_dimension_above_bound_exits_2(tmp_path, capsys):
+    """The profile of a level has 2n + 1 degrees, so n is bounded as the
+    dimension sum is: a document of a few hundred bytes must not make the reader and the
+    validate loops run over millions of degrees."""
+    from wsscheck import cli
+    from wsscheck.strata import MAX_TOTAL_DIM
+
+    datum = datum_from_json_dict(_top_classes_only(MAX_TOTAL_DIM))
+    assert validate(datum).failed_axioms == ("hard-lefschetz",)
+    for n in (MAX_TOTAL_DIM + 1, 10**6):
+        with pytest.raises(SchemaError, match=f"n = {n} above {MAX_TOTAL_DIM}"):
+            datum_from_json_dict(_top_classes_only(n))
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(_top_classes_only(10**6)))
+    assert cli.main(["validate", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(MAX_TOTAL_DIM) in err
 
 
 def _deep_nesting(path):
