@@ -193,7 +193,7 @@ def _validate(args):
 def _pages(args):
     rec = _analysis(args)
     if args.format == "json":
-        return EXIT_PASS, strata.dumps(specseq.page_json_dict(rec.e2.page, rec.e2, rec.verdict))
+        return EXIT_PASS, strata.dumps(specseq.page_json_dict(rec.e2, rec.verdict))
     grids = specseq.render_e1_grid(rec.e2.page) + "\n\n" + specseq.render_e2_grid(rec.e2)
     return EXIT_PASS, grids + "\n"
 
@@ -232,7 +232,7 @@ def _report(args):
     doc = {"instance": args.instance, "validate": rec.validation.to_json_dict()}
     if not rec.validation.ok:
         return EXIT_CHECK_FAILED, strata.dumps(doc)
-    doc["pages"] = specseq.page_json_dict(rec.e2.page, rec.e2, rec.verdict)
+    doc["pages"] = specseq.page_json_dict(rec.e2, rec.verdict)
     doc["filtration_agreement"] = rec.agreement
     ok = rec.verdict.overall
     if rec.threefold is not None:

@@ -183,8 +183,14 @@ def gen_smooth(n: int, betti) -> SemistableDatum:
 # -- curve degenerations ---------------------------------------------------------
 
 
-def _curve_datum(m, incidence):
-    npts = incidence.rows
+def _curve_datum(m, edges):
+    """A chain or cycle of m rational curves, one double point per edge (a, b).
+
+    Signs follow the global component order: the point joining components
+    a < b restricts with +1 from a and -1 from b.
+    """
+    npts = len(edges)
+    incidence = RatMatrix(npts, m, tuple({min(e): 1, max(e): -1} for e in edges))
     level1 = StratumLevel(
         level=1,
         components=m,
@@ -214,23 +220,11 @@ def _curve_datum(m, incidence):
 
 
 def gen_ngon(n: int) -> SemistableDatum:
-    """Cycle of n rational curves; the double points join consecutive curves.
-
-    Signs follow the global component order: the point joining components a < b
-    restricts with +1 from a and -1 from b.
-    """
+    """Cycle of n rational curves; the double points join consecutive curves."""
     if n < 3:
         raise ParameterError("an n-gon needs n >= 3")
     _require_readable(3 * n)
-    rows = []
-    for i in range(n):
-        a, b = i, (i + 1) % n
-        a, b = min(a, b), max(a, b)
-        row = [0] * n
-        row[a] = 1
-        row[b] = -1
-        rows.append(row)
-    return _curve_datum(n, RatMatrix.from_rows(rows, cols=n))
+    return _curve_datum(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def gen_chain(n: int) -> SemistableDatum:
@@ -238,13 +232,7 @@ def gen_chain(n: int) -> SemistableDatum:
     if n < 2:
         raise ParameterError("a chain needs n >= 2")
     _require_readable(3 * n - 1)
-    rows = []
-    for i in range(n - 1):
-        row = [0] * n
-        row[i] = 1
-        row[i + 1] = -1
-        rows.append(row)
-    return _curve_datum(n, RatMatrix.from_rows(rows, cols=n))
+    return _curve_datum(n, [(i, i + 1) for i in range(n - 1)])
 
 
 # -- product with the projective plane -----------------------------------------
@@ -417,23 +405,11 @@ def blowup_point_datum() -> SemistableDatum:
 # -- toy registry ------------------------------------------------------------------
 
 
-def _toy_gon3():
-    return times_projective_plane(gen_ngon(3))
-
-
-def _toy_gon4():
-    return times_projective_plane(gen_ngon(4))
-
-
-def _toy_chain3():
-    return times_projective_plane(gen_chain(3))
-
-
 TOY_BUILDERS = {
     "toy_blowup_point": blowup_point_datum,
-    "toy_gon3_x_p2": _toy_gon3,
-    "toy_gon4_x_p2": _toy_gon4,
-    "toy_chain3_x_p2": _toy_chain3,
+    "toy_gon3_x_p2": lambda: times_projective_plane(gen_ngon(3)),
+    "toy_gon4_x_p2": lambda: times_projective_plane(gen_ngon(4)),
+    "toy_chain3_x_p2": lambda: times_projective_plane(gen_chain(3)),
 }
 
 

@@ -19,11 +19,11 @@ Matrices are immutable: no operation changes a row dict once a matrix holds
 it, so matrices share rows freely, also between threads.
 
 Elimination is sparse and works on rows.  The eliminator takes the stored
-rows, scaled to coprime integers; a matrix's columns are its transpose's
-rows, built in one pass over the nonzeros, so ``image`` and the subspace
-operations hand columns over as rows.  The forward pass takes the columns in
-order and, among the rows whose leading entry sits in that column, picks the
-shortest as pivot (Markowitz's rule, Management Science 3, 1957, restricted
+rows, scaled to coprime integers; a matrix's columns are the rows of its
+transpose, built in one pass over the nonzeros, which ``image`` and
+``intersect`` eliminate.  The forward pass takes the columns in order and,
+among the rows whose leading entry sits in that column, picks the shortest
+as pivot (Markowitz's rule, Management Science 3, 1957, restricted
 to row counts), which keeps the fill-in low on the sparse d1 blocks.  It
 cancels by integer cross-multiplication and removes each new row's gcd
 content.  ``rank`` and containment stop at this row echelon form; ``rref``
@@ -64,6 +64,10 @@ gives the canonical row space of every prefix of the rows from one
 incremental reduced echelon, each equal to what ``row_space`` gives.
 ``cancel_at`` is the step they share with containment: a row cancelled at
 the pivots of rows that are zero at each other's pivots.
+
+``signature`` also eliminates over the stored rows: its congruence
+diagonalization keeps the nonzero rows in a dict and never visits a zero
+row, which counts toward the radical.
 
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the denominator is
 one) in every file format.
@@ -492,29 +496,29 @@ def _reduce(rows) -> list:
     return ech
 
 
-def rref(m: RatMatrix, *, transposed=False):
+def _divided(row: dict, pivot: int) -> dict:
+    """An integer row divided by its entry at pivot: ints where that divides exactly."""
+    pv = row[pivot]
+    if len(row) == 1:
+        return _unit_row(pivot)
+    if pv == 1:
+        return row
+    return {j: v // pv if v % pv == 0 else Fraction(v, pv) for j, v in row.items()}
+
+
+def rref(m: RatMatrix):
     """Reduced row echelon form (pivots 1) and the tuple of pivot columns.
 
-    With transposed=True, the RREF of m's transpose, read off m's columns.
     The rows go through the sparse fraction-free elimination of ``_forward``
     (shortest row first in each column) and ``_reduce`` (back-substitution),
     in coprime integers throughout; each row is divided by its pivot only at
     the end.  The RREF over Q is unique, so the result is canonical whatever
     the pivot order.
     """
-    if transposed:
-        m = m.transpose()
-    out, pivots = [], []
-    for c, row in _reduce(m.data):
-        pivots.append(c)
-        pv = row[c]
-        if len(row) == 1:
-            out.append(_unit_row(c))
-        else:
-            out.append(row if pv == 1 else
-                       {j: v // pv if v % pv == 0 else Fraction(v, pv) for j, v in row.items()})
+    red = _reduce(m.data)
+    out = [_divided(row, c) for c, row in red]
     out.extend({} for _ in range(m.rows - len(out)))
-    return RatMatrix(m.rows, m.cols, tuple(out)), tuple(pivots)
+    return RatMatrix(m.rows, m.cols, tuple(out)), tuple(c for c, _ in red)
 
 
 def rank(m: RatMatrix) -> int:
@@ -588,9 +592,9 @@ class Subspace:
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json_dict()}
 
 
-def row_space(gens: RatMatrix, *, transposed=False) -> Subspace:
-    """The span of the rows (columns when transposed) of gens: the nonzero rows of their RREF."""
-    r, piv = rref(gens, transposed=transposed)
+def row_space(gens: RatMatrix) -> Subspace:
+    """The span of the rows of gens: the nonzero rows of their RREF."""
+    r, piv = rref(gens)
     return Subspace(r.cols, RatMatrix(len(piv), r.cols, r.data[:len(piv)]))
 
 
@@ -626,9 +630,7 @@ def prefix_row_spaces(m: RatMatrix, ends) -> tuple:
         pivots = sorted(ech)
         for p in pivots:
             if p not in done:
-                row, pv = ech[p], ech[p][p]  # divided as rref divides
-                done[p] = (_unit_row(p) if len(row) == 1 else row if pv == 1 else
-                           {j: v // pv if v % pv == 0 else Fraction(v, pv) for j, v in row.items()})
+                done[p] = _divided(ech[p], p)
         out.append(Subspace(m.cols, RatMatrix(len(pivots), m.cols,
                                               tuple(done[p] for p in pivots))))
     return tuple(out)
@@ -687,21 +689,15 @@ def _same_ambient(u: Subspace, w: Subspace):
         )
 
 
-def null_rows(m: RatMatrix, *, transposed=False) -> RatMatrix:
-    """A basis of {v : m v = 0} (of m^T when transposed) as integer rows; not canonical."""
-    if transposed:
-        m = m.transpose()
-    return null_rows_and_pivots(m)[0]
-
-
 def null_rows_and_pivots(m: RatMatrix):
-    """(null_rows(m), pivots) from one reduction of m's rows.
+    """(null rows, pivots) from one reduction of m's rows.
 
-    pivots are the pivot columns of the reduced rows (c, r): m's columns
-    there are a basis of its column space.  The null rows are one per other
-    column f, in increasing order: L at f and -r[f] L / r[c] at each pivot
-    c, where L is the lcm of |r[c]| over the rows with an entry at f, so
-    that every entry is an integer.
+    The null rows are a basis of {v : m v = 0} as integer rows, not
+    canonical.  pivots are the pivot columns of the reduced rows (c, r):
+    m's columns there are a basis of its column space.  The null rows are
+    one per other column f, in increasing order: L at f and -r[f] L / r[c]
+    at each pivot c, where L is the lcm of |r[c]| over the rows with an
+    entry at f, so that every entry is an integer.
     """
     red = _reduce(m.data)
     return _null_rows(red, m.cols), tuple(c for c, _ in red)
@@ -726,7 +722,7 @@ def _null_rows(red: list, n: int) -> RatMatrix:
 
 
 def kernel_flag(m: RatMatrix) -> tuple:
-    """(null_rows(m^s), pivots) for s = 0 .. e, with e the first power that is zero.
+    """(null rows of m^s, pivots) for s = 0 .. e, with e the first power that is zero.
 
     R_1 is the reduced integer rows of m and R_{s+1} the reduced rows of
     R_s m.  R_s spans the row space of m^s, so Ker m^s is the null space of
@@ -787,12 +783,12 @@ def _combine(rows: dict, coeffs: dict) -> dict:
 
 def kernel(m: RatMatrix) -> Subspace:
     """Basis of {v : m v = 0}; rank-nullity holds by construction."""
-    return row_space(null_rows(m))
+    return row_space(null_rows_and_pivots(m)[0])
 
 
 def image(m: RatMatrix) -> Subspace:
     """Column space of m."""
-    return row_space(m, transposed=True)
+    return row_space(m.transpose())
 
 
 def intersect(u: Subspace, w: Subspace) -> Subspace:
@@ -800,7 +796,7 @@ def intersect(u: Subspace, w: Subspace) -> Subspace:
     _same_ambient(u, w)
     if u.dim == 0 or w.dim == 0:
         return Subspace.zero(u.ambient_dim)
-    z = null_rows(u.echelon.vstack(w.echelon), transposed=True)
+    z = null_rows_and_pivots(u.echelon.vstack(w.echelon).transpose())[0]
     return row_space(z.submatrix(range(z.rows), range(u.dim)) @ u.echelon)
 
 
@@ -820,64 +816,58 @@ def contains(u: Subspace, w: Subspace) -> bool:
     return _reduces_to_zero(u, w.echelon.data)
 
 
+def _plus(row: dict, x, other: dict) -> dict:
+    """The {column: value} row row + x * other, as a new dict; x is nonzero."""
+    out = dict(row)
+    for j, y in other.items():
+        v = _norm(out.get(j, 0) + x * y)
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return out
+
+
 def signature(s: RatMatrix):
     """(positive, negative, zero) inertia of a symmetric matrix.
 
-    Congruence diagonalization with exact pivoting; Sylvester's law makes the
-    answer basis-independent.  Never touches floating point.
+    Exact congruence diagonalization over the nonzero stored rows; Sylvester's
+    law makes the answer basis-independent.  A diagonal pivot d = a_ii takes
+    a_ri / d times row i from each row r that meets it, which leaves the
+    Schur complement.  With no diagonal pivot left, e_i <- e_i + e_j on row
+    and column i, where a_ij != 0, makes a_ii = 2 a_ij.  Rows that are or
+    become zero count as radical.
     """
     if s.rows != s.cols:
         raise InvalidForm("signature requires a square matrix")
-    n = s.rows
-    a = [s.row_list(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise InvalidForm("signature requires a symmetric matrix")
-    pos = neg = zero = 0
-    idx = list(range(n))
-    while idx:
-        dpivot = None
-        for i in idx:
-            if a[i][i] != 0:
-                dpivot = i
-                break
-        if dpivot is None:
-            off = None
-            for i in idx:
-                for j in idx:
-                    if i != j and a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                zero += len(idx)
-                break
-            i, j = off
-            # congruence by e_i <- e_i + e_j turns the diagonal entry into 2a_ij
-            for k in idx:
-                a[i][k] = _norm(a[i][k] + a[j][k])
-            for k in idx:
-                a[k][i] = _norm(a[k][i] + a[k][j])
-            continue
-        d = a[dpivot][dpivot]
+    if s != s.transpose():
+        raise InvalidForm("signature requires a symmetric matrix")
+    rows = {i: dict(row) for i, row in enumerate(s.data) if row}
+    pos = neg = 0
+    while rows:
+        i = next((i for i, row in rows.items() if i in row), None)
+        if i is None:
+            i, row = next(iter(rows.items()))
+            j = min(row)
+            new = _plus(row, 1, rows[j])
+            new[i] = 2 * row[j]
+            for k in (row.keys() | rows[j].keys()) - {i}:
+                if k in new:
+                    rows[k][i] = new[k]
+                else:
+                    del rows[k][i]
+            rows[i] = new
+        prow = rows.pop(i)
+        d = prow.pop(i)
         if d > 0:
             pos += 1
         else:
             neg += 1
-        others = [r for r in idx if r != dpivot]
-        colvals = {r: a[r][dpivot] for r in others}
-        prow = a[dpivot]
-        for r in others:
-            fr = colvals[r]
-            if not fr:
-                continue
-            q = Fraction(fr) / Fraction(d)
-            ar = a[r]
-            for k in others:
-                pk = prow[k]
-                if pk:
-                    ar[k] = _norm(ar[k] - q * pk)
-        idx.remove(dpivot)
-    return (pos, neg, zero)
+        for r, x in prow.items():
+            row = _plus(rows[r], -Fraction(x) / d, prow)
+            del row[i]
+            if row:
+                rows[r] = row
+            else:
+                del rows[r]
+    return (pos, neg, s.rows - pos - neg)

@@ -386,37 +386,37 @@ def check_wmc(e2: E2Page, w_filter=None) -> WmcVerdict:
     return WmcVerdict(tuple(entries), all(e.iso for e in entries))
 
 
+def _antidiagonal(e2: E2Page, w: int):
+    """({j: offset}, total) of the sum of E2^{i,j} with i+j = w, ordered by increasing j."""
+    offsets = {}
+    pos = 0
+    for j in range(0, 2 * e2.n + 1):
+        if (w - j, j) in e2.dims:
+            offsets[j] = pos
+            pos += e2.dims[(w - j, j)]
+    return offsets, pos
+
+
 def weight_filtration_graded(e2: E2Page, w: int) -> Filtration:
     """On the sum of E2^{i,j} with i+j = w, the filtration by weight j."""
-    js = [j for j in range(0, 2 * e2.n + 1) if (w - j, j) in e2.dims]
-    total = sum(e2.dims[(w - j, j)] for j in js)
+    offsets, total = _antidiagonal(e2, w)
     if total == 0:
         return Filtration.from_nested_steps(0, w, [(w, Subspace.zero(0))])
     # the spans of growing prefixes of the coordinates, nested by construction
+    js = list(offsets)
     steps = [(js[0] - 1, Subspace.zero(total))]
-    cum = 0
     for j in js:
-        cum += e2.dims[(w - j, j)]
-        steps.append((j, Subspace.coordinate(total, cum)))
+        steps.append((j, Subspace.coordinate(total, offsets[j] + e2.dims[(w - j, j)])))
     return Filtration.from_nested_steps(total, w, steps)
 
 
 def graded_monodromy_operator(e2: E2Page, w: int):
     """Block N on the sum of E2^{i,j} with i+j = w, ordered by increasing j."""
-    n = e2.n
-    js = [j for j in range(0, 2 * n + 1) if (w - j, j) in e2.dims]
-    offsets = {}
-    pos = 0
-    for j in js:
-        offsets[j] = pos
-        pos += e2.dims[(w - j, j)]
-    total = pos
+    offsets, total = _antidiagonal(e2, w)
     placements = []
-    for j in js:
-        tgt_j = j - 2
-        if tgt_j in offsets:
-            blk = e2.n_map_block(w - j, j)
-            placements.append((offsets[tgt_j], offsets[j], blk))
+    for j, co in offsets.items():
+        if j - 2 in offsets:
+            placements.append((offsets[j - 2], co, e2.n_map_block(w - j, j)))
     return RatMatrix.assemble(total, total, placements)
 
 
@@ -535,8 +535,9 @@ def antidiagonal_page(e2: E2Page, w: int) -> WeightComplex:
 # -- dumps and rendering -------------------------------------------------------
 
 
-def page_json_dict(page: WeightComplex, e2: E2Page = None, verdict: WmcVerdict = None):
-    doc = {
+def page_json_dict(e2: E2Page, verdict: WmcVerdict):
+    page = e2.page
+    return {
         "n": page.n,
         "pages": [
             {
@@ -568,14 +569,9 @@ def page_json_dict(page: WeightComplex, e2: E2Page = None, verdict: WmcVerdict =
             {"i": i, "j": j, "matrix": m.to_json_dict()}
             for (i, j), m in sorted(page.n_blocks.items())
         ],
+        "e2": [{"i": i, "j": j, "dim": e2.dims[(i, j)]} for (i, j) in sorted(e2.dims)],
+        "verdict": verdict.to_json_dict(),
     }
-    if e2 is not None:
-        doc["e2"] = [
-            {"i": i, "j": j, "dim": e2.dims[(i, j)]} for (i, j) in sorted(e2.dims)
-        ]
-    if verdict is not None:
-        doc["verdict"] = verdict.to_json_dict()
-    return doc
 
 
 def render_e1_grid(page: WeightComplex) -> str:

@@ -199,6 +199,13 @@ def _check_structure(datum: SemistableDatum):
                 raise SchemaError(
                     f"level {j} component_blocks degree {s}: index out of range"
                 )
+        # each component is connected: H^0 holds one unit class per component
+        if datum.h(j, 0) != lvl.components:
+            raise SchemaError(
+                f"level {j}: h^0 = {datum.h(j, 0)} != components = {lvl.components}")
+        units = list(range(lvl.components))
+        if sorted(lvl.component_blocks.get(0, units)) != units:
+            raise SchemaError(f"level {j} component_blocks degree 0: each component must appear once")
         for s in range(0, 2 * d + 1):
             if (
                 datum.h(j, s) > 0

@@ -7,7 +7,8 @@ products, transposes and block assembly, the Jordan-type formula for
 monodromy graded dimensions, the report on the monodromy axioms from dense
 ranks and powers, dictionary convolutions for Kunneth dimensions (graded
 and bigraded), the Clebsch-Gordan rule for the Jordan strings of a tensor
-product of pages, and raw incidence matrices of cycle/path graphs.  Nothing
+product of pages, raw incidence matrices of cycle/path graphs, and the
+inertia of a symmetric matrix from its characteristic polynomial.  Nothing
 here imports wsscheck.
 """
 
@@ -248,3 +249,37 @@ def axiom_report(nrows, steps, center, e):
         power = dense_matmul(power, nrows, n)
     ok = all(x["ok"] for x in lowering) and all(g["ok"] for g in graded)
     return {"lowering": lowering, "graded_isos": graded, "ok": ok}
+
+
+def charpoly(a):
+    """Coefficients c_0 .. c_n of det(t I - a) by Faddeev-LeVerrier over Fraction.
+
+    M_1 = I and M_{k+1} = a M_k + c_{n-k} I, with c_{n-k} = -tr(a M_k) / k.
+    """
+    n = len(a)
+    c = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = dense_matmul(a, m, n)
+        c[n - k] = -sum(am[i][i] for i in range(n)) / k
+        m = [[x + c[n - k] if i == j else x for j, x in enumerate(row)]
+             for i, row in enumerate(am)]
+    return c
+
+
+def inertia_by_descartes(a):
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+
+    Its characteristic polynomial is real-rooted, so Descartes' rule of signs
+    is exact: the sign changes of its coefficients count the positive roots,
+    those of p(-t) the negative ones, and the power of t dividing p the zero
+    roots.
+    """
+    c = charpoly(a)
+
+    def changes(coeffs):
+        signs = [x > 0 for x in coeffs if x]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    zero = next(k for k, x in enumerate(c) if x)
+    return changes(c), changes([x if k % 2 == 0 else -x for k, x in enumerate(c)]), zero

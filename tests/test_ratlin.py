@@ -13,6 +13,7 @@ from oracles import (
     dense_transpose,
     gauss_jordan,
     greedy_picks,
+    inertia_by_descartes,
     mini_rank,
 )
 from wsscheck.errors import DimensionMismatch, InvalidForm, InvalidOperator, PreconditionError
@@ -137,9 +138,9 @@ def _eliminator_inputs(draw):
 def test_rref_and_rank_match_gauss_jordan(args):
     rows, nc = args
     m = M(rows, cols=nc)
-    for got, transposed in ((m, False), (m.transpose(), True)):
+    for got in (m, m.transpose()):
         want, pivots = gauss_jordan([got.row_list(i) for i in range(got.rows)], got.cols)
-        r, piv = rref(m, transposed=transposed)
+        r, piv = rref(got)
         assert r.shape == got.shape and piv == tuple(pivots)
         assert list(r.entries) == [x for row in want for x in row]
         assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
@@ -610,6 +611,36 @@ def test_signature_congruence_invariant(args):
     s, trows = args
     t = unitriangular(s.rows, trows)
     assert signature(s) == signature(t.transpose() @ s @ t)
+
+
+@st.composite
+def _sparse_symmetric(draw):
+    """Symmetric rows, n <= 9, with Fraction entries and mostly zero
+    diagonals; a repeated row and column makes some of them singular."""
+    n = draw(st.integers(0, 9))
+    value = st.fractions(-3, 3, max_denominator=4)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            a[i][i] = draw(value)
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                a[i][j] = a[j][i] = draw(value)
+    if n > 1 and draw(st.booleans()):
+        k, src = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[k] = list(a[src])
+        for row in a:
+            row[k] = row[src]
+    return a
+
+
+@settings(max_examples=200)
+@given(_sparse_symmetric())
+@example([[0, 1], [1, 0]])
+@example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+@example([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+def test_signature_matches_descartes_on_the_characteristic_polynomial(a):
+    assert signature(M(a, cols=len(a))) == inertia_by_descartes(a)
 
 
 def test_solve_consistency():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
@@ -466,14 +467,14 @@ def test_declared_size_above_bound_exits_2(tmp_path, capsys, monkeypatch):
 
     def level(j, top_degree):
         return {"level": j, "components": 1, "cohomology": [
-            {"degree": 1, "dim": big}, {"degree": top_degree, "dim": 0}]}
+            {"degree": 0, "dim": 1}, {"degree": 1, "dim": big}, {"degree": top_degree, "dim": 0}]}
 
     doc = {"schema": "wss-1", "n": 3, "m": 1, "levels": [level(0, 6), level(1, 4)],
            "restriction": [], "gysin": [], "ample_class": []}
     with pytest.raises(SchemaError, match=str(MAX_TOTAL_DIM)):
         datum_from_json_dict(doc)
     with monkeypatch.context() as m:
-        m.setattr(strata, "MAX_TOTAL_DIM", 2 * big)
+        m.setattr(strata, "MAX_TOTAL_DIM", 2 * big + 2)
         assert datum_from_json_dict(doc).h(2, 1) == big  # the structure checks pass
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -509,6 +510,45 @@ def test_relative_dimension_above_bound_exits_2(tmp_path, capsys):
     assert cli.main(["validate", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(MAX_TOTAL_DIM) in err
+
+
+@pytest.mark.parametrize("command", ["validate", "pages", "check-wmc", "check-threefold", "report"])
+def test_document_with_no_cohomology_exits_2(tmp_path, capsys, command):
+    """A component is connected, so h^0 counts the components: a threefold
+    document with every h^s = 0 has no data for any check to examine."""
+    from wsscheck import cli
+
+    doc = {"schema": "wss-1", "n": 3, "m": 1, "restriction": [], "gysin": [], "ample_class": [],
+           "levels": [{"level": 0, "components": 1, "cohomology": [
+               {"degree": 0, "dim": 0}, {"degree": 6, "dim": 0}]}]}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "h^0" in err and "Traceback" not in err
+
+
+def _ngon3_doc(components=3, units=(0, 1, 2)):
+    doc = datum_to_json_dict(gen_ngon(3))
+    doc["m"] = doc["levels"][0]["components"] = components
+    doc["levels"][0]["component_blocks"]["0"] = list(units)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_ngon3_doc(components=4), "h^0 = 3 != components = 4"),
+    (_ngon3_doc(units=(0, 1, 1)), "each component must appear once"),
+])
+def test_h0_that_is_not_one_class_per_component_exits_2(tmp_path, capsys, doc, message):
+    from wsscheck import cli
+
+    assert datum_to_json_dict(datum_from_json_dict(_ngon3_doc())) == _ngon3_doc()
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        datum_from_json_dict(doc)
+    path = tmp_path / "h0.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--instance", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def _deep_nesting(path):
