@@ -12,7 +12,10 @@ otherwise, which keeps the common integer-data case on the fast native path.
 The d1 and N blocks of the weight spectral sequence are assembled from
 signed restriction, Gysin and identity-shift maps and hold a few percent of
 nonzeros or less, so assembly, Kronecker and matrix products, stacking,
-transposition, sums and elimination all work over the nonzeros only.  The
+transposition, sums and elimination all work over the nonzeros only.
+``RatMatrix.product_rows`` is the one product kernel: it yields the rows of
+a product one by one, ``@`` collects them into a matrix, and a check that a
+product vanishes, or that two agree, tests them as they come.  The
 dense row-major tuple ``entries`` is built on each read, for the readers
 that want every entry, such as serialization.
 Matrices are immutable: no operation changes a row dict once a matrix holds
@@ -293,19 +296,25 @@ class RatMatrix:
                          tuple({j: _norm(c * v) for j, v in row.items()} for row in self.data))
 
     def __matmul__(self, other):
+        return RatMatrix(self.rows, other.cols, _exact(list(self.product_rows(other))))
+
+    def product_rows(self, other):
+        """The rows of self @ other, one by one, as dicts of their nonzeros.
+
+        No matrix is formed and no value is normalised: an integral value
+        may be a ``Fraction``.
+        """
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         b = other.data
-        out = []
         for arow in self.data:
             # each nonzero of the row meets the nonzeros of one row of b; a
             # one-entry row shares or scales that row
             if not arow:
-                out.append({})
-                continue
-            if len(arow) == 1:
+                acc = {}
+            elif len(arow) == 1:
                 (k, av), = arow.items()
                 acc = b[k] if av == 1 else {j: av * bv for j, bv in b[k].items()}
             else:
@@ -315,8 +324,7 @@ class RatMatrix:
                         acc[j] = acc.get(j, 0) + av * bv
                 if 0 in acc.values():
                     acc = {j: v for j, v in acc.items() if v}
-            out.append(acc)
-        return RatMatrix(self.rows, other.cols, _exact(out))
+            yield acc
 
     def hstack(self, other):
         if self.rows != other.rows:

@@ -25,12 +25,21 @@ dropped, dimensions/differentials/N follow the Koszul convention
 d = d (x) 1 + (-1)^column 1 (x) d and N = N (x) 1 + 1 (x) N.  A product's
 E1 isos follow from its factors' (Clebsch-Gordan, see ``tensor_product``),
 so they are tested against an oracle, not re-checked at run time.
+
+Blocks are written in place.  ``_cell_blocks`` assembles every page, E1 and
+product alike: each part of a block, 1 (x) B (x) 1 for a factor block B in
+a product, is written entry by entry into the rows of its target cell, and
+no Kronecker block is formed.  Every page's constructor checks
+d1 o d1 = 0 and N o d1 = d1 o N without forming a product matrix: it tests
+the rows of each product as ``RatMatrix.product_rows`` forms them, and a
+missing block stands for zero without one being built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     ConventionViolation,
@@ -134,10 +143,14 @@ def _cell_blocks(layout, step, parts):
     """The blocks from each cell to the cell ``step`` away, summand by summand.
 
     ``layout`` maps each cell to its ordered summands, as (label, dim) pairs.
-    ``parts(cell, label, dim)`` yields (target label, block) for one source
-    summand; each block lands at the rows of that label in the target cell
-    and the columns of the source summand.  A target label the target cell
-    lacks is dropped, and zero-dimensional summands yield nothing.
+    ``parts(cell, label, dim)`` yields (target label, block, a, b) for one
+    source summand, standing for the Kronecker product 1_a x block x 1_b:
+    it lands at the rows of that label in the target cell and the columns of
+    the source summand, and its entries are written straight into the target
+    cell's rows, with no block of that size formed.  One summand's parts
+    have distinct target labels, so no entry is written twice.  A target
+    label the target cell lacks is dropped, and zero-dimensional summands
+    yield nothing.
     """
     di, dj = step
     blocks = {}
@@ -148,14 +161,33 @@ def _cell_blocks(layout, step, parts):
         rows, pos = {}, 0
         for label, dim in target:
             rows[label], pos = pos, pos + dim
-        placements, col = [], 0
+        out = [{} for _ in range(pos)]
+        col = 0
         for label, dim in summands:
             if dim:
-                placements.extend((rows[t], col, blk)
-                                  for t, blk in parts((i, j), label, dim) if t in rows)
+                for t, blk, a, b in parts((i, j), label, dim):
+                    if t in rows:
+                        _write_kron(out, rows[t], col, blk, a, b)
             col += dim
-        blocks[(i, j)] = RatMatrix.assemble(pos, col, placements)
+        blocks[(i, j)] = RatMatrix(pos, col, tuple(out))
     return blocks
+
+
+def _write_kron(out, row0, col0, blk, a, b):
+    """Write 1_a x blk x 1_b into the rows ``out`` from row0 and column col0 on.
+
+    Row x r b + u b + y of the product, for a block of r rows and c columns,
+    is row u of blk spread to the columns x c b + v b + y.
+    """
+    r, c = blk.rows, blk.cols
+    for x in range(a):
+        for u, brow in enumerate(blk.data):
+            if brow:
+                at = row0 + (x * r + u) * b
+                for y in range(b):
+                    row, shift = out[at + y], col0 + x * c * b + y
+                    for v, val in brow.items():
+                        row[shift + v * b] = val
 
 
 def build_e1(datum: SemistableDatum) -> WeightComplex:
@@ -195,11 +227,11 @@ def build_e1(datum: SemistableDatum) -> WeightComplex:
         i, j = cell
         level, s = 2 * k - i + 1, j + 2 * i - 2 * k
         restriction, gysin = datum.restriction_map(level, s), datum.gysin_map(level, s)
-        yield k + 1, -restriction if (i + k) % 2 else restriction
-        yield k, -gysin if k % 2 else gysin
+        yield k + 1, -restriction if (i + k) % 2 else restriction, 1, 1
+        yield k, -gysin if k % 2 else gysin, 1, 1
 
     def n_parts(cell, k, dim):
-        yield k + 1, RatMatrix.identity(dim).scaled(1 if cell[0] % 2 else -1)  # (-1)^(i+1)
+        yield k + 1, RatMatrix.identity(dim).scaled(1 if cell[0] % 2 else -1), 1, 1  # (-1)^(i+1)
 
     return WeightComplex(
         n=n,
@@ -213,17 +245,25 @@ def build_e1(datum: SemistableDatum) -> WeightComplex:
     )
 
 
+def _product_rows(a, b):
+    """The rows of a @ b as they are formed; none when a block is missing,
+    which stands for zero."""
+    return () if a is None or b is None else a.product_rows(b)
+
+
 def _assert_d1_squared_zero(page: WeightComplex):
+    d1 = page.d1
     for (i, j) in page.dims:
-        if not (page.d1_block(i + 1, j) @ page.d1_block(i, j)).is_zero():
+        if any(_product_rows(d1.get((i + 1, j)), d1.get((i, j)))):
             raise ConventionViolation(f"d1 o d1 != 0 at cell ({i}, {j})")
 
 
 def _assert_n_compatible(page: WeightComplex):
+    d1, n_blocks = page.d1, page.n_blocks
     for (i, j) in page.dims:
-        lhs = page.n_block(i + 1, j) @ page.d1_block(i, j)
-        rhs = page.d1_block(i + 2, j - 2) @ page.n_block(i, j)
-        if lhs != rhs:
+        lhs = _product_rows(n_blocks.get((i + 1, j)), d1.get((i, j)))
+        rhs = _product_rows(d1.get((i + 2, j - 2)), n_blocks.get((i, j)))
+        if any(x != y for x, y in zip_longest(lhs, rhs, fillvalue={})):
             raise InstanceInconsistency(
                 f"N o d1 != d1 o N out of cell ({i}, {j})"
             )
@@ -449,6 +489,13 @@ def unit_page() -> WeightComplex:
 def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:
     """Bigraded tensor with Koszul-signed d1 and N = N x 1 + 1 x N.
 
+    Summand (c1, c2) of a product cell is the tensor of the factors' cells,
+    with e_x x f_y at x dim(c2) + y.  Out of it, the factors' own blocks go
+    to ``_cell_blocks`` as parts: B x 1 is (B, a = 1, b = dim c2) and 1 x B
+    is (B, a = dim c1, b = 1), written into the product's rows in place.
+    The Koszul sign negates each of q's d1 blocks once, up front, and the
+    odd columns of p take the negated block.
+
     The page's constructor checks the product's blocks, d1 o d1 = 0 and
     N o d1 = d1 o N; a failure there is a construction bug,
     ``InternalConsistencyError``.  The E1 isos are not re-checked: they
@@ -467,18 +514,19 @@ def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:
             key = (c1[0] + c2[0], c1[1] + c2[1])
             layout.setdefault(key, []).append(((c1, c2), p.dims[c1] * q.dims[c2]))
 
-    def koszul(step, block, signed):
+    def koszul(step, p_blocks, q_blocks, signed):
         """Parts of block x 1 + (-1)^(column of c1 if signed) 1 x block."""
         di, dj = step
+        negated = {c2: -blk for c2, blk in q_blocks.items()} if signed else q_blocks
 
         def parts(cell, label, dim):
             c1, c2 = label
-            left, right = block(p, *c1), block(q, *c2)
-            if left.rows:
-                yield ((c1[0] + di, c1[1] + dj), c2), left.kron(RatMatrix.identity(q.dims[c2]))
-            if right.rows:
-                blk = RatMatrix.identity(p.dims[c1]).kron(right)
-                yield (c1, (c2[0] + di, c2[1] + dj)), -blk if signed and c1[0] % 2 else blk
+            left = p_blocks.get(c1)
+            right = (negated if c1[0] % 2 else q_blocks).get(c2)
+            if left is not None:
+                yield ((c1[0] + di, c1[1] + dj), c2), left, 1, q.dims[c2]
+            if right is not None:
+                yield (c1, (c2[0] + di, c2[1] + dj)), right, p.dims[c1], 1
         return parts
 
     try:
@@ -486,8 +534,8 @@ def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:
             n=p.n + q.n,
             cells={key: None for key in layout},
             dims={key: sum(d for _, d in summands) for key, summands in layout.items()},
-            d1=_cell_blocks(layout, (1, 0), koszul((1, 0), WeightComplex.d1_block, True)),
-            n_blocks=_cell_blocks(layout, (2, -2), koszul((2, -2), WeightComplex.n_block, False)),
+            d1=_cell_blocks(layout, (1, 0), koszul((1, 0), p.d1, q.d1, True)),
+            n_blocks=_cell_blocks(layout, (2, -2), koszul((2, -2), p.n_blocks, q.n_blocks, False)),
             pairings=None,
         )
     except (ConventionViolation, InstanceInconsistency) as exc:

@@ -6,10 +6,10 @@ basis scan built on it, dense list-of-rows matrix products, Kronecker
 products, transposes and block assembly, the Jordan-type formula for
 monodromy graded dimensions, the report on the monodromy axioms from dense
 ranks and powers, dictionary convolutions for Kunneth dimensions (graded
-and bigraded), the Clebsch-Gordan rule for the Jordan strings of a tensor
-product of pages, raw incidence matrices of cycle/path graphs, and the
-inertia of a symmetric matrix from its characteristic polynomial.  Nothing
-here imports wsscheck.
+and bigraded), the dense Koszul product of two pages, the Clebsch-Gordan
+rule for the Jordan strings of a tensor product of pages, raw incidence
+matrices of cycle/path graphs, and the inertia of a symmetric matrix from
+its characteristic polynomial.  Nothing here imports wsscheck.
 """
 
 from fractions import Fraction
@@ -84,6 +84,53 @@ def dense_assemble(nrows, ncols, placements):
             for j, x in enumerate(row):
                 out[ro + i][co + j] += x
     return out
+
+
+def dense_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def koszul_product(p, q):
+    """The tensor product of two pages, dense, as (dims, d1, n).
+
+    A page is (dims, d1, n): dims maps each cell (i, j) to its dimension,
+    and d1 and n map a cell to its block into (i + 1, j) or (i + 2, j - 2),
+    as a list of rows; a missing block is zero.  Cell (i, j) of the product
+    is the sum of c1 x c2 over the pairs of cells with c1 + c2 = (i, j),
+    taken in sorted order, c1 first, and e_x x f_y is vector x dim(c2) + y
+    of c1 x c2.  The differential is d x 1 + (-1)^(column of c1) 1 x d and
+    the monodromy N x 1 + 1 x N, each Kronecker product placed from its
+    source pair to its target pair.  The product has a block out of each
+    cell whose target is a cell.
+    """
+    (dims_p, d1_p, n_p), (dims_q, d1_q, n_q) = p, q
+    offsets, dims = {}, {}
+    for c1 in sorted(dims_p):
+        for c2 in sorted(dims_q):
+            cell = (c1[0] + c2[0], c1[1] + c2[1])
+            offsets[c1, c2] = dims.get(cell, 0)
+            dims[cell] = offsets[c1, c2] + dims_p[c1] * dims_q[c2]
+
+    def blocks(di, dj, bp, bq, signed):
+        placements = {}
+        for (c1, c2), col in offsets.items():
+            sign = -1 if signed and c1[0] % 2 else 1
+            parts = []
+            if c1 in bp:
+                parts.append((((c1[0] + di, c1[1] + dj), c2),
+                              dense_kron(bp[c1], dense_identity(dims_q[c2]))))
+            if c2 in bq:
+                signed_block = [[sign * x for x in row] for row in bq[c2]]
+                parts.append(((c1, (c2[0] + di, c2[1] + dj)),
+                              dense_kron(dense_identity(dims_p[c1]), signed_block)))
+            cell = (c1[0] + c2[0], c1[1] + c2[1])
+            for target, block in parts:
+                if block:
+                    placements.setdefault(cell, []).append((offsets[target], col, block))
+        return {(i, j): dense_assemble(dims[(i + di, j + dj)], d, placements.get((i, j), []))
+                for (i, j), d in dims.items() if (i + di, j + dj) in dims}
+
+    return dims, blocks(1, 0, d1_p, d1_q, True), blocks(2, -2, n_p, n_q, False)
 
 
 def cycle_incidence(n):

@@ -14,6 +14,7 @@ from oracles import (
     cycle_incidence,
     dense_matmul,
     graded_strings,
+    koszul_product,
     kunneth_power,
     mini_rank,
     path_incidence,
@@ -33,6 +34,7 @@ from wsscheck.specseq import (
     E1Summand,
     WeightComplex,
     antidiagonal_page,
+    build_e1,
     build_e2,
     check_wmc,
     compare_monodromy_vs_weight,
@@ -541,6 +543,121 @@ def test_tensor_product_reports_a_construction_bug(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match=r"^tensor construction bug: d1 o d1 != 0 at cell \(-2, 4\)$"):
         tensor_product(page, page)
+
+
+def _dense_page(page):
+    return (page.dims, {cell: _rows(m) for cell, m in page.d1.items()},
+            {cell: _rows(m) for cell, m in page.n_blocks.items()})
+
+
+# the left factors with cells in odd columns give 1 x d1 its Koszul sign
+KOSZUL_CASES = {
+    "ngon3^2": (lambda: curve_page(3), lambda: curve_page(3)),
+    "chain3^2": (lambda: to_weight_complex(gen_chain(3)),) * 2,
+    "toy_blowup_point^2": (lambda: to_weight_complex(load_toy("toy_blowup_point")),) * 2,
+    "toy_gon3_x_p2^2": (lambda: to_weight_complex(load_toy("toy_gon3_x_p2")),) * 2,
+    "forced_zero^2": (_forced_zero_page,) * 2,
+    "unit x ngon3": (unit_page, lambda: curve_page(3)),
+    "ngon3 x unit": (lambda: curve_page(3), unit_page),
+}
+
+
+@pytest.mark.parametrize("left, right", KOSZUL_CASES.values(), ids=KOSZUL_CASES.keys())
+def test_tensor_product_matches_the_dense_koszul_product(left, right):
+    p, q = left(), right()
+    assert _dense_page(tensor_product(p, q)) == koszul_product(_dense_page(p), _dense_page(q))
+
+
+def test_tensor_cube_matches_the_dense_koszul_product():
+    page = curve_page(3)
+    dense = _dense_page(page)
+    assert _dense_page(tensor_power(page, 3)) == koszul_product(koszul_product(dense, dense), dense)
+
+
+def test_tensor_power_forms_no_matrix_product_and_no_kronecker_block(monkeypatch):
+    # each block is written into its cell in place, and the constructor's
+    # checks test the rows of products as they are formed
+    page = build_e1(gen_ngon(3))
+    calls = []
+    for name in ("__matmul__", "kron"):
+        method = getattr(RatMatrix, name)
+        monkeypatch.setattr(RatMatrix, name,
+                            lambda a, b, _run=method, _name=name: calls.append(_name) or _run(a, b))
+    tensor_power(page, 3)
+    assert calls == []
+
+
+def _dense_check_cells(dims, d1, n_blocks):
+    """The cells, in the order of dims, where d1 o d1 != 0 and where
+    N o d1 != d1 o N, from dense products of the blocks, missing ones zero."""
+    def block(blocks, i, j, di, dj):
+        m = blocks.get((i, j))
+        if m is None:
+            return [[0] * dims.get((i, j), 0) for _ in range(dims.get((i + di, j + dj), 0))]
+        return _rows(m)
+
+    squares, commutators = [], []
+    for (i, j), n in dims.items():
+        first, second = block(d1, i, j, 1, 0), block(d1, i + 1, j, 1, 0)
+        if any(any(row) for row in dense_matmul(second, first, n)):
+            squares.append((i, j))
+        lhs = dense_matmul(block(n_blocks, i + 1, j, 2, -2), first, n)
+        rhs = dense_matmul(block(d1, i + 2, j - 2, 1, 0), block(n_blocks, i, j, 2, -2), n)
+        if lhs != rhs:
+            commutators.append((i, j))
+    return squares, commutators
+
+
+def _fraction_terms_cancelling(page):
+    """Entries of the products d1 o d1 whose terms hold a non-integral
+    Fraction; each must sum to zero."""
+    count = 0
+    for (i, j), n in page.dims.items():
+        second, first = _rows(page.d1_block(i + 1, j)), _rows(page.d1_block(i, j))
+        for row in second:
+            for c in range(n):
+                terms = [x * first[k][c] for k, x in enumerate(row) if x and first[k][c]]
+                if any(Fraction(t).denominator != 1 for t in terms):
+                    assert sum(terms) == 0
+                    count += 1
+    return count
+
+
+def _fraction_page():
+    return _change_cell_bases(tensor_product(curve_page(3), curve_page(3)), random.Random(3))
+
+
+def test_checks_accept_products_that_cancel_through_fractions():
+    page = _fraction_page()
+    assert _fraction_terms_cancelling(page) > 0
+    assert _dense_check_cells(page.dims, page.d1, page.n_blocks) == ([], [])
+    assert replace(page) == page
+
+
+@pytest.mark.parametrize("order", [sorted, lambda keys: sorted(keys, reverse=True)],
+                         ids=["first", "last"])
+@pytest.mark.parametrize("blocks, error, message", [
+    ("d1", ConventionViolation, "d1 o d1 != 0 at cell"),
+    ("n_blocks", InstanceInconsistency, "N o d1 != d1 o N out of cell"),
+])
+def test_checks_refuse_a_fraction_entry_moved_by_a_third(blocks, error, message, order):
+    # the first (or last) Fraction entry of the first (or last) block that
+    # has one moves by 1/3; the check names the first cell, in the page's
+    # order, where dense products see it
+    page = _fraction_page()
+    edited = dict(getattr(page, blocks))
+    cell = next(key for key in order(edited) if _has_fraction([edited[key]]))
+    rows = _rows(edited[cell])
+    r, c = next((r, c) for r, row in order(enumerate(rows))
+                for c, x in order(enumerate(row)) if type(x) is Fraction)
+    rows[r][c] += Fraction(1, 3)
+    edited[cell] = RatMatrix.from_rows(rows, cols=page.dim(*cell))
+    edited_page = {"d1": page.d1, "n_blocks": page.n_blocks, blocks: edited}
+    squares, commutators = _dense_check_cells(page.dims, **edited_page)
+    assert bool(squares) == (blocks == "d1")
+    i, j = (squares or commutators)[0]
+    with pytest.raises(error, match=rf"^{message} \({i}, {j}\)$"):
+        replace(page, **{blocks: edited})
 
 
 def _negate_column(m, col):
