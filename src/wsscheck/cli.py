@@ -49,7 +49,8 @@ class Analysis:
     ``base_verdict``, in either case; with neither ``tensor_power`` nor ``w``
     that is ``verdict`` itself.  A power whose E1 total, max(base total, 2)
     to the ``tensor_power``, exceeds ``MAX_POWER_TOTAL`` is refused before
-    it is built.
+    it is built, and so is a ``w`` outside the abutment degrees
+    0 .. 2 ``tensor_power`` n of the page checked, which no entry would read.
     """
 
     datum: strata.SemistableDatum
@@ -59,6 +60,10 @@ class Analysis:
     def __post_init__(self):
         if self.tensor_power < 1:
             raise ParameterError(f"tensor power must be >= 1, got {self.tensor_power}")
+        top = 2 * self.tensor_power * self.datum.n
+        for w in self.w or ():
+            if not 0 <= w <= top:
+                raise ParameterError(f"--w {w} is outside the abutment degrees 0..{top}")
 
     @cached_property
     def validation(self):
@@ -322,8 +327,11 @@ def _write_output(path: str, text: str):
     base = os.environ.get(OUT_DIR_ENV, "")
     if base and not out.is_absolute():
         out = Path(base) / out
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -317,6 +317,18 @@ def build_e2(page: WeightComplex) -> E2Page:
     The induced map of each N edge s -> t is Q_t N reps_s, two sparse
     products.
 
+    A row's blocks are reduced right to left, clearing as they go (Chen and
+    Kerber, "Persistent homology computation with a twist", 2011): d1^{i,j}
+    is reduced only on its rows outside the pivot columns of d1^{i+1,j}.
+    The page's constructor has checked d1^{i+1,j} d1^{i,j} = 0, so a reduced
+    row r of d1^{i+1,j}, with pivot p, is a relation sum_c r[c] D_c = 0
+    among the rows D_c of d1^{i,j}.  r is zero at the other pivots, so it
+    writes D_p as a combination of the rows at free columns.  The rows kept
+    therefore span d1^{i,j}'s row space: they reduce to the same RREF, with
+    the same pivots, and to the same coprime integer rows up to sign, which
+    the kernel rows do not see.  A left-to-right pass then reads the images
+    and quotients, and only one row's reductions are held at a time.
+
     The page's constructor has checked d1 o d1 = 0 and N o d1 = d1 o N, so
     the image lies in the kernel, N maps kernel to kernel and image to
     image, and an N block whose target is no cell is empty.  The image rows
@@ -326,9 +338,12 @@ def build_e2(page: WeightComplex) -> E2Page:
     So the reduction picks one pivot per image row and needs no check.
     """
     dims, reps, images, quotients = {}, {}, {}, {}
+    reductions = {}  # i -> (kernel rows, pivots) of d1^{i,j} on the row j at hand
     for (i, j) in sorted(page.dims, key=lambda cell: (cell[1], cell[0])):
+        if not reductions:  # the first cell of row j
+            reductions = _cleared_reductions(page, j)
         d_out = page.d1_block(i, j)
-        ker, pivots = null_rows_and_pivots(d_out)
+        ker, pivots = reductions.pop(i)
         n = d_out.cols
         if (i + 1, j) in page.dims:
             at = {p: k for k, p in enumerate(pivots)}
@@ -368,6 +383,21 @@ def build_e2(page: WeightComplex) -> E2Page:
             n_maps[(i, j)] = RatMatrix.zeros(0, dims[(i, j)])
     return E2Page(n=page.n, dims=dims, reps=reps, images=images,
                   n_maps=n_maps, page=page)
+
+
+def _cleared_reductions(page: WeightComplex, j: int) -> dict:
+    """i -> null_rows_and_pivots(d1^{i,j}) over the cells of E1 row j.
+
+    The blocks are reduced right to left, each on its rows outside the
+    pivot columns of the block after it, as ``build_e2`` sets out.
+    """
+    out = {}
+    for i in sorted((cell[0] for cell in page.dims if cell[1] == j), reverse=True):
+        d_out = page.d1_block(i, j)
+        cleared = set(out[i + 1][1]) if i + 1 in out else ()
+        live = [a for a in range(d_out.rows) if a not in cleared]
+        out[i] = null_rows_and_pivots(d_out.submatrix(live, range(d_out.cols)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,43 @@ def test_check_wmc_with_w_filter(tmp_path, capsys):
     assert doc["filtration_agreement"] == {"1": True}
 
 
+@pytest.mark.parametrize("argv, bad, top", [
+    (["check-wmc", "--w", "7"], 7, 6),
+    (["check-wmc", "--w", "3,99"], 99, 6),
+    (["check-wmc", "--w", "-1"], -1, 6),
+    (["pages", "--w", "7"], 7, 6),
+    (["report", "--tensor-power", "2", "--w", "13"], 13, 12),
+], ids=["7", "3,99", "-1", "pages", "report power 2"])
+def test_w_outside_the_abutment_degrees_is_an_input_error(argv, bad, top, capsys):
+    # an entry-free verdict would pass; 2Kn bounds the degrees of the K-th power
+    instance = str(data_dir() / "toy_blowup_point.json")
+    code, out, err = _in_process([*argv, "--instance", instance], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --w {bad} is outside the abutment degrees 0..{top}\n"
+
+
+def test_w_at_the_ends_of_the_abutment_degrees_is_checked(capsys):
+    instance = str(data_dir() / "toy_blowup_point.json")
+    assert run_cli(["check-wmc", "--instance", instance, "--w", "0,6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {e["w"] for e in doc["entries"]} == {0, 6}
+
+
+@pytest.mark.parametrize("command", [
+    ["report", "--instance", str(data_dir() / "toy_blowup_point.json")],
+    ["gen", "ngon", "--n", "3"],
+], ids=["report", "gen"])
+@pytest.mark.parametrize("target", ["dir", "under a file"])
+def test_out_that_cannot_be_written_is_an_input_error(command, target, tmp_path, capsys):
+    # exit 1 would claim a failed check: an unwritable --out is exit 2, no traceback
+    (tmp_path / "file").write_text("")
+    out_path = tmp_path if target == "dir" else tmp_path / "file" / "r.json"
+    code, out, err = _in_process([*command, "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --out {out_path}: ")
+    assert err.count("\n") == 1
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "gen.json"
     assert run_cli(["gen", "ngon", "--n", "6", "--out", str(out)]) == 0

@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from oracles import (
     string_dims,
     string_rank,
 )
+from wsscheck import specseq
 from wsscheck.errors import (
     ConventionViolation,
     DimensionMismatch,
@@ -29,7 +31,7 @@ from wsscheck.errors import (
 )
 from wsscheck.filtration import Filtration
 from wsscheck.instances import gen_chain, gen_ngon, gen_smooth, load_toy, toy_names
-from wsscheck.ratlin import RatMatrix
+from wsscheck.ratlin import RatMatrix, null_rows_and_pivots
 from wsscheck.specseq import (
     E1Summand,
     WeightComplex,
@@ -419,6 +421,59 @@ def test_cell_basis_change_reaches_fraction_quotients():
     moved = _change_cell_bases(page, random.Random(3))
     assert _has_fraction(moved.d1.values())
     assert _has_fraction(build_e2(moved).n_maps.values())
+
+
+def assert_clearing_keeps_every_reduction(page):
+    """d1^{i,j} on its rows outside the pivot columns of d1^{i+1,j} reduces
+    to the kernel rows and pivots of all of d1^{i,j}."""
+    for (i, j) in page.dims:
+        d_out = page.d1_block(i, j)
+        cleared = set(null_rows_and_pivots(page.d1_block(i + 1, j))[1])
+        live = [a for a in range(d_out.rows) if a not in cleared]
+        assert (null_rows_and_pivots(d_out.submatrix(live, range(d_out.cols)))
+                == null_rows_and_pivots(d_out))
+
+
+CLEARED_PAGES = {
+    **{name: (partial(load_toy, name), 1) for name in toy_names()},
+    "ngon3^3": (partial(gen_ngon, 3), 3),
+    "chain3^3": (partial(gen_chain, 3), 3),
+    "toy_gon3_x_p2^2": (partial(load_toy, "toy_gon3_x_p2"), 2),
+    "toy_blowup_point^2": (partial(load_toy, "toy_blowup_point"), 2),
+    "ngon80": (partial(gen_ngon, 80), 1),
+    "smooth3": (partial(gen_smooth, 3, (1, 0, 2, 0, 2, 0, 1)), 1),
+}
+
+
+@pytest.mark.parametrize("datum, k", CLEARED_PAGES.values(), ids=CLEARED_PAGES.keys())
+def test_clearing_keeps_every_reduction(datum, k):
+    assert_clearing_keeps_every_reduction(tensor_power(to_weight_complex(datum()), k))
+
+
+@settings(max_examples=10, deadline=None)
+@given(CURVES, st.booleans(), st.integers(0, 2**32 - 1))
+@example((gen_ngon, 3), True, 3)
+def test_clearing_keeps_every_reduction_in_other_cell_bases(curve, square, seed):
+    # the pinned example has d1 blocks with Fraction entries
+    gen, n = curve
+    page = to_weight_complex(gen(3 if square else n))
+    if square:
+        page = tensor_product(page, page)
+    assert_clearing_keeps_every_reduction(_change_cell_bases(page, random.Random(seed)))
+
+
+def test_build_e2_reduces_each_d1_block_on_the_rows_left_free(monkeypatch):
+    # d1^{i,j} reaches the reduction with rank d1^{i+1,j} rows fewer
+    page = tensor_power(curve_page(3), 3)
+    handed = []
+    reduce_rows = specseq.null_rows_and_pivots
+    monkeypatch.setattr(specseq, "null_rows_and_pivots",
+                        lambda m: handed.append(m.rows) or reduce_rows(m))
+    build_e2(page)
+    want = sum(page.dim(i + 1, j) - mini_rank(_rows(page.d1_block(i + 1, j)))
+               for (i, j) in page.dims)
+    assert len(handed) == len(page.dims)
+    assert sum(handed) == want < sum(page.dim(i + 1, j) for (i, j) in page.dims)
 
 
 @pytest.mark.parametrize("gen", [gen_ngon, gen_chain], ids=["ngon3", "chain3"])
