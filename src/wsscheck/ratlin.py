@@ -44,20 +44,23 @@ computation yields bit-identical results.  Pivots 1, alone in their
 columns, make containment a reduction: v lies in the span of the rows e_i
 with pivots p_i iff v - sum v[p_i] e_i = 0.
 
-Quotient representatives come from one reduction.
+Kernels and quotients come from one elimination.
 ``null_rows_and_pivots(m)`` reduces m's rows once and returns integer
 kernel rows, one per free column f, with the pivot columns: m's columns at
-the pivots are a basis of its image.  A kernel vector is fixed by its free
-coordinates, so a subspace of the kernel is reduced in those coordinates
-alone, and the kernel rows at the free columns where that reduction has no
-pivot complete it to a basis of the kernel.  The E2 page reads each d1 block
-this way and reads the induced N through a quotient projection built from
-the two reductions.  These bases are not canonical.  ``coordinates`` reads
-coordinates off one rref of [basis | images]; with an invertible square
-basis it solves the square system, as ``lefschetz`` does for the adjoint
-g*.  A basis that is already triangular needs no elimination: the
-filtration check reads coordinates in its adapted basis by forward
-substitution.
+the pivots are a basis of its image.  ``echelon_and_relations(m, live)``
+eliminates the rows live of m once, each tagged with a unit in a column of
+its own, which is the dual reading of one reduction in persistent
+cohomology.  The rows that lead in m's columns are its echelon, from which
+``null_rows_at`` reads kernel rows at chosen free columns alone; the rows
+whose part in m's columns vanished are the relations among the live rows.
+The E2 page eliminates each d1 block this way: the relations of the block
+into a cell are the cell's quotient projection, and the kernel rows of the
+block out of it at their leading columns are its representatives.  These
+bases are not canonical.  ``coordinates`` reads coordinates off one rref
+of [basis | images]; with an invertible square basis it solves the square
+system, as ``lefschetz`` does for the adjoint g*.  A basis that is already
+triangular needs no elimination: the filtration check reads coordinates in
+its adapted basis by forward substitution.
 
 Some callers build many subspaces from one run of rows.  ``kernel_flag``
 gives the kernels of all the powers of a nilpotent matrix from a chain of
@@ -487,12 +490,16 @@ def _forward(rows) -> list:
 
 
 def _reduce(rows) -> list:
-    """Reduced echelon form: the rows of _forward, each zero at the other pivots.
+    """Reduced echelon form: the rows of _forward, each zero at the other pivots."""
+    return _back_substitute(_forward(rows))
+
+
+def _back_substitute(ech: list) -> list:
+    """The echelon [(pivot, row)] by pivot, each row made zero at the other pivots, in place.
 
     Back-substitution runs bottom-up, so each row is cancelled against rows
     that are already reduced and gains no entry at another pivot column.
     """
-    ech = _forward(rows)
     reduced = dict(ech)
     for k in range(len(ech) - 2, -1, -1):
         c, row = ech[k]
@@ -711,22 +718,84 @@ def null_rows_and_pivots(m: RatMatrix):
     return _null_rows(red, m.cols), tuple(c for c, _ in red)
 
 
-def _null_rows(red: list, n: int) -> RatMatrix:
-    """The integer null rows of null_rows_and_pivots, read off the reduced rows red."""
+def _null_rows(red: list, n: int, free=None) -> RatMatrix:
+    """The integer null rows of null_rows_and_pivots, read off the reduced rows red.
+
+    There is one row per column of free, in its order; by default free is
+    every column that is no pivot.  Each row of red holds entries at its
+    pivot and at columns of free only.
+    """
     scale = [1] * n
     for c, row in red:
         pv = abs(row[c])
         if pv != 1:
             for j in row:
                 scale[j] = lcm(scale[j], pv)
-    taken = {c for c, _ in red}
-    out = {f: {f: scale[f]} for f in range(n) if f not in taken}
+    if free is None:
+        taken = {c for c, _ in red}
+        free = [f for f in range(n) if f not in taken]
+    out = {f: {f: scale[f]} for f in free}
     for c, row in red:
         pv = row[c]
         for j, x in row.items():
             if j != c:  # a reduced row's other entries sit at free columns
                 out[j][c] = -x * (scale[j] // pv)
     return RatMatrix(len(out), n, tuple(out.values()))
+
+
+def echelon_and_relations(m: RatMatrix, live) -> tuple:
+    """(echelon, relations) of the rows live of m, from one elimination.
+
+    Each row a of live enters tagged with a unit at column m.cols + a, and
+    the tagged rows go through one ``_forward``.  A row's tag part then
+    records which combination of the live rows it is.
+      * The rows that lead before m.cols are ``echelon``, [(pivot, row)] by
+        pivot: the forward echelon of the live rows, with the pivots of
+        their RREF.  Each row still carries its tag part, which
+        ``null_rows_at`` drops.
+      * The rows that lead in the tag part are zero on m's columns: each is
+        a relation sum_a c[a] m_a = 0 among the live rows.  The tagged rows
+        are independent and the elimination keeps their span, so these
+        rows are a basis of all such relations, len(live) - rank of them.
+        Back-substituted as in ``_reduce``, each zero at the leading columns
+        of the others, they are the rows of ``relations``, coprime integer
+        rows of m.rows columns.
+    """
+    n, data = m.cols, m.data
+    ech = _forward([{**data[a], n + a: 1} for a in live])
+    rank = next((k for k, (c, _) in enumerate(ech) if c >= n), len(ech))
+    relations = tuple({j - n: v for j, v in row.items()}
+                      for _, row in _back_substitute(ech[rank:]))
+    return ech[:rank], RatMatrix(len(relations), m.rows, relations)
+
+
+def null_rows_at(echelon: list, n: int, free) -> RatMatrix:
+    """Integer null rows of an echelon of n columns, one per column f of free only.
+
+    echelon is the [(pivot, row)] of ``echelon_and_relations``, and free
+    lists columns below n that are no pivot.  The null row K_f is zero at
+    the other columns outside the pivots, so it reads the RREF at the
+    pivots and f alone: L_f at f and -r[f] L_f / r[c] at each pivot c,
+    where the r are integer multiples of the RREF rows cut to the pivots
+    and free, and L_f is the lcm of |r[c]| over the r with an entry at f.
+
+    Bottom-up, a row is kept when it has an entry at free or at the pivot
+    of a row already kept.  By induction from the bottom, a row not kept
+    has an RREF row that is zero at free, so it adds nothing to any K_f,
+    and its pivot can be dropped from the rows above it.  Cut to their
+    pivots, free and the kept pivots, the kept rows are an echelon of the
+    RREF rows cut there, and the back-substitution of ``_reduce`` gives
+    the r.
+    """
+    keep = set(free)
+    cut = []
+    for c, row in reversed(echelon):
+        row = {j: v for j, v in row.items() if j in keep or j == c}
+        if len(row) > 1:
+            keep.add(c)
+            cut.append((c, row))
+    cut.reverse()
+    return _null_rows(_back_substitute(cut), n, free)
 
 
 def kernel_flag(m: RatMatrix) -> tuple:

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .filtration import Filtration, NilpotentOp, compare_shifted as _compare_shifted
 from .filtration import monodromy_filtration
-from .ratlin import RatMatrix, Subspace, as_rat, null_rows_and_pivots, rank, rref
+from .ratlin import RatMatrix, Subspace, as_rat, echelon_and_relations, null_rows_at, rank
 from .strata import SemistableDatum
 
 
@@ -281,10 +281,17 @@ def _n_power_rank(n_block, ds, r, w):
 class E2Page:
     """E2 terms with representative bases in E1 coordinates and induced N.
 
-    The bases are not canonical: the image generators are the d1 columns
-    at the pivots of one reduction, held as rows, the reps are kernel rows
-    of another, and n_maps is read in them.  Dimensions, ranks and
-    filtration jumps, all that reports carry, do not depend on that choice.
+    The bases are not canonical.  The image generators are the columns of
+    d1^{i-1,j} at the pivots of its elimination, held as rows.  The same
+    elimination gives the relations among the live rows of d1^{i-1,j},
+    the rows outside the pivot columns of d1^{i,j}.  A relation c has
+    c D = 0 for the block D = d1^{i-1,j}, so as a functional on E1^{i,j}
+    it kills the image.  The live rows sit at the free columns of d1^{i,j},
+    dim Ker d1^{i,j} of them, so dim E2 = live rows - rank D, the number of
+    relations.  The reps are kernel rows of d1^{i,j}, one at the leading
+    column of each relation, and n_maps is read in them.  Dimensions,
+    ranks and filtration jumps, all that reports carry, do not depend on
+    that choice.
     """
 
     n: int
@@ -305,46 +312,66 @@ class E2Page:
 def build_e2(page: WeightComplex) -> E2Page:
     """E2^{i,j} = Ker d1^{i,j} / Im d1^{i-1,j} with explicit representatives.
 
-    Each d1 block is reduced once, the cells taken row by row (j, then i).
-    The reduction of d1^{i,j} gives the integer kernel rows at (i, j), one
-    K_f per free column f, with K_f[f] = L_f; the d1 columns at its pivots,
-    read into rows in one pass over d1, are the image basis at (i + 1, j).
-    A kernel vector is fixed by its free coordinates, so a small reduction
-    of the image rows restricted to them, with rows r_p of pivot p and
-    r_p[p] = 1, picks the reps: the K_f with f no pivot p.  The quotient
-    projection Q has row f: 1/L_f at f and -r_p[f]/L_f at each p.  It sends
-    a kernel vector to its coordinates on the reps and the image to zero.
-    The induced map of each N edge s -> t is Q_t N reps_s, two sparse
-    products.
+    Each d1 block is eliminated once, the cells of an E1 row j taken right
+    to left, by ``echelon_and_relations`` on its live rows: the rows of
+    d1^{i,j} outside the pivot columns of d1^{i+1,j}.  This is clearing
+    (Chen and Kerber, "Persistent homology computation with a twist",
+    2011).  The page's constructor has checked d1^{i+1,j} d1^{i,j} = 0, so a
+    reduced row r of d1^{i+1,j}, with pivot p, is a relation
+    sum_c r[c] D_c = 0 among the rows D_c of d1^{i,j}.  r is zero at the
+    other pivots, so it writes D_p through the rows at free columns, and
+    the live rows span d1^{i,j}'s row space, with the same pivots and the
+    same rank.  One elimination of d1^{i,j} gives three things:
 
-    A row's blocks are reduced right to left, clearing as they go (Chen and
-    Kerber, "Persistent homology computation with a twist", 2011): d1^{i,j}
-    is reduced only on its rows outside the pivot columns of d1^{i+1,j}.
-    The page's constructor has checked d1^{i+1,j} d1^{i,j} = 0, so a reduced
-    row r of d1^{i+1,j}, with pivot p, is a relation sum_c r[c] D_c = 0
-    among the rows D_c of d1^{i,j}.  r is zero at the other pivots, so it
-    writes D_p as a combination of the rows at free columns.  The rows kept
-    therefore span d1^{i,j}'s row space: they reduce to the same RREF, with
-    the same pivots, and to the same coprime integer rows up to sign, which
-    the kernel rows do not see.  A left-to-right pass then reads the images
-    and quotients, and only one row's reductions are held at a time.
+      * its pivots.  The d1 columns there, read into rows in one pass over
+        d1, are the image basis at (i + 1, j).
+      * the relations among its live rows.  These are functionals on the
+        free coordinates of (i + 1, j) that vanish on the image of d1^{i,j},
+        since c D = 0 is c applied to every column of d1^{i,j}: the dual
+        reading of one reduction (de Silva, Morozov and Vejdemo-Johansson,
+        "Dualities in persistent (co)homology", 2011).  A kernel vector of
+        d1^{i+1,j} is fixed by its free coordinates, so they are
+        independent on the kernel, and there are (live rows) - rank of them,
+        dim Ker d1^{i+1,j} - dim Im d1^{i,j} = dim E2^{i+1,j}.  So they
+        vanish exactly on the image, and map the kernel onto E2.
+      * its forward echelon, from which the kernel rows at (i, j) are read
+        once the next block to the left has given (i, j) its relations.
 
-    The page's constructor has checked d1 o d1 = 0 and N o d1 = d1 o N, so
-    the image lies in the kernel, N maps kernel to kernel and image to
-    image, and an N block whose target is no cell is empty.  The image rows
-    keep full rank on the free coordinates: they are independent, being
-    d1's pivot columns, and lie in the kernel, on which restricting to the
-    free coordinates is injective, since a kernel vector is fixed by them.
-    So the reduction picks one pivot per image row and needs no check.
+    In reduced form, the relation c_t that leads at column t is zero at the
+    other leading columns T, and T are free columns of the block out of the
+    cell.  The reps are the integer kernel rows K_t, t in T, of that block,
+    with K_t[t] = L_t: K_t is zero at the free columns other than t, so
+    c_t K_t' = 0 for t != t'.  The quotient projection Q has the rows
+    c_t / (c_t[t] L_t), so Q reps = 1 and Q kills the image.  A cell with no
+    block into it has no image: its relations are the unit rows at every
+    free column.  The induced map of each N edge s -> t is Q_t N reps_s,
+    two sparse products.
+
+    The page's constructor has also checked N o d1 = d1 o N, so N maps
+    kernel to kernel and image to image, and an N block whose target is no
+    cell is empty.
     """
     dims, reps, images, quotients = {}, {}, {}, {}
-    reductions = {}  # i -> (kernel rows, pivots) of d1^{i,j} on the row j at hand
-    for (i, j) in sorted(page.dims, key=lambda cell: (cell[1], cell[0])):
-        if not reductions:  # the first cell of row j
-            reductions = _cleared_reductions(page, j)
+
+    def finish(cell, echelon, relations):
+        """A cell's reps and quotient, from its outgoing echelon and its relations."""
+        lead = [min(row) for row in relations.data]
+        ker = null_rows_at(echelon, relations.cols, lead)
+        q = []
+        for t, c, k in zip(lead, relations.data, ker.data):
+            s = c[t] * k[t]  # Q's row: c / (c[t] L_t)
+            q.append(c if s == 1 else {a: as_rat(Fraction(x, s)) for a, x in c.items()})
+        quotients[cell] = RatMatrix(len(q), ker.cols, tuple(q))
+        reps[cell] = ker.transpose()
+        dims[cell] = len(q)
+
+    pivots, held = (), None  # the pivots and echelon of d1^{i+1,j}
+    for i, j in sorted(page.dims, key=lambda cell: (cell[1], -cell[0])):
         d_out = page.d1_block(i, j)
-        ker, pivots = reductions.pop(i)
-        n = d_out.cols
+        cleared = set(pivots)
+        live = [a for a in range(d_out.rows) if a not in cleared]
+        echelon, relations = echelon_and_relations(d_out, live)
+        pivots = [c for c, _ in echelon]
         if (i + 1, j) in page.dims:
             at = {p: k for k, p in enumerate(pivots)}
             gens = [{} for _ in pivots]
@@ -353,27 +380,14 @@ def build_e2(page: WeightComplex) -> E2Page:
                     if c in at:
                         gens[at[c]][a] = v
             images[(i + 1, j)] = RatMatrix(len(gens), d_out.rows, tuple(gens))
-        img = images.setdefault((i, j), RatMatrix.zeros(0, n))
-        taken = set(pivots)
-        free = [f for f in range(n) if f not in taken]  # ker's rows, in order
-        red, img_pivots = RatMatrix.zeros(0, n), ()
-        if img.rows:
-            on_free = tuple({f: v for f, v in row.items() if f not in taken}
-                            for row in img.data)
-            red, img_pivots = rref(RatMatrix(img.rows, n, on_free))
-            taken.update(img_pivots)
-        kept = [(f, row) for f, row in zip(free, ker.data) if f not in taken]
-        q = {f: {f: 1} for f, _ in kept}
-        for p, row in zip(img_pivots, red.data):
-            for f, v in row.items():
-                if f != p:
-                    q[f][p] = -v
-        for f, row in kept:
-            if row[f] != 1:
-                q[f] = {c: as_rat(Fraction(x, row[f])) for c, x in q[f].items()}
-        quotients[(i, j)] = RatMatrix(len(q), n, tuple(q.values()))
-        reps[(i, j)] = RatMatrix(len(kept), n, tuple(row for _, row in kept)).transpose()
-        dims[(i, j)] = len(kept)
+            finish((i + 1, j), held, relations)
+        held = echelon
+        if (i - 1, j) not in page.dims:
+            # no block into (i, j): no image, and a relation per free column
+            n, taken = d_out.cols, set(pivots)
+            units = tuple({f: 1} for f in range(n) if f not in taken)
+            images[(i, j)] = RatMatrix.zeros(0, n)
+            finish((i, j), echelon, RatMatrix(len(units), n, units))
     n_maps = {}
     for (i, j) in page.dims:
         tgt = (i + 2, j - 2)
@@ -383,21 +397,6 @@ def build_e2(page: WeightComplex) -> E2Page:
             n_maps[(i, j)] = RatMatrix.zeros(0, dims[(i, j)])
     return E2Page(n=page.n, dims=dims, reps=reps, images=images,
                   n_maps=n_maps, page=page)
-
-
-def _cleared_reductions(page: WeightComplex, j: int) -> dict:
-    """i -> null_rows_and_pivots(d1^{i,j}) over the cells of E1 row j.
-
-    The blocks are reduced right to left, each on its rows outside the
-    pivot columns of the block after it, as ``build_e2`` sets out.
-    """
-    out = {}
-    for i in sorted((cell[0] for cell in page.dims if cell[1] == j), reverse=True):
-        d_out = page.d1_block(i, j)
-        cleared = set(out[i + 1][1]) if i + 1 in out else ()
-        live = [a for a in range(d_out.rows) if a not in cleared]
-        out[i] = null_rows_and_pivots(d_out.submatrix(live, range(d_out.cols)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Deliberately separate from the engine: a dense textbook Gauss-Jordan
-elimination over Fraction for reduced echelon forms and ranks, a greedy
-basis scan built on it, dense list-of-rows matrix products, Kronecker
+elimination over Fraction for reduced echelon forms, ranks and null
+spaces, a greedy basis scan built on it, the E2 dimensions and WMC ranks
+of a page from dense ranks alone, dense list-of-rows matrix products, Kronecker
 products, transposes and block assembly, the Jordan-type formula for
 monodromy graded dimensions, the report on the monodromy axioms from dense
 ranks and powers, dictionary convolutions for Kunneth dimensions (graded
@@ -43,6 +44,64 @@ def gauss_jordan(rows, ncols):
 def mini_rank(rows):
     """Rank as the pivot count of gauss_jordan."""
     return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+
+
+def null_space(rows, ncols):
+    """A basis of {v : rows v = 0}: one vector per free column f of gauss_jordan,
+    1 at f and minus the reduced rows' entries at f at their pivots."""
+    red, pivots = gauss_jordan(rows, ncols)
+    out = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, p in zip(red, pivots):
+                v[p] = -row[f]
+            out.append(v)
+    return out
+
+
+def e2_wmc_entries(page):
+    """The WMC rank check on E2 of a dense page, (r, w, dim_source, dim_target, rank, iso).
+
+    page is (n, dims, d1, nb): dims maps each cell (i, j) to its dimension,
+    and d1 and nb map a cell to its block into (i + 1, j) or (i + 2, j - 2),
+    as a list of rows; a missing block is zero.  E2 at a cell has dimension
+    dim Ker d1 minus the rank of the d1 into it.  N^r, composed from the
+    blocks, induces from E2^{-r,w+r} to E2^{r,w-r} the rank that N^r Ker_s
+    adds to the images at the target: rank(images_t + N^r Ker_s) minus
+    rank(images_t).  The entries run over r = 0 .. n and w = 0 .. 2n; at
+    r = 0 the rank is the source's E2 dimension.
+    """
+    n, dims, d1, nb = page
+
+    def block(blocks, cell, target):
+        if cell in blocks:
+            return blocks[cell]
+        return [[0] * dims.get(cell, 0) for _ in range(dims.get(target, 0))]
+
+    def kernel(i, j):
+        return null_space(block(d1, (i, j), (i + 1, j)), dims.get((i, j), 0))
+
+    def images(i, j):
+        return dense_transpose(block(d1, (i - 1, j), (i, j)), dims.get((i - 1, j), 0))
+
+    def e2_dim(i, j):
+        return len(kernel(i, j)) - mini_rank(images(i, j))
+
+    out = []
+    for r in range(n + 1):
+        for w in range(2 * n + 1):
+            vectors = kernel(-r, w + r)
+            for i in range(-r, r, 2):
+                step = block(nb, (i, w - i), (i + 2, w - i - 2))
+                vectors = [[sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in step]
+                           for v in vectors]
+            ds, dt = e2_dim(-r, w + r), e2_dim(r, w - r)
+            target = images(r, w - r)
+            rank = mini_rank(target + vectors) - mini_rank(target)
+            out.append((r, w, ds, dt, rank, ds == dt and rank == ds))
+    return out
 
 
 def greedy_picks(vectors):

@@ -23,12 +23,14 @@ from wsscheck.ratlin import (
     as_rat,
     contains,
     coordinates,
+    echelon_and_relations,
     greedy_extension,
     image,
     intersect,
     kernel,
     kernel_flag,
     null_rows_and_pivots,
+    null_rows_at,
     prefix_row_spaces,
     rank,
     row_space,
@@ -180,6 +182,45 @@ def _typed(sub):
 def test_greedy_extension_matches_greedy_scan(args):
     rows, nc = args
     assert greedy_extension(M(rows, cols=nc)) == tuple(greedy_picks(rows))
+
+
+@settings(max_examples=200)
+@given(_eliminator_inputs(), st.data())
+@example(([], 3), None)
+@example(([[1, 2], [2, 4], [1, 2]], 2), None)
+@example(([[0, 0, 0], [1, 1, 0], [2, 2, 0], [0, 0, 0], [0, 1, 0]], 3), None)
+@example(([[Fraction(1, 2), 3, 0], [1, 6, 0], [0, 0, Fraction(-2, 3)]], 3), None)
+def test_echelon_and_relations_match_gauss_jordan(args, data):
+    # one elimination of the live rows: their RREF pivots, a reduced basis
+    # of the relations among them, and the kernel rows at chosen free columns
+    rows, nc = args
+    m = M(rows, cols=nc)
+
+    def draw_subset(items):
+        return list(items) if data is None else sorted(data.draw(st.sets(st.sampled_from(items))))
+
+    live = draw_subset(range(len(rows))) if rows else []
+    live_rows = [rows[a] for a in live]
+    _, pivots = gauss_jordan(live_rows, nc)
+    echelon, relations = echelon_and_relations(m, live)
+    assert [c for c, _ in echelon] == pivots
+    assert relations.shape == (len(live) - len(pivots), len(rows))
+    dense = [relations.row_list(k) for k in range(relations.rows)]
+    assert all(not any(row) for row in dense_matmul(dense, rows, nc))
+    assert mini_rank(dense) == relations.rows
+    leads = [min(row) for row in relations.data]
+    assert leads == sorted(set(leads)) and set(leads) <= set(live)
+    assert all(set(row) <= set(live) and set(row).isdisjoint(set(leads) - {t})
+               for t, row in zip(leads, relations.data))
+    assert all(type(v) is int for row in relations.data for v in row.values())
+    free = [f for f in range(nc) if f not in pivots]
+    chosen = draw_subset(free) if free else []
+    ker = null_rows_at(echelon, nc, chosen)
+    assert ker.shape == (len(chosen), nc)
+    assert all(not any(row) for row in dense_matmul(live_rows, dense_transpose(
+        [ker.row_list(k) for k in range(ker.rows)], nc), ker.rows))
+    assert all(row.get(f) and set(row).isdisjoint(set(free) - {f})
+               for f, row in zip(chosen, ker.data))
 
 
 @st.composite

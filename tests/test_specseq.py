@@ -14,6 +14,7 @@ from oracles import (
     convolve_power,
     cycle_incidence,
     dense_matmul,
+    e2_wmc_entries,
     graded_strings,
     koszul_product,
     kunneth_power,
@@ -22,7 +23,7 @@ from oracles import (
     string_dims,
     string_rank,
 )
-from wsscheck import specseq
+from wsscheck import ratlin, specseq
 from wsscheck.errors import (
     ConventionViolation,
     DimensionMismatch,
@@ -423,6 +424,52 @@ def test_cell_basis_change_reaches_fraction_quotients():
     assert _has_fraction(build_e2(moved).n_maps.values())
 
 
+def _wmc_entries(page):
+    return [(e.r, e.w, e.dim_source, e.dim_target, e.rank, e.iso)
+            for e in check_wmc(build_e2(page)).entries]
+
+
+def _dense_wmc_entries(page):
+    return e2_wmc_entries((page.n, *_dense_page(page)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(CURVES, st.booleans(), st.integers(0, 2**32 - 1))
+@example((gen_ngon, 3), True, 3)
+def test_check_wmc_matches_the_dense_oracle_in_other_cell_bases(curve, square, seed):
+    # the pinned example has d1 blocks and quotients with Fraction entries
+    gen, n = curve
+    page = to_weight_complex(gen(3 if square else n))
+    if square:
+        page = tensor_product(page, page)
+    moved = _change_cell_bases(page, random.Random(seed))
+    assert _wmc_entries(moved) == _dense_wmc_entries(moved)
+
+
+# a cell with no block into it (the unit), a stored zero N block (the slice
+# of the forced-zero page) and zero-dimensional cells (the curve page)
+SMALL_PAGES = {
+    "unit": unit_page,
+    "forced_zero": _forced_zero_page,
+    "forced_zero slice": lambda: antidiagonal_page(build_e2(_forced_zero_page()), 1),
+    "ngon3": lambda: curve_page(3),
+    "ngon3 slice": lambda: antidiagonal_page(build_e2(curve_page(3)), 1),
+    "ngon3 slice^3": lambda: tensor_power(antidiagonal_page(build_e2(curve_page(3)), 1), 3),
+}
+
+
+@pytest.mark.parametrize("build", SMALL_PAGES.values(), ids=SMALL_PAGES.keys())
+def test_check_wmc_matches_the_dense_oracle_on_small_pages(build):
+    page = build()
+    assert _wmc_entries(page) == _dense_wmc_entries(page)
+
+
+def test_small_pages_hold_a_stored_zero_block_and_a_zero_dimensional_cell():
+    slice_ = SMALL_PAGES["forced_zero slice"]()
+    assert [m.is_zero() for m in slice_.n_blocks.values()] == [True]
+    assert 0 in SMALL_PAGES["ngon3"]().dims.values()
+
+
 def assert_clearing_keeps_every_reduction(page):
     """d1^{i,j} on its rows outside the pivot columns of d1^{i+1,j} reduces
     to the kernel rows and pivots of all of d1^{i,j}."""
@@ -463,17 +510,35 @@ def test_clearing_keeps_every_reduction_in_other_cell_bases(curve, square, seed)
 
 
 def test_build_e2_reduces_each_d1_block_on_the_rows_left_free(monkeypatch):
-    # d1^{i,j} reaches the reduction with rank d1^{i+1,j} rows fewer
+    # d1^{i,j} reaches the elimination with rank d1^{i+1,j} rows fewer
     page = tensor_power(curve_page(3), 3)
     handed = []
-    reduce_rows = specseq.null_rows_and_pivots
-    monkeypatch.setattr(specseq, "null_rows_and_pivots",
-                        lambda m: handed.append(m.rows) or reduce_rows(m))
+    eliminate = specseq.echelon_and_relations
+    monkeypatch.setattr(specseq, "echelon_and_relations",
+                        lambda m, live: handed.append(len(live)) or eliminate(m, live))
     build_e2(page)
     want = sum(page.dim(i + 1, j) - mini_rank(_rows(page.d1_block(i + 1, j)))
                for (i, j) in page.dims)
     assert len(handed) == len(page.dims)
     assert sum(handed) == want < sum(page.dim(i + 1, j) for (i, j) in page.dims)
+
+
+def test_build_e2_makes_no_rref_and_forms_only_the_kernel_rows_of_e2(monkeypatch):
+    # one elimination per d1 block gives the quotients, so no image is
+    # reduced again, and kernel rows are formed for the reps alone: the
+    # E2 total of the gen_ngon(3) cube is 4^3
+    page = tensor_power(curve_page(3), 3)
+    rrefs, kernel_rows = [], []
+    for module in (ratlin, specseq):
+        if hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref",
+                                lambda m, _run=module.rref: rrefs.append(m.shape) or _run(m))
+    null_rows = ratlin._null_rows
+    monkeypatch.setattr(ratlin, "_null_rows",
+                        lambda *args: kernel_rows.append(null_rows(*args)) or kernel_rows[-1])
+    e2 = build_e2(page)
+    assert rrefs == []
+    assert sum(m.rows for m in kernel_rows) == sum(e2.dims.values()) == 64
 
 
 @pytest.mark.parametrize("gen", [gen_ngon, gen_chain], ids=["ngon3", "chain3"])
