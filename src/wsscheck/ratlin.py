@@ -50,14 +50,14 @@ kernel rows, one per free column f, with the pivot columns: m's columns at
 the pivots are a basis of its image.  ``echelon_and_relations(m, live)``
 eliminates the rows live of m once, each tagged with a unit in a column of
 its own, which is the dual reading of one reduction in persistent
-cohomology.  The rows that lead in m's columns are its echelon, from which
-``null_rows_at`` reads kernel rows at chosen free columns alone; the rows
+cohomology.  The rows that lead in m's columns are its echelon; the rows
 whose part in m's columns vanished are the relations among the live rows.
-The E2 page eliminates each d1 block this way: the relations of the block
-into a cell are the cell's quotient projection, and the kernel rows of the
-block out of it at their leading columns are its representatives.  These
-bases are not canonical.  ``coordinates`` reads coordinates off one rref
-of [basis | images]; with an invertible square basis it solves the square
+``reduce_rows`` clears rows at the pivots of such an echelon.  The E2 page
+eliminates each d1 block this way: the relations of the block into a cell
+are the cell's quotient projection, and the induced N is read in them
+from rows cleared at the pivots of the block out of the cell.  These bases
+are not canonical.  ``coordinates`` reads coordinates off one rref of
+[basis | images]; with an invertible square basis it solves the square
 system, as ``lefschetz`` does for the adjoint g*.  A basis that is already
 triangular needs no elimination: the filtration check reads coordinates in
 its adapted basis by forward substitution.
@@ -718,12 +718,10 @@ def null_rows_and_pivots(m: RatMatrix):
     return _null_rows(red, m.cols), tuple(c for c, _ in red)
 
 
-def _null_rows(red: list, n: int, free=None) -> RatMatrix:
+def _null_rows(red: list, n: int) -> RatMatrix:
     """The integer null rows of null_rows_and_pivots, read off the reduced rows red.
 
-    There is one row per column of free, in its order; by default free is
-    every column that is no pivot.  Each row of red holds entries at its
-    pivot and at columns of free only.
+    Each row of red holds entries at its pivot and at free columns only.
     """
     scale = [1] * n
     for c, row in red:
@@ -731,10 +729,8 @@ def _null_rows(red: list, n: int, free=None) -> RatMatrix:
         if pv != 1:
             for j in row:
                 scale[j] = lcm(scale[j], pv)
-    if free is None:
-        taken = {c for c, _ in red}
-        free = [f for f in range(n) if f not in taken]
-    out = {f: {f: scale[f]} for f in free}
+    taken = {c for c, _ in red}
+    out = {f: {f: scale[f]} for f in range(n) if f not in taken}
     for c, row in red:
         pv = row[c]
         for j, x in row.items():
@@ -751,8 +747,8 @@ def echelon_and_relations(m: RatMatrix, live) -> tuple:
     records which combination of the live rows it is.
       * The rows that lead before m.cols are ``echelon``, [(pivot, row)] by
         pivot: the forward echelon of the live rows, with the pivots of
-        their RREF.  Each row still carries its tag part, which
-        ``null_rows_at`` drops.
+        their RREF.  Each row still carries its tag part, at the columns
+        from m.cols on.
       * The rows that lead in the tag part are zero on m's columns: each is
         a relation sum_a c[a] m_a = 0 among the live rows.  The tagged rows
         are independent and the elimination keeps their span, so these
@@ -769,33 +765,44 @@ def echelon_and_relations(m: RatMatrix, live) -> tuple:
     return ech[:rank], RatMatrix(len(relations), m.rows, relations)
 
 
-def null_rows_at(echelon: list, n: int, free) -> RatMatrix:
-    """Integer null rows of an echelon of n columns, one per column f of free only.
+def reduce_rows(rows, echelon: list) -> list:
+    """(scale, r) per row: r = scale row - a combination of echelon's rows, zero at its pivots.
 
-    echelon is the [(pivot, row)] of ``echelon_and_relations``, and free
-    lists columns below n that are no pivot.  The null row K_f is zero at
-    the other columns outside the pivots, so it reads the RREF at the
-    pivots and f alone: L_f at f and -r[f] L_f / r[c] at each pivot c,
-    where the r are integer multiples of the RREF rows cut to the pivots
-    and free, and L_f is the lcm of |r[c]| over the r with an entry at f.
-
-    Bottom-up, a row is kept when it has an entry at free or at the pivot
-    of a row already kept.  By induction from the bottom, a row not kept
-    has an RREF row that is zero at free, so it adds nothing to any K_f,
-    and its pivot can be dropped from the rows above it.  Cut to their
-    pivots, free and the kept pivots, the kept rows are an echelon of the
-    RREF rows cut there, and the back-substitution of ``_reduce`` gives
-    the r.
+    echelon is a forward echelon [(pivot, row)] of integer rows, as
+    ``echelon_and_relations`` returns it.  scale, a positive int, is the
+    lcm of the row's denominators times the a of each step a r - b e_p,
+    which clears the pivot p.  The pivots are cleared in ascending order: a
+    step changes r only at columns after p, so a cleared pivot stays clear.
     """
-    keep = set(free)
-    cut = []
-    for c, row in reversed(echelon):
-        row = {j: v for j, v in row.items() if j in keep or j == c}
-        if len(row) > 1:
-            keep.add(c)
-            cut.append((c, row))
-    cut.reverse()
-    return _null_rows(_back_substitute(cut), n, free)
+    at = dict(echelon)
+    out = []
+    for row in rows:
+        scale = 1
+        if Fraction in set(map(type, row.values())):  # an integral one becomes an int too
+            scale = lcm(*[x.denominator for x in row.values() if type(x) is Fraction])
+        row = {j: int(x * scale) for j, x in row.items()}
+        queue = [j for j in row if j in at]
+        heapify(queue)
+        while queue:
+            c = heappop(queue)
+            if c not in row:  # cleared since it was queued
+                continue
+            prow = at[c]
+            g = gcd(row[c], prow[c]) if prow[c] > 0 else -gcd(row[c], prow[c])
+            a, b = prow[c] // g, row[c] // g  # a > 0
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+                scale *= a
+            for j, y in prow.items():
+                x = row.get(j, 0) - b * y
+                if not x:
+                    del row[j]
+                    continue
+                if j not in row and j in at:
+                    heappush(queue, j)
+                row[j] = x
+        out.append((scale, row))
+    return out
 
 
 def kernel_flag(m: RatMatrix) -> tuple:

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .filtration import Filtration, NilpotentOp, compare_shifted as _compare_shifted
 from .filtration import monodromy_filtration
-from .ratlin import RatMatrix, Subspace, as_rat, echelon_and_relations, null_rows_at, rank
+from .ratlin import RatMatrix, Subspace, echelon_and_relations, rank, reduce_rows
 from .strata import SemistableDatum
 
 
@@ -279,26 +279,19 @@ def _n_power_rank(n_block, ds, r, w):
 
 @dataclass(frozen=True)
 class E2Page:
-    """E2 terms with representative bases in E1 coordinates and induced N.
+    """E2 terms as functionals in E1 coordinates, and the induced N.
 
-    The bases are not canonical.  The image generators are the columns of
-    d1^{i-1,j} at the pivots of its elimination, held as rows.  The same
-    elimination gives the relations among the live rows of d1^{i-1,j},
-    the rows outside the pivot columns of d1^{i,j}.  A relation c has
-    c D = 0 for the block D = d1^{i-1,j}, so as a functional on E1^{i,j}
-    it kills the image.  The live rows sit at the free columns of d1^{i,j},
-    dim Ker d1^{i,j} of them, so dim E2 = live rows - rank D, the number of
-    relations.  The reps are kernel rows of d1^{i,j}, one at the leading
-    column of each relation, and n_maps is read in them.  Dimensions,
-    ranks and filtration jumps, all that reports carry, do not depend on
-    that choice.
+    A cell's functionals are rows on E1^{i,j}, one per E2 class, each with
+    a 1 at its leading column.  They vanish on Im d1^{i-1,j} and map
+    Ker d1^{i,j} onto E2 (``build_e2`` says why), and n_maps is read in
+    them.  They are not canonical; dimensions, ranks and filtration jumps,
+    all that reports carry, do not depend on that choice.
     """
 
     n: int
-    dims: dict      # (i, j) -> int
-    reps: dict      # (i, j) -> RatMatrix, columns represent E2 classes
-    images: dict    # (i, j) -> RatMatrix, independent rows spanning Im d1^{i-1,j}
-    n_maps: dict    # (i, j) -> RatMatrix on E2 coordinates, to (i+2, j-2)
+    dims: dict         # (i, j) -> int
+    functionals: dict  # (i, j) -> RatMatrix, rows on E1^{i,j}: kill Im d1, map Ker d1 onto E2
+    n_maps: dict       # (i, j) -> RatMatrix on E2 coordinates, to (i+2, j-2)
     page: WeightComplex
 
     def n_map_block(self, i, j):
@@ -309,8 +302,13 @@ class E2Page:
         return blk
 
 
+def _ratio(x: int, d: int):
+    """x / d for integers, an int where d divides x."""
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
 def build_e2(page: WeightComplex) -> E2Page:
-    """E2^{i,j} = Ker d1^{i,j} / Im d1^{i-1,j} with explicit representatives.
+    """E2^{i,j} = Ker d1^{i,j} / Im d1^{i-1,j}, as functionals, and the induced N.
 
     Each d1 block is eliminated once, the cells of an E1 row j taken right
     to left, by ``echelon_and_relations`` on its live rows: the rows of
@@ -321,10 +319,8 @@ def build_e2(page: WeightComplex) -> E2Page:
     sum_c r[c] D_c = 0 among the rows D_c of d1^{i,j}.  r is zero at the
     other pivots, so it writes D_p through the rows at free columns, and
     the live rows span d1^{i,j}'s row space, with the same pivots and the
-    same rank.  One elimination of d1^{i,j} gives three things:
+    same rank.  One elimination of d1^{i,j} gives two things:
 
-      * its pivots.  The d1 columns there, read into rows in one pass over
-        d1, are the image basis at (i + 1, j).
       * the relations among its live rows.  These are functionals on the
         free coordinates of (i + 1, j) that vanish on the image of d1^{i,j},
         since c D = 0 is c applied to every column of d1^{i,j}: the dual
@@ -334,36 +330,44 @@ def build_e2(page: WeightComplex) -> E2Page:
         independent on the kernel, and there are (live rows) - rank of them,
         dim Ker d1^{i+1,j} - dim Im d1^{i,j} = dim E2^{i+1,j}.  So they
         vanish exactly on the image, and map the kernel onto E2.
-      * its forward echelon, from which the kernel rows at (i, j) are read
-        once the next block to the left has given (i, j) its relations.
+      * its forward echelon, against which the induced N out of (i, j) is
+        read once the next block to the left has given (i, j) its
+        relations.  The echelon is dropped after that.
 
     In reduced form, the relation c_t that leads at column t is zero at the
-    other leading columns T, and T are free columns of the block out of the
-    cell.  The reps are the integer kernel rows K_t, t in T, of that block,
-    with K_t[t] = L_t: K_t is zero at the free columns other than t, so
-    c_t K_t' = 0 for t != t'.  The quotient projection Q has the rows
-    c_t / (c_t[t] L_t), so Q reps = 1 and Q kills the image.  A cell with no
-    block into it has no image: its relations are the unit rows at every
-    free column.  The induced map of each N edge s -> t is Q_t N reps_s,
-    two sparse products.
+    other leading columns, all free columns of the block out of the cell.
+    Scaled to c_t[t] = 1, the c_t are the cell's functionals Q, dual to the
+    kernel vectors v_t with a 1 at t and a 0 at the other free columns,
+    which are never formed.  A cell with no block into it has no image: its
+    functionals are the unit rows at every free column.
 
-    The page's constructor has also checked N o d1 = d1 o N, so N maps
-    kernel to kernel and image to image, and an N block whose target is no
+    The induced N of an edge s -> t is read on the cohomology side.  The
+    page's constructor has also checked N o d1 = d1 o N, so a row q N of
+    Q_t N kills the image at s.  ``reduce_rows`` clears it at the pivots of
+    d1 out of s with that block's rows, which vanish on Ker d1 there.  The
+    rest kills the image and sits on s's free columns, so it is a
+    combination of s's relations, and its entry at the lead t' is its value
+    on v_t', an entry of the map in the v basis.  Another choice of reps
+    changes that map by a basis change in each cell, which no rank,
+    filtration jump or report byte can see.  An N block whose target is no
     cell is empty.
     """
-    dims, reps, images, quotients = {}, {}, {}, {}
+    dims, functionals, n_maps = {}, {}, {}
 
-    def finish(cell, echelon, relations):
-        """A cell's reps and quotient, from its outgoing echelon and its relations."""
-        lead = [min(row) for row in relations.data]
-        ker = null_rows_at(echelon, relations.cols, lead)
-        q = []
-        for t, c, k in zip(lead, relations.data, ker.data):
-            s = c[t] * k[t]  # Q's row: c / (c[t] L_t)
-            q.append(c if s == 1 else {a: as_rat(Fraction(x, s)) for a, x in c.items()})
-        quotients[cell] = RatMatrix(len(q), ker.cols, tuple(q))
-        reps[cell] = ker.transpose()
+    def settle(cell, relations, echelon):
+        """A cell's functionals and the induced N out of it."""
+        lead = [min(c) for c in relations.data]
+        q = tuple(c if c[t] == 1 else {a: _ratio(x, c[t]) for a, x in c.items()}
+                  for t, c in zip(lead, relations.data))
+        functionals[cell] = RatMatrix(len(q), relations.cols, q)
         dims[cell] = len(q)
+        tgt, blk = (cell[0] + 2, cell[1] - 2), page.n_blocks.get(cell)
+        if tgt not in page.dims or blk is None:
+            n_maps[cell] = RatMatrix.zeros(dims.get(tgt, 0), len(q))
+            return
+        rows = tuple({k: _ratio(r[f], scale) for k, f in enumerate(lead) if f in r}
+                     for scale, r in reduce_rows(functionals[tgt].product_rows(blk), echelon))
+        n_maps[cell] = RatMatrix(len(rows), len(q), rows)
 
     pivots, held = (), None  # the pivots and echelon of d1^{i+1,j}
     for i, j in sorted(page.dims, key=lambda cell: (cell[1], -cell[0])):
@@ -373,30 +377,14 @@ def build_e2(page: WeightComplex) -> E2Page:
         echelon, relations = echelon_and_relations(d_out, live)
         pivots = [c for c, _ in echelon]
         if (i + 1, j) in page.dims:
-            at = {p: k for k, p in enumerate(pivots)}
-            gens = [{} for _ in pivots]
-            for a, row in enumerate(d_out.data):
-                for c, v in row.items():
-                    if c in at:
-                        gens[at[c]][a] = v
-            images[(i + 1, j)] = RatMatrix(len(gens), d_out.rows, tuple(gens))
-            finish((i + 1, j), held, relations)
+            settle((i + 1, j), relations, held)
         held = echelon
         if (i - 1, j) not in page.dims:
-            # no block into (i, j): no image, and a relation per free column
+            # no block into (i, j): no image, and a functional per free column
             n, taken = d_out.cols, set(pivots)
             units = tuple({f: 1} for f in range(n) if f not in taken)
-            images[(i, j)] = RatMatrix.zeros(0, n)
-            finish((i, j), echelon, RatMatrix(len(units), n, units))
-    n_maps = {}
-    for (i, j) in page.dims:
-        tgt = (i + 2, j - 2)
-        if tgt in page.dims:
-            n_maps[(i, j)] = quotients[tgt] @ (page.n_block(i, j) @ reps[(i, j)])
-        else:
-            n_maps[(i, j)] = RatMatrix.zeros(0, dims[(i, j)])
-    return E2Page(n=page.n, dims=dims, reps=reps, images=images,
-                  n_maps=n_maps, page=page)
+            settle((i, j), RatMatrix(len(units), n, units), echelon)
+    return E2Page(n=page.n, dims=dims, functionals=functionals, n_maps=n_maps, page=page)
 
 
 @dataclass(frozen=True)

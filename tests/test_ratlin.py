@@ -30,9 +30,9 @@ from wsscheck.ratlin import (
     kernel,
     kernel_flag,
     null_rows_and_pivots,
-    null_rows_at,
     prefix_row_spaces,
     rank,
+    reduce_rows,
     row_space,
     rref,
     signature,
@@ -191,15 +191,12 @@ def test_greedy_extension_matches_greedy_scan(args):
 @example(([[0, 0, 0], [1, 1, 0], [2, 2, 0], [0, 0, 0], [0, 1, 0]], 3), None)
 @example(([[Fraction(1, 2), 3, 0], [1, 6, 0], [0, 0, Fraction(-2, 3)]], 3), None)
 def test_echelon_and_relations_match_gauss_jordan(args, data):
-    # one elimination of the live rows: their RREF pivots, a reduced basis
-    # of the relations among them, and the kernel rows at chosen free columns
+    # one elimination of the live rows: their RREF pivots and a reduced
+    # basis of the relations among them
     rows, nc = args
     m = M(rows, cols=nc)
-
-    def draw_subset(items):
-        return list(items) if data is None else sorted(data.draw(st.sets(st.sampled_from(items))))
-
-    live = draw_subset(range(len(rows))) if rows else []
+    live = sorted(data.draw(st.sets(st.sampled_from(range(len(rows)))))) \
+        if data is not None and rows else list(range(len(rows)))
     live_rows = [rows[a] for a in live]
     _, pivots = gauss_jordan(live_rows, nc)
     echelon, relations = echelon_and_relations(m, live)
@@ -213,14 +210,35 @@ def test_echelon_and_relations_match_gauss_jordan(args, data):
     assert all(set(row) <= set(live) and set(row).isdisjoint(set(leads) - {t})
                for t, row in zip(leads, relations.data))
     assert all(type(v) is int for row in relations.data for v in row.values())
-    free = [f for f in range(nc) if f not in pivots]
-    chosen = draw_subset(free) if free else []
-    ker = null_rows_at(echelon, nc, chosen)
-    assert ker.shape == (len(chosen), nc)
-    assert all(not any(row) for row in dense_matmul(live_rows, dense_transpose(
-        [ker.row_list(k) for k in range(ker.rows)], nc), ker.rows))
-    assert all(row.get(f) and set(row).isdisjoint(set(free) - {f})
-               for f, row in zip(chosen, ker.data))
+
+
+@settings(max_examples=200)
+@given(_eliminator_inputs(), st.data())
+@example(([], 3), [[1, 0, 2]])
+@example(([[2, 4, 0], [0, 3, 1]], 3), [[1, 1, 1], [Fraction(4, 2), 0, Fraction(1, 3)], [0, 0, 0]])
+@example(([[Fraction(1, 2), 3, 0], [1, 6, 0], [0, 0, Fraction(-2, 3)]], 3), [[Fraction(3, 5), 1, 7]])
+def test_reduce_rows_clears_the_pivots_exactly(args, drawn):
+    # r = scale row - (a combination of the echelon rows), zero at each
+    # pivot, with scale a positive int; the echelon's tag part records the
+    # combination of the rows, which the dense oracle checks
+    rows, nc = args
+    echelon, _ = echelon_and_relations(M(rows, cols=nc), range(len(rows)))
+    if not isinstance(drawn, list):
+        entry = st.one_of(_ENTRIES["dense"], _ENTRIES["fraction"],
+                          _ENTRIES["fraction"].map(lambda x: Fraction(2 * x)))
+        drawn = drawn.draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), max_size=4))
+    given_rows = [{j: x for j, x in enumerate(row) if x} for row in drawn]
+    out = reduce_rows(given_rows, echelon)
+    assert len(out) == len(given_rows)
+    for row, (scale, r) in zip(drawn, out):
+        assert type(scale) is int and scale > 0
+        assert all(type(v) is int and v for v in r.values())
+        assert all(c not in r for c, _ in echelon)
+        # the part outside m's columns is the combination subtracted
+        diff = [scale * row[j] - r.get(j, 0) for j in range(nc)]
+        coeffs = [[-r.get(nc + a, 0) for a in range(len(rows))]]
+        assert [diff] == dense_matmul(coeffs, rows, nc)
+        assert mini_rank(rows + [diff]) == mini_rank(rows)
 
 
 @st.composite

@@ -315,41 +315,36 @@ def test_renderers_cover_cells():
     assert "E2" in g2
 
 
-def _cols(m):
-    return [list(c) for c in m.columns()]
-
-
 def _rows(m):
     return [m.row_list(r) for r in range(m.rows)]
 
 
 def assert_e2_bases_span_the_right_spaces(page):
-    """build_e2's bases checked by rank alone, whatever basis it picks.
+    """build_e2's functionals checked by rank alone, whatever basis it picks.
 
-    In each cell the image rows and rep columns are independent, lie in
-    Ker d1 and number dim Ker d1, and the images span Im d1; along each N
-    edge s -> t, N reps_s - reps_t n_maps[s] lies in the span of images_t.
+    In each cell the functional rows Q kill Im d1 into the cell, are
+    independent modulo the row space of d1 out of it, and number dim E2;
+    along each N edge s -> t, Q_t N - n_maps[s] Q_s lies in the row space
+    of d1 out of s.
     """
     e2 = build_e2(page)
     for (i, j), n in page.dims.items():
         d_out, d_in = page.d1_block(i, j), page.d1_block(i - 1, j)
-        images, reps = e2.images[(i, j)], e2.reps[(i, j)]
-        assert (d_out @ reps).is_zero()
-        gens = _rows(images) + _cols(reps)
-        ker_dim = n - mini_rank(_rows(d_out))
-        assert len(gens) == mini_rank(gens) == ker_dim
-        incoming = _cols(d_in)
-        assert images.rows == mini_rank(incoming) == mini_rank(incoming + _rows(images))
-        assert e2.dims[(i, j)] == reps.cols
+        q = e2.functionals[(i, j)]
+        assert q.cols == n
+        assert (q @ d_in).is_zero()
+        outgoing = _rows(d_out)
+        assert mini_rank(outgoing + _rows(q)) == mini_rank(outgoing) + q.rows
+        assert e2.dims[(i, j)] == q.rows == n - mini_rank(outgoing) - mini_rank(_rows(d_in))
     for (i, j) in page.dims:
         tgt = (i + 2, j - 2)
         if tgt not in page.dims:
             continue
         n_map = e2.n_maps[(i, j)]
         assert n_map.shape == (e2.dims[tgt], e2.dims[(i, j)])
-        diff = page.n_block(i, j) @ e2.reps[(i, j)] + e2.reps[tgt] @ -n_map
-        images_t = _rows(e2.images[tgt])
-        assert mini_rank(images_t + _cols(diff)) == mini_rank(images_t)
+        diff = e2.functionals[tgt] @ page.n_block(i, j) + -n_map @ e2.functionals[(i, j)]
+        outgoing = _rows(page.d1_block(i, j))
+        assert mini_rank(outgoing + _rows(diff)) == mini_rank(outgoing)
 
 
 @pytest.mark.parametrize("name", toy_names())
@@ -416,8 +411,9 @@ def test_e2_invariant_under_cell_basis_change(curve, square, seed):
 
 
 def test_cell_basis_change_reaches_fraction_quotients():
-    # the pinned example above: d1 with Fraction entries, so kernel rows
-    # with L_f != 1, and induced maps read through Fraction projections
+    # the pinned example above: d1 and N with Fraction entries, so rows
+    # Q_t N with Fraction entries reach the reduction, and induced maps
+    # with Fraction entries come out
     page = tensor_product(curve_page(3), curve_page(3))
     moved = _change_cell_bases(page, random.Random(3))
     assert _has_fraction(moved.d1.values())
@@ -523,10 +519,10 @@ def test_build_e2_reduces_each_d1_block_on_the_rows_left_free(monkeypatch):
     assert sum(handed) == want < sum(page.dim(i + 1, j) for (i, j) in page.dims)
 
 
-def test_build_e2_makes_no_rref_and_forms_only_the_kernel_rows_of_e2(monkeypatch):
-    # one elimination per d1 block gives the quotients, so no image is
-    # reduced again, and kernel rows are formed for the reps alone: the
-    # E2 total of the gen_ngon(3) cube is 4^3
+def test_build_e2_makes_no_rref_and_no_kernel_row(monkeypatch):
+    # one elimination per d1 block gives the functionals, so no image is
+    # reduced again, and the induced N is read off them: no kernel row is
+    # formed, not even for the E2 classes
     page = tensor_power(curve_page(3), 3)
     rrefs, kernel_rows = [], []
     for module in (ratlin, specseq):
@@ -537,8 +533,8 @@ def test_build_e2_makes_no_rref_and_forms_only_the_kernel_rows_of_e2(monkeypatch
     monkeypatch.setattr(ratlin, "_null_rows",
                         lambda *args: kernel_rows.append(null_rows(*args)) or kernel_rows[-1])
     e2 = build_e2(page)
-    assert rrefs == []
-    assert sum(m.rows for m in kernel_rows) == sum(e2.dims.values()) == 64
+    assert rrefs == [] and kernel_rows == []
+    assert sum(e2.dims.values()) == 64
 
 
 @pytest.mark.parametrize("gen", [gen_ngon, gen_chain], ids=["ngon3", "chain3"])
@@ -639,21 +635,25 @@ def test_constructor_refuses_n_not_commuting_with_d1(dims, d1, n_blocks, cell):
 
 
 def test_build_e2_on_a_checked_page_forms_only_the_induced_maps(monkeypatch):
-    # Q_t @ (N @ reps_s) per N edge s -> t, and no other product
+    # one product Q_t N per stored N block s -> t, and no matrix product
     pages = [
         tensor_power(curve_page(3), 2),
         # two N edges, each commuting with the d1 blocks on its row
         _formal_page({(-1, 2): 1, (0, 2): 1, (1, 0): 1, (2, 0): 1},
                      [(-1, 2), (1, 0)], [(-1, 2), (0, 2)]),
     ]
-    products = []
-    matmul = RatMatrix.__matmul__
+    products, matmuls = [], []
+    product_rows, matmul = RatMatrix.product_rows, RatMatrix.__matmul__
+    monkeypatch.setattr(RatMatrix, "product_rows",
+                        lambda a, b: products.append(None) or product_rows(a, b))
     monkeypatch.setattr(RatMatrix, "__matmul__",
-                        lambda a, b: products.append(None) or matmul(a, b))
+                        lambda a, b: matmuls.append(None) or matmul(a, b))
     for page in pages:
         products.clear()
         build_e2(page)
-        assert len(products) == 2 * sum((i + 2, j - 2) in page.dims for (i, j) in page.dims)
+        assert matmuls == []
+        assert len(products) == len(page.n_blocks) > 0
+        assert all((i + 2, j - 2) in page.dims for (i, j) in page.n_blocks)
 
 
 def test_tensor_product_reports_a_construction_bug(monkeypatch):
