@@ -44,18 +44,19 @@ steps are computed.
 
 verify_monodromy_axioms checks (a) and (b) on any filtration in a basis
 adapted to it, the echelon rows of each step at its new pivots in step
-order.  Each of these rows is zero at the pivot of every row before it, so
-the matrix A of N in that basis comes from forward substitution, one pass
-over the rows that visits each pivot once (``_adapted_coordinates``).
-N M_i lies in M_{i-2} iff A vanishes on the columns of M_i and the rows
-beyond M_{i-2}, and N^r : Gr_{c+r} -> Gr_{c-r} has the rank of A^r on the
-columns of M_{c+r} and the rows beyond M_{c-r-1}.  A is scaled to integers by one scalar, and each power's rows
+order.  These rows lead at distinct columns, so ``ratlin._clear``, the one
+row reduction outside the batch elimination, writes each N b_k in them and
+lists its coordinates, a column of the matrix A of N in that basis
+(``_adapted_coordinates``).  N M_i lies in M_{i-2} iff A vanishes on the
+columns of M_i and the rows beyond M_{i-2}, and N^r : Gr_{c+r} -> Gr_{c-r}
+has the rank of A^r on the columns of M_{c+r} and the rows beyond
+M_{c-r-1}.  A is scaled to integers by one scalar, and each power's rows
 to coprime integers, which changes no such rank and keeps the powers from
 growing in bit size.  The same rows check that the steps are nested
 (``_adapted_rows``, which ``Filtration.from_steps`` calls too): a step
 holds the one before it iff it has all its pivots and each row of the one
-before, cancelled against the new rows at the new pivots, is the step's
-row at the same pivot.  Reading no power of N, kernel flag or Jordan basis,
+before, cleared at the new pivots against the new rows, is the step's row
+at the same pivot.  Reading no power of N, kernel flag or Jordan basis,
 it stays an independent test of the construction.
 """
 
@@ -71,6 +72,7 @@ from .errors import DimensionMismatch, InvalidForm, InvalidOperator
 from .ratlin import (
     RatMatrix,
     Subspace,
+    _clear,
     cancel_at,
     greedy_extension,
     kernel_flag,
@@ -315,54 +317,28 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
 def _adapted_coordinates(rows, matrix):
     """A positive multiple of the matrix A of N in the basis rows: N b_k = sum of A[l, k] b_l.
 
-    rows are n integer rows of Q^n, each zero at the leading column of every
-    row before it, as ``_adapted_rows`` gives them.  N is scaled to integers
-    by one scalar, so each N b_k is an integer row, and one pass over the
-    rows in order gives its coordinates by forward substitution: the rest of
-    N b_k is zero at the leading columns of the rows before b_l, so its
-    coordinate on b_l is its entry at b_l's leading column over b_l's, and
-    cancelling it there changes no entry at those columns.  The rest is held
-    as an integer row over an integer m, and the coordinates, in lowest
-    terms, are scaled by the lcm of their denominators, one scalar for all.
+    rows are n integer rows of Q^n, each leading at a column of its own, as
+    ``_adapted_rows`` gives them.  N is scaled to integers by one scalar, so
+    each N b_k is an integer row, and ``_clear`` gives its coordinates in
+    lowest terms; they are scaled by the lcm of their denominators, one
+    scalar for all.
     """
     n = len(rows)
     nt = matrix.scaled(lcm(*(v.denominator for row in matrix.data for v in row.values())))
     images = RatMatrix(n, n, tuple(rows)) @ nt.transpose()  # row k: N b_k
-    leads = [(min(row), row) for row in rows]
-    coords = []  # (l, k, numerator, denominator)
+    at = {min(row): row for row in rows}
+    position = dict(zip(at, range(n)))
+    coords = []  # (l, k, numerator, denominator) in lowest terms
     for k, w in enumerate(images.data):
-        w, m = dict(w), 1
-        for l, (p, b) in enumerate(leads):
-            if not w:
-                break
-            x = w.get(p)
-            if not x:
-                continue
-            d = b[p]
-            g = gcd(x, d)
-            x, d = x // g, d // g
-            if d != 1:
-                for j in w:
-                    w[j] *= d
-            g = gcd(x, m * d)
-            coords.append((l, k, x // g, m * d // g))
-            for j, y in b.items():  # d w - x b is zero at p
-                v = w.get(j, 0) - x * y
-                if v:
-                    w[j] = v
-                else:
-                    del w[j]
-            if d != 1:
-                m *= d
-                g = gcd(m, *w.values())
-                if g > 1:
-                    for j in w:
-                        w[j] //= g
-                    m //= g
-    scale = lcm(*(den for *_, den in coords))
+        steps = []
+        _clear(w, at, steps)
+        for p, b, d in steps:
+            g = gcd(b, d)
+            coords.append((position[p], k, b // g, d // g))
+    scale = lcm(*(d for *_, d in coords))
     out = [{} for _ in range(n)]
-    for l, k, num, den in coords:
-        out[l][k] = num * (scale // den)
+    for l, k, b, d in coords:
+        out[l][k] = b * (scale // d)
     return RatMatrix(n, n, tuple(out))
 
 

@@ -44,6 +44,15 @@ computation yields bit-identical results.  Pivots 1, alone in their
 columns, make containment a reduction: v lies in the span of the rows e_i
 with pivots p_i iff v - sum v[p_i] e_i = 0.
 
+Outside the forward pass, ``_forward``, a row is reduced against pivot
+rows by one step, ``_clear``: an integer row is cleared at the pivots of
+rows that each lead there, forward or reduced, in ascending order.  It
+leaves r, zero at every pivot, and a positive int m with row = sum of
+c_p e_p + r / m, and can list the c_p.  Back-substitution clears each row
+against the reduced rows below it, containment clears v against the
+stored echelon, and ``cancel_at`` is the step with r scaled to coprime
+integers.
+
 Kernels and quotients come from one elimination.
 ``null_rows_and_pivots(m)`` reduces m's rows once and returns integer
 kernel rows, one per free column f, with the pivot columns: m's columns at
@@ -58,18 +67,16 @@ are the cell's quotient projection, and the induced N is read in them
 from rows cleared at the pivots of the block out of the cell.  These bases
 are not canonical.  ``coordinates`` reads coordinates off one rref of
 [basis | images]; with an invertible square basis it solves the square
-system, as ``lefschetz`` does for the adjoint g*.  A basis that is already
-triangular needs no elimination: the filtration check reads coordinates in
-its adapted basis by forward substitution.
+system, as ``lefschetz`` does for the adjoint g*.  A basis whose rows lead
+at distinct columns needs no elimination: the filtration check reads
+coordinates in its adapted basis off the c_p of ``_clear``.
 
 Some callers build many subspaces from one run of rows.  ``kernel_flag``
 gives the kernels of all the powers of a nilpotent matrix from a chain of
-shrinking reductions; ``greedy_extension`` picks the rows outside the span
-of the rows before them with one forward echelon; ``prefix_row_spaces``
-gives the canonical row space of every prefix of the rows from one
-incremental reduced echelon, each equal to what ``row_space`` gives.
-``cancel_at`` is the step they share with containment: a row cancelled at
-the pivots of rows that are zero at each other's pivots.
+shrinking reductions; ``greedy_extension`` clears each row at the pivots of
+the rows kept before it; ``prefix_row_spaces`` gives the canonical row
+space of every prefix of the rows from one incremental reduced echelon,
+each equal to what ``row_space`` gives.
 
 ``signature`` also eliminates over the stored rows: its congruence
 diagonalization keeps the nonzero rows in a dict and never visits a zero
@@ -442,17 +449,58 @@ def _cancel(row: dict, prow: dict, c: int) -> dict:
     return new
 
 
-def cancel_at(row: dict, ech: dict) -> dict:
-    """row cancelled, in coprime integers, at each column of ech where it has an entry.
+def _clear(row: dict, at: dict, coeffs=None) -> tuple:
+    """(m, r), m a positive int and r zero at every pivot: row = sum of c_p at[p] + r / m.
 
-    ech maps columns to integer rows, each nonzero at its own column and
-    zero at the other columns of ech, so a cancellation against one of them
-    leaves row's entries at the other columns as they were: each column
-    where row has an entry is visited once.  row holds integers.
+    at maps pivots p to integer rows that lead at p, forward or reduced.
+    The pivots are taken in ascending order from a heap: the step
+    a r - b at[p], a > 0, clears p and changes r only after p.  After a step
+    with a != 1, m and r lose their common content.  A row that meets no
+    pivot comes back as it is, with m = 1.  A list coeffs gains (p, b, m a)
+    per step, with the m before the step: c_p = b / (m a).
     """
-    for p in [j for j in row if j in ech]:
-        row = _cancel(row, ech[p], p)
-    return row
+    queue = [j for j in row if j in at]
+    if not queue:
+        return 1, row
+    heapify(queue)
+    m, r = 1, row  # row is copied at the first step
+    while queue:
+        p = heappop(queue)
+        x = r.get(p)
+        if x is None:  # cleared since it was queued
+            continue
+        prow = at[p]
+        g = gcd(x, prow[p]) if prow[p] > 0 else -gcd(x, prow[p])
+        a, b = prow[p] // g, x // g
+        if coeffs is not None:
+            coeffs.append((p, b, m * a))
+        if a != 1:
+            r = {j: a * v for j, v in r.items()}
+            m *= a
+        elif r is row:
+            r = dict(row)
+        for j, y in prow.items():
+            v = r.get(j, 0) - b * y
+            if not v:
+                del r[j]
+                continue
+            if j not in r and j in at:
+                heappush(queue, j)
+            r[j] = v
+        g = gcd(m, *r.values()) if a != 1 else 1
+        if g > 1:
+            m //= g
+            r = {j: v // g for j, v in r.items()}
+    return m, r
+
+
+def cancel_at(row: dict, ech: dict) -> dict:
+    """row cleared at the pivots of ech by ``_clear``, then scaled to coprime integers.
+
+    A row that meets no pivot comes back as it is.
+    """
+    r = _clear(row, ech)[1]
+    return row if r is row else _primitive(r)
 
 
 def _forward(rows) -> list:
@@ -497,17 +545,14 @@ def _reduce(rows) -> list:
 def _back_substitute(ech: list) -> list:
     """The echelon [(pivot, row)] by pivot, each row made zero at the other pivots, in place.
 
-    Back-substitution runs bottom-up, so each row is cancelled against rows
-    that are already reduced and gains no entry at another pivot column.
+    Bottom-up, each row is cleared against the rows below it, which are
+    already reduced.
     """
-    reduced = dict(ech)
-    for k in range(len(ech) - 2, -1, -1):
+    reduced = {}
+    for k in range(len(ech) - 1, -1, -1):
         c, row = ech[k]
-        hits = [j for j in row if j in reduced and j != c]
-        for j in hits:
-            row = _cancel(row, reduced[j], j)
-        ech[k] = (c, row)
-        reduced[c] = row
+        reduced[c] = cancel_at(row, reduced)
+        ech[k] = (c, reduced[c])
     return ech
 
 
@@ -654,27 +699,18 @@ def prefix_row_spaces(m: RatMatrix, ends) -> tuple:
 def greedy_extension(m: RatMatrix) -> tuple:
     """The positions of the rows of m outside the span of the rows before them.
 
-    The rows go in order into one forward echelon in coprime integers: a row
-    is cancelled at its leading column while another row leads there, and
-    joins the echelon at the column it then leads at, unless it vanished.
-    The kept rows are a basis of the row space of m.
+    The rows go in order into one echelon: each is cleared at the pivots it
+    meets (``_clear``) and, unless it vanished, joins at the column it then
+    leads at.  The kept rows are a basis of the row space of m.
     """
-    ech = {}  # leading column -> row
+    ech = {}  # pivot -> row
     picks = []
     for pos, row in enumerate(m.data):
         if len(ech) == m.cols:
             break  # the kept rows span the whole space
-        if not row:
-            continue
-        row = _primitive(row)
-        lead = min(row)
-        while lead in ech:
-            row = _cancel(row, ech[lead], lead)
-            if not row:
-                break
-            lead = min(row)
-        else:
-            ech[lead] = row
+        row = _clear(_primitive(row), ech)[1]
+        if row:
+            ech[min(row)] = row
             picks.append(pos)
     return tuple(picks)
 
@@ -687,11 +723,8 @@ def primitive_rows(m: RatMatrix) -> RatMatrix:
 def _reduces_to_zero(u: Subspace, rows) -> bool:
     """True iff each {column: value} row v lies in u: v - sum v[p_i] e_i = 0.
 
-    The e_i are u's echelon rows and p_i their pivots.  Each e_i has a 1 at
-    p_i, alone in its column, so cancelling v at each p_i against e_i, in
-    coprime integers, leaves a multiple of that difference.  A cancellation
-    leaves v zero or nonzero at the other pivots, so only the pivots where v
-    has an entry are visited.
+    The e_i are u's echelon rows and p_i their pivots, and clearing v at
+    the p_i (``cancel_at``) leaves a multiple of that difference.
     """
     ech = {min(e): _primitive(e) for e in u.echelon.data}
     return not any(cancel_at(_primitive(v), ech) for v in rows)
@@ -769,39 +802,19 @@ def reduce_rows(rows, echelon: list) -> list:
     """(scale, r) per row: r = scale row - a combination of echelon's rows, zero at its pivots.
 
     echelon is a forward echelon [(pivot, row)] of integer rows, as
-    ``echelon_and_relations`` returns it.  scale, a positive int, is the
-    lcm of the row's denominators times the a of each step a r - b e_p,
-    which clears the pivot p.  The pivots are cleared in ascending order: a
-    step changes r only at columns after p, so a cleared pivot stays clear.
+    ``echelon_and_relations`` returns it.  A row's Fraction values are made
+    integers by the lcm of their denominators, and scale is that lcm times
+    the m of ``_clear``.
     """
     at = dict(echelon)
     out = []
     for row in rows:
-        scale = 1
+        den = 1
         if Fraction in set(map(type, row.values())):  # an integral one becomes an int too
-            scale = lcm(*[x.denominator for x in row.values() if type(x) is Fraction])
-        row = {j: int(x * scale) for j, x in row.items()}
-        queue = [j for j in row if j in at]
-        heapify(queue)
-        while queue:
-            c = heappop(queue)
-            if c not in row:  # cleared since it was queued
-                continue
-            prow = at[c]
-            g = gcd(row[c], prow[c]) if prow[c] > 0 else -gcd(row[c], prow[c])
-            a, b = prow[c] // g, row[c] // g  # a > 0
-            if a != 1:
-                row = {j: a * x for j, x in row.items()}
-                scale *= a
-            for j, y in prow.items():
-                x = row.get(j, 0) - b * y
-                if not x:
-                    del row[j]
-                    continue
-                if j not in row and j in at:
-                    heappush(queue, j)
-                row[j] = x
-        out.append((scale, row))
+            den = lcm(*[x.denominator for x in row.values() if type(x) is Fraction])
+            row = {j: int(x * den) for j, x in row.items()}
+        m, r = _clear(row, at)
+        out.append((den * m, r))
     return out
 
 

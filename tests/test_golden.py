@@ -35,6 +35,8 @@ GOLDEN = {
         "81bb5e35f6ebbb480fd758161a6e89c14994a07d4226709b820f45b6fae3b25c",
     "check-wmc --instance {tmp}/ngon3.json --tensor-power 4":
         "63817f614d7169117039eb041fb21c3d790435f713e41a67bae624cb82bc0bfc",
+    "check-wmc --instance {tmp}/ngon3.json --tensor-power 5":
+        "e099f2fd565b7c80db0aac2ed8982621a0fc57b63bacb1e98f3211d533f1a3f1",
     "gen ngon --n 3":
         "de4ab10108f049e7f015e8f5154628d72fcba58e72f655940864936183f61b26",
     "gen toy --name toy_gon3_x_p2":

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,8 @@ from wsscheck.errors import DimensionMismatch, InvalidForm, InvalidOperator, Pre
 from wsscheck.ratlin import (
     RatMatrix,
     Subspace,
+    _clear,
+    _reduce,
     as_rat,
     contains,
     coordinates,
@@ -239,6 +242,52 @@ def test_reduce_rows_clears_the_pivots_exactly(args, drawn):
         coeffs = [[-r.get(nc + a, 0) for a in range(len(rows))]]
         assert [diff] == dense_matmul(coeffs, rows, nc)
         assert mini_rank(rows + [diff]) == mini_rank(rows)
+
+
+@settings(max_examples=300)
+@given(_eliminator_inputs(), st.booleans(), st.data())
+@example(([], 3), False, [[1, 0, 2]])
+@example(([[2, 4, 0], [0, 3, 1]], 3), False, [[1, 1, 1], [0, 0, 5], [0, 6, 2], [4, 2, 0]])
+@example(([[2, 4, 0], [0, 3, 1]], 3), True, [[1, 1, 1], [Fraction(1, 2), 0, Fraction(-2, 3)]])
+def test_clear_writes_each_row_in_the_pivot_rows(args, reduced, drawn):
+    # row = sum of c_p at[p] + r / m exactly, with m a positive int and r an
+    # integer row zero at every pivot, each pivot cleared once and in
+    # ascending order; at is a forward echelon with its tag part, as
+    # echelon_and_relations gives it, or a reduced one
+    rows, nc = args
+    m = M(rows, cols=nc)
+    at = dict(_reduce(m.data)) if reduced else dict(echelon_and_relations(m, range(len(rows)))[0])
+    width = nc if reduced else nc + len(rows)
+    _, pivots = gauss_jordan(rows, nc)
+    assert sorted(at) == pivots
+    dense_at = [[at[p].get(j, 0) for j in range(width)] for p in pivots]
+    if isinstance(drawn, list):
+        orders = [range(nc)] * len(drawn)
+    else:
+        # each row's entries in a drawn order: the pivots are not met in order
+        entry = st.one_of(_ENTRIES["dense"], _ENTRIES["fraction"], _ENTRIES["sparse"])
+        data = drawn
+        drawn = data.draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), max_size=4))
+        orders = [data.draw(st.permutations(range(nc))) for _ in drawn]
+    for values, order in zip(drawn, orders):
+        # a row cleared from Fractions: scaled to integers by its denominators
+        den = lcm(*(Fraction(x).denominator for x in values))
+        row = {j: int(values[j] * den) for j in order if values[j]}
+        coeffs = []
+        scale, r = _clear(row, at, coeffs)
+        assert type(scale) is int and scale > 0
+        assert all(type(v) is int and v for v in r.values()) and at.keys().isdisjoint(r)
+        assert [p for p, *_ in coeffs] == sorted({p for p, *_ in coeffs})
+        assert all(type(b) is int and type(d) is int and d > 0 for _, b, d in coeffs)
+        c = {p: Fraction(b, d) for p, b, d in coeffs}
+        combo = dense_matmul([[c.get(p, 0) for p in pivots]], dense_at, width)[0]
+        assert ([row.get(j, 0) for j in range(width)]
+                == [x + Fraction(r.get(j, 0), scale) for j, x in enumerate(combo)])
+        if at.keys().isdisjoint(row):
+            assert r is row and scale == 1 and not coeffs
+        # r vanishes on m's columns iff the row lies in the span of m's rows
+        in_span = mini_rank(rows + [[row.get(j, 0) for j in range(nc)]]) == len(pivots)
+        assert in_span == all(j >= nc for j in r)
 
 
 @st.composite
