@@ -5,8 +5,10 @@ Prints one line per instance: validation verdict, WMC verdict, whether the
 monodromy/weight filtration comparison agrees with the rank checks at every
 abutment degree, the full structure suite for threefolds, and the nonzero E2
 dimensions.  The small curves are also checked as tensor squares, and
-ngon(3), chain(3) as cubes and toy_blowup_point as a square, which build E2
-from the tensor product page of a third power or of a threefold's page.
+ngon(3), chain(3) as cubes and toy_blowup_point as a square.  Each power's
+E2 is built twice, from the power of the formal page of the base E2 (the
+Kuenneth route, which ``check-wmc`` reads) and from the power of the E1 page
+(which ``pages`` and ``report`` print), and the two are compared.
 Exits nonzero if anything fails.
 """
 
@@ -33,7 +35,8 @@ def inspect(name, datum, tensor_power=1):
         print(f"{name}: VALIDATION FAILED {rec.validation.failed_axioms}")
         return False
     try:
-        rec.agreement  # raises where the two routes disagree
+        rec.agreement  # raises where the filtration and rank routes disagree
+        rec.e1_route  # for a power, raises where the E1 and Kuenneth routes disagree
         suite = rec.threefold
     except InternalConsistencyError as exc:
         print(f"{name}: ROUTES DISAGREE: {exc}")

@@ -43,14 +43,23 @@ class Analysis:
     """The checks of one datum as stages computed on first read, each once.
 
     ``e2`` is the page the WMC verdict and the filtration agreement read: the
-    datum's own E2, or that of its ``tensor_power``-fold tensor power, which
-    is built from the E1 page ``base_page`` without the datum's own E2.  The
-    threefold suite reads the datum's own E2 and its unfiltered verdict,
-    ``base_verdict``, in either case; with neither ``tensor_power`` nor ``w``
-    that is ``verdict`` itself.  A power whose E1 total, max(base total, 2)
-    to the ``tensor_power``, exceeds ``MAX_POWER_TOTAL`` is refused before
-    it is built, and so is a ``w`` outside the abutment degrees
-    0 .. 2 ``tensor_power`` n of the page checked, which no entry would read.
+    datum's own E2, or that of its ``tensor_power``-fold tensor power.  A
+    power's E2 takes the Kuenneth route: ``build_e2`` of the power of
+    ``specseq.formal_page(base_e2)``, whose docstring says why that is E2 of
+    the power, so no E1 product page is built for it.  ``e1_route`` is the
+    E2 that ``pages`` and ``report`` print: for a power, ``build_e2`` of the
+    power of the E1 page ``base_page``, whose nonzero dims and ``check_wmc``
+    entries, under the same ``w``, it checks against the Kuenneth route's,
+    two independent routes.  The trade: ``check-wmc`` no longer exercises
+    ``tensor_product``'s Koszul d1 signs on E1 pages, since a formal page has
+    no d1; ``pages``, ``report`` and the ``koszul_product`` oracle tests
+    still do.  The threefold suite reads the datum's own E2 and its
+    unfiltered verdict, ``base_verdict``, in either case; with neither
+    ``tensor_power`` nor ``w`` that is ``verdict`` itself.  A power whose E1
+    total, max(base total, 2) to the ``tensor_power``, exceeds
+    ``MAX_POWER_TOTAL`` is refused before either route builds it, and so is
+    a ``w`` outside the abutment degrees 0 .. 2 ``tensor_power`` n of the
+    page checked, which no entry would read.
     """
 
     datum: strata.SemistableDatum
@@ -78,18 +87,40 @@ class Analysis:
     def base_e2(self):
         return specseq.build_e2(self.base_page)
 
+    def _power(self):
+        """``tensor_power``, once its E1 total is known to be inside the bound."""
+        total, k = max(sum(self.base_page.dims.values()), 2), self.tensor_power
+        # 2**k > MAX_POWER_TOTAL from this k on, so a huge k never forms the power
+        if k >= MAX_POWER_TOTAL.bit_length() or total ** k > MAX_POWER_TOTAL:
+            raise ParameterError(
+                f"tensor power {k} of an E1 page of total dimension {total} "
+                f"exceeds {MAX_POWER_TOTAL}"
+            )
+        return k
+
     @cached_property
     def e2(self):
         if self.tensor_power > 1:
-            total, k = max(sum(self.base_page.dims.values()), 2), self.tensor_power
-            # 2**k > MAX_POWER_TOTAL from this k on, so a huge k never forms the power
-            if k >= MAX_POWER_TOTAL.bit_length() or total ** k > MAX_POWER_TOTAL:
-                raise ParameterError(
-                    f"tensor power {k} of an E1 page of total dimension {total} "
-                    f"exceeds {MAX_POWER_TOTAL}"
-                )
-            return specseq.build_e2(specseq.tensor_power(self.base_page, k))
+            k = self._power()
+            return specseq.build_e2(specseq.tensor_power(specseq.formal_page(self.base_e2), k))
         return self.base_e2
+
+    @cached_property
+    def e1_route(self):
+        """The E2 of the E1 page of the power, checked against ``e2`` and ``verdict``."""
+        if self.tensor_power == 1:
+            return self.base_e2
+        e2 = specseq.build_e2(specseq.tensor_power(self.base_page, self._power()))
+        nonzero = {cell: d for cell, d in e2.dims.items() if d}
+        if nonzero != {cell: d for cell, d in self.e2.dims.items() if d}:
+            raise InternalConsistencyError(
+                "E2 dims of the E1 route and the Kuenneth route disagree"
+            )
+        if specseq.check_wmc(e2, w_filter=self.w) != self.verdict:
+            raise InternalConsistencyError(
+                "check_wmc entries of the E1 route and the Kuenneth route disagree"
+            )
+        return e2
 
     @cached_property
     def base_verdict(self):
@@ -197,9 +228,10 @@ def _validate(args):
 
 def _pages(args):
     rec = _analysis(args)
+    e2 = rec.e1_route
     if args.format == "json":
-        return EXIT_PASS, strata.dumps(specseq.page_json_dict(rec.e2, rec.verdict))
-    grids = specseq.render_e1_grid(rec.e2.page) + "\n\n" + specseq.render_e2_grid(rec.e2)
+        return EXIT_PASS, strata.dumps(specseq.page_json_dict(e2, rec.verdict))
+    grids = specseq.render_e1_grid(e2.page) + "\n\n" + specseq.render_e2_grid(e2)
     return EXIT_PASS, grids + "\n"
 
 
@@ -237,7 +269,7 @@ def _report(args):
     doc = {"instance": args.instance, "validate": rec.validation.to_json_dict()}
     if not rec.validation.ok:
         return EXIT_CHECK_FAILED, strata.dumps(doc)
-    doc["pages"] = specseq.page_json_dict(rec.e2, rec.verdict)
+    doc["pages"] = specseq.page_json_dict(rec.e1_route, rec.verdict)
     doc["filtration_agreement"] = rec.agreement
     ok = rec.verdict.overall
     if rec.threefold is not None:

@@ -459,9 +459,9 @@ def _clear(row: dict, at: dict, coeffs=None) -> tuple:
     pivot comes back as it is, with m = 1.  A list coeffs gains (p, b, m a)
     per step, with the m before the step: c_p = b / (m a).
     """
-    queue = [j for j in row if j in at]
-    if not queue:
+    if row.keys().isdisjoint(at):
         return 1, row
+    queue = [j for j in row if j in at]
     heapify(queue)
     m, r = 1, row  # row is copied at the first step
     while queue:

@@ -25,6 +25,8 @@ dropped, dimensions/differentials/N follow the Koszul convention
 d = d (x) 1 + (-1)^column 1 (x) d and N = N (x) 1 + 1 (x) N.  A product's
 E1 isos follow from its factors' (Clebsch-Gordan, see ``tensor_product``),
 so they are tested against an oracle, not re-checked at run time.
+``formal_page`` makes an E2 page a page with no d1, whose tensor powers
+have the E2 of the E1 page's powers (Kuenneth, see there).
 
 Blocks are written in place.  ``_cell_blocks`` assembles every page, E1 and
 product alike: each part of a block, 1 (x) B (x) 1 for a factor block B in
@@ -511,7 +513,10 @@ def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:
     to ``_cell_blocks`` as parts: B x 1 is (B, a = 1, b = dim c2) and 1 x B
     is (B, a = dim c1, b = 1), written into the product's rows in place.
     The Koszul sign negates each of q's d1 blocks once, up front, and the
-    odd columns of p take the negated block.
+    odd columns of p take the negated block.  Factors with no d1 block,
+    such as ``formal_page``s, give a product with none: the powers that
+    ``check-wmc`` reads are of formal pages, and only the E1 pages that
+    ``pages`` and ``report`` print meet the Koszul sign.
 
     The page's constructor checks the product's blocks, d1 o d1 = 0 and
     N o d1 = d1 o N; a failure there is a construction bug,
@@ -551,7 +556,8 @@ def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:
             n=p.n + q.n,
             cells={key: None for key in layout},
             dims={key: sum(d for _, d in summands) for key, summands in layout.items()},
-            d1=_cell_blocks(layout, (1, 0), koszul((1, 0), p.d1, q.d1, True)),
+            d1=(_cell_blocks(layout, (1, 0), koszul((1, 0), p.d1, q.d1, True))
+                if p.d1 or q.d1 else {}),
             n_blocks=_cell_blocks(layout, (2, -2), koszul((2, -2), p.n_blocks, q.n_blocks, False)),
             pairings=None,
         )
@@ -569,24 +575,34 @@ def tensor_power(page: WeightComplex, k: int) -> WeightComplex:
     return out
 
 
-def antidiagonal_page(e2: E2Page, w: int) -> WeightComplex:
-    """Promote the weight-graded slice at abutment degree w to a formal page.
+def formal_page(e2: E2Page, w=None) -> WeightComplex:
+    """The nonzero cells of E2 as a page with no d1, its N blocks the induced N.
 
-    Cells (i, j) with i + j = w keep their E2 dimensions, the differentials
-    vanish (the slice is d1-closed only trivially) and the monodromy blocks
-    are the induced maps.  The result is a degenerate-at-E1 page, the right
-    tensor factor for building totally degenerate product tests out of curve
-    degenerations.  Its E1 isos are the graded isos of E2 at w, which
-    ``check_wmc`` decides, so they are not asserted: where WMC fails at w
-    the slice is a page without them, whose own check fails there too.
+    Given w, only the cells (i, j) with i + j = w are kept: the weight-graded
+    slice at abutment degree w.  A page with no d1 is its own E2: every cell
+    is all kernel and no image, and the induced N is the N blocks.
+
+    Over Q this page stands in for its E1 page in tensor powers (Kuenneth;
+    Deligne, Weil II, 1.6.9).  Row j of a product page P (x) Q is the sum
+    over j1 + j2 = j of the complexes (rows) P_j1 (x) Q_j2 in the column
+    degree, with the Koszul d1.  Over a field the cross product
+    H(A) (x) H(B) -> H(A (x) B) is an isomorphism, so
+    E2(P (x) Q)^{i,j} is the sum of E2(P)^{c1} (x) E2(Q)^{c2} over
+    c1 + c2 = (i, j).  The cross product is natural in chain maps, and
+    N (x) 1 + 1 (x) N is a chain map that moves the column degree by 2, so
+    it takes no Koszul sign, and its induced map is the induced N (x) 1 +
+    1 (x) N.  By induction E2 of the k-th power of a page is, as cells
+    with N, ``build_e2`` of the k-th power of its formal page, up to a
+    basis change in each cell: the two give the same dimensions and the
+    same rank of every power of N, hence the same ``check_wmc`` entries.
+
+    The E1 isos of the formal page are the graded isos of E2, which
+    ``check_wmc`` decides, so they are not asserted: where WMC fails the
+    formal page is a page without them, whose own check fails there too.
     """
-    dims = {
-        key: d for key, d in e2.dims.items() if key[0] + key[1] == w and d > 0
-    }
-    n_blocks = {}
-    for (i, j) in dims:
-        if (i + 2, j - 2) in dims:
-            n_blocks[(i, j)] = e2.n_map_block(i, j)
+    dims = {key: d for key, d in e2.dims.items()
+            if d > 0 and (w is None or key[0] + key[1] == w)}
+    n_blocks = {(i, j): e2.n_map_block(i, j) for (i, j) in dims if (i + 2, j - 2) in dims}
     return WeightComplex(
         n=e2.n,
         cells={key: None for key in dims},

@@ -44,10 +44,10 @@ from wsscheck.errors import MutationNotApplicable
 from wsscheck.lefschetz import dual_cohomology_iso, run_threefold_suite
 from wsscheck.ratlin import image
 from wsscheck.specseq import (
-    antidiagonal_page,
     build_e2,
     check_wmc,
     compare_monodromy_vs_weight,
+    formal_page,
     tensor_power,
 )
 from wsscheck.strata import AXIOMS, to_weight_complex, validate
@@ -88,7 +88,7 @@ def test_criterion_2_tensor_cube():
     oracle = convolve_power({0: 1, 2: 1}, 3)  # independent Kunneth convolution
     assert oracle == {0: 1, 2: 3, 4: 3, 6: 1}
     curve_e2 = build_e2(to_weight_complex(gen_ngon(3)))
-    cube = tensor_power(antidiagonal_page(curve_e2, 1), 3)
+    cube = tensor_power(formal_page(curve_e2, 1), 3)
     e2 = build_e2(cube)
     for j in range(0, 7):
         assert e2.dims.get((3 - j, j), 0) == oracle.get(j, 0)

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -203,11 +205,18 @@ def test_tensor_power_flag(tmp_path, capsys):
     assert doc["overall"] is True
 
 
-def test_tensor_power_builds_the_base_e2_only_when_read():
+def test_tensor_power_builds_the_base_e2_only_when_read(monkeypatch):
+    # the power's verdict is read off the base E2 through its formal page,
+    # with no E1 product page; the threefold suite stays unbuilt for a curve
+    formal, seen = specseq.formal_page, []
+    monkeypatch.setattr(specseq, "formal_page",
+                        lambda e2, w=None: seen.append(e2) or formal(e2, w))
     rec = cli.analyze(gen_ngon(3), tensor_power=3)
-    assert rec.verdict.overall and rec.agreement == {str(w): True for w in range(7)}
-    assert rec.threefold is None
     assert "base_e2" not in vars(rec)
+    assert rec.verdict.overall and rec.agreement == {str(w): True for w in range(7)}
+    assert len(seen) == 1 and seen[0] is vars(rec)["base_e2"]
+    assert rec.e2.page.d1 == {} and "e1_route" not in vars(rec)
+    assert rec.threefold is None
     assert rec.base_verdict.overall and rec.base_e2.page is rec.base_page
 
 
@@ -234,6 +243,94 @@ def test_tensor_power_above_the_bound_is_an_input_error(tmp_path, capsys, monkey
     assert run_cli([command, "--instance", str(path), "--tensor-power", power]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"exceeds {cli.MAX_POWER_TOTAL}" in err
+
+
+class _E1Route(cli.Analysis):
+    """The pipeline with a power's verdict and agreement read off the E2 of
+    its E1 page, the route ``pages`` and ``report`` print."""
+
+    @cached_property
+    def e2(self):
+        if self.tensor_power == 1:
+            return self.base_e2
+        return specseq.build_e2(specseq.tensor_power(self.base_page, self._power()))
+
+
+ROUTE_DATA = {
+    **{f"ngon{n}": lambda n=n: gen_ngon(n) for n in (3, 4, 5)},
+    **{f"chain{n}": lambda n=n: gen_chain(n) for n in (2, 3, 4)},
+    "smooth2": lambda: gen_smooth(2, (1, 0, 2, 0, 1)),
+    **{name: None for name in toy_names()},
+}
+# pages and report print the power's whole E1 page: 463 MB of JSON at the
+# fourth power of ngon(3), 21 MB at the cube of ngon(4), so they run on
+# every square and on the cubes whose output stays small
+PRINTED_CUBES = ("ngon3", "chain2", "chain3", "smooth2", "toy_blowup_point")
+ROUTE_CASES = [
+    (name, k, ("check-wmc", "pages", "report")
+     if k == 2 or (k == 3 and name in PRINTED_CUBES) else ("check-wmc",))
+    for name, build in ROUTE_DATA.items() for k in ((2, 3, 4) if build else (2, 3))
+]
+
+
+@pytest.mark.parametrize("name, power, commands", ROUTE_CASES,
+                         ids=[f"{name}^{k}" for name, k, _ in ROUTE_CASES])
+def test_both_routes_print_the_same_bytes(name, power, commands, tmp_path, monkeypatch,
+                                          capsys):
+    build = ROUTE_DATA[name]
+    path = data_dir() / f"{name}.json"
+    if build is not None:
+        path = tmp_path / f"{name}.json"
+        save(build(), path)
+    for command in commands:
+        argv = [command, "--instance", str(path), "--tensor-power", str(power)]
+        kunneth = _in_process(argv, capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "Analysis", _E1Route)
+            assert _in_process(argv, capsys) == kunneth, command
+        assert kunneth[0] == 0 and kunneth[2] == ""
+
+
+def test_a_disagreement_of_the_routes_exits_3_from_pages_and_report(monkeypatch, capsys):
+    # toy_blowup_point's E2 lies in column 0, so its formal page has no N
+    # block to drop; toy_gon3_x_p2's has three
+    formal = specseq.formal_page
+
+    def dropped(e2, w=None):
+        page = formal(e2, w)
+        first = min(page.n_blocks)
+        return dataclasses.replace(
+            page, n_blocks={c: b for c, b in page.n_blocks.items() if c != first})
+
+    monkeypatch.setattr(specseq, "formal_page", dropped)
+    instance = str(data_dir() / "toy_gon3_x_p2.json")
+    for command in ("report", "pages"):
+        code, out, err = _in_process([command, "--instance", instance, "--tensor-power", "2"],
+                                     capsys)
+        assert (code, out) == (3, "")
+        assert "the E1 route and the Kuenneth route disagree" in err
+    # check-wmc reads the Kuenneth route alone, and gives its (wrong) verdict
+    code, out, _ = _in_process(["check-wmc", "--instance", instance, "--tensor-power", "2"],
+                               capsys)
+    assert code == 1 and json.loads(out)["overall"] is False
+
+
+def test_check_wmc_of_a_power_builds_no_e1_product_page(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ngon.json"
+    save(gen_ngon(3), path)
+    calls, d1s = Counter(), []
+    for stage in ("build_e1", "build_e2", "tensor_product"):
+        def counted(*args, _run=getattr(specseq, stage), _stage=stage):
+            calls[_stage] += 1
+            if _stage == "tensor_product":
+                d1s.extend(page.d1 for page in args)
+            return _run(*args)
+        monkeypatch.setattr(specseq, stage, counted)
+    assert run_cli(["check-wmc", "--instance", str(path), "--tensor-power", "3"]) == 0
+    capsys.readouterr()
+    # the base E2, then the E2 of the formal page's cube
+    assert calls == {"build_e1": 1, "build_e2": 2, "tensor_product": 2}
+    assert d1s == [{}] * 4
 
 
 def test_report_tensor_power_keeps_suite_on_base_page(capsys):
