@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, count
+from itertools import chain, compress
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvalidForm, InvalidOperator, PreconditionError
@@ -395,18 +395,20 @@ def _int_nonzeros(raw: list):
     """The (position, value) pairs of the nonzero entries of raw when all its
     entries are integer strings, or None otherwise.
 
-    Only the entries other than "0" are read; as_rat would read each of them
-    with the same int() call.  None sends the caller to as_rat on every entry,
-    which gives any other input its values and errors.
+    One comprehension touches each zero entry once; only the others, among
+    them any entry that is not a str, are read, with as_rat's int() call.
+    None sends the caller to as_rat on every entry, which gives any other
+    input its values and errors.
     """
     try:
-        if "_" in "".join(raw):  # TypeError on an entry that is not a str
+        at = [k for k, x in enumerate(raw) if x != "0"]
+        texts = list(map(raw.__getitem__, at))
+        if "_" in "".join(texts):  # TypeError on an entry that is not a str
             return None
-        kept = list(map("0".__ne__, raw))
-        values = list(map(int, compress(raw, kept)))
+        values = list(map(int, texts))
     except (TypeError, ValueError):
         return None
-    pairs = zip(compress(count(), kept), values)
+    pairs = zip(at, values)
     if 0 in values:  # int() reads "-0", "00" and " 0" as zeros too
         return [p for p in pairs if p[1]]
     return list(pairs)

@@ -50,8 +50,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .filtration import Filtration, NilpotentOp, compare_shifted as _compare_shifted
-from .filtration import monodromy_filtration
+from .filtration import Filtration, NilpotentOp, _weighted_jordan_basis
 from .ratlin import RatMatrix, Subspace, echelon_and_relations, rank, reduce_rows
 from .strata import SemistableDatum
 
@@ -353,7 +352,13 @@ def build_e2(page: WeightComplex) -> E2Page:
     changes that map by a basis change in each cell, which no rank,
     filtration jump or report byte can see.  An N block whose target is no
     cell is empty.
+
+    A page with no d1, a ``formal_page`` or its powers, is its own E2: unit
+    functionals, its N blocks as n_maps, zero where one is missing.
     """
+    if not page.d1:
+        units = {c: RatMatrix.identity(d) for c, d in page.dims.items()}
+        return E2Page(page.n, dict(page.dims), units, {c: page.n_block(*c) for c in page.dims}, page)
     dims, functionals, n_maps = {}, {}, {}
 
     def settle(cell, relations, echelon):
@@ -480,14 +485,22 @@ def graded_monodromy_operator(e2: E2Page, w: int):
 
 
 def compare_monodromy_vs_weight(e2: E2Page, w: int) -> bool:
-    """Monodromy filtration of block-N versus the weight filtration, shifted by w."""
-    nmat = graded_monodromy_operator(e2, w)
-    if nmat.rows == 0:
+    """Whether M_i = W_{w+i} for all i, M the monodromy filtration of block N
+    centered at 0, W the weight filtration.  W_{w+i} is the coordinate prefix
+    of the rows j <= w + i; M_i is spanned by the vectors of weight <= i of
+    the Jordan basis M is read off, which are independent.  So M_i = W_{w+i}
+    iff they lie in the prefix and are as many as its length: the weights in
+    order are the levels j - w of the coordinates in order, and each vector's
+    last column has a level at most its weight.  Only N is read, validated by
+    ``NilpotentOp.build``.  The canonical steps of M stay covered by
+    nilpotent-stream, ``verify_monodromy_axioms`` and tests/test_filtration.py.
+    """
+    offsets, total = _antidiagonal(e2, w)
+    if total == 0:
         return True
-    op = NilpotentOp.build(nmat)
-    m = monodromy_filtration(op, 0)
-    wf = weight_filtration_graded(e2, w)
-    return _compare_shifted(m, wf, w)
+    basis = _weighted_jordan_basis(NilpotentOp.build(graded_monodromy_operator(e2, w)), 0)
+    levels = [j - w for j in offsets for _ in range(e2.dims[(w - j, j)])]
+    return [i for i, _ in basis] == levels and all(levels[max(v)] <= i for i, v in basis)
 
 
 # -- tensor products -----------------------------------------------------------

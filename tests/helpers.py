@@ -6,9 +6,10 @@ from operator import itemgetter
 
 import pytest
 
-from wsscheck.filtration import Filtration
+from wsscheck.filtration import Filtration, NilpotentOp, compare_shifted, monodromy_filtration
 from wsscheck.lefschetz import DualTriple
 from wsscheck.ratlin import RatMatrix, coordinates, greedy_extension, primitive_rows
+from wsscheck.specseq import graded_monodromy_operator, weight_filtration_graded
 from wsscheck.strata import TransferMaps
 
 
@@ -56,6 +57,16 @@ def stacked_jordan_basis(op, center):
             height = primitive_rows(RatMatrix(len(height), n, height) @ nt).data
     weighted.sort(key=itemgetter(0))
     return weighted
+
+
+def filtration_route_by_steps(e2, w):
+    """specseq.compare_monodromy_vs_weight by its canonical steps, kept as its oracle.
+
+    The monodromy filtration of block N, centered at 0, as RREF snapshots,
+    against the weight filtration's coordinate subspaces shifted by w.
+    """
+    m = monodromy_filtration(NilpotentOp.build(graded_monodromy_operator(e2, w)), 0)
+    return compare_shifted(m, weight_filtration_graded(e2, w), w)
 
 
 def inverse(m):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wsscheck import cli, specseq, strata
+from wsscheck import cli, filtration, specseq, strata
 from wsscheck.errors import ParameterError
 from wsscheck.instances import (
     build_toy, data_dir, gen_chain, gen_ngon, gen_smooth, mutate, toy_names,
@@ -331,6 +331,24 @@ def test_check_wmc_of_a_power_builds_no_e1_product_page(tmp_path, monkeypatch, c
     # the base E2, then the E2 of the formal page's cube
     assert calls == {"build_e1": 1, "build_e2": 2, "tensor_product": 2}
     assert d1s == [{}] * 4
+
+
+def test_check_wmc_of_a_power_eliminates_the_base_page_alone(tmp_path, monkeypatch, capsys):
+    # the formal power has no d1, so its E2 takes no elimination; nor does
+    # the filtration route form the canonical steps of M
+    path = tmp_path / "ngon.json"
+    save(gen_ngon(3), path)
+    calls = Counter()
+    for module, stage in ((specseq, "echelon_and_relations"),
+                          (filtration, "monodromy_filtration")):
+        def counted(*args, _run=getattr(module, stage), _stage=stage):
+            calls[_stage] += 1
+            return _run(*args)
+        monkeypatch.setattr(module, stage, counted)
+    assert run_cli(["check-wmc", "--instance", str(path), "--tensor-power", "3"]) == 0
+    capsys.readouterr()
+    # one elimination per cell of the base E1 page
+    assert calls == {"echelon_and_relations": len(strata.to_weight_complex(gen_ngon(3)).dims)}
 
 
 def test_report_tensor_power_keeps_suite_on_base_page(capsys):

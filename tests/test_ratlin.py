@@ -564,11 +564,12 @@ def _read(read, d):
 
 
 ENTRY_STRINGS = st.one_of(
-    st.sampled_from(["0", "0", "0", "-0", "00", " 0", "+0", "1_0", "\u0663", "\u0660", "1/2",
-                     "-4/2", "1/0", "junk", "", " 7\n", "1" * 4301]),
+    st.sampled_from(["0", "0", "0", "-0", "00", " 0", "+0", "+1", "1_0", "\u0663", "\u0660",
+                     "1/2", "-4/2", "1/0", "junk", "x", "", " 7\n", "1" * 4301]),
     st.integers().map(str),
 )
-ENTRY_JSON = st.one_of(st.integers(-3, 3), st.booleans(), st.floats())
+ENTRY_JSON = st.one_of(st.integers(-3, 3), st.booleans(), st.floats(), st.none(),
+                       st.just(["a"]))
 
 
 @st.composite
@@ -594,6 +595,8 @@ def _json_matrices(draw):
 @example({"rows": 1, "cols": 1, "entries": ["1" * 4301]})
 @example({"rows": 1, "cols": 2, "entries": [1, "0"]})
 @example({"rows": 1, "cols": 2, "entries": ["0", True]})
+@example({"rows": 2, "cols": 2, "entries": ["+1", "0", None, "0"]})
+@example({"rows": 1, "cols": 2, "entries": ["0", ["a"]]})
 @example({"rows": 2, "cols": 1, "entries": "10"})
 @example({"rows": 1, "cols": 1, "entries": {"3": 0}})
 @example({"rows": 0, "cols": 2, "entries": ["1"]})
@@ -603,6 +606,22 @@ def _json_matrices(draw):
 @example({"rows": 1, "cols": True, "entries": ["1"]})
 @example({"rows": 1, "cols": 1, "entries": ("1",)})
 def test_json_matrix_reads_as_entry_by_entry(d):
+    got = _read(lambda d: RatMatrix.from_json_dict(d).data, d)
+    assert got == _read(_rows_read_entry_by_entry, d)
+
+
+@settings(max_examples=100)
+@given(st.tuples(st.integers(1, 40), st.sampled_from([
+    st.one_of(st.just("0"), st.integers().map(str)),
+    st.one_of(st.just("0"), st.integers().map(str), ENTRY_STRINGS, ENTRY_JSON),
+])).flatmap(lambda a: st.tuples(st.just(a[0]), st.lists(a[1], min_size=a[0], max_size=a[0] * 8))))
+@example((10, [str(v) for v in range(-100, 100)]))
+def test_json_matrix_with_many_distinct_values_reads_as_entry_by_entry(args):
+    # long rows of many distinct values among zeros: the reader finds the
+    # nonzero entries in one scan, whatever the number of distinct values
+    cols, entries = args
+    entries = entries[:len(entries) - len(entries) % cols]
+    d = {"rows": len(entries) // cols, "cols": cols, "entries": entries}
     got = _read(lambda d: RatMatrix.from_json_dict(d).data, d)
     assert got == _read(_rows_read_entry_by_entry, d)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import inverse, nested_step_calls, random_invertible
+from helpers import filtration_route_by_steps, inverse, nested_step_calls, random_invertible
 from oracles import (
     clebsch_gordan,
     convolve_power,
@@ -48,7 +48,7 @@ from wsscheck.specseq import (
     unit_page,
     weight_filtration_graded,
 )
-from wsscheck.strata import to_weight_complex
+from wsscheck.strata import TransferMaps, to_weight_complex
 
 
 def curve_page(n=3):
@@ -231,6 +231,75 @@ def test_forced_zero_monodromy_fails_both_paths():
     assert not check_wmc(e2).at_w(1)
 
 
+def _flipped_ngon4():
+    """gen_ngon(4) with the double points' pairing D = diag(1, 1, -1, -1) and
+    the Gysin block out of them times D, which keeps adjunction: WMC fails
+    at w = 1 (ROADMAP item 13)."""
+    datum = gen_ngon(4)
+    flip = RatMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+                               cols=4)
+    points = datum.levels[2]
+    levels = {**datum.levels, 2: replace(points, pairings={**points.pairings, 0: flip})}
+    gysin = {**datum.transfers.gysin, (2, 0): datum.transfers.gysin[2, 0] @ flip}
+    return replace(datum, levels=levels, transfers=TransferMaps(
+        restriction=datum.transfers.restriction, gysin=gysin))
+
+
+def _off_center_page():
+    # N an iso from E1^{0,2} onto E1^{2,0}, with nothing at (-2, 4): each
+    # Jordan vector lies in its weight's prefix of W, but M = W[2] fails
+    return WeightComplex(
+        n=2,
+        cells={(0, 2): None, (2, 0): None},
+        dims={(0, 2): 1, (2, 0): 1},
+        d1={},
+        n_blocks={(0, 2): RatMatrix.identity(1)},
+        pairings=None,
+    )
+
+
+def _sweep_e2(datum, k=1):
+    """E2 of the k-th power of datum(), on the Kuenneth route for k > 1."""
+    e2 = build_e2(to_weight_complex(datum()))
+    return e2 if k == 1 else build_e2(tensor_power(formal_page(e2), k))
+
+
+SWEEP_DATA = {
+    **{f"ngon{n}": partial(gen_ngon, n) for n in range(3, 13)},
+    **{f"chain{n}": partial(gen_chain, n) for n in range(2, 6)},
+    "smooth3": partial(gen_smooth, 3, (1, 0, 1, 0, 1, 0, 1)),
+    **{name: partial(load_toy, name) for name in toy_names()},
+}
+# the pages of scripts/sweep_instances.py, its formal powers 2 and 3, and
+# four pages where WMC fails
+FILTRATION_E2 = {
+    **{name: partial(_sweep_e2, datum) for name, datum in SWEEP_DATA.items()},
+    **{f"{name}^2": partial(_sweep_e2, SWEEP_DATA[name], 2)
+       for name in ("ngon3", "ngon4", "ngon5", "chain2", "chain3", "chain4",
+                    "toy_blowup_point")},
+    **{f"{name}^3": partial(_sweep_e2, SWEEP_DATA[name], 3) for name in ("ngon3", "chain3")},
+    "forced_zero": lambda: build_e2(_forced_zero_page()),
+    "forced_zero^2": lambda: build_e2(tensor_power(formal_page(build_e2(_forced_zero_page())), 2)),
+    "flipped_ngon4": partial(_sweep_e2, _flipped_ngon4),
+    "off_center": lambda: build_e2(_off_center_page()),
+}
+
+
+@pytest.mark.parametrize("build", FILTRATION_E2.values(), ids=FILTRATION_E2.keys())
+def test_filtration_route_matches_the_canonical_steps(build):
+    # M_i = W_{w+i} read off the Jordan basis against the RREF snapshots of
+    # M and the coordinate subspaces of W, at every w
+    e2 = build()
+    for w in range(0, 2 * e2.n + 1):
+        assert compare_monodromy_vs_weight(e2, w) == filtration_route_by_steps(e2, w)
+
+
+def test_flipped_ngon4_fails_both_routes_at_w_1():
+    e2 = build_e2(to_weight_complex(_flipped_ngon4()))
+    assert [compare_monodromy_vs_weight(e2, w) for w in range(3)] == [True, False, True]
+    assert [check_wmc(e2).at_w(w) for w in range(3)] == [True, False, True]
+
+
 def test_antidiagonal_slice_where_wmc_fails_is_a_page_that_fails():
     # the slice of an E2 without the graded isos is returned, not refused
     # as an input without the E1 isos, and its own check fails where E2's does
@@ -277,6 +346,24 @@ def test_formal_page_keeps_the_nonzero_cells_and_the_induced_n():
                              if (cell[0] + 2, cell[1] - 2) in page.dims}
     assert build_e2(page).dims == page.dims
     assert formal_page(e2, 1).dims == {c: d for c, d in page.dims.items() if sum(c) == 1}
+
+
+@pytest.mark.parametrize("name", toy_names())
+def test_e2_of_a_page_with_no_d1_is_the_page(name, monkeypatch):
+    # the formal powers' E2: unit functionals and the N blocks, read with no
+    # elimination, and the same as the elimination gives with stored zero d1
+    base = build_e2(to_weight_complex(load_toy(name)))
+    pages = [tensor_power(formal_page(base), k) for k in (1, 2, 3)]
+    zero_d1 = [replace(page, d1={c: page.d1_block(*c) for c in page.dims}) for page in pages]
+    eliminated = [build_e2(page) for page in zero_d1]
+    for stage in ("echelon_and_relations", "reduce_rows"):
+        monkeypatch.setattr(specseq, stage, lambda *args, _stage=stage: pytest.fail(_stage))
+    for page, slow in zip(pages, eliminated):
+        e2 = build_e2(page)
+        assert e2.dims == page.dims
+        assert e2.functionals == {c: RatMatrix.identity(d) for c, d in page.dims.items()}
+        assert e2.n_maps == {c: page.n_block(*c) for c in page.dims}
+        assert (e2.dims, e2.functionals, e2.n_maps) == (slow.dims, slow.functionals, slow.n_maps)
 
 
 def test_unit_page_is_monoidal_unit():
