@@ -51,6 +51,7 @@ from .specseq import (
     build_e2,
     check_wmc,
     compare_monodromy_vs_weight,
+    filtration_agreement,
     tensor_product,
     unit_page,
     weight_filtration_graded,

@@ -135,15 +135,14 @@ class Analysis:
     @cached_property
     def agreement(self):
         """str(w) -> the filtration comparison at w, checked against the ranks."""
-        agreement = {}
-        for w in sorted({e.w for e in self.verdict.entries}):
-            via_filtration = specseq.compare_monodromy_vs_weight(self.e2, w)
-            if via_filtration != self.verdict.at_w(w):
+        ws = sorted({e.w for e in self.verdict.entries})
+        via_filtration = specseq.filtration_agreement(self.e2, ws)
+        for w in ws:
+            if via_filtration[w] != self.verdict.at_w(w):
                 raise InternalConsistencyError(
                     f"filtration comparison disagrees with rank checks at w={w}"
                 )
-            agreement[str(w)] = via_filtration
-        return agreement
+        return {str(w): via_filtration[w] for w in ws}
 
     @cached_property
     def threefold(self):

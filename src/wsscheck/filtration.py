@@ -40,7 +40,7 @@ and M_i is its snapshot after the last vector of weight at most i.  Each
 snapshot is the RREF of the step, divided by its pivots as ``rref``
 divides, and the RREF of a subspace is unique: the steps, and every byte
 written from them, do not depend on the basis picked or on the way the
-steps are computed.
+steps are computed.  ``specseq.filtration_agreement`` reads no basis: only pivot counts.
 
 verify_monodromy_axioms checks (a) and (b) on any filtration in a basis
 adapted to it, the echelon rows of each step at its new pivots in step
@@ -224,6 +224,18 @@ def monodromy_filtration(op: NilpotentOp, center: int) -> Filtration:
         vectors = RatMatrix(n, n, tuple(v for _, v in weighted))
         steps += zip(ends, prefix_row_spaces(vectors, ends.values()))
     return Filtration.from_nested_steps(n, center, steps)
+
+
+def monodromy_graded_dims(kernel_dims) -> dict:
+    """{k: dim Gr_k} != 0 of M centered at 0, from kernel_dims[s] = dim Ker N^s, s = 0 .. e.
+    kernel_dims[s] - kernel_dims[s - 1] chains have length >= s (the Jordan type),
+    and a chain of length t has one vector at each weight 1 - t, 3 - t, ..., t - 1."""
+    longer = [b - a for a, b in zip(kernel_dims, kernel_dims[1:])] + [0]
+    dims = {}
+    for t in range(1, len(longer)):
+        for k in range(1 - t, t, 2):
+            dims[k] = dims.get(k, 0) + longer[t - 1] - longer[t]
+    return {k: d for k, d in dims.items() if d}
 
 
 def _weighted_jordan_basis(op: NilpotentOp, center: int) -> list:

@@ -39,9 +39,11 @@ missing block stands for zero without one being built.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from .errors import (
     ConventionViolation,
@@ -50,7 +52,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .filtration import Filtration, NilpotentOp, _weighted_jordan_basis
+from .filtration import Filtration, NilpotentOp, monodromy_graded_dims
 from .ratlin import RatMatrix, Subspace, echelon_and_relations, rank, reduce_rows
 from .strata import SemistableDatum
 
@@ -484,23 +486,34 @@ def graded_monodromy_operator(e2: E2Page, w: int):
     return RatMatrix.assemble(total, total, placements)
 
 
-def compare_monodromy_vs_weight(e2: E2Page, w: int) -> bool:
-    """Whether M_i = W_{w+i} for all i, M the monodromy filtration of block N
-    centered at 0, W the weight filtration.  W_{w+i} is the coordinate prefix
-    of the rows j <= w + i; M_i is spanned by the vectors of weight <= i of
-    the Jordan basis M is read off, which are independent.  So M_i = W_{w+i}
-    iff they lie in the prefix and are as many as its length: the weights in
-    order are the levels j - w of the coordinates in order, and each vector's
-    last column has a level at most its weight.  Only N is read, validated by
-    ``NilpotentOp.build``.  The canonical steps of M stay covered by
-    nilpotent-stream, ``verify_monodromy_axioms`` and tests/test_filtration.py.
+def filtration_agreement(e2: E2Page, ws) -> dict:
+    """{w: M_i = W_{w+i} for all i} over ws, M the monodromy filtration of
+    block N on the slice at w centered at 0, W the weight filtration.
+
+      * Block N has degree -2 in the level j - w: the slice has a homogeneous Jordan
+        basis, each chain of length t with levels = weights + c.
+      * If the weight and level multisets agree, the longest chains (length T) have c = 0:
+        top <= T - 1, bottom >= 1 - T.  Induct on the rest: M_i = W_{w+i}.  Conversely
+        M = W[w] forces equal graded dims.
+      * N^s on the slices' block sum (one ``NilpotentOp.build``) is block diagonal, and
+        RREF pivots of a direct sum on disjoint column ranges are the union of each block's:
+        the rank of N^s on a slice is its count of P_s.  Only N is read, by ranks of N^s on
+        whole slices, not the rank route's N^r between cells.
     """
-    offsets, total = _antidiagonal(e2, w)
-    if total == 0:
-        return True
-    basis = _weighted_jordan_basis(NilpotentOp.build(graded_monodromy_operator(e2, w)), 0)
-    levels = [j - w for j in offsets for _ in range(e2.dims[(w - j, j)])]
-    return [i for i, _ in basis] == levels and all(levels[max(v)] <= i for i, v in basis)
+    slices = {w: _antidiagonal(e2, w) for w in ws}
+    starts = list(accumulate((total for _, total in slices.values()), initial=0))
+    op = NilpotentOp.build(RatMatrix.block_diag(graded_monodromy_operator(e2, w) for w in slices))
+    ranks = [Counter(bisect_right(starts, p) - 1 for p in pivots) for _, pivots in op.kernels]
+    agree = {}
+    for k, (w, (offsets, total)) in enumerate(slices.items()):
+        levels = {j - w: e2.dims[(w - j, j)] for j in offsets if e2.dims[(w - j, j)]}
+        agree[w] = monodromy_graded_dims([total - rk[k] for rk in ranks]) == levels
+    return agree
+
+
+def compare_monodromy_vs_weight(e2: E2Page, w: int) -> bool:
+    """``filtration_agreement`` at the one degree w."""
+    return filtration_agreement(e2, (w,))[w]
 
 
 # -- tensor products -----------------------------------------------------------

@@ -60,7 +60,7 @@ def stacked_jordan_basis(op, center):
 
 
 def filtration_route_by_steps(e2, w):
-    """specseq.compare_monodromy_vs_weight by its canonical steps, kept as its oracle.
+    """specseq.filtration_agreement at w by its canonical steps, kept as its oracle.
 
     The monodromy filtration of block N, centered at 0, as RREF snapshots,
     against the weight filtration's coordinate subspaces shifted by w.

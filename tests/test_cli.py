@@ -351,6 +351,34 @@ def test_check_wmc_of_a_power_eliminates_the_base_page_alone(tmp_path, monkeypat
     assert calls == {"echelon_and_relations": len(strata.to_weight_complex(gen_ngon(3)).dims)}
 
 
+@pytest.mark.parametrize("command", ["check-wmc", "report"])
+def test_filtration_route_builds_one_operator_and_no_jordan_basis(command, tmp_path,
+                                                                  monkeypatch, capsys):
+    # every w is decided on one kernel flag, of block N over all the slices
+    if command == "check-wmc":
+        path = tmp_path / "ngon.json"
+        save(gen_ngon(3), path)
+        argv = ["check-wmc", "--instance", str(path), "--tensor-power", "3"]
+    else:
+        argv = ["report", "--instance", str(data_dir() / "toy_gon3_x_p2.json")]
+    calls = Counter()
+    build, basis = filtration.NilpotentOp.build, filtration._weighted_jordan_basis
+
+    def counted_build(matrix):
+        calls["build"] += 1
+        return build(matrix)
+
+    def counted_basis(*args):
+        calls["_weighted_jordan_basis"] += 1
+        return basis(*args)
+
+    monkeypatch.setattr(filtration.NilpotentOp, "build", staticmethod(counted_build))
+    monkeypatch.setattr(filtration, "_weighted_jordan_basis", counted_basis)
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert calls == {"build": 1}
+
+
 def test_report_tensor_power_keeps_suite_on_base_page(capsys):
     instance = str(data_dir() / "toy_blowup_point.json")
 

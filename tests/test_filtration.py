@@ -20,6 +20,7 @@ from wsscheck.filtration import (
     _weighted_jordan_basis,
     compare_shifted,
     monodromy_filtration,
+    monodromy_graded_dims,
     verify_monodromy_axioms,
 )
 from wsscheck.ratlin import (
@@ -196,6 +197,30 @@ def test_graded_dims_match_jordan_oracle(sizes, center):
     for k in range(-e - 1, e + 2):
         assert f.graded_dim(center + k) == jordan_graded_dims(sizes, k)
     assert verify_monodromy_axioms(op, f).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+@example([], 1, False, False)         # the 0 x 0 operator
+@example([1, 1, 1], 2, False, False)  # N = 0
+@example([1, 1], 3, True, True)       # N = 0, conjugated
+def test_graded_dims_read_off_the_kernel_flag(sizes, seed, scale, conjugated):
+    # the dims of the flag alone against the canonical steps and the oracle
+    if conjugated:
+        op = _conjugate(sizes, random.Random(seed), scale)
+    else:
+        op = NilpotentOp.build(jordan_matrix(sizes))
+    dims = monodromy_graded_dims([ks.rows for ks, _ in op.kernels])
+    f = monodromy_filtration(op, 0)
+    e = op.nilpotency_index
+    assert all(dims.values()) and set(dims) <= set(range(1 - e, e))
+    for k in range(-e - 1, e + 2):
+        assert dims.get(k, 0) == f.graded_dim(k) == jordan_graded_dims(sizes, k)
 
 
 def _diag(values, n):

@@ -40,6 +40,7 @@ from wsscheck.specseq import (
     build_e2,
     check_wmc,
     compare_monodromy_vs_weight,
+    filtration_agreement,
     formal_page,
     render_e1_grid,
     render_e2_grid,
@@ -287,11 +288,46 @@ FILTRATION_E2 = {
 
 @pytest.mark.parametrize("build", FILTRATION_E2.values(), ids=FILTRATION_E2.keys())
 def test_filtration_route_matches_the_canonical_steps(build):
-    # M_i = W_{w+i} read off the Jordan basis against the RREF snapshots of
-    # M and the coordinate subspaces of W, at every w
+    # M_i = W_{w+i} read off graded dims against the RREF snapshots of M and
+    # the coordinate subspaces of W, at every w
     e2 = build()
-    for w in range(0, 2 * e2.n + 1):
-        assert compare_monodromy_vs_weight(e2, w) == filtration_route_by_steps(e2, w)
+    ws = range(0, 2 * e2.n + 1)
+    by_steps = {w: filtration_route_by_steps(e2, w) for w in ws}
+    assert filtration_agreement(e2, ws) == by_steps
+    for w in ws:
+        assert compare_monodromy_vs_weight(e2, w) == by_steps[w]
+
+
+ENTRIES = st.sampled_from((0, 1, -1, 2, Fraction(1, 2)))
+
+
+@st.composite
+def graded_formal_pages(draw):
+    """A page with no d1: cells of dims 0..3 and random N blocks, so most slices fail."""
+    n = draw(st.integers(1, 3))
+    dims = {(i, j): draw(st.integers(0, 3)) for i in range(-n, n + 1) for j in range(2 * n + 1)}
+    blocks = {}
+    for (i, j), d in dims.items():
+        if (i + 2, j - 2) in dims:
+            rows = dims[(i + 2, j - 2)]
+            entries = draw(st.lists(ENTRIES, min_size=rows * d, max_size=rows * d))
+            blocks[(i, j)] = RatMatrix.from_rows(
+                [entries[r * d:(r + 1) * d] for r in range(rows)], cols=d)
+    return WeightComplex(n=n, cells=dict.fromkeys(dims), dims=dims, d1={}, n_blocks=blocks,
+                         pairings=None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_formal_pages(), st.data())
+def test_filtration_agreement_matches_the_canonical_steps_on_random_pages(page, data):
+    # every w at once against the RREF snapshots of M, one slice at a time;
+    # a subset of the ws, in any order, reads the same verdicts
+    e2 = build_e2(page)
+    ws = list(range(0, 2 * e2.n + 1))
+    full = filtration_agreement(e2, ws)
+    assert full == {w: filtration_route_by_steps(e2, w) for w in ws}
+    some = data.draw(st.lists(st.sampled_from(ws), unique=True))
+    assert filtration_agreement(e2, some) == {w: full[w] for w in some}
 
 
 def test_flipped_ngon4_fails_both_routes_at_w_1():
