@@ -16,10 +16,11 @@ chains.  By uniqueness every Jordan basis gives the same M, and it is the
 kernel/image convolution of Deligne (Weil II, 1.6),
 M_{c+k} = sum over j >= 0 of N^j(Ker N^{k+2j+1}).
 
-NilpotentOp.build keeps the kernel flag K_s = Ker N^s, s = 0 .. e, from
-``ratlin.kernel_flag``, a chain of shrinking reductions that forms no power
-of N.  K_s is held as integer rows, one per column off the pivot columns P_s
-of the chain: the row at f is nonzero at f and at columns of P_s before f
+NilpotentOp.build keeps the reduced rows and pivot columns P_s of N^s,
+s = 0 .. e, from ``ratlin.kernel_flag``, a chain of shrinking reductions
+that forms no power of N.  The Jordan basis reads the kernel flag
+K_s = Ker N^s off them (``ratlin._null_rows``) as integer rows, one per
+column off P_s: the row at f is nonzero at f and at columns of P_s before f
 only.  The basis is built from the top down: at each height s = e .. 1 the
 vectors H_{s+1} of height s + 1 are multiplied by N, and the new chain tops
 are the rows of K_s outside K_{s-1} + N H_{s+1}, the rows of K_s that
@@ -73,6 +74,7 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     _clear,
+    _null_rows,
     cancel_at,
     greedy_extension,
     kernel_flag,
@@ -86,8 +88,8 @@ from .ratlin import (
 class NilpotentOp:
     """A validated nilpotent operator with its nilpotency index e (N^e = 0).
 
-    kernels holds, for s = 0 .. e, integer rows spanning Ker N^s with the
-    pivot columns of the rank chain that found e (``ratlin.kernel_flag``).
+    kernels holds, for s = 0 .. e, the reduced rows of N^s and their pivot
+    columns, from the rank chain that found e (``ratlin.kernel_flag``).
     """
 
     dim: int
@@ -245,8 +247,10 @@ def _weighted_jordan_basis(op: NilpotentOp, center: int) -> list:
     weighted = []
     height = ()    # the vectors of the current height, as rows
     lengths = []   # the length of the chain of each of them
+    below = _null_rows(kernels[e][0], n)  # K_e = Q^n
     for s in range(e, 0, -1):
-        (below, outer), (ks, pivots) = kernels[s - 1], kernels[s]
+        ks, below = below, _null_rows(kernels[s - 1][0], n)  # K_s and K_{s-1}
+        outer, pivots = kernels[s - 1][1], kernels[s][1]
         taken = set(pivots)
         fresh = [c for c in outer if c not in taken]  # J: the columns of P_{s-1} outside P_s
         # N H_{s+1} off P_s, cancelled at the columns off P_{s-1} against the

@@ -67,13 +67,24 @@ are the cell's quotient projection, and the induced N is read in them
 from rows cleared at the pivots of the block out of the cell.  These bases
 are not canonical.  ``coordinates`` reads coordinates off one rref of
 [basis | images]; with an invertible square basis it solves the square
-system, as ``lefschetz`` does for the adjoint g*.  A basis whose rows lead
-at distinct columns needs no elimination: the filtration check reads
-coordinates in its adapted basis off the c_p of ``_clear``.
+system.  A basis whose rows lead at distinct columns needs no elimination:
+the filtration check reads coordinates in its adapted basis off the c_p of
+``_clear``.
+
+A caller that reads only dimensions, containments and basis-free ranks
+holds a subspace as a forward echelon, {pivot: coprime integer row that
+leads there}, the form ``_clear`` takes, and never forms its RREF: the
+threefold suite does.  ``forward_span``, ``forward_image`` and
+``forward_kernel`` give one from rows, a column space and a null space;
+``forward_join`` grows one by rows cleared at its pivots,
+``forward_holds`` tests containment by the same clearing, and
+``forward_meet`` intersects two with one ``_forward`` (Zassenhaus).  The
+canonical ``intersect`` and ``contains`` share these eliminations.
 
 Some callers build many subspaces from one run of rows.  ``kernel_flag``
-gives the kernels of all the powers of a nilpotent matrix from a chain of
-shrinking reductions; ``greedy_extension`` clears each row at the pivots of
+gives reduced row echelons of all the powers of a nilpotent matrix from a
+chain of shrinking reductions, whose pivots give the ranks and whose null
+rows the kernels; ``greedy_extension`` clears each row at the pivots of
 the rows kept before it; ``prefix_row_spaces`` gives the canonical row
 space of every prefix of the rows from one incremental reduced echelon,
 each equal to what ``row_space`` gives.
@@ -616,6 +627,11 @@ class Subspace:
 
     echelon is dim x ambient_dim with pivots 1; basis is its transpose, the
     basis columns in reduced column echelon form, computed on each read.
+    The canonical form is made where bytes depend on the basis: the public
+    functions below, the steps of a filtration, and the witness of a failed
+    threefold check.  The threefold suite otherwise holds forward echelons
+    (``forward_span`` and the functions after it), whose bases are not
+    canonical.
     """
 
     ambient_dim: int
@@ -648,7 +664,8 @@ class Subspace:
         return cls(ambient_dim, RatMatrix(k, ambient_dim, tuple(map(_unit_row, range(k)))))
 
     def contains_vector(self, v) -> bool:
-        return _reduces_to_zero(self, RatMatrix.from_rows([v], cols=self.ambient_dim).data)
+        return forward_holds(_forward_echelon(self),
+                             RatMatrix.from_rows([v], cols=self.ambient_dim).data)
 
     def to_json_dict(self):
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json_dict()}
@@ -722,14 +739,9 @@ def primitive_rows(m: RatMatrix) -> RatMatrix:
     return RatMatrix(m.rows, m.cols, tuple(map(_primitive, m.data)))
 
 
-def _reduces_to_zero(u: Subspace, rows) -> bool:
-    """True iff each {column: value} row v lies in u: v - sum v[p_i] e_i = 0.
-
-    The e_i are u's echelon rows and p_i their pivots, and clearing v at
-    the p_i (``cancel_at``) leaves a multiple of that difference.
-    """
-    ech = {min(e): _primitive(e) for e in u.echelon.data}
-    return not any(cancel_at(_primitive(v), ech) for v in rows)
+def _forward_echelon(u: Subspace) -> dict:
+    """u's echelon rows as a forward echelon: {pivot: the row scaled to coprime integers}."""
+    return {min(e): _primitive(e) for e in u.echelon.data}
 
 
 def _same_ambient(u: Subspace, w: Subspace):
@@ -821,14 +833,17 @@ def reduce_rows(rows, echelon: list) -> list:
 
 
 def kernel_flag(m: RatMatrix) -> tuple:
-    """(null rows of m^s, pivots) for s = 0 .. e, with e the first power that is zero.
+    """(R_s, pivots) for s = 0 .. e, with e the first power that is zero.
 
-    R_1 is the reduced integer rows of m and R_{s+1} the reduced rows of
-    R_s m.  R_s spans the row space of m^s, so Ker m^s is the null space of
-    R_s, read off its reduction as ``null_rows_and_pivots`` reads it, and no
-    power of m is formed.  The ranks r_s fall until the first s with
-    r_{s+1} = r_s (Fitting), so r_{s+1} = r_s > 0 means that m is not
-    nilpotent, and the chain stops there.  A 0x0 matrix has e = 1.
+    R_s is a reduced echelon [(pivot, row)] of integer rows spanning the row
+    space of m^s, pivots its pivot columns: Ker m^s is the null space of
+    R_s, and ``_null_rows(R_s, n)`` reads integer rows of it off R_s as
+    ``null_rows_and_pivots`` reads them, for the callers that need them.
+    R_0 is the unit rows, R_1 the reduced integer rows of m and R_{s+1} the
+    reduced rows of R_s m, so no power of m is formed.  The ranks r_s fall
+    until the first s with r_{s+1} = r_s (Fitting), so r_{s+1} = r_s > 0
+    means that m is not nilpotent, and the chain stops there.  A 0x0 matrix
+    has e = 1.
 
     R_s m lies in the row space of m^{s+1}, inside that of R_s, where a
     row x is fixed by its entries at the r_s pivots of R_s: x is the sum of
@@ -844,14 +859,14 @@ def kernel_flag(m: RatMatrix) -> tuple:
     n = m.rows
     if m.cols != n:
         raise DimensionMismatch("kernel_flag needs a square matrix")
-    flag = [(RatMatrix.zeros(0, n), tuple(range(n)))]  # m^0 = 1
+    flag = [([(c, _unit_row(c)) for c in range(n)], tuple(range(n)))]  # m^0 = 1
     red = _reduce(m.data)
     rows = m.data  # m's rows at the pivot columns of R_s
     while True:
         if red and len(red) == len(flag[-1][1]):
             raise InvalidOperator("matrix is not nilpotent")
         pivots = tuple(c for c, _ in red)
-        flag.append((_null_rows(red, n), pivots))
+        flag.append((red, pivots))
         if not red:
             return tuple(flag)
         gone = set(flag[-2][1]).difference(pivots)
@@ -891,12 +906,10 @@ def image(m: RatMatrix) -> Subspace:
 
 
 def intersect(u: Subspace, w: Subspace) -> Subspace:
-    """Each null vector z of [u | w] gives the vector u z[:dim u] of both spaces."""
+    """The RREF of the rows ``forward_meet`` gives for the echelons of u and w."""
     _same_ambient(u, w)
-    if u.dim == 0 or w.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    z = null_rows_and_pivots(u.echelon.vstack(w.echelon).transpose())[0]
-    return row_space(z.submatrix(range(z.rows), range(u.dim)) @ u.echelon)
+    rows = tuple(forward_meet(_forward_echelon(u), _forward_echelon(w)).values())
+    return row_space(RatMatrix(len(rows), u.ambient_dim, rows))
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
@@ -912,7 +925,80 @@ def contains(u: Subspace, w: Subspace) -> bool:
         return w.dim == u.dim and w.echelon == u.echelon
     if w.dim == 0 or u.dim == u.ambient_dim:
         return True
-    return _reduces_to_zero(u, w.echelon.data)
+    return forward_holds(_forward_echelon(u), w.echelon.data)
+
+
+# -- forward echelons -----------------------------------------------------------
+
+
+def forward_span(rows) -> dict:
+    """A forward echelon of the span of {column: value} rows, from one ``_forward``."""
+    return dict(_forward(rows))
+
+
+def forward_image(m: RatMatrix) -> dict:
+    """A forward echelon of the column space of m."""
+    return forward_span(m.transpose().data)
+
+
+def forward_kernel(m: RatMatrix) -> dict:
+    """A forward echelon of {v : m v = 0}, from one reduction of m's columns in reverse.
+
+    With the columns reversed, c -> n - 1 - c, each null row of
+    ``null_rows_and_pivots`` is nonzero at its own free column and at pivots
+    before it; back in m's order the pivots come after it, so the row leads
+    at its free column, with a positive entry there.
+    """
+    n = m.cols
+    flipped = RatMatrix(m.rows, n, tuple({n - 1 - j: v for j, v in row.items()}
+                                         for row in m.data))
+    out = {}
+    for row in null_rows_and_pivots(flipped)[0].data:
+        out[n - 1 - max(row)] = _primitive({n - 1 - j: v for j, v in row.items()})
+    return out
+
+
+def forward_holds(u: dict, rows) -> bool:
+    """True iff every {column: value} row lies in the span of the forward echelon u.
+
+    A row lies there iff clearing it at u's pivots (``_clear``) leaves zero.
+    """
+    return not any(_clear(_primitive(v), u)[1] for v in rows)
+
+
+def forward_join(u: dict, rows) -> dict:
+    """A forward echelon of the span of u's rows and the given rows: u grown by one row at a time.
+
+    Each row is cleared at the pivots held so far (``cancel_at``); what is
+    left, unless it vanished, is zero at all of them and joins at the column
+    it leads at.
+    """
+    out = dict(u)
+    for row in rows:
+        if row:
+            row = cancel_at(_primitive(row), out)
+            if row:
+                out[min(row)] = row
+    return out
+
+
+def forward_meet(u: dict, w: dict) -> dict:
+    """A forward echelon of the intersection of the spans of the forward echelons u and w.
+
+    One ``_forward`` of the rows [x | x] for x in u and [y | 0] for y in w,
+    the copy at columns from t on, t past every column of u and w (Zassenhaus).
+    A vector of their span is [a + b | a] with a in u and b in w, and its
+    left part vanishes iff a = -b lies in both.  A combination of echelon
+    rows leads at the least pivot it uses, so the rows that lead from t on
+    span the vectors [0 | a], and their right parts, each leading at its own
+    column, are a forward echelon of u cap w.
+    """
+    if not u or not w:
+        return {}
+    t = 1 + max(max(row) for row in chain(u.values(), w.values()))
+    tagged = [{**row, **{t + j: v for j, v in row.items()}} for row in u.values()]
+    return {c - t: {j - t: v for j, v in row.items()}
+            for c, row in _forward(chain(tagged, w.values())) if c >= t}
 
 
 def _plus(row: dict, x, other: dict) -> dict:

@@ -43,7 +43,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 
 from .errors import (
     ConventionViolation,
@@ -476,14 +476,16 @@ def weight_filtration_graded(e2: E2Page, w: int) -> Filtration:
     return Filtration.from_nested_steps(total, w, steps)
 
 
+def _slice_blocks(e2: E2Page, w: int, offsets: dict, at: int = 0) -> list:
+    """The N blocks of the slice at w as placements, its cell at j from at + offsets[j]."""
+    return [(at + offsets[j - 2], at + co, e2.n_map_block(w - j, j))
+            for j, co in offsets.items() if j - 2 in offsets]
+
+
 def graded_monodromy_operator(e2: E2Page, w: int):
     """Block N on the sum of E2^{i,j} with i+j = w, ordered by increasing j."""
     offsets, total = _antidiagonal(e2, w)
-    placements = []
-    for j, co in offsets.items():
-        if j - 2 in offsets:
-            placements.append((offsets[j - 2], co, e2.n_map_block(w - j, j)))
-    return RatMatrix.assemble(total, total, placements)
+    return RatMatrix.assemble(total, total, _slice_blocks(e2, w, offsets))
 
 
 def filtration_agreement(e2: E2Page, ws) -> dict:
@@ -499,16 +501,20 @@ def filtration_agreement(e2: E2Page, ws) -> dict:
         RREF pivots of a direct sum on disjoint column ranges are the union of each block's:
         the rank of N^s on a slice is its count of P_s.  Only N is read, by ranks of N^s on
         whole slices, not the rank route's N^r between cells.
+
+    Each antidiagonal is walked once, and its N blocks go straight to their
+    place in the block sum, one ``RatMatrix.assemble``.
     """
-    slices = {w: _antidiagonal(e2, w) for w in ws}
-    starts = list(accumulate((total for _, total in slices.values()), initial=0))
-    op = NilpotentOp.build(RatMatrix.block_diag(graded_monodromy_operator(e2, w) for w in slices))
+    starts, levels, placements = [0], {}, []
+    for w in dict.fromkeys(ws):
+        offsets, total = _antidiagonal(e2, w)
+        placements += _slice_blocks(e2, w, offsets, starts[-1])
+        levels[w] = {j - w: e2.dims[(w - j, j)] for j in offsets if e2.dims[(w - j, j)]}
+        starts.append(starts[-1] + total)
+    op = NilpotentOp.build(RatMatrix.assemble(starts[-1], starts[-1], placements))
     ranks = [Counter(bisect_right(starts, p) - 1 for p in pivots) for _, pivots in op.kernels]
-    agree = {}
-    for k, (w, (offsets, total)) in enumerate(slices.items()):
-        levels = {j - w: e2.dims[(w - j, j)] for j in offsets if e2.dims[(w - j, j)]}
-        agree[w] = monodromy_graded_dims([total - rk[k] for rk in ranks]) == levels
-    return agree
+    return {w: monodromy_graded_dims([starts[k + 1] - starts[k] - rk[k] for rk in ranks]) == want
+            for k, (w, want) in enumerate(levels.items())}
 
 
 def compare_monodromy_vs_weight(e2: E2Page, w: int) -> bool:

@@ -8,7 +8,7 @@ import pytest
 
 from wsscheck.filtration import Filtration, NilpotentOp, compare_shifted, monodromy_filtration
 from wsscheck.lefschetz import DualTriple
-from wsscheck.ratlin import RatMatrix, coordinates, greedy_extension, primitive_rows
+from wsscheck.ratlin import RatMatrix, _null_rows, coordinates, greedy_extension, primitive_rows
 from wsscheck.specseq import graded_monodromy_operator, weight_filtration_graded
 from wsscheck.strata import TransferMaps
 
@@ -45,7 +45,8 @@ def stacked_jordan_basis(op, center):
     height = ()
     lengths = []
     for s in range(e, 0, -1):
-        (below, _), (ks, pivots) = kernels[s - 1], kernels[s]
+        below, ks = (_null_rows(kernels[t][0], n) for t in (s - 1, s))
+        pivots = kernels[s][1]
         offset = below.rows + len(height)
         gens = RatMatrix(offset + ks.rows, n, below.data + height + ks.data)
         free = sorted(set(range(n)).difference(pivots))

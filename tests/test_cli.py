@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wsscheck import cli, filtration, specseq, strata
+from wsscheck import cli, filtration, lefschetz, ratlin, specseq, strata
 from wsscheck.errors import ParameterError
 from wsscheck.instances import (
     build_toy, data_dir, gen_chain, gen_ngon, gen_smooth, mutate, toy_names,
@@ -184,6 +184,19 @@ def test_report_runs_each_stage_once(name, capsys, monkeypatch):
     assert run_cli(["report", "--instance", str(data_dir() / f"{name}.json")]) == 0
     capsys.readouterr()
     assert calls == {stage: 1 for _, stage in stages}
+
+
+def test_report_makes_no_rref_call(capsys, monkeypatch):
+    # the threefold suite holds forward echelons and forms a canonical RREF
+    # only for the witness of a failed check, and the pages take none
+    calls = []
+    for module in (ratlin, lefschetz, specseq, filtration):
+        if hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref",
+                                lambda m, _run=module.rref: calls.append(m.shape) or _run(m))
+    assert run_cli(["report", "--instance", str(data_dir() / "toy_gon3_x_p2.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["threefold"]["ok"]
+    assert calls == []
 
 
 def test_pages_text_grid(tmp_path, capsys):

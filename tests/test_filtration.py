@@ -82,7 +82,7 @@ def test_rank_stall_is_not_nilpotent():
 def test_kernel_flag_of_the_extremes():
     op = NilpotentOp.build(jordan_matrix([30]))
     assert op.nilpotency_index == 30
-    assert [rows.rows for rows, _ in op.kernels] == list(range(31))
+    assert [30 - len(pivots) for _, pivots in op.kernels] == list(range(31))
     empty = NilpotentOp.build(RatMatrix.zeros(0, 0))
     assert empty.nilpotency_index == 1 and len(empty.kernels) == 2
 
@@ -215,7 +215,7 @@ def test_graded_dims_read_off_the_kernel_flag(sizes, seed, scale, conjugated):
         op = _conjugate(sizes, random.Random(seed), scale)
     else:
         op = NilpotentOp.build(jordan_matrix(sizes))
-    dims = monodromy_graded_dims([ks.rows for ks, _ in op.kernels])
+    dims = monodromy_graded_dims([op.dim - len(pivots) for _, pivots in op.kernels])
     f = monodromy_filtration(op, 0)
     e = op.nilpotency_index
     assert all(dims.values()) and set(dims) <= set(range(1 - e, e))

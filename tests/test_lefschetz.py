@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import random_dual_triple
-from wsscheck import cli
+from wsscheck import cli, mutate
 from wsscheck.errors import InvalidComplex, InvalidForm, PreconditionError
 from wsscheck.instances import (
     blowup_point_datum,
@@ -28,7 +29,15 @@ from wsscheck.lefschetz import (
     primitive_decompose,
     run_threefold_suite,
 )
-from wsscheck.ratlin import RatMatrix, contains, image, intersect, kernel, subspace_sum
+from wsscheck.ratlin import (
+    RatMatrix,
+    contains,
+    image,
+    intersect,
+    kernel,
+    row_space,
+    subspace_sum,
+)
 from wsscheck.specseq import build_e2, check_wmc
 from wsscheck.strata import (
     SemistableDatum,
@@ -102,16 +111,37 @@ def test_lemma_random_suite_small():
 # -- primitive decompositions -----------------------------------------------------
 
 
+def _space(echelon, n):
+    """The canonical subspace of Q^n spanned by a forward echelon's rows."""
+    return row_space(RatMatrix(len(echelon), n, tuple(echelon.values())))
+
+
+def _prim_spaces(datum, prim):
+    """(prim2_3fold, prim2_surf) of a PrimitiveDecomposition as canonical subspaces."""
+    return _space(prim.prim2_3fold, datum.h(1, 2)), _space(prim.prim2_surf, datum.h(2, 2))
+
+
+def _dec_spaces(datum, dec):
+    """The four subspace tables of an ImDecomposition as canonical subspaces."""
+    return (
+        {i: _space(dec.im_res[i], datum.h(2, i)) for i in (0, 2, 4)},
+        {i: _space(dec.im_gys[i], datum.h(1, i + 2)) for i in (0, 2, 4)},
+        {i: _space(dec.im0_res[i], datum.h(2, i)) for i in (0, 2, 4)},
+        {i: _space(dec.im0_gys[i], datum.h(1, i + 2)) for i in (0, 2, 4)},
+    )
+
+
 def test_primitive_trivial_profile():
     datum = gen_smooth(3, (1, 0, 1, 0, 1, 0, 1))
     prim = primitive_decompose(datum)
-    assert prim.prim2_3fold.dim == 0
+    assert _prim_spaces(datum, prim)[0].dim == 0
     assert image(datum.lefschetz_map(1, 0)).dim == 1
 
 
 def test_primitive_rank_one_kernel():
-    prim = primitive_decompose(gen_smooth(3, (1, 0, 2, 0, 2, 0, 1)))
-    assert prim.prim2_3fold.dim == 1
+    datum = gen_smooth(3, (1, 0, 2, 0, 2, 0, 1))
+    prim = primitive_decompose(datum)
+    assert _prim_spaces(datum, prim)[0].dim == 1
 
 
 def test_primitive_needs_threefold():
@@ -123,7 +153,7 @@ def test_surface_split_dimension_count():
     datum = times_projective_plane(gen_ngon(3))
     prim = primitive_decompose(datum)
     h2_surf = datum.h(2, 2)
-    assert image(datum.lefschetz_map(2, 0)).dim + prim.prim2_surf.dim == h2_surf
+    assert image(datum.lefschetz_map(2, 0)).dim + _prim_spaces(datum, prim)[1].dim == h2_surf
 
 
 # -- image decompositions ----------------------------------------------------------
@@ -132,16 +162,17 @@ def test_surface_split_dimension_count():
 def test_blowup_image_split_dims():
     datum = blowup_point_datum()
     dec = im_decompose(datum, primitive_decompose(datum))
-    assert {i: dec.im0_res[i].dim for i in (0, 2, 4)} == {0: 1, 2: 1, 4: 1}
-    assert {i: dec.im0_gys[i].dim for i in (0, 2, 4)} == {0: 0, 2: 0, 4: 0}
+    _, _, im0_res, im0_gys = _dec_spaces(datum, dec)
+    assert {i: im0_res[i].dim for i in (0, 2, 4)} == {0: 1, 2: 1, 4: 1}
+    assert {i: im0_gys[i].dim for i in (0, 2, 4)} == {0: 0, 2: 0, 4: 0}
     assert {i: dec.im1_gys_dim(i) for i in (0, 2, 4)} == {0: 1, 2: 1, 4: 1}
-    assert dec.im0_gys[4].dim == 0  # defined to vanish
+    assert im0_gys[4].dim == 0  # defined to vanish
 
 
 def test_product_image_split_dims():
     datum = times_projective_plane(gen_ngon(3))
     dec = im_decompose(datum, primitive_decompose(datum))
-    assert {i: dec.im0_res[i].dim for i in (0, 2, 4)} == {0: 2, 2: 2, 4: 2}
+    assert {i: _dec_spaces(datum, dec)[2][i].dim for i in (0, 2, 4)} == {0: 2, 2: 2, 4: 2}
     assert {i: dec.im1_gys_dim(i) for i in (0, 2, 4)} == {0: 2, 2: 2, 4: 2}
     assert check_image_dims(dec).ok
     assert check_lefschetz_isos(datum, primitive_decompose(datum), dec).ok
@@ -327,21 +358,23 @@ def test_axioms_give_the_facts_the_suite_reads(name):
     assert validate(datum).ok
     prim = primitive_decompose(datum)
     dec = im_decompose(datum, prim)
+    prim2_3fold, prim2_surf = _prim_spaces(datum, prim)
+    im_res, im_gys, im0_res, im0_gys = _dec_spaces(datum, dec)
     lef = datum.lefschetz_map
     # hard Lefschetz: H^2(A), H^4(A) and H^2(B) split along powers of L
-    assert _is_direct_sum(datum.h(1, 2), prim.prim2_3fold, image(lef(1, 0)))
+    assert _is_direct_sum(datum.h(1, 2), prim2_3fold, image(lef(1, 0)))
     assert _is_direct_sum(
-        datum.h(1, 4), image(lef(1, 2) @ prim.prim2_3fold.basis), image(lef(1, 2) @ lef(1, 0))
+        datum.h(1, 4), image(lef(1, 2) @ prim2_3fold.basis), image(lef(1, 2) @ lef(1, 0))
     )
-    assert _is_direct_sum(datum.h(2, 2), prim.prim2_surf, image(lef(2, 0)))
+    assert _is_direct_sum(datum.h(2, 2), prim2_surf, image(lef(2, 0)))
     # L commutes with the transfer maps: each im0 lies in its transfer image,
     # and L, L^2 map the transfer images into one another
     for i in (0, 2, 4):
-        assert contains(dec.im_res[i], dec.im0_res[i])
-        assert contains(dec.im_gys[i], dec.im0_gys[i])
-    assert contains(dec.im0_res[4], image(lef(2, 2) @ dec.im0_res[2].basis))
-    assert contains(dec.im_res[4], image(lef(2, 2) @ dec.im_res[2].basis))
-    assert contains(dec.im_gys[4], image(prim.l2_3fold @ dec.im_gys[0].basis))
+        assert contains(im_res[i], im0_res[i])
+        assert contains(im_gys[i], im0_gys[i])
+    assert contains(im0_res[4], image(lef(2, 2) @ im0_res[2].basis))
+    assert contains(im_res[4], image(lef(2, 2) @ im_res[2].basis))
+    assert contains(im_gys[4], image(prim.l2_3fold @ im_gys[0].basis))
     # axioms 3 and 2: Im(res_2 gys_0) lies in Ker gys_2 cap Im res_2
     res2 = datum.restriction_map(1, 2)
     assert contains(
@@ -375,3 +408,67 @@ def test_fail_fast_stops_at_the_first_failed_check(tmp_path, capsys):
         assert cli.main(["check-threefold", "--instance", str(path), "--strict", strict]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [c["check"] for c in doc["checks"]] == names
+
+
+# -- the bytes of the canonical subspaces ----------------------------------------------
+# SHA-256 of each to_json_dict, dumped with sorted keys, as the suite wrote it when
+# it held every subspace in canonical RREF: the echelons it holds now must not show
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _suite_doc(datum):
+    e2 = build_e2(to_weight_complex(datum))
+    return run_threefold_suite(datum, e2, check_wmc(e2)).to_json_dict()
+
+
+SUITE_DIGESTS = {
+    "blowup_point": "289e15e6c1b150f0771e9717ef839b3544da0c6188a4b917909108aff3259f7e",
+    "chain2_x_p2": "e53166dd1e67ddf9b7c874ea14755e9b2b95440e843a8ace5547e01a434ed7c4",
+    "chain3_x_p2": "27bd7df0c8170377446d2a6cc9c1799e399bf668e5ef2c2d81c7af4e964f36b5",
+    "chain4_x_p2": "d2c4a23b371cde5254043d3e0641863016185981944641ad1b6ba7b2a63b9067",
+    "definite_surface": "d66a3283bd925ae3e956057f83a2eabcf637586d04ffad2775e0ccbff69c0a49",
+    "hyperbolic_surface": "af06344ea4af4b8d703be8a4dd21603fa38d06ebf32d2504180b884e922f6133",
+    "ngon3_x_p2": "9b09f912711f8aa24b9c5a4aeb62f5d7a2a471e26e76f7e3f777605c20189474",
+    "ngon4_x_p2": "5ff68dda3bc591dfada2369c98febc21118a27fefacf21da8ce0f5a47278ea8f",
+    "ngon5_x_p2": "3a00a51d09a2cdd6e1d1d01622247964af5329b924fa4c69fd7689286a68a639",
+    "ngon6_x_p2": "59fcc574a3fdf6aa360c4992bb43ae0ad2b235af3266618a73265d6cef51335e",
+    "positive_primitive": "89580db2703775ea02e32003709bc54a9f7fd302ae1f27a585657be9db8d2f5a",
+    "smooth(1, 0, 1, 0, 1, 0, 1)": "fc0853746a779bd8ea373aa07570ccaa1c4508642193bc261a7823dd91eae0d3",
+    "smooth(1, 0, 2, 0, 2, 0, 1)": "0c0db06a67df10e3408265e6a9c067d41d578c8da34f14746e3ecee7f25fd5d1",
+    "smooth(1, 0, 2, 2, 2, 0, 1)": "9c525516ec82784bc7836418bd335327337b650e59d7f36b2960c1171bb04675",
+    "smooth(1, 0, 3, 0, 3, 0, 1)": "706b3b6a2af2be2def846228a9d641673bdd818c3bfbc09d022523249451faf3",
+    "smooth(1, 2, 1, 2, 1, 2, 1)": "2ec398547bb21f9bd53ff95ad011f21a44bc7154d91b27a5d091d49137bbab3d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DATA))
+def test_suite_bytes_are_those_of_the_canonical_subspaces(name):
+    assert _digest(_suite_doc(SUITE_DATA[name]())) == SUITE_DIGESTS[name]
+
+
+def test_suite_bytes_on_the_ngon_products_up_to_40():
+    docs = [_digest(_suite_doc(times_projective_plane(gen_ngon(n)))) for n in range(3, 41)]
+    assert _digest(docs) == "dd6ef92871293bbef50255296bfcd0dd8d4eb0673a047332c55b18e552ffdc34"
+
+
+def test_lemma_witnesses_are_the_canonical_ones():
+    # about half of these triples fail the criterion and print a witness
+    rng = random.Random(7)
+    docs = [dual_cohomology_iso(random_dual_triple(rng)).to_json_dict() for _ in range(200)]
+    assert sum(d["witness"] is not None for d in docs) == 94
+    assert _digest(docs) == "afff4927edf3b42b6cac538b773f01e83f16b24353671d4566d00f3eddcaf892"
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (3, 5, "64b44d7fa473af439565afc4bae6d42ed41968006da86441a48e99304ff3f581"),
+    (4, 2, "657d1422f043014d8216d3d0f64802a262f8bb2fd3817214cf4c7754d2085bc1"),
+])
+def test_kernel_image_witness_is_the_canonical_one(n, seed, digest):
+    # a broken anticommute identity, run past validate, breaks the kernel/image identity
+    res = check_kernel_image_identity(
+        mutate(times_projective_plane(gen_ngon(n)), "anticommute", seed=seed))
+    assert not res.ok and res.details["witness"] is not None
+    assert _digest(res.to_json_dict()) == digest

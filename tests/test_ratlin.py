@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,11 +22,18 @@ from wsscheck.ratlin import (
     RatMatrix,
     Subspace,
     _clear,
+    _null_rows,
     _reduce,
     as_rat,
     contains,
     coordinates,
     echelon_and_relations,
+    forward_holds,
+    forward_image,
+    forward_join,
+    forward_kernel,
+    forward_meet,
+    forward_span,
     greedy_extension,
     image,
     intersect,
@@ -337,8 +344,9 @@ def test_kernel_flag_matches_kernels_of_powers(args):
         return
     flag = kernel_flag(m)
     power = RatMatrix.identity(n)
-    for s, (rows, pivots) in enumerate(flag):
+    for s, (red, pivots) in enumerate(flag):
         # the rows one reduction of m^s gives, whatever the chain that reached them
+        rows = _null_rows(red, n)
         assert (rows, pivots) == null_rows_and_pivots(power)
         assert row_space(rows) == kernel(power)
         assert rows.rows == n - mini_rank([power.row_list(i) for i in range(n)])
@@ -385,6 +393,64 @@ def test_products_and_transpose_match_plain_sums(args):
     assert a.transpose() == M([[row[j] for row in a_rows] for j in range(m)], cols=len(a_rows))
     kron = [[x * y for x in ra for y in rb] for ra in a_rows for rb in b_rows]
     assert a.kron(b) == M(kron, cols=m * p)
+
+
+@st.composite
+def _two_row_sets(draw):
+    """(a, b, ncols): rows of one entry kind, Fractions among them, some of b in the span of a."""
+    nc = draw(st.integers(0, 5))
+    fresh = st.lists(_ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))], min_size=nc, max_size=nc)
+    a = draw(st.lists(fresh, max_size=4))
+    b = []
+    for _ in range(draw(st.integers(0, 4))):
+        if a and draw(st.booleans()):
+            cs = draw(st.lists(st.integers(-2, 2), min_size=len(a), max_size=len(a)))
+            b.append([sum(c * r[i] for c, r in zip(cs, a)) for i in range(nc)])
+        else:
+            b.append(draw(fresh))
+    return a, b, nc
+
+
+def _forward_space(ech, n):
+    """The canonical span of a forward echelon, after checking its form: each row a
+    coprime integer row leading at its key."""
+    for p, row in ech.items():
+        assert min(row) == p and all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+    return row_space(RatMatrix(len(ech), n, tuple(ech.values())))
+
+
+@settings(max_examples=200)
+@given(_two_row_sets())
+@example(([], [], 3))
+@example(([[0, 0]], [[0, 0]], 2))
+@example(([[1, 2, 0]], [[2, 4, 0], [0, 0, 1]], 3))
+@example(([[Fraction(1, 2), 1, 0], [0, 1, 1]], [[1, 0, -2], [Fraction(1, 3), 1, 1]], 3))
+def test_forward_echelons_span_what_the_canonical_functions_give(args):
+    a_rows, b_rows, nc = args
+    a, b = M(a_rows, cols=nc), M(b_rows, cols=nc)
+    u, w = row_space(a), row_space(b)
+    fu, fw = forward_span(a.data), forward_span(b.data)
+    for ech, want in (
+        (fu, u),
+        (forward_image(a), image(a)),
+        (forward_kernel(a), kernel(a)),
+        (forward_kernel(a.transpose()), kernel(a.transpose())),
+        (forward_meet(fu, fw), intersect(u, w)),
+        (forward_meet(forward_kernel(b), fu), intersect(kernel(b), u)),
+        (forward_join(fu, b.data), subspace_sum(u, w)),
+        (forward_join({}, a.data), u),
+    ):
+        assert _forward_space(ech, want.ambient_dim) == want
+    # the meet against the modular law, apart from intersect, which shares it
+    meet = _forward_space(forward_meet(fu, fw), nc)
+    assert contains(u, meet) and contains(w, meet)
+    assert meet.dim == mini_rank(a_rows) + mini_rank(b_rows) - mini_rank(a_rows + b_rows)
+    assert forward_holds(fu, b.data) == contains(u, w)
+    assert forward_holds(fu, b.data) == (mini_rank(a_rows + b_rows) == mini_rank(a_rows))
+    assert forward_holds(fw, a.data) == contains(w, u)
+    for v, row in zip(b_rows, b.data):
+        assert forward_holds(fu, [row]) == u.contains_vector(v)
 
 
 # -- intersections and sums -----------------------------------------------------
