@@ -88,8 +88,8 @@ from .ratlin import (
 class NilpotentOp:
     """A validated nilpotent operator with its nilpotency index e (N^e = 0).
 
-    kernels holds, for s = 0 .. e, the reduced rows of N^s and their pivot
-    columns, from the rank chain that found e (``ratlin.kernel_flag``).
+    kernels holds, for s = 0 .. e, the reduced rows of N^s, {pivot: row},
+    from the rank chain that found e (``ratlin.kernel_flag``).
     """
 
     dim: int
@@ -247,11 +247,11 @@ def _weighted_jordan_basis(op: NilpotentOp, center: int) -> list:
     weighted = []
     height = ()    # the vectors of the current height, as rows
     lengths = []   # the length of the chain of each of them
-    below = _null_rows(kernels[e][0], n)  # K_e = Q^n
+    below = _null_rows(kernels[e], n)  # K_e = Q^n
     for s in range(e, 0, -1):
-        ks, below = below, _null_rows(kernels[s - 1][0], n)  # K_s and K_{s-1}
-        outer, pivots = kernels[s - 1][1], kernels[s][1]
-        taken = set(pivots)
+        ks, below = below, _null_rows(kernels[s - 1], n)  # K_s and K_{s-1}
+        taken = kernels[s]
+        outer, pivots = list(kernels[s - 1]), list(taken)
         fresh = [c for c in outer if c not in taken]  # J: the columns of P_{s-1} outside P_s
         # N H_{s+1} off P_s, cancelled at the columns off P_{s-1} against the
         # rows of K_{s-1} there, at their own column and J: rows on J

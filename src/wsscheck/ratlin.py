@@ -23,35 +23,42 @@ it, so matrices share rows freely, also between threads.
 
 Elimination is sparse and works on rows.  The eliminator takes the stored
 rows, scaled to coprime integers; a matrix's columns are the rows of its
-transpose, built in one pass over the nonzeros, which ``image`` and
-``intersect`` eliminate.  The forward pass takes the columns in order and,
-among the rows whose leading entry sits in that column, picks the shortest
-as pivot (Markowitz's rule, Management Science 3, 1957, restricted
-to row counts), which keeps the fill-in low on the sparse d1 blocks.  It
-cancels by integer cross-multiplication and removes each new row's gcd
-content.  ``rank`` and containment stop at this row echelon form; ``rref``
-and the kernel rows back-substitute above the pivots, and only ``rref``
-divides by them into ``Fraction``s, at the very end.
+transpose, built in one pass over the nonzeros, which ``image``
+eliminates.  The forward pass, ``_forward``, takes the columns in order
+and, among the rows whose leading entry sits in that column, picks the
+shortest as pivot (Markowitz's rule, Management Science 3, 1957,
+restricted to row counts), which keeps the fill-in low on the sparse d1
+blocks.  It cancels by integer cross-multiplication and removes each new
+row's gcd content.  ``rank`` stops at this row echelon form; ``rref`` and
+the kernel rows back-substitute above the pivots (``_reduce``), and only
+``rref`` divides by them into ``Fraction``s, at the very end.
 
-Canonical forms: a matrix has a unique reduced row echelon form, whatever
-the pivot order of the elimination, and a subspace is stored as one matrix,
-``echelon``: the nonzero rows of the RREF of its generators, pivots 1.
-Subspace operations eliminate stacked rows and keep the ``rref`` output as it
-is.  ``Subspace.basis``, the same vectors as columns (a basis in reduced
-column echelon form), is derived from ``echelon`` on each read.  Subspace
-equality is therefore literal matrix equality, and re-running any
-computation yields bit-identical results.  Pivots 1, alone in their
-columns, make containment a reduction: v lies in the span of the rows e_i
-with pivots p_i iff v - sum v[p_i] e_i = 0.
-
-Outside the forward pass, ``_forward``, a row is reduced against pivot
-rows by one step, ``_clear``: an integer row is cleared at the pivots of
-rows that each lead there, forward or reduced, in ascending order.  It
-leaves r, zero at every pivot, and a positive int m with row = sum of
+Every echelon has one form, {pivot: row}: integer rows, each leading at
+its pivot, the column of its first nonzero entry.  ``_forward``,
+``_reduce``, ``echelon_and_relations`` and ``kernel_flag`` give it keyed in
+ascending pivot order; reduced, each row is also zero at the other pivots.
+Outside the forward pass a row is reduced against such rows by one step,
+``_clear``: an integer row is cleared at the pivots in ascending order.
+It leaves r, zero at every pivot, and a positive int m with row = sum of
 c_p e_p + r / m, and can list the c_p.  Back-substitution clears each row
-against the reduced rows below it, containment clears v against the
-stored echelon, and ``cancel_at`` is the step with r scaled to coprime
-integers.
+against the reduced rows below it, and ``cancel_at`` is the step with r
+scaled to coprime integers.
+
+A ``Subspace`` is a view of that form: ``rows``, {pivot: coprime integer
+row leading there}.  Its dimension is the row count, and equality and
+containment clear rows at its pivots, so none of them forms a canonical
+form.  Its canonical form is ``echelon``, the nonzero rows of the RREF of
+its rows, pivots 1, which is unique whatever the rows, so bytes written
+from it do not depend on the elimination.  It is formed through ``rref``
+on first read and kept; ``basis``, the same vectors as columns (a basis in
+reduced column echelon form), is derived from it on each read.  A
+subspace whose RREF is known when it is built (``Subspace.coordinate``,
+the steps of ``prefix_row_spaces``) holds only that and derives its rows
+when asked.  ``row_space``, ``image`` and ``kernel`` build one from one
+elimination, ``kernel`` reducing m's columns in reverse so that each null
+row leads at its own free column; ``subspace_sum`` clears the rows of one
+at the pivots of the other, and ``intersect`` is one ``_forward``
+(Zassenhaus).
 
 Kernels and quotients come from one elimination.
 ``null_rows_and_pivots(m)`` reduces m's rows once and returns integer
@@ -65,29 +72,15 @@ whose part in m's columns vanished are the relations among the live rows.
 eliminates each d1 block this way: the relations of the block into a cell
 are the cell's quotient projection, and the induced N is read in them
 from rows cleared at the pivots of the block out of the cell.  These bases
-are not canonical.  ``coordinates`` reads coordinates off one rref of
-[basis | images]; with an invertible square basis it solves the square
-system.  A basis whose rows lead at distinct columns needs no elimination:
-the filtration check reads coordinates in its adapted basis off the c_p of
-``_clear``.
-
-A caller that reads only dimensions, containments and basis-free ranks
-holds a subspace as a forward echelon, {pivot: coprime integer row that
-leads there}, the form ``_clear`` takes, and never forms its RREF: the
-threefold suite does.  ``forward_span``, ``forward_image`` and
-``forward_kernel`` give one from rows, a column space and a null space;
-``forward_join`` grows one by rows cleared at its pivots,
-``forward_holds`` tests containment by the same clearing, and
-``forward_meet`` intersects two with one ``_forward`` (Zassenhaus).  The
-canonical ``intersect`` and ``contains`` share these eliminations.
+are not canonical.  A basis whose rows lead at distinct columns needs no
+elimination: the filtration check reads coordinates in its adapted basis
+off the c_p of ``_clear``.
 
 Some callers build many subspaces from one run of rows.  ``kernel_flag``
-gives reduced row echelons of all the powers of a nilpotent matrix from a
-chain of shrinking reductions, whose pivots give the ranks and whose null
-rows the kernels; ``greedy_extension`` clears each row at the pivots of
-the rows kept before it; ``prefix_row_spaces`` gives the canonical row
-space of every prefix of the rows from one incremental reduced echelon,
-each equal to what ``row_space`` gives.
+gives the reduced echelons of all the powers of a nilpotent matrix from a
+chain of shrinking reductions; ``greedy_extension`` clears each row at the
+pivots of the rows kept before it; ``prefix_row_spaces`` gives every
+prefix of the rows from one incremental reduced echelon.
 
 ``signature`` also eliminates over the stored rows: its congruence
 diagonalization keeps the nonzero rows in a dict and never visits a zero
@@ -99,14 +92,13 @@ one) in every file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, InvalidForm, InvalidOperator, PreconditionError
+from .errors import DimensionMismatch, InvalidForm, InvalidOperator
 
 
 def as_rat(x):
@@ -347,14 +339,6 @@ class RatMatrix:
                     acc = {j: v for j, v in acc.items() if v}
             yield acc
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        c = self.cols
-        return RatMatrix(self.rows, c + other.cols, tuple(
-            {**a, **{c + j: v for j, v in b.items()}} if b else a
-            for a, b in zip(self.data, other.data)))
-
     def vstack(self, other):
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
@@ -516,8 +500,8 @@ def cancel_at(row: dict, ech: dict) -> dict:
     return row if r is row else _primitive(r)
 
 
-def _forward(rows) -> list:
-    """Row echelon form of {column: value} rows: [(pivot column, row)] by pivot.
+def _forward(rows) -> dict:
+    """Row echelon form of {column: value} rows: {pivot column: row} in ascending pivot order.
 
     The rows are scaled to coprime integers.  Columns are taken in order, and
     among the rows whose leading entry sits in a column the shortest is the
@@ -531,12 +515,11 @@ def _forward(rows) -> list:
             leading.setdefault(min(row), []).append(row)
     queue = list(leading)
     heapify(queue)
-    out = []
+    out = {}
     while queue:
         c = heappop(queue)
         group = leading.pop(c)
-        prow = min(group, key=len)
-        out.append((c, prow))
+        prow = out[c] = min(group, key=len)
         for row in group:
             if row is prow:
                 continue
@@ -550,22 +533,20 @@ def _forward(rows) -> list:
     return out
 
 
-def _reduce(rows) -> list:
+def _reduce(rows) -> dict:
     """Reduced echelon form: the rows of _forward, each zero at the other pivots."""
     return _back_substitute(_forward(rows))
 
 
-def _back_substitute(ech: list) -> list:
-    """The echelon [(pivot, row)] by pivot, each row made zero at the other pivots, in place.
+def _back_substitute(ech: dict) -> dict:
+    """The echelon {pivot: row}, in ascending pivot order, each row made zero at the other pivots, in place.
 
     Bottom-up, each row is cleared against the rows below it, which are
     already reduced.
     """
     reduced = {}
-    for k in range(len(ech) - 1, -1, -1):
-        c, row = ech[k]
-        reduced[c] = cancel_at(row, reduced)
-        ech[k] = (c, reduced[c])
+    for c in reversed(ech):
+        ech[c] = reduced[c] = cancel_at(ech[c], reduced)
     return ech
 
 
@@ -589,9 +570,9 @@ def rref(m: RatMatrix):
     the pivot order.
     """
     red = _reduce(m.data)
-    out = [_divided(row, c) for c, row in red]
+    out = [_divided(row, c) for c, row in red.items()]
     out.extend({} for _ in range(m.rows - len(out)))
-    return RatMatrix(m.rows, m.cols, tuple(out)), tuple(c for c, _ in red)
+    return RatMatrix(m.rows, m.cols, tuple(out)), tuple(red)
 
 
 def rank(m: RatMatrix) -> int:
@@ -599,60 +580,72 @@ def rank(m: RatMatrix) -> int:
     return len(_forward(m.data))
 
 
-def coordinates(basis: RatMatrix, m: RatMatrix):
-    """(x, outside): basis @ x = m on the columns of m inside the span of basis.
-
-    basis must have independent columns.  One rref of [basis | m]: outside
-    lists the columns of m outside the span of basis and of m's columns
-    before them, and x, basis.cols x m.cols, holds the rref's entries in the
-    basis rows, the coordinates of every column of m before outside[0].
-    """
-    if basis.rows != m.rows:
-        raise DimensionMismatch("coordinates: row mismatch")
-    k = basis.cols
-    r, piv = rref(basis.hstack(m))
-    if piv[:k] != tuple(range(k)):
-        raise PreconditionError("coordinates: basis columns are dependent")
-    x = RatMatrix(k, m.cols, tuple({j - k: v for j, v in row.items() if j >= k}
-                                   for row in r.data[:k]))
-    return x, tuple(p - k for p in piv[k:])
-
-
 # -- subspaces ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, stored as the canonical RREF rows of its generators.
+    """A subspace of Q^n held as rows, {pivot: coprime integer row leading there}.
 
-    echelon is dim x ambient_dim with pivots 1; basis is its transpose, the
-    basis columns in reduced column echelon form, computed on each read.
-    The canonical form is made where bytes depend on the basis: the public
-    functions below, the steps of a filtration, and the witness of a failed
-    threefold check.  The threefold suite otherwise holds forward echelons
-    (``forward_span`` and the functions after it), whose bases are not
-    canonical.
+    echelon, its canonical RREF rows (dim x ambient_dim, pivots 1), is
+    formed through ``rref`` on first read and basis, its transpose, on each
+    read; dim, ``==`` and ``contains`` read the rows alone.  One built with
+    its RREF (``coordinate``, ``prefix_row_spaces``) derives rows if asked.
+    Immutable.
     """
 
-    ambient_dim: int
-    echelon: RatMatrix
+    def __init__(self, ambient_dim: int, rows: dict = None, *, echelon: RatMatrix = None):
+        held = vars(self)
+        held["ambient_dim"] = ambient_dim
+        if rows is not None:
+            held["rows"] = rows
+        if echelon is not None:
+            held["echelon"] = echelon
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Subspace is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Subspace is immutable: cannot delete {name}")
+
+    @cached_property
+    def rows(self) -> dict:
+        return {min(e): _primitive(e) for e in self.echelon.data}
+
+    @cached_property
+    def echelon(self) -> RatMatrix:
+        r, piv = rref(RatMatrix(self.dim, self.ambient_dim, tuple(self.rows.values())))
+        return RatMatrix(len(piv), self.ambient_dim, r.data[:len(piv)])
 
     @property
     def dim(self):
-        return self.echelon.rows
+        held = vars(self)
+        return len(held["rows"]) if "rows" in held else held["echelon"].rows
 
     @property
     def basis(self):
         return self.echelon.transpose()
 
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
+            return False
+        if "echelon" in vars(self) and "echelon" in vars(other):
+            return self.echelon == other.echelon
+        return _holds(self, other.rows.values())
+
+    def __repr__(self):
+        held = vars(self)
+        return f"Subspace({self.ambient_dim}, {held['rows' if 'rows' in held else 'echelon']!r})"
+
     @classmethod
     def span(cls, ambient_dim, vectors):
-        """Canonical subspace spanned by the given vectors."""
+        """The subspace spanned by the given vectors."""
         return row_space(RatMatrix.from_rows(vectors, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim):
-        return cls(ambient_dim, RatMatrix.zeros(0, ambient_dim))
+        return cls.coordinate(ambient_dim, 0)
 
     @classmethod
     def full(cls, ambient_dim):
@@ -661,24 +654,27 @@ class Subspace:
     @classmethod
     def coordinate(cls, ambient_dim, k):
         """The span of the first k coordinate vectors: its unit rows are already its RREF."""
-        return cls(ambient_dim, RatMatrix(k, ambient_dim, tuple(map(_unit_row, range(k)))))
+        return cls(ambient_dim, echelon=RatMatrix(k, ambient_dim, tuple(map(_unit_row, range(k)))))
 
     def contains_vector(self, v) -> bool:
-        return forward_holds(_forward_echelon(self),
-                             RatMatrix.from_rows([v], cols=self.ambient_dim).data)
+        return _holds(self, map(_primitive, RatMatrix.from_rows([v], cols=self.ambient_dim).data))
 
     def to_json_dict(self):
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json_dict()}
 
 
+def _holds(u: Subspace, rows) -> bool:
+    """True iff every integer row lies in u: clearing it at u's pivots leaves zero."""
+    return not any(_clear(v, u.rows)[1] for v in rows)
+
+
 def row_space(gens: RatMatrix) -> Subspace:
-    """The span of the rows of gens: the nonzero rows of their RREF."""
-    r, piv = rref(gens)
-    return Subspace(r.cols, RatMatrix(len(piv), r.cols, r.data[:len(piv)]))
+    """The span of the rows of gens, from one ``_forward``."""
+    return Subspace(gens.cols, _forward(gens.data))
 
 
 def prefix_row_spaces(m: RatMatrix, ends) -> tuple:
-    """row_space of the first k rows of m, for each k of the non-decreasing ends.
+    """The span of the first k rows of m, for each k of the non-decreasing ends, with its RREF.
 
     One reduced echelon in coprime integers takes the rows in order.  A new
     row is cancelled at the pivots it meets, which leaves it zero at every
@@ -686,7 +682,8 @@ def prefix_row_spaces(m: RatMatrix, ends) -> tuple:
     already held are cancelled against it.  Each row leads at its pivot
     and is zero at the others, so at each end the rows sorted by pivot and
     divided by it are the RREF of the prefix, as ``rref`` gives it; a row
-    is divided again only after it changed.
+    is divided again only after it changed.  Each subspace holds only that
+    RREF.
     """
     ech = {}   # pivot -> reduced integer row
     done = {}  # pivot -> that row divided by its pivot
@@ -710,8 +707,8 @@ def prefix_row_spaces(m: RatMatrix, ends) -> tuple:
         for p in pivots:
             if p not in done:
                 done[p] = _divided(ech[p], p)
-        out.append(Subspace(m.cols, RatMatrix(len(pivots), m.cols,
-                                              tuple(done[p] for p in pivots))))
+        out.append(Subspace(m.cols, echelon=RatMatrix(len(pivots), m.cols,
+                                                      tuple(done[p] for p in pivots))))
     return tuple(out)
 
 
@@ -739,11 +736,6 @@ def primitive_rows(m: RatMatrix) -> RatMatrix:
     return RatMatrix(m.rows, m.cols, tuple(map(_primitive, m.data)))
 
 
-def _forward_echelon(u: Subspace) -> dict:
-    """u's echelon rows as a forward echelon: {pivot: the row scaled to coprime integers}."""
-    return {min(e): _primitive(e) for e in u.echelon.data}
-
-
 def _same_ambient(u: Subspace, w: Subspace):
     if u.ambient_dim != w.ambient_dim:
         raise DimensionMismatch(
@@ -755,30 +747,29 @@ def null_rows_and_pivots(m: RatMatrix):
     """(null rows, pivots) from one reduction of m's rows.
 
     The null rows are a basis of {v : m v = 0} as integer rows, not
-    canonical.  pivots are the pivot columns of the reduced rows (c, r):
-    m's columns there are a basis of its column space.  The null rows are
-    one per other column f, in increasing order: L at f and -r[f] L / r[c]
-    at each pivot c, where L is the lcm of |r[c]| over the rows with an
-    entry at f, so that every entry is an integer.
+    canonical.  pivots are the pivot columns of the reduced rows: m's
+    columns there are a basis of its column space.  The null rows are one
+    per other column f, in increasing order: L at f and -r[f] L / r[c] at
+    each pivot c with its row r, where L is the lcm of |r[c]| over the rows
+    with an entry at f, so that every entry is an integer.
     """
     red = _reduce(m.data)
-    return _null_rows(red, m.cols), tuple(c for c, _ in red)
+    return _null_rows(red, m.cols), tuple(red)
 
 
-def _null_rows(red: list, n: int) -> RatMatrix:
+def _null_rows(red: dict, n: int) -> RatMatrix:
     """The integer null rows of null_rows_and_pivots, read off the reduced rows red.
 
     Each row of red holds entries at its pivot and at free columns only.
     """
     scale = [1] * n
-    for c, row in red:
+    for c, row in red.items():
         pv = abs(row[c])
         if pv != 1:
             for j in row:
                 scale[j] = lcm(scale[j], pv)
-    taken = {c for c, _ in red}
-    out = {f: {f: scale[f]} for f in range(n) if f not in taken}
-    for c, row in red:
+    out = {f: {f: scale[f]} for f in range(n) if f not in red}
+    for c, row in red.items():
         pv = row[c]
         for j, x in row.items():
             if j != c:  # a reduced row's other entries sit at free columns
@@ -792,10 +783,9 @@ def echelon_and_relations(m: RatMatrix, live) -> tuple:
     Each row a of live enters tagged with a unit at column m.cols + a, and
     the tagged rows go through one ``_forward``.  A row's tag part then
     records which combination of the live rows it is.
-      * The rows that lead before m.cols are ``echelon``, [(pivot, row)] by
-        pivot: the forward echelon of the live rows, with the pivots of
-        their RREF.  Each row still carries its tag part, at the columns
-        from m.cols on.
+      * The rows that lead before m.cols are ``echelon``, {pivot: row}: the
+        forward echelon of the live rows, with the pivots of their RREF.
+        Each row still carries its tag part, at the columns from m.cols on.
       * The rows that lead in the tag part are zero on m's columns: each is
         a relation sum_a c[a] m_a = 0 among the live rows.  The tagged rows
         are independent and the elimination keeps their span, so these
@@ -806,38 +796,37 @@ def echelon_and_relations(m: RatMatrix, live) -> tuple:
     """
     n, data = m.cols, m.data
     ech = _forward([{**data[a], n + a: 1} for a in live])
-    rank = next((k for k, (c, _) in enumerate(ech) if c >= n), len(ech))
-    relations = tuple({j - n: v for j, v in row.items()}
-                      for _, row in _back_substitute(ech[rank:]))
-    return ech[:rank], RatMatrix(len(relations), m.rows, relations)
+    tags = _back_substitute({c: row for c, row in ech.items() if c >= n})
+    relations = tuple({j - n: v for j, v in row.items()} for row in tags.values())
+    return ({c: row for c, row in ech.items() if c < n},
+            RatMatrix(len(relations), m.rows, relations))
 
 
-def reduce_rows(rows, echelon: list) -> list:
+def reduce_rows(rows, echelon: dict) -> list:
     """(scale, r) per row: r = scale row - a combination of echelon's rows, zero at its pivots.
 
-    echelon is a forward echelon [(pivot, row)] of integer rows, as
+    echelon is a forward echelon {pivot: row} of integer rows, as
     ``echelon_and_relations`` returns it.  A row's Fraction values are made
     integers by the lcm of their denominators, and scale is that lcm times
     the m of ``_clear``.
     """
-    at = dict(echelon)
     out = []
     for row in rows:
         den = 1
         if Fraction in set(map(type, row.values())):  # an integral one becomes an int too
             den = lcm(*[x.denominator for x in row.values() if type(x) is Fraction])
             row = {j: int(x * den) for j, x in row.items()}
-        m, r = _clear(row, at)
+        m, r = _clear(row, echelon)
         out.append((den * m, r))
     return out
 
 
 def kernel_flag(m: RatMatrix) -> tuple:
-    """(R_s, pivots) for s = 0 .. e, with e the first power that is zero.
+    """R_s for s = 0 .. e, with e the first power that is zero.
 
-    R_s is a reduced echelon [(pivot, row)] of integer rows spanning the row
-    space of m^s, pivots its pivot columns: Ker m^s is the null space of
-    R_s, and ``_null_rows(R_s, n)`` reads integer rows of it off R_s as
+    R_s is a reduced echelon {pivot: row} of integer rows spanning the row
+    space of m^s: Ker m^s is the null space of R_s, and
+    ``_null_rows(R_s, n)`` reads integer rows of it off R_s as
     ``null_rows_and_pivots`` reads them, for the callers that need them.
     R_0 is the unit rows, R_1 the reduced integer rows of m and R_{s+1} the
     reduced rows of R_s m, so no power of m is formed.  The ranks r_s fall
@@ -859,22 +848,20 @@ def kernel_flag(m: RatMatrix) -> tuple:
     n = m.rows
     if m.cols != n:
         raise DimensionMismatch("kernel_flag needs a square matrix")
-    flag = [([(c, _unit_row(c)) for c in range(n)], tuple(range(n)))]  # m^0 = 1
+    flag = [{c: _unit_row(c) for c in range(n)}]  # m^0 = 1
     red = _reduce(m.data)
     rows = m.data  # m's rows at the pivot columns of R_s
     while True:
-        if red and len(red) == len(flag[-1][1]):
+        if red and len(red) == len(flag[-1]):
             raise InvalidOperator("matrix is not nilpotent")
-        pivots = tuple(c for c, _ in red)
-        flag.append((red, pivots))
+        flag.append(red)
         if not red:
             return tuple(flag)
-        gone = set(flag[-2][1]).difference(pivots)
+        gone = flag[-2].keys() - red.keys()
         rows = tuple([row if gone.isdisjoint(row) else
                       {j: v for j, v in row.items() if j not in gone} for row in rows])
-        prior = dict(red)
-        product = RatMatrix(len(red), n, tuple(prior.values())) @ RatMatrix(n, n, rows)
-        red = [(c, _combine(prior, row)) for c, row in _reduce(product.data)]
+        product = RatMatrix(len(red), n, tuple(red.values())) @ RatMatrix(n, n, rows)
+        red = {c: _combine(flag[-1], row) for c, row in _reduce(product.data).items()}
 
 
 def _combine(rows: dict, coeffs: dict) -> dict:
@@ -896,8 +883,20 @@ def _combine(rows: dict, coeffs: dict) -> dict:
 
 
 def kernel(m: RatMatrix) -> Subspace:
-    """Basis of {v : m v = 0}; rank-nullity holds by construction."""
-    return row_space(null_rows_and_pivots(m)[0])
+    """{v : m v = 0}, from one reduction of m's columns in reverse.
+
+    With the columns reversed, c -> n - 1 - c, each null row of
+    ``null_rows_and_pivots`` is nonzero at its own free column and at pivots
+    before it; back in m's order the pivots come after it, so the row leads
+    at its free column, with a positive entry there.  Rank-nullity holds by
+    construction.
+    """
+    n = m.cols
+    flipped = _reduce({n - 1 - j: v for j, v in row.items()} for row in m.data)
+    rows = {}
+    for row in _null_rows(flipped, n).data:
+        rows[n - 1 - max(row)] = _primitive({n - 1 - j: v for j, v in row.items()})
+    return Subspace(n, rows)
 
 
 def image(m: RatMatrix) -> Subspace:
@@ -906,99 +905,44 @@ def image(m: RatMatrix) -> Subspace:
 
 
 def intersect(u: Subspace, w: Subspace) -> Subspace:
-    """The RREF of the rows ``forward_meet`` gives for the echelons of u and w."""
+    """u cap w, from one ``_forward`` of the rows [x | x] for x in u and [y | 0] for y in w.
+
+    The copy sits at the columns from n on (Zassenhaus).  A vector of their
+    span is [a + b | a] with a in u and b in w, and its left part vanishes
+    iff a = -b lies in both.  A combination of echelon rows leads at the
+    least pivot it uses, so the rows that lead from n on span the vectors
+    [0 | a], and their right parts, each leading at its own column, are
+    rows of u cap w.
+    """
     _same_ambient(u, w)
-    rows = tuple(forward_meet(_forward_echelon(u), _forward_echelon(w)).values())
-    return row_space(RatMatrix(len(rows), u.ambient_dim, rows))
+    n = u.ambient_dim
+    tagged = [{**row, **{n + j: v for j, v in row.items()}} for row in u.rows.values()]
+    ech = _forward(chain(tagged, w.rows.values()))
+    return Subspace(n, {c - n: {j - n: v for j, v in row.items()}
+                        for c, row in ech.items() if c >= n})
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
+    """u + w: u's rows, grown by each row of w cleared at the pivots held so far.
+
+    A row cleared (``cancel_at``) is zero at every pivot held; unless it
+    vanished, it joins at the column it leads at.
+    """
     _same_ambient(u, w)
-    return row_space(u.echelon.vstack(w.echelon))
+    out = dict(u.rows)
+    for row in w.rows.values():
+        row = cancel_at(row, out)
+        if row:
+            out[min(row)] = row
+    return Subspace(u.ambient_dim, out)
 
 
 def contains(u: Subspace, w: Subspace) -> bool:
-    """True iff every basis vector of w lies in u, by reduction against u's echelon."""
+    """True iff w lies in u: each row of w clears to zero at u's pivots."""
     _same_ambient(u, w)
     if w.dim >= u.dim:
-        # canonical forms: a subspace of the same dimension is u itself
-        return w.dim == u.dim and w.echelon == u.echelon
-    if w.dim == 0 or u.dim == u.ambient_dim:
-        return True
-    return forward_holds(_forward_echelon(u), w.echelon.data)
-
-
-# -- forward echelons -----------------------------------------------------------
-
-
-def forward_span(rows) -> dict:
-    """A forward echelon of the span of {column: value} rows, from one ``_forward``."""
-    return dict(_forward(rows))
-
-
-def forward_image(m: RatMatrix) -> dict:
-    """A forward echelon of the column space of m."""
-    return forward_span(m.transpose().data)
-
-
-def forward_kernel(m: RatMatrix) -> dict:
-    """A forward echelon of {v : m v = 0}, from one reduction of m's columns in reverse.
-
-    With the columns reversed, c -> n - 1 - c, each null row of
-    ``null_rows_and_pivots`` is nonzero at its own free column and at pivots
-    before it; back in m's order the pivots come after it, so the row leads
-    at its free column, with a positive entry there.
-    """
-    n = m.cols
-    flipped = RatMatrix(m.rows, n, tuple({n - 1 - j: v for j, v in row.items()}
-                                         for row in m.data))
-    out = {}
-    for row in null_rows_and_pivots(flipped)[0].data:
-        out[n - 1 - max(row)] = _primitive({n - 1 - j: v for j, v in row.items()})
-    return out
-
-
-def forward_holds(u: dict, rows) -> bool:
-    """True iff every {column: value} row lies in the span of the forward echelon u.
-
-    A row lies there iff clearing it at u's pivots (``_clear``) leaves zero.
-    """
-    return not any(_clear(_primitive(v), u)[1] for v in rows)
-
-
-def forward_join(u: dict, rows) -> dict:
-    """A forward echelon of the span of u's rows and the given rows: u grown by one row at a time.
-
-    Each row is cleared at the pivots held so far (``cancel_at``); what is
-    left, unless it vanished, is zero at all of them and joins at the column
-    it leads at.
-    """
-    out = dict(u)
-    for row in rows:
-        if row:
-            row = cancel_at(_primitive(row), out)
-            if row:
-                out[min(row)] = row
-    return out
-
-
-def forward_meet(u: dict, w: dict) -> dict:
-    """A forward echelon of the intersection of the spans of the forward echelons u and w.
-
-    One ``_forward`` of the rows [x | x] for x in u and [y | 0] for y in w,
-    the copy at columns from t on, t past every column of u and w (Zassenhaus).
-    A vector of their span is [a + b | a] with a in u and b in w, and its
-    left part vanishes iff a = -b lies in both.  A combination of echelon
-    rows leads at the least pivot it uses, so the rows that lead from t on
-    span the vectors [0 | a], and their right parts, each leading at its own
-    column, are a forward echelon of u cap w.
-    """
-    if not u or not w:
-        return {}
-    t = 1 + max(max(row) for row in chain(u.values(), w.values()))
-    tagged = [{**row, **{t + j: v for j, v in row.items()}} for row in u.values()]
-    return {c - t: {j - t: v for j, v in row.items()}
-            for c, row in _forward(chain(tagged, w.values())) if c >= t}
+        return u == w
+    return w.dim == 0 or u.dim == u.ambient_dim or _holds(u, w.rows.values())
 
 
 def _plus(row: dict, x, other: dict) -> dict:

@@ -378,20 +378,18 @@ def build_e2(page: WeightComplex) -> E2Page:
                      for scale, r in reduce_rows(functionals[tgt].product_rows(blk), echelon))
         n_maps[cell] = RatMatrix(len(rows), len(q), rows)
 
-    pivots, held = (), None  # the pivots and echelon of d1^{i+1,j}
+    held = {}  # the echelon of d1^{i+1,j}
     for i, j in sorted(page.dims, key=lambda cell: (cell[1], -cell[0])):
         d_out = page.d1_block(i, j)
-        cleared = set(pivots)
-        live = [a for a in range(d_out.rows) if a not in cleared]
+        live = [a for a in range(d_out.rows) if a not in held]
         echelon, relations = echelon_and_relations(d_out, live)
-        pivots = [c for c, _ in echelon]
         if (i + 1, j) in page.dims:
             settle((i + 1, j), relations, held)
         held = echelon
         if (i - 1, j) not in page.dims:
             # no block into (i, j): no image, and a functional per free column
-            n, taken = d_out.cols, set(pivots)
-            units = tuple({f: 1} for f in range(n) if f not in taken)
+            n = d_out.cols
+            units = tuple({f: 1} for f in range(n) if f not in echelon)
             settle((i, j), RatMatrix(len(units), n, units), echelon)
     return E2Page(n=page.n, dims=dims, functionals=functionals, n_maps=n_maps, page=page)
 
@@ -512,7 +510,7 @@ def filtration_agreement(e2: E2Page, ws) -> dict:
         levels[w] = {j - w: e2.dims[(w - j, j)] for j in offsets if e2.dims[(w - j, j)]}
         starts.append(starts[-1] + total)
     op = NilpotentOp.build(RatMatrix.assemble(starts[-1], starts[-1], placements))
-    ranks = [Counter(bisect_right(starts, p) - 1 for p in pivots) for _, pivots in op.kernels]
+    ranks = [Counter(bisect_right(starts, p) - 1 for p in red) for red in op.kernels]
     return {w: monodromy_graded_dims([starts[k + 1] - starts[k] - rk[k] for rk in ranks]) == want
             for k, (w, want) in enumerate(levels.items())}
 

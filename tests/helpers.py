@@ -8,7 +8,8 @@ import pytest
 
 from wsscheck.filtration import Filtration, NilpotentOp, compare_shifted, monodromy_filtration
 from wsscheck.lefschetz import DualTriple
-from wsscheck.ratlin import RatMatrix, _null_rows, coordinates, greedy_extension, primitive_rows
+from oracles import gauss_jordan
+from wsscheck.ratlin import RatMatrix, _null_rows, greedy_extension, primitive_rows
 from wsscheck.specseq import graded_monodromy_operator, weight_filtration_graded
 from wsscheck.strata import TransferMaps
 
@@ -45,8 +46,8 @@ def stacked_jordan_basis(op, center):
     height = ()
     lengths = []
     for s in range(e, 0, -1):
-        below, ks = (_null_rows(kernels[t][0], n) for t in (s - 1, s))
-        pivots = kernels[s][1]
+        below, ks = (_null_rows(kernels[t], n) for t in (s - 1, s))
+        pivots = kernels[s]
         offset = below.rows + len(height)
         gens = RatMatrix(offset + ks.rows, n, below.data + height + ks.data)
         free = sorted(set(range(n)).difference(pivots))
@@ -71,8 +72,10 @@ def filtration_route_by_steps(e2, w):
 
 
 def inverse(m):
-    """m^-1 for an invertible square m, read off one rref of [m | 1]."""
-    return coordinates(m, RatMatrix.identity(m.rows))[0]
+    """m^-1 for an invertible square m: the right half of the dense RREF of [m | 1]."""
+    n = m.rows
+    red, _ = gauss_jordan([m.row_list(i) + [int(i == j) for j in range(n)] for i in range(n)], 2 * n)
+    return RatMatrix.from_rows([row[n:] for row in red], cols=n)
 
 
 def change_basis(datum, j, s, t):

@@ -187,15 +187,16 @@ def test_report_runs_each_stage_once(name, capsys, monkeypatch):
 
 
 def test_report_makes_no_rref_call(capsys, monkeypatch):
-    # the threefold suite holds forward echelons and forms a canonical RREF
+    # every canonical RREF goes through rref: the threefold suite reads one
     # only for the witness of a failed check, and the pages take none
     calls = []
     for module in (ratlin, lefschetz, specseq, filtration):
         if hasattr(module, "rref"):
             monkeypatch.setattr(module, "rref",
                                 lambda m, _run=module.rref: calls.append(m.shape) or _run(m))
-    assert run_cli(["report", "--instance", str(data_dir() / "toy_gon3_x_p2.json")]) == 0
-    assert json.loads(capsys.readouterr().out)["threefold"]["ok"]
+    for name in toy_names():
+        assert run_cli(["report", "--instance", str(data_dir() / f"{name}.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["threefold"]["ok"]
     assert calls == []
 
 

@@ -26,7 +26,6 @@ from wsscheck.filtration import (
 from wsscheck.ratlin import (
     RatMatrix,
     Subspace,
-    coordinates,
     image,
     intersect,
     kernel,
@@ -82,7 +81,7 @@ def test_rank_stall_is_not_nilpotent():
 def test_kernel_flag_of_the_extremes():
     op = NilpotentOp.build(jordan_matrix([30]))
     assert op.nilpotency_index == 30
-    assert [30 - len(pivots) for _, pivots in op.kernels] == list(range(31))
+    assert [30 - len(red) for red in op.kernels] == list(range(31))
     empty = NilpotentOp.build(RatMatrix.zeros(0, 0))
     assert empty.nilpotency_index == 1 and len(empty.kernels) == 2
 
@@ -215,7 +214,7 @@ def test_graded_dims_read_off_the_kernel_flag(sizes, seed, scale, conjugated):
         op = _conjugate(sizes, random.Random(seed), scale)
     else:
         op = NilpotentOp.build(jordan_matrix(sizes))
-    dims = monodromy_graded_dims([op.dim - len(pivots) for _, pivots in op.kernels])
+    dims = monodromy_graded_dims([op.dim - len(red) for red in op.kernels])
     f = monodromy_filtration(op, 0)
     e = op.nilpotency_index
     assert all(dims.values()) and set(dims) <= set(range(1 - e, e))
@@ -481,8 +480,9 @@ def test_axiom_report_matches_dense_oracle(sizes, center, seed, scale):
 
 
 def test_adapted_coordinates_match_stacked_coordinates():
-    # forward substitution against one rref of [B^T | N B^T], B's rows the
-    # adapted basis of a random nested flag: equal up to one positive scalar
+    # forward substitution against the defining identity B^T A = s N B^T,
+    # s > 0, B's rows the adapted basis of a random nested flag: B is
+    # invertible, so A is N's matrix in that basis up to the scalar s
     rng = random.Random(1717)
     fractional_steps = fractional_n = 0
     for trial in range(60):
@@ -500,41 +500,42 @@ def test_adapted_coordinates_match_stacked_coordinates():
         fractional_n += any(type(x) is Fraction for x in nmat.entries)
         rows, _ = _adapted_rows(n, flag)
         bt = RatMatrix(n, n, tuple(rows)).transpose()
-        want = coordinates(bt, nmat @ bt)[0]
         got = _adapted_coordinates(rows, nmat)
         assert got.shape == (n, n)
         assert all(type(x) is int for x in got.entries)
-        nonzero = [(l, k, x) for l, row in enumerate(want.data) for k, x in row.items()]
+        lhs, rhs = bt @ got, nmat @ bt
+        nonzero = [(l, k, x) for l, row in enumerate(rhs.data) for k, x in row.items()]
         if nonzero:
             l, k, x = nonzero[0]
-            scale = Fraction(got.entry(l, k)) / x
-            assert scale > 0 and got == want.scaled(scale)
+            scale = Fraction(lhs.entry(l, k)) / x
+            assert scale > 0 and lhs == rhs.scaled(scale)
         else:
             assert got.is_zero()
     assert fractional_steps and fractional_n
 
 
 def test_verify_makes_no_stacked_elimination(monkeypatch):
-    # A by forward substitution and its powers by products: no rref and no
-    # coordinates call, on passing and failing filtrations, Fraction N too
+    # A by forward substitution and its powers by products: no rref call, on
+    # passing and failing filtrations, Fraction N too
     rng = random.Random(1818)
     cases = [(op, filt)
              for op in (NilpotentOp.build(jordan_matrix([5, 3, 1])),
                         _conjugate([6, 2], rng, True), _conjugate([4, 4, 1], rng, False))
              for filt in _variants(op, 1, rng)]
     calls = Counter()
-    for name in ("rref", "coordinates"):
-        def counted(*args, _run=getattr(ratlin, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _run(*args, **kwargs)
-        monkeypatch.setattr(ratlin, name, counted)
-        monkeypatch.setattr(filtration, name, counted, raising=False)
+
+    def counted(*args, _run=ratlin.rref, **kwargs):
+        calls["rref"] += 1
+        return _run(*args, **kwargs)
+    monkeypatch.setattr(ratlin, "rref", counted)
+    monkeypatch.setattr(filtration, "rref", counted, raising=False)
     reports = [verify_monodromy_axioms(op, filt) for op, filt in cases]
     assert calls == Counter()
     assert reports[0].ok and not reports[1].ok
-    # the counters see ratlin's calls inside ratlin
-    Subspace.span(2, [(1, 2)])
-    assert calls == {"rref": 1}
+    # the counter sees ratlin's calls inside ratlin: span forms no RREF, its echelon one
+    sub = Subspace.span(2, [(1, 2)])
+    assert calls == Counter()
+    assert sub.echelon.rows == 1 and calls == {"rref": 1}
 
 
 def test_failing_report_bytes_pinned():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import random_dual_triple
-from wsscheck import cli, mutate
+from wsscheck import cli, mutate, ratlin
 from wsscheck.errors import InvalidComplex, InvalidForm, PreconditionError
 from wsscheck.instances import (
     blowup_point_datum,
@@ -35,7 +35,6 @@ from wsscheck.ratlin import (
     image,
     intersect,
     kernel,
-    row_space,
     subspace_sum,
 )
 from wsscheck.specseq import build_e2, check_wmc
@@ -111,37 +110,17 @@ def test_lemma_random_suite_small():
 # -- primitive decompositions -----------------------------------------------------
 
 
-def _space(echelon, n):
-    """The canonical subspace of Q^n spanned by a forward echelon's rows."""
-    return row_space(RatMatrix(len(echelon), n, tuple(echelon.values())))
-
-
-def _prim_spaces(datum, prim):
-    """(prim2_3fold, prim2_surf) of a PrimitiveDecomposition as canonical subspaces."""
-    return _space(prim.prim2_3fold, datum.h(1, 2)), _space(prim.prim2_surf, datum.h(2, 2))
-
-
-def _dec_spaces(datum, dec):
-    """The four subspace tables of an ImDecomposition as canonical subspaces."""
-    return (
-        {i: _space(dec.im_res[i], datum.h(2, i)) for i in (0, 2, 4)},
-        {i: _space(dec.im_gys[i], datum.h(1, i + 2)) for i in (0, 2, 4)},
-        {i: _space(dec.im0_res[i], datum.h(2, i)) for i in (0, 2, 4)},
-        {i: _space(dec.im0_gys[i], datum.h(1, i + 2)) for i in (0, 2, 4)},
-    )
-
-
 def test_primitive_trivial_profile():
     datum = gen_smooth(3, (1, 0, 1, 0, 1, 0, 1))
     prim = primitive_decompose(datum)
-    assert _prim_spaces(datum, prim)[0].dim == 0
+    assert prim.prim2_3fold.dim == 0
     assert image(datum.lefschetz_map(1, 0)).dim == 1
 
 
 def test_primitive_rank_one_kernel():
     datum = gen_smooth(3, (1, 0, 2, 0, 2, 0, 1))
     prim = primitive_decompose(datum)
-    assert _prim_spaces(datum, prim)[0].dim == 1
+    assert prim.prim2_3fold.dim == 1
 
 
 def test_primitive_needs_threefold():
@@ -153,7 +132,7 @@ def test_surface_split_dimension_count():
     datum = times_projective_plane(gen_ngon(3))
     prim = primitive_decompose(datum)
     h2_surf = datum.h(2, 2)
-    assert image(datum.lefschetz_map(2, 0)).dim + _prim_spaces(datum, prim)[1].dim == h2_surf
+    assert image(datum.lefschetz_map(2, 0)).dim + prim.prim2_surf.dim == h2_surf
 
 
 # -- image decompositions ----------------------------------------------------------
@@ -162,7 +141,7 @@ def test_surface_split_dimension_count():
 def test_blowup_image_split_dims():
     datum = blowup_point_datum()
     dec = im_decompose(datum, primitive_decompose(datum))
-    _, _, im0_res, im0_gys = _dec_spaces(datum, dec)
+    im0_res, im0_gys = dec.im0_res, dec.im0_gys
     assert {i: im0_res[i].dim for i in (0, 2, 4)} == {0: 1, 2: 1, 4: 1}
     assert {i: im0_gys[i].dim for i in (0, 2, 4)} == {0: 0, 2: 0, 4: 0}
     assert {i: dec.im1_gys_dim(i) for i in (0, 2, 4)} == {0: 1, 2: 1, 4: 1}
@@ -172,7 +151,7 @@ def test_blowup_image_split_dims():
 def test_product_image_split_dims():
     datum = times_projective_plane(gen_ngon(3))
     dec = im_decompose(datum, primitive_decompose(datum))
-    assert {i: _dec_spaces(datum, dec)[2][i].dim for i in (0, 2, 4)} == {0: 2, 2: 2, 4: 2}
+    assert {i: dec.im0_res[i].dim for i in (0, 2, 4)} == {0: 2, 2: 2, 4: 2}
     assert {i: dec.im1_gys_dim(i) for i in (0, 2, 4)} == {0: 2, 2: 2, 4: 2}
     assert check_image_dims(dec).ok
     assert check_lefschetz_isos(datum, primitive_decompose(datum), dec).ok
@@ -285,15 +264,20 @@ def test_hodge_index_rejects_mixed_components(where, at, message):
 # -- identities and the middle comparison --------------------------------------------
 
 
+def _im_decomposition(datum):
+    return im_decompose(datum, primitive_decompose(datum))
+
+
+
 def test_kernel_image_identity_no_transfers():
     datum = gen_smooth(3, (1, 0, 1, 0, 1, 0, 1))
-    res = check_kernel_image_identity(datum)
+    res = check_kernel_image_identity(datum, _im_decomposition(datum))
     assert res.ok and res.details["lhs_dim"] == 0
 
 
 def test_kernel_image_identity_on_toys():
     for datum in (blowup_point_datum(), times_projective_plane(gen_ngon(3))):
-        assert check_kernel_image_identity(datum).ok
+        assert check_kernel_image_identity(datum, _im_decomposition(datum)).ok
 
 
 def test_restricted_pairings_on_toys():
@@ -307,14 +291,16 @@ def test_restricted_pairings_on_toys():
 def test_e2_middle_vacuous_on_smooth():
     datum = gen_smooth(3, (1, 0, 1, 0, 1, 0, 1))
     e2 = build_e2(to_weight_complex(datum))
-    res = check_e2_middle(datum, e2, check_wmc(e2), check_kernel_image_identity(datum))
+    key = check_kernel_image_identity(datum, _im_decomposition(datum))
+    res = check_e2_middle(datum, e2, check_wmc(e2), key)
     assert res.ok and res.details["agreement"]
 
 
 def test_e2_middle_on_product_toy():
     datum = times_projective_plane(gen_ngon(3))
     e2 = build_e2(to_weight_complex(datum))
-    res = check_e2_middle(datum, e2, check_wmc(e2), check_kernel_image_identity(datum))
+    key = check_kernel_image_identity(datum, _im_decomposition(datum))
+    res = check_e2_middle(datum, e2, check_wmc(e2), key)
     assert res.ok
     assert res.details["rows_dual"]
     assert res.details["wmc_at_r1_w3"]
@@ -358,8 +344,8 @@ def test_axioms_give_the_facts_the_suite_reads(name):
     assert validate(datum).ok
     prim = primitive_decompose(datum)
     dec = im_decompose(datum, prim)
-    prim2_3fold, prim2_surf = _prim_spaces(datum, prim)
-    im_res, im_gys, im0_res, im0_gys = _dec_spaces(datum, dec)
+    prim2_3fold, prim2_surf = prim.prim2_3fold, prim.prim2_surf
+    im_res, im_gys, im0_res, im0_gys = dec.im_res, dec.im_gys, dec.im0_res, dec.im0_gys
     lef = datum.lefschetz_map
     # hard Lefschetz: H^2(A), H^4(A) and H^2(B) split along powers of L
     assert _is_direct_sum(datum.h(1, 2), prim2_3fold, image(lef(1, 0)))
@@ -383,7 +369,7 @@ def test_axioms_give_the_facts_the_suite_reads(name):
     )
     # N d1 = d1 N: the duality lemma's hypothesis on the middle row
     e2 = build_e2(to_weight_complex(datum))
-    middle = check_e2_middle(datum, e2, check_wmc(e2), check_kernel_image_identity(datum))
+    middle = check_e2_middle(datum, e2, check_wmc(e2), check_kernel_image_identity(datum, dec))
     assert middle.details["lemma"]["hypothesis"]
 
 
@@ -468,7 +454,24 @@ def test_lemma_witnesses_are_the_canonical_ones():
 ])
 def test_kernel_image_witness_is_the_canonical_one(n, seed, digest):
     # a broken anticommute identity, run past validate, breaks the kernel/image identity
-    res = check_kernel_image_identity(
-        mutate(times_projective_plane(gen_ngon(n)), "anticommute", seed=seed))
+    datum = mutate(times_projective_plane(gen_ngon(n)), "anticommute", seed=seed)
+    res = check_kernel_image_identity(datum, _im_decomposition(datum))
     assert not res.ok and res.details["witness"] is not None
     assert _digest(res.to_json_dict()) == digest
+
+
+def test_the_suite_forms_a_canonical_form_only_for_a_witness(monkeypatch):
+    # every canonical RREF goes through ratlin.rref: the suite forms none on
+    # SUITE_DATA, failing data among them, and one for each witness printed
+    calls = []
+    monkeypatch.setattr(ratlin, "rref", lambda m, _run=ratlin.rref: calls.append(m.shape) or _run(m))
+    failing = [name for name in sorted(SUITE_DATA) if not _suite_doc(SUITE_DATA[name]())["ok"]]
+    assert failing == ["definite_surface", "positive_primitive"] and calls == []
+    for n, seed in ((3, 5), (4, 2)):
+        datum = mutate(times_projective_plane(gen_ngon(n)), "anticommute", seed=seed)
+        res = check_kernel_image_identity(datum, _im_decomposition(datum))
+        assert res.details["witness"] is not None and len(calls) == 1
+        calls.clear()
+    rng = random.Random(7)
+    docs = [dual_cohomology_iso(random_dual_triple(rng)).to_json_dict() for _ in range(200)]
+    assert len(calls) == sum(d["witness"] is not None for d in docs) == 94

@@ -16,8 +16,9 @@ from oracles import (
     greedy_picks,
     inertia_by_descartes,
     mini_rank,
+    null_space,
 )
-from wsscheck.errors import DimensionMismatch, InvalidForm, InvalidOperator, PreconditionError
+from wsscheck.errors import DimensionMismatch, InvalidForm, InvalidOperator
 from wsscheck.ratlin import (
     RatMatrix,
     Subspace,
@@ -26,14 +27,7 @@ from wsscheck.ratlin import (
     _reduce,
     as_rat,
     contains,
-    coordinates,
     echelon_and_relations,
-    forward_holds,
-    forward_image,
-    forward_join,
-    forward_kernel,
-    forward_meet,
-    forward_span,
     greedy_extension,
     image,
     intersect,
@@ -210,7 +204,7 @@ def test_echelon_and_relations_match_gauss_jordan(args, data):
     live_rows = [rows[a] for a in live]
     _, pivots = gauss_jordan(live_rows, nc)
     echelon, relations = echelon_and_relations(m, live)
-    assert [c for c, _ in echelon] == pivots
+    assert list(echelon) == pivots
     assert relations.shape == (len(live) - len(pivots), len(rows))
     dense = [relations.row_list(k) for k in range(relations.rows)]
     assert all(not any(row) for row in dense_matmul(dense, rows, nc))
@@ -243,7 +237,7 @@ def test_reduce_rows_clears_the_pivots_exactly(args, drawn):
     for row, (scale, r) in zip(drawn, out):
         assert type(scale) is int and scale > 0
         assert all(type(v) is int and v for v in r.values())
-        assert all(c not in r for c, _ in echelon)
+        assert echelon.keys().isdisjoint(r)
         # the part outside m's columns is the combination subtracted
         diff = [scale * row[j] - r.get(j, 0) for j in range(nc)]
         coeffs = [[-r.get(nc + a, 0) for a in range(len(rows))]]
@@ -263,7 +257,7 @@ def test_clear_writes_each_row_in_the_pivot_rows(args, reduced, drawn):
     # echelon_and_relations gives it, or a reduced one
     rows, nc = args
     m = M(rows, cols=nc)
-    at = dict(_reduce(m.data)) if reduced else dict(echelon_and_relations(m, range(len(rows)))[0])
+    at = _reduce(m.data) if reduced else echelon_and_relations(m, range(len(rows)))[0]
     width = nc if reduced else nc + len(rows)
     _, pivots = gauss_jordan(rows, nc)
     assert sorted(at) == pivots
@@ -311,8 +305,7 @@ def _square_with_powers(draw):
     lower = [[1 if i == j else draw(st.integers(-1, 1)) if j < i else 0 for j in range(n)]
              for i in range(n)]
     t = M(upper, cols=n) @ M(lower, cols=n)
-    t_inv = coordinates(t, RatMatrix.identity(n))[0]
-    return t @ M(rows, cols=n) @ t_inv, not any(rows[i][i] for i in range(n))
+    return t @ M(rows, cols=n) @ inverse(t), not any(rows[i][i] for i in range(n))
 
 
 def _dense_conjugate(sizes, seed, scale):
@@ -344,9 +337,10 @@ def test_kernel_flag_matches_kernels_of_powers(args):
         return
     flag = kernel_flag(m)
     power = RatMatrix.identity(n)
-    for s, (red, pivots) in enumerate(flag):
+    for s, red in enumerate(flag):
         # the rows one reduction of m^s gives, whatever the chain that reached them
-        rows = _null_rows(red, n)
+        rows, pivots = _null_rows(red, n), tuple(red)
+        assert list(red) == sorted(red)
         assert (rows, pivots) == null_rows_and_pivots(power)
         assert row_space(rows) == kernel(power)
         assert rows.rows == n - mini_rank([power.row_list(i) for i in range(n)])
@@ -411,13 +405,19 @@ def _two_row_sets(draw):
     return a, b, nc
 
 
-def _forward_space(ech, n):
-    """The canonical span of a forward echelon, after checking its form: each row a
-    coprime integer row leading at its key."""
-    for p, row in ech.items():
+def _dense(sub):
+    """The rows of sub as dense lists, after checking their form: each a coprime
+    integer row leading at its key."""
+    for p, row in sub.rows.items():
         assert min(row) == p and all(type(v) is int for v in row.values())
         assert gcd(*row.values()) == 1
-    return row_space(RatMatrix(len(ech), n, tuple(ech.values())))
+    return [[row.get(j, 0) for j in range(sub.ambient_dim)] for row in sub.rows.values()]
+
+
+def _nonzero_rref(gens, n):
+    """The nonzero rows of the dense RREF of gens, ints where integral."""
+    red, pivots = gauss_jordan(gens, n)
+    return [[x.numerator if x.denominator == 1 else x for x in row] for row in red[:len(pivots)]]
 
 
 @settings(max_examples=200)
@@ -426,31 +426,52 @@ def _forward_space(ech, n):
 @example(([[0, 0]], [[0, 0]], 2))
 @example(([[1, 2, 0]], [[2, 4, 0], [0, 0, 1]], 3))
 @example(([[Fraction(1, 2), 1, 0], [0, 1, 1]], [[1, 0, -2], [Fraction(1, 3), 1, 1]], 3))
-def test_forward_echelons_span_what_the_canonical_functions_give(args):
+def test_subspaces_match_the_dense_oracles(args):
+    # rows in the held form, dim and contains by dense ranks, == by the RREF,
+    # and the RREF the dense one of the generators
     a_rows, b_rows, nc = args
     a, b = M(a_rows, cols=nc), M(b_rows, cols=nc)
     u, w = row_space(a), row_space(b)
-    fu, fw = forward_span(a.data), forward_span(b.data)
-    for ech, want in (
-        (fu, u),
-        (forward_image(a), image(a)),
-        (forward_kernel(a), kernel(a)),
-        (forward_kernel(a.transpose()), kernel(a.transpose())),
-        (forward_meet(fu, fw), intersect(u, w)),
-        (forward_meet(forward_kernel(b), fu), intersect(kernel(b), u)),
-        (forward_join(fu, b.data), subspace_sum(u, w)),
-        (forward_join({}, a.data), u),
-    ):
-        assert _forward_space(ech, want.ambient_dim) == want
-    # the meet against the modular law, apart from intersect, which shares it
-    meet = _forward_space(forward_meet(fu, fw), nc)
-    assert contains(u, meet) and contains(w, meet)
-    assert meet.dim == mini_rank(a_rows) + mini_rank(b_rows) - mini_rank(a_rows + b_rows)
-    assert forward_holds(fu, b.data) == contains(u, w)
-    assert forward_holds(fu, b.data) == (mini_rank(a_rows + b_rows) == mini_rank(a_rows))
-    assert forward_holds(fw, a.data) == contains(w, u)
-    for v, row in zip(b_rows, b.data):
-        assert forward_holds(fu, [row]) == u.contains_vector(v)
+    cols_a = [list(col) for col in a.columns()]
+    null_a = null_space(a_rows, nc)
+    null_b = null_space(b_rows, nc)
+    built = [
+        (u, a_rows, nc),
+        (w, b_rows, nc),
+        (image(a), cols_a, len(a_rows)),
+        (kernel(a), null_a, nc),
+        (kernel(a.transpose()), null_space(cols_a, len(a_rows)), len(a_rows)),
+        (subspace_sum(u, w), a_rows + b_rows, nc),
+        (subspace_sum(kernel(b), u), null_b + a_rows, nc),
+        (intersect(u, w), None, nc),
+        (intersect(kernel(b), u), None, nc),
+        (prefix_row_spaces(a, [len(a_rows)])[0], a_rows, nc),
+        (Subspace.coordinate(nc, min(2, nc)), [[int(i == j) for i in range(nc)]
+                                               for j in range(min(2, nc))], nc),
+    ]
+    # == and contains first: reading echelon leaves it held, and == then compares it
+    same = {}
+    for i, (x, _, n) in enumerate(built):
+        assert x.ambient_dim == n
+        for k, (y, _, m) in enumerate(built):
+            if n == m:
+                assert contains(x, y) == (mini_rank(_dense(x) + _dense(y)) == x.dim)
+                same[i, k] = x == y
+    assert same == {(i, k): built[i][0].echelon == built[k][0].echelon for i, k in same}
+    for sub, gens, n in built:
+        dense = _dense(sub)
+        assert sub.dim == len(dense) == mini_rank(dense)
+        if gens is not None:
+            assert mini_rank(gens) == sub.dim == mini_rank(gens + dense)
+            assert [sub.echelon.row_list(k) for k in range(sub.echelon.rows)] == \
+                _nonzero_rref(gens, n)
+    # the intersections by the modular law: inside both, of the dimension it gives
+    for (meet, _, _), x, y in ((built[7], a_rows, b_rows), (built[8], null_b, a_rows)):
+        dense = _dense(meet)
+        assert meet.dim == mini_rank(x) + mini_rank(y) - mini_rank(x + y)
+        assert mini_rank(x + dense) == mini_rank(x) and mini_rank(y + dense) == mini_rank(y)
+    for v in b_rows:
+        assert u.contains_vector(v) == (mini_rank(a_rows + [v]) == u.dim)
 
 
 # -- intersections and sums -----------------------------------------------------
@@ -519,33 +540,6 @@ def test_contains_examples():
     assert contains(full, line)
     assert contains(line, Subspace.zero(2))
     assert not contains(line, skew)
-
-
-@settings(max_examples=100)
-@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
-    st.just(d), vectors(d, 5), vectors(d, 4), st.lists(st.integers(-2, 2), min_size=5, max_size=5))))
-def test_coordinates_match_greedy_scan(args):
-    d, gens, others, combo = args
-    cols = gens + [tuple(sum(c * g[i] for c, g in zip(combo, gens)) for i in range(d))] + others
-    m = M(cols, cols=d).transpose()
-    picked = tuple(greedy_picks(cols))
-    for kept in (picked, [p for p in picked if p < len(gens)]):
-        basis = m.submatrix(range(d), kept)
-        x, outside = coordinates(basis, m)
-        assert outside == tuple(p for p in picked if p not in kept)
-        inside = range(outside[0] if outside else m.cols)
-        assert basis @ x.submatrix(range(x.rows), inside) == m.submatrix(range(d), inside)
-
-
-def test_coordinates_of_vectors_outside_the_span():
-    basis = M([[1], [0], [0]])
-    x, outside = coordinates(basis, M([[2, 0, 0, 1], [0, 1, 2, 1], [0, 0, 0, 0]]))
-    assert outside == (1,)
-    assert x.submatrix([0], [0]) == M([[2]])
-    with pytest.raises(PreconditionError):
-        coordinates(M([[1, 2], [1, 2]]), M([[1], [0]]))
-    with pytest.raises(DimensionMismatch):
-        coordinates(basis, M([[1]]))
 
 
 def test_as_rat_scalars():
@@ -836,17 +830,6 @@ def test_signature_matches_descartes_on_the_characteristic_polynomial(a):
     assert signature(M(a, cols=len(a))) == inertia_by_descartes(a)
 
 
-def test_solve_consistency():
-    a = M([[1, 2], [3, 4]])
-    b = M([[5], [11]])
-    x, outside = coordinates(a, b)
-    assert outside == () and a @ x == b
-    with pytest.raises(PreconditionError):
-        coordinates(M([[1, 1], [1, 1]]), M([[0], [1]]))
-    x, outside = coordinates(M([], cols=0), M([], cols=3))  # the 0 x 0 system
-    assert x == RatMatrix.zeros(0, 3) and outside == ()
-
-
 # -- sparse storage against a dense reference -----------------------------------
 
 
@@ -915,7 +898,6 @@ def test_operations_match_dense_reference(args):
     _assert_matches(ma @ mb, dense_matmul(a, b, p), p)
     _assert_matches(ma.kron(mb), dense_kron(a, b), m * p)
     _assert_matches(ma.transpose(), dense_transpose(a, m), n)
-    _assert_matches(ma.hstack(mc), [ra + rc for ra, rc in zip(a, c)], 2 * m)
     _assert_matches(ma.vstack(mc), a + c, m)
     _assert_matches(ma + mc, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)], m)
     _assert_matches(-ma, [[-x for x in row] for row in a], m)
