@@ -45,20 +45,25 @@ steps are computed.  ``specseq.filtration_agreement`` reads no basis: only pivot
 
 verify_monodromy_axioms checks (a) and (b) on any filtration in a basis
 adapted to it, the echelon rows of each step at its new pivots in step
-order.  These rows lead at distinct columns, so ``ratlin._clear``, the one
-row reduction outside the batch elimination, writes each N b_k in them and
-lists its coordinates, a column of the matrix A of N in that basis
-(``_adapted_coordinates``).  N M_i lies in M_{i-2} iff A vanishes on the
-columns of M_i and the rows beyond M_{i-2}, and N^r : Gr_{c+r} -> Gr_{c-r}
-has the rank of A^r on the columns of M_{c+r} and the rows beyond
-M_{c-r-1}.  A is scaled to integers by one scalar, and each power's rows
-to coprime integers, which changes no such rank and keeps the powers from
-growing in bit size.  The same rows check that the steps are nested
-(``_adapted_rows``, which ``Filtration.from_steps`` calls too): a step
-holds the one before it iff it has all its pivots and each row of the one
-before, cleared at the new pivots against the new rows, is the step's row
-at the same pivot.  Reading no power of N, kernel flag or Jordan basis,
-it stays an independent test of the construction.
+order, each row scaled to coprime integers once.  These rows lead at
+distinct columns, so ``ratlin._clear``, the one row reduction outside the
+batch elimination, writes each N b_k in them and lists its coordinates, a
+column of the matrix A of N in that basis (``_adapted_coordinates``).  The
+first end(i) rows span M_i, and the ends are read once for all i.  N M_i
+lies in M_{i-2} iff A vanishes on the first end(i) columns and the rows
+from end(i-2) on, and N^r : Gr_{c+r} -> Gr_{c-r} has the rank of A^r on
+the first end(c+r) columns and the rows from end(c-r-1) on, one forward
+elimination of those rows cut at that column.  A is scaled to integers by
+one scalar, and each power's rows to coprime integers, which changes no
+such rank and keeps the powers from growing in bit size.  The same rows
+check that the steps are nested (``_adapted_rows``, which
+``Filtration.from_steps`` calls too): a step holds the one before it iff
+it has all its pivots and each row of the one before, cleared at the new
+pivots against the new rows, is the step's row at the same pivot.  A row
+that both steps hold as one object is that row, so it is not cleared;
+``prefix_row_spaces`` shares every row that the vectors between two steps
+leave unchanged.  Reading no power of N, kernel flag or Jordan basis, and
+forming no RREF, it stays an independent test of the construction.
 """
 
 from __future__ import annotations
@@ -74,13 +79,14 @@ from .ratlin import (
     RatMatrix,
     Subspace,
     _clear,
+    _forward,
     _null_rows,
+    _primitive,
     cancel_at,
     greedy_extension,
     kernel_flag,
     prefix_row_spaces,
     primitive_rows,
-    rank,
 )
 
 
@@ -184,23 +190,34 @@ def _adapted_rows(ambient_dim, subspaces):
 
     The rows are each subspace's echelon rows, scaled to coprime integers,
     at the pivots the one before it lacks; labels[k] is the position of the
-    subspace that row k enters at.  A subspace with RREF rows f holds one
-    with RREF rows e iff it has all their pivots p and each e_p is f_p plus
-    the sum of e_p[q] f_q over the new pivots q, as e_p is 1 at p and 0 at
-    the other old pivots.  Cancelling e_p against the f_q at the new pivots
-    (``cancel_at``) leaves e_p minus that sum times a positive factor, so
-    the entry at p stays positive, and two primitive rows positive at p are
-    proportional iff they are equal.  DimensionMismatch for a subspace of
-    another space, InvalidForm for subspaces that are not nested.
+    subspace that row k enters at.  Each row object is scaled once, however
+    many subspaces hold it.  A subspace with RREF rows f holds one with RREF
+    rows e iff it has all their pivots p and each e_p is f_p plus the sum of
+    e_p[q] f_q over the new pivots q, as e_p is 1 at p and 0 at the other old
+    pivots.  An e_p that is the row object f_p is one of its rows, so it is
+    not checked: ``prefix_row_spaces`` shares every row that did not change
+    between two steps.  Any other e_p is cancelled against the f_q at the
+    new pivots (``cancel_at``), which leaves e_p minus that sum times a
+    positive factor, so the entry at p stays positive, and two primitive
+    rows positive at p are proportional iff they are equal.
+    DimensionMismatch for a subspace of another space, InvalidForm for
+    subspaces that are not nested.
     """
     rows, labels, before = [], [], {}
+    scaled = {}  # id(row) -> (row, its pivot, row scaled); holding row keeps its id unique
     for pos, sub in enumerate(subspaces):
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("step in wrong ambient space")
-        leads = {min(row): row for row in primitive_rows(sub.echelon).data}
-        new = {p: row for p, row in leads.items() if p not in before}
+        leads = {}
+        for row in sub.echelon.data:
+            held = scaled.get(id(row))
+            if held is None:
+                held = scaled[id(row)] = (row, min(row), _primitive(row))
+            leads[held[1]] = held
+        new = {p: held[2] for p, held in leads.items() if p not in before}
         if (len(leads) - len(new) != len(before)
-                or any(cancel_at(row, new) != leads[p] for p, row in before.items())):
+                or any(held is not leads[p] and cancel_at(held[2], new) != leads[p][2]
+                       for p, held in before.items())):
             raise InvalidForm("filtration steps must be increasing")
         rows += new.values()
         labels += [pos] * len(new)
@@ -299,7 +316,10 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
 
     Both are read off A, the matrix of N in the adapted basis, scaled to
     integers by one scalar, and off its powers, each scaled row by row to
-    coprime integers, as the module docstring sets out.  InvalidForm when the
+    coprime integers, as the module docstring sets out.  The basis scales
+    each row once and clears only the rows that change from one step to the
+    next (``_adapted_rows``); the step ends are read once, and each rank is
+    one forward elimination of a block of rows of A^r.  InvalidForm when the
     steps are not nested or do not exhaust Q^n, and DimensionMismatch for a
     step in another space, which the raw constructor does not check.
     """
@@ -311,20 +331,25 @@ def verify_monodromy_axioms(op: NilpotentOp, filt: Filtration) -> MonodromyAxiom
     if len(rows) != n:
         raise InvalidForm("filtration must exhaust the ambient space")
 
+    ends = [bisect_right(labels, filt.position(i)) for i in range(lo, hi + 1)]
+
     def end(i):  # the first end(i) basis vectors span M_i
-        return bisect_right(labels, filt.position(i))
+        return ends[min(i, hi) - lo] if i >= lo else 0
 
     a = _adapted_coordinates(rows, op.matrix)
-    # reach[k]: the highest position of a row that one of the first k columns of A meets
-    reach = list(accumulate((labels[max(col)] if col else -1 for col in a.transpose().data),
-                            max, initial=-1))
-    lowering = [(idx, reach[end(idx)] <= filt.position(idx - 2)) for idx in range(lo, hi + 1)]
+    # reach[k]: one past the last row that one of the first k columns of A meets
+    reach = list(accumulate((max(col) + 1 if col else 0 for col in a.transpose().data),
+                            max, initial=0))
+    lowering = [(idx, reach[end(idx)] <= end(idx - 2)) for idx in range(lo, hi + 1)]
     graded, power = [], RatMatrix.identity(n)
     for r in range(max(hi - c, c - lo, 0) + 2):
-        dp, dm, rk = filt.graded_dim(c + r), filt.graded_dim(c - r), 0  # N^r = 0 from r = e on
+        top, bottom = end(c + r), end(c - r - 1)
+        dp, dm, rk = top - end(c + r - 1), end(c - r) - bottom, 0  # N^r = 0 from r = e on
         if r < e:
             power = primitive_rows(power @ a) if r else power
-            rk = rank(power.submatrix(range(end(c - r - 1), n), range(end(c + r))))
+            # the rank of the block of A^r on the rows from bottom, the columns before top
+            rk = len(_forward({j: v for j, v in row.items() if j < top}
+                              for row in power.data[bottom:]))
         graded.append((r, dp, dm, rk, dp == dm and rk == dp))
     ok = all(x[1] for x in lowering) and all(g[4] for g in graded)
     return MonodromyAxiomReport(tuple(lowering), tuple(graded), ok)

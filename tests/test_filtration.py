@@ -138,9 +138,26 @@ def test_axioms_fail_on_a_shifted_center_where_lowering_holds():
     assert (3, 1, 0, 0, False) in report.graded_isos
 
 
+def _fresh_rows(filt):
+    """filt with each step rebuilt on copies of its echelon rows: no row object is shared."""
+    return Filtration(filt.ambient_dim, filt.center, tuple(
+        (i, Subspace(sub.ambient_dim, echelon=RatMatrix(sub.dim, sub.ambient_dim,
+                                                        tuple(map(dict, sub.echelon.data)))))
+        for i, sub in filt.steps))
+
+
+def _shared_rows(filt):
+    """The count of row objects that a step holds with the step before it."""
+    held = [{id(row) for row in sub.echelon.data} for _, sub in filt.steps]
+    return sum(len(a & b) for a, b in zip(held, held[1:]))
+
+
 def test_axioms_refuse_steps_that_are_not_nested_or_not_exhaustive():
-    # the raw constructor takes any steps; from_steps makes the same checks
+    # the raw constructor takes any steps; from_steps makes the same checks,
+    # on the rows as built and on copies that share no row between steps
     e1, e2 = Subspace.coordinate(3, 1), Subspace.span(3, [(0, 1, 0)])
+    upper = Subspace.span(3, [(1, 1, 0), (0, 0, 1)])
+    lower = Subspace(3, echelon=RatMatrix(2, 3, ({0: 1}, upper.echelon.data[1])))
     op = NilpotentOp.build(jordan_matrix([2, 1]))
     for steps, error, message in (
         (((-1, e1), (0, e2), (1, Subspace.full(3))), InvalidForm, "steps must be increasing"),
@@ -150,6 +167,11 @@ def test_axioms_refuse_steps_that_are_not_nested_or_not_exhaustive():
         # nested pivots, 0 then 0 and 2, but (1, 1, 0) is not in span(e1, e3)
         (((0, Subspace.span(3, [(1, 1, 0)])), (1, Subspace.span(3, [(1, 0, 0), (0, 0, 1)])),
           (2, Subspace.full(3))), InvalidForm, "steps must be increasing"),
+        # nested pivots, 0 then 0 and 2, but e1 is not in span((1, 1, 0), e3)
+        (((0, e1), (1, upper), (2, Subspace.full(3))), InvalidForm, "steps must be increasing"),
+        # the same pivots, and the row (0, 0, 1) one object in both steps: it
+        # is not cleared, and the rows at pivot 0 differ
+        (((0, lower), (1, upper), (2, Subspace.full(3))), InvalidForm, "steps must be increasing"),
         # equal dimensions and the same pivot, different lines
         (((0, Subspace.span(3, [(1, 1, 0)])), (1, Subspace.span(3, [(1, 0, 1)])),
           (2, Subspace.full(3))), InvalidForm, "steps must be increasing"),
@@ -162,10 +184,12 @@ def test_axioms_refuse_steps_that_are_not_nested_or_not_exhaustive():
         (((0, e1), (1, Subspace.coordinate(3, 2))), InvalidForm, "must exhaust the ambient space"),
         (((0, Subspace.zero(3)),), InvalidForm, "must exhaust the ambient space"),
     ):
-        with pytest.raises(error, match=message):
-            verify_monodromy_axioms(op, Filtration(3, 0, steps))
-        with pytest.raises(error, match=message):
-            Filtration.from_steps(3, 0, steps)
+        for filt in (Filtration(3, 0, steps), _fresh_rows(Filtration(3, 0, steps))):
+            with pytest.raises(error, match=message):
+                verify_monodromy_axioms(op, filt)
+            with pytest.raises(error, match=message):
+                Filtration.from_steps(3, 0, filt.steps)
+    assert _shared_rows(Filtration(3, 0, ((0, lower), (1, upper)))) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -462,6 +486,9 @@ def _variants(op, center, rng):
 @example([9, 2], 0, 4, False)
 @example([9, 1], 1, 5, True)
 @example([11], -1, 6, False)
+# the long chains of the benchmark's operator stream, e = 30 and e = 18
+@example([30], 0, 7, False)
+@example([18, 2], 1, 8, False)
 def test_axiom_report_matches_dense_oracle(sizes, center, seed, scale):
     rng = random.Random(seed)
     op = _conjugate(sizes, rng, scale)
@@ -477,6 +504,31 @@ def test_axiom_report_matches_dense_oracle(sizes, center, seed, scale):
             assert got["ok"]
         elif k <= 3 and op.dim:
             assert not got["ok"]  # the graded pieces are not symmetric about the center
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), max_size=4),
+    st.integers(-2, 2),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example([4, 2, 1], -1, 3, True)   # Fraction entries
+@example([6, 3, 1], 0, 4, False)
+def test_shared_rows_give_the_report_of_fresh_rows(sizes, center, seed, scale):
+    # _adapted_rows does not clear a row that two steps hold as one object;
+    # on copies that share no row it clears them all, and reads the same
+    # report.  Jordan forms share most rows, conjugates few.
+    rng = random.Random(seed)
+    jordan = NilpotentOp.build(jordan_matrix(sizes))
+    for op in (jordan, _conjugate(sizes, rng, scale)):
+        for filt in _variants(op, center, rng):
+            fresh = _fresh_rows(filt)
+            assert _shared_rows(fresh) == 0
+            assert (verify_monodromy_axioms(op, filt).to_json_dict()
+                    == verify_monodromy_axioms(op, fresh).to_json_dict())
+    # the unit rows of a Jordan form's steps are shared with each other and Q^n
+    assert _shared_rows(monodromy_filtration(jordan, center)) or jordan.nilpotency_index < 2
 
 
 def test_adapted_coordinates_match_stacked_coordinates():
