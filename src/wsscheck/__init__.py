@@ -29,7 +29,6 @@ from .ratlin import (
 from .filtration import (
     Filtration,
     NilpotentOp,
-    compare_shifted,
     monodromy_filtration,
     verify_monodromy_axioms,
 )
@@ -39,7 +38,6 @@ from .strata import (
     TransferMaps,
     load,
     save,
-    to_weight_complex,
     validate,
 )
 from .specseq import (
@@ -50,11 +48,8 @@ from .specseq import (
     build_e1,
     build_e2,
     check_wmc,
-    compare_monodromy_vs_weight,
     filtration_agreement,
     tensor_product,
-    unit_page,
-    weight_filtration_graded,
 )
 from .lefschetz import (
     DualTriple,

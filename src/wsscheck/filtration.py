@@ -37,11 +37,14 @@ N H_{s+1} and of the unit vectors of J before j, and one greedy_extension
 over those rows finds them without reducing K_{s-1} again.  The vectors of
 height s then complete K_{s-1} to K_s, so the chains make a basis.  The
 vectors go in weight order into one reduced echelon (``prefix_row_spaces``),
-and M_i is its snapshot after the last vector of weight at most i.  Each
-snapshot is the RREF of the step, divided by its pivots as ``rref``
-divides, and the RREF of a subspace is unique: the steps, and every byte
-written from them, do not depend on the basis picked or on the way the
-steps are computed.  ``specseq.filtration_agreement`` reads no basis: only pivot counts.
+and M_i is its snapshot after the last vector of weight at most i.  The
+snapshots rise strictly in dimension, so they go to the raw ``Filtration``
+constructor as they are; ``Filtration.from_steps``, the one checked
+constructor, is for steps from outside.  Each snapshot is the RREF of
+the step, divided by its pivots as ``rref`` divides, and the RREF of a
+subspace is unique: the steps, and every byte written from them, do not
+depend on the basis picked or on the way the steps are computed.
+``specseq.filtration_agreement`` reads no basis: only pivot counts.
 
 verify_monodromy_axioms checks (a) and (b) on any filtration in a basis
 adapted to it, the echelon rows of each step at its new pivots in step
@@ -118,14 +121,12 @@ class Filtration:
     steps[0] is the zero-subspace sentinel and the final step is the full
     space; queries between jumps resolve to the nearest lower step.
 
-    ``from_steps`` is the entry for steps from outside: it checks that each
-    step lies in Q^n, contains the one before it (``_adapted_rows``, the
-    nesting check of ``verify_monodromy_axioms``) and that the last is Q^n.
-    ``from_nested_steps`` skips those checks, for builders whose steps are
-    nested and exhaustive by construction (``monodromy_filtration``,
-    ``specseq.weight_filtration_graded``).  Both
-    sort the steps, keep the first of equal ones and add the sentinel, so
-    on the same valid steps they give the same filtration.
+    ``from_steps`` is the one checked constructor, for steps from outside:
+    it checks that each step lies in Q^n, contains the one before it
+    (``_adapted_rows``, the nesting check of ``verify_monodromy_axioms``)
+    and that the last is Q^n, then sorts the steps, keeps the first of equal
+    ones and adds the sentinel.  ``monodromy_filtration`` builds its steps
+    in this form and calls the raw constructor.
     """
 
     ambient_dim: int
@@ -140,13 +141,8 @@ class Filtration:
         _adapted_rows(ambient_dim, [sub for _, sub in steps])
         if steps[-1][1].dim != ambient_dim:
             raise InvalidForm("filtration must exhaust the ambient space")
-        return cls.from_nested_steps(ambient_dim, center, steps)
-
-    @classmethod
-    def from_nested_steps(cls, ambient_dim, center, steps):
-        """from_steps without its checks: the steps must be nested, the last Q^n."""
         kept = []
-        for idx, sub in sorted(steps, key=itemgetter(0)):
+        for idx, sub in steps:
             if not kept or sub.dim != kept[-1][1].dim:  # nested: equal iff equal dims
                 kept.append((idx, sub))
         if kept[0][1].dim != 0:
@@ -234,15 +230,18 @@ def monodromy_filtration(op: NilpotentOp, center: int) -> Filtration:
     """
     n, e = op.dim, op.nilpotency_index
     # weights run from c - e + 1 to c + e - 1: M_{c-e} = 0, M_{c+e-1} = V, and
-    # only the steps between, none when N = 0, need the basis
-    steps = [(center - e, Subspace.zero(n)), (center + e - 1, Subspace.full(n))]
+    # only the steps between, none when N = 0, need the basis; each weight
+    # that occurs adds vectors, so the dims rise strictly in index order
+    steps = [(center - e, Subspace.zero(n))]
     if e > 1:
         weighted = _weighted_jordan_basis(op, center)
         ends = {w: k + 1 for k, (w, _) in enumerate(weighted)}  # by increasing weight
         del ends[center + e - 1]
         vectors = RatMatrix(n, n, tuple(v for _, v in weighted))
         steps += zip(ends, prefix_row_spaces(vectors, ends.values()))
-    return Filtration.from_nested_steps(n, center, steps)
+    if n:  # on Q^0 the zero step is already the full one
+        steps.append((center + e - 1, Subspace.full(n)))
+    return Filtration(n, center, tuple(steps))
 
 
 def monodromy_graded_dims(kernel_dims) -> dict:
@@ -382,14 +381,3 @@ def _adapted_coordinates(rows, matrix):
         out[l][k] = b * (scale // d)
     return RatMatrix(n, n, tuple(out))
 
-
-def compare_shifted(m: Filtration, w: Filtration, shift: int) -> bool:
-    """True iff m_i equals w_{shift+i} for every index i."""
-    if m.ambient_dim != w.ambient_dim:
-        raise DimensionMismatch("filtrations live in different spaces")
-    lo = min(m.lowest_index, w.lowest_index - shift) - 1
-    hi = max(m.highest_index, w.highest_index - shift) + 1
-    for i in range(lo, hi + 1):
-        if m.step(i) != w.step(shift + i):
-            return False
-    return True

@@ -53,7 +53,6 @@ from .ratlin import (
     image,
     intersect,
     kernel,
-    null_rows_and_pivots,
     rank,
     row_space,
     signature,
@@ -375,8 +374,9 @@ def check_hodge_index(datum: SemistableDatum, prim: PrimitiveDecomposition) -> C
     definite Lefschetz form on primitive H^2 per threefold component, for a
     validated datum.  Once L^2 does not mix components, the form on one
     component's primitives restricts the symmetric one of ``prim``; it is
-    read on the integer null rows of the component's L^2 block, and
-    Sylvester's law makes the signature independent of that basis."""
+    read on the rows of the ``kernel`` of the component's L^2 block, whose
+    count is prim2_dim, and Sylvester's law makes the signature independent
+    of that basis."""
     _require_threefold(datum)
     details = {"surface": [], "threefold": []}
     ok = True
@@ -412,7 +412,7 @@ def check_hodge_index(datum: SemistableDatum, prim: PrimitiveDecomposition) -> C
             raise InvalidForm(
                 f"Lefschetz pairing mixes components at threefold component {c}"
             )
-        prim_c = null_rows_and_pivots(l2_a.submatrix(idx6[c], idx2))[0]
+        prim_c = _matrix(kernel(l2_a.submatrix(idx6[c], idx2)))
         sig = signature(_gram(prim_c, gram_full.submatrix(idx2, idx2)))
         good = sig == (0, prim_c.rows, 0)
         details["threefold"].append(

@@ -60,15 +60,16 @@ row leads at its own free column; ``subspace_sum`` clears the rows of one
 at the pivots of the other, and ``intersect`` is one ``_forward``
 (Zassenhaus).
 
-Kernels and quotients come from one elimination.
-``null_rows_and_pivots(m)`` reduces m's rows once and returns integer
-kernel rows, one per free column f, with the pivot columns: m's columns at
-the pivots are a basis of its image.  ``echelon_and_relations(m, live)``
-eliminates the rows live of m once, each tagged with a unit in a column of
-its own, which is the dual reading of one reduction in persistent
-cohomology.  The rows that lead in m's columns are its echelon; the rows
-whose part in m's columns vanished are the relations among the live rows.
-``reduce_rows`` clears rows at the pivots of such an echelon.  The E2 page
+Kernels and quotients come from one elimination.  ``_null_rows`` reads
+integer null rows, one per free column, off a reduced echelon: ``kernel``
+hands it one reduction of m with its columns reversed, and the callers of
+``kernel_flag`` the reduced rows of each power of m, so there is one
+kernel routine.  ``echelon_and_relations(m, live)`` eliminates the rows
+live of m once, each tagged with a unit in a column of its own, which is
+the dual reading of one reduction in persistent cohomology.  The rows
+that lead in m's columns are its echelon; the rows whose part in m's
+columns vanished are the relations among the live rows.  ``reduce_rows``
+clears rows at the pivots of such an echelon.  The E2 page
 eliminates each d1 block this way: the relations of the block into a cell
 are the cell's quotient projection, and the induced N is read in them
 from rows cleared at the pivots of the block out of the cell.  These bases
@@ -339,23 +340,11 @@ class RatMatrix:
                     acc = {j: v for j, v in acc.items() if v}
             yield acc
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack column mismatch")
-        return RatMatrix(self.rows + other.rows, self.cols, self.data + other.data)
-
     def kron(self, other):
         q = other.cols
         data = [{j * q + c: av * bv for j, av in arow.items() for c, bv in brow.items()}
                 for arow in self.data for brow in other.data]
         return RatMatrix(self.rows * other.rows, self.cols * q, _exact(data))
-
-    def apply(self, vec):
-        """Matrix-vector product, vectors as tuples."""
-        vec = list(vec)
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
-        return tuple(_norm(sum(v * vec[j] for j, v in row.items())) for row in self.data)
 
     # -- serialization ------------------------------------------------------
 
@@ -630,8 +619,6 @@ class Subspace:
             return NotImplemented
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        if "echelon" in vars(self) and "echelon" in vars(other):
-            return self.echelon == other.echelon
         return _holds(self, other.rows.values())
 
     def __repr__(self):
@@ -658,9 +645,6 @@ class Subspace:
 
     def contains_vector(self, v) -> bool:
         return _holds(self, map(_primitive, RatMatrix.from_rows([v], cols=self.ambient_dim).data))
-
-    def to_json_dict(self):
-        return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json_dict()}
 
 
 def _holds(u: Subspace, rows) -> bool:
@@ -743,24 +727,14 @@ def _same_ambient(u: Subspace, w: Subspace):
         )
 
 
-def null_rows_and_pivots(m: RatMatrix):
-    """(null rows, pivots) from one reduction of m's rows.
-
-    The null rows are a basis of {v : m v = 0} as integer rows, not
-    canonical.  pivots are the pivot columns of the reduced rows: m's
-    columns there are a basis of its column space.  The null rows are one
-    per other column f, in increasing order: L at f and -r[f] L / r[c] at
-    each pivot c with its row r, where L is the lcm of |r[c]| over the rows
-    with an entry at f, so that every entry is an integer.
-    """
-    red = _reduce(m.data)
-    return _null_rows(red, m.cols), tuple(red)
-
-
 def _null_rows(red: dict, n: int) -> RatMatrix:
-    """The integer null rows of null_rows_and_pivots, read off the reduced rows red.
+    """Integer rows of the null space of the reduced rows red, one per free column f.
 
     Each row of red holds entries at its pivot and at free columns only.
+    The row at f is L at f and -r[f] L / r[c] at each pivot c with its row
+    r, where L is the lcm of |r[c]| over the rows with an entry at f, so
+    that every entry is an integer.  The rows, in increasing order of f,
+    are a basis of the null space, not a canonical one.
     """
     scale = [1] * n
     for c, row in red.items():
@@ -826,8 +800,8 @@ def kernel_flag(m: RatMatrix) -> tuple:
 
     R_s is a reduced echelon {pivot: row} of integer rows spanning the row
     space of m^s: Ker m^s is the null space of R_s, and
-    ``_null_rows(R_s, n)`` reads integer rows of it off R_s as
-    ``null_rows_and_pivots`` reads them, for the callers that need them.
+    ``_null_rows(R_s, n)`` reads integer rows of it off R_s, for the
+    callers that need them.
     R_0 is the unit rows, R_1 the reduced integer rows of m and R_{s+1} the
     reduced rows of R_s m, so no power of m is formed.  The ranks r_s fall
     until the first s with r_{s+1} = r_s (Fitting), so r_{s+1} = r_s > 0
@@ -885,11 +859,11 @@ def _combine(rows: dict, coeffs: dict) -> dict:
 def kernel(m: RatMatrix) -> Subspace:
     """{v : m v = 0}, from one reduction of m's columns in reverse.
 
-    With the columns reversed, c -> n - 1 - c, each null row of
-    ``null_rows_and_pivots`` is nonzero at its own free column and at pivots
-    before it; back in m's order the pivots come after it, so the row leads
-    at its free column, with a positive entry there.  Rank-nullity holds by
-    construction.
+    With the columns reversed, c -> n - 1 - c, each null row that
+    ``_null_rows`` reads off the reduction is nonzero at its own free column
+    and at pivots before it; back in m's order the pivots come after it, so
+    the row leads at its free column, with a positive entry there.
+    Rank-nullity holds by construction.
     """
     n = m.cols
     flipped = _reduce({n - 1 - j: v for j, v in row.items()} for row in m.data)

@@ -52,8 +52,8 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .filtration import Filtration, NilpotentOp, monodromy_graded_dims
-from .ratlin import RatMatrix, Subspace, echelon_and_relations, rank, reduce_rows
+from .filtration import NilpotentOp, monodromy_graded_dims
+from .ratlin import RatMatrix, echelon_and_relations, rank, reduce_rows
 from .strata import SemistableDatum
 
 
@@ -461,29 +461,10 @@ def _antidiagonal(e2: E2Page, w: int):
     return offsets, pos
 
 
-def weight_filtration_graded(e2: E2Page, w: int) -> Filtration:
-    """On the sum of E2^{i,j} with i+j = w, the filtration by weight j."""
-    offsets, total = _antidiagonal(e2, w)
-    if total == 0:
-        return Filtration.from_nested_steps(0, w, [(w, Subspace.zero(0))])
-    # the spans of growing prefixes of the coordinates, nested by construction
-    js = list(offsets)
-    steps = [(js[0] - 1, Subspace.zero(total))]
-    for j in js:
-        steps.append((j, Subspace.coordinate(total, offsets[j] + e2.dims[(w - j, j)])))
-    return Filtration.from_nested_steps(total, w, steps)
-
-
 def _slice_blocks(e2: E2Page, w: int, offsets: dict, at: int = 0) -> list:
     """The N blocks of the slice at w as placements, its cell at j from at + offsets[j]."""
     return [(at + offsets[j - 2], at + co, e2.n_map_block(w - j, j))
             for j, co in offsets.items() if j - 2 in offsets]
-
-
-def graded_monodromy_operator(e2: E2Page, w: int):
-    """Block N on the sum of E2^{i,j} with i+j = w, ordered by increasing j."""
-    offsets, total = _antidiagonal(e2, w)
-    return RatMatrix.assemble(total, total, _slice_blocks(e2, w, offsets))
 
 
 def filtration_agreement(e2: E2Page, ws) -> dict:
@@ -515,24 +496,7 @@ def filtration_agreement(e2: E2Page, ws) -> dict:
             for k, (w, want) in enumerate(levels.items())}
 
 
-def compare_monodromy_vs_weight(e2: E2Page, w: int) -> bool:
-    """``filtration_agreement`` at the one degree w."""
-    return filtration_agreement(e2, (w,))[w]
-
-
 # -- tensor products -----------------------------------------------------------
-
-
-def unit_page() -> WeightComplex:
-    """The monoidal unit: a single one-dimensional cell at (0, 0)."""
-    return WeightComplex(
-        n=0,
-        cells={(0, 0): None},
-        dims={(0, 0): 1},
-        d1={},
-        n_blocks={},
-        pairings=None,
-    )
 
 
 def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:

@@ -658,10 +658,3 @@ def load(path) -> SemistableDatum:
         raise SchemaError(f"{p}: JSON nested too deeply") from None
     return datum_from_json_dict(doc)
 
-
-def to_weight_complex(datum: SemistableDatum):
-    """Validated E1 page with differentials, monodromy blocks and pairings."""
-    from . import specseq  # late import: specseq depends on this module
-
-    require_valid(validate(datum))
-    return specseq.build_e1(datum)

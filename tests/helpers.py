@@ -1,34 +1,13 @@
 """Shared randomized builders for the test suite (engine-aware)."""
 
-from contextlib import contextmanager
 from dataclasses import replace
 from operator import itemgetter
 
-import pytest
-
-from wsscheck.filtration import Filtration, NilpotentOp, compare_shifted, monodromy_filtration
+from wsscheck.filtration import NilpotentOp, monodromy_filtration
 from wsscheck.lefschetz import DualTriple
 from oracles import gauss_jordan
-from wsscheck.ratlin import RatMatrix, _null_rows, greedy_extension, primitive_rows
-from wsscheck.specseq import graded_monodromy_operator, weight_filtration_graded
+from wsscheck.ratlin import RatMatrix, Subspace, _null_rows, greedy_extension, primitive_rows
 from wsscheck.strata import TransferMaps
-
-
-@contextmanager
-def nested_step_calls():
-    """Record (ambient_dim, center, steps, result) of each Filtration.from_nested_steps call."""
-    calls = []
-    trusted = Filtration.from_nested_steps
-
-    def recording(ambient_dim, center, steps):
-        steps = list(steps)
-        out = trusted(ambient_dim, center, steps)
-        calls.append((ambient_dim, center, steps, out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Filtration, "from_nested_steps", recording)
-        yield calls
 
 
 def stacked_jordan_basis(op, center):
@@ -64,11 +43,21 @@ def stacked_jordan_basis(op, center):
 def filtration_route_by_steps(e2, w):
     """specseq.filtration_agreement at w by its canonical steps, kept as its oracle.
 
-    The monodromy filtration of block N, centered at 0, as RREF snapshots,
-    against the weight filtration's coordinate subspaces shifted by w.
+    On the sum of the cells E2^{w-j,j}, by increasing j, each step M_i of the
+    monodromy filtration of block N, centered at 0, as an RREF snapshot,
+    against W_{w+i}, the coordinate span of the cells with j <= w + i.
     """
-    m = monodromy_filtration(NilpotentOp.build(graded_monodromy_operator(e2, w)), 0)
-    return compare_shifted(m, weight_filtration_graded(e2, w), w)
+    cells = [(j, e2.dims[(w - j, j)]) for j in range(2 * e2.n + 1) if (w - j, j) in e2.dims]
+    offsets, total = {}, 0
+    for j, d in cells:
+        offsets[j], total = total, total + d
+    block = RatMatrix.assemble(total, total, [(offsets[j - 2], offsets[j], e2.n_map_block(w - j, j))
+                                              for j in offsets if j - 2 in offsets])
+    m = monodromy_filtration(NilpotentOp.build(block), 0)
+    lo = min(m.lowest_index, -w) - 1
+    hi = max(m.highest_index, 2 * e2.n - w) + 1
+    return all(m.step(i) == Subspace.coordinate(total, sum(d for j, d in cells if j <= w + i))
+               for i in range(lo, hi + 1))
 
 
 def inverse(m):
@@ -107,7 +96,7 @@ def change_basis(datum, j, s, t):
             maps[into] = ti @ maps[into]
     ample = datum.ample_class
     if (j, s) == (1, 2):
-        ample = ti.apply(ample)
+        ample = (ti @ RatMatrix.from_rows([[x] for x in ample], cols=1)).col_tuple(0)
     levels = dict(datum.levels)
     levels[j] = replace(lvl, pairings=pairings, lefschetz=lefschetz)
     return replace(datum, levels=levels, ample_class=ample,

@@ -44,13 +44,14 @@ from wsscheck.errors import MutationNotApplicable
 from wsscheck.lefschetz import dual_cohomology_iso, run_threefold_suite
 from wsscheck.ratlin import image
 from wsscheck.specseq import (
+    build_e1,
     build_e2,
     check_wmc,
-    compare_monodromy_vs_weight,
+    filtration_agreement,
     formal_page,
     tensor_power,
 )
-from wsscheck.strata import AXIOMS, to_weight_complex, validate
+from wsscheck.strata import AXIOMS, validate
 
 
 def _announce(criterion, detail):
@@ -70,7 +71,7 @@ def test_criterion_1_curve_degenerations():
             (0, 2): n - r,
         }
         assert r == n - 1 and all(v == 1 for v in expect.values())
-        e2 = build_e2(to_weight_complex(gen_ngon(n)))
+        e2 = build_e2(build_e1(gen_ngon(n)))
         got = {k: v for k, v in e2.dims.items() if v}
         assert got == expect, (n, got)
         verdict = check_wmc(e2)
@@ -87,7 +88,7 @@ def test_criterion_2_tensor_cube():
     t0 = time.time()
     oracle = convolve_power({0: 1, 2: 1}, 3)  # independent Kunneth convolution
     assert oracle == {0: 1, 2: 3, 4: 3, 6: 1}
-    curve_e2 = build_e2(to_weight_complex(gen_ngon(3)))
+    curve_e2 = build_e2(build_e1(gen_ngon(3)))
     cube = tensor_power(formal_page(curve_e2, 1), 3)
     e2 = build_e2(cube)
     for j in range(0, 7):
@@ -171,10 +172,10 @@ def test_criterion_5_cross_implementation_agreement():
     """Filtration comparison equals rank checks at every w on every instance."""
     count = 0
     for name, datum in _corpus():
-        e2 = build_e2(to_weight_complex(datum))
+        e2 = build_e2(build_e1(datum))
         verdict = check_wmc(e2)
         for w in range(0, 2 * datum.n + 1):
-            assert compare_monodromy_vs_weight(e2, w) == verdict.at_w(w), (name, w)
+            assert filtration_agreement(e2, (w,))[w] == verdict.at_w(w), (name, w)
             count += 1
     _announce("criterion-5", f"two code paths agree at {count} (instance, w) pairs")
 
@@ -184,7 +185,7 @@ def test_criterion_6_threefold_suite():
     for name in toy_names():
         datum = load_toy(name)
         assert validate(datum).ok, name
-        e2 = build_e2(to_weight_complex(datum))
+        e2 = build_e2(build_e1(datum))
         report = run_threefold_suite(datum, e2, check_wmc(e2))
         assert report.ok, (name, [c.name for c in report.checks if not c.ok])
         by_name = {c.name: c for c in report.checks}

@@ -362,7 +362,7 @@ def test_check_wmc_of_a_power_eliminates_the_base_page_alone(tmp_path, monkeypat
     assert run_cli(["check-wmc", "--instance", str(path), "--tensor-power", "3"]) == 0
     capsys.readouterr()
     # one elimination per cell of the base E1 page
-    assert calls == {"echelon_and_relations": len(strata.to_weight_complex(gen_ngon(3)).dims)}
+    assert calls == {"echelon_and_relations": len(specseq.build_e1(gen_ngon(3)).dims)}
 
 
 @pytest.mark.parametrize("command", ["check-wmc", "report"])

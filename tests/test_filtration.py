@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import inverse, nested_step_calls, random_jordan_type, stacked_jordan_basis
+from helpers import inverse, random_jordan_type, stacked_jordan_basis
 from oracles import axiom_report, jordan_graded_dims
 from wsscheck import filtration, ratlin
 from wsscheck.errors import DimensionMismatch, InvalidForm, InvalidOperator
@@ -18,7 +18,6 @@ from wsscheck.filtration import (
     _adapted_coordinates,
     _adapted_rows,
     _weighted_jordan_basis,
-    compare_shifted,
     monodromy_filtration,
     monodromy_graded_dims,
     verify_monodromy_axioms,
@@ -202,13 +201,27 @@ def test_axioms_refuse_steps_that_are_not_nested_or_not_exhaustive():
 @example([], 0, 1, False)          # the 0 x 0 operator
 @example([1, 1, 1], 2, 2, True)    # N = 0
 def test_monodromy_filtration_equals_checked_construction(sizes, center, seed, scale):
-    # the trusted path against from_steps on the same steps
+    # the steps handed to the raw constructor against from_steps on the same
+    # steps, which checks them, sorts, drops repeats and adds the sentinel
     op = _conjugate(sizes, random.Random(seed), scale)
-    with nested_step_calls() as calls:
-        filt = monodromy_filtration(op, center)
-    [(ambient_dim, c, steps, out)] = calls
-    assert out is filt
-    assert filt == Filtration.from_steps(ambient_dim, c, steps)
+    filt = monodromy_filtration(op, center)
+    assert filt == Filtration.from_steps(op.dim, center, filt.steps)
+
+
+def test_filtration_of_the_zero_operators_is_pinned():
+    # on Q^0 the zero step is the full one: one step, below the center; N = 0
+    # on Q^2 jumps at the center, from the sentinel to the whole space
+    empty = monodromy_filtration(NilpotentOp.build(RatMatrix.zeros(0, 0)), 3)
+    assert empty.to_json_dict() == {
+        "ambient_dim": 0, "center": 3,
+        "steps": [{"index": 2, "basis": {"rows": 0, "cols": 0, "entries": []}}],
+    }
+    zero = monodromy_filtration(NilpotentOp.build(RatMatrix.zeros(2, 2)), 0)
+    assert zero.to_json_dict() == {
+        "ambient_dim": 2, "center": 0,
+        "steps": [{"index": -1, "basis": {"rows": 2, "cols": 0, "entries": []}},
+                  {"index": 0, "basis": {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}}],
+    }
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,26 +331,6 @@ def test_determinism():
     f1 = monodromy_filtration(op, 5)
     f2 = monodromy_filtration(op, 5)
     assert f1 == f2
-
-
-def test_compare_shifted():
-    op = NilpotentOp.build(jordan_matrix([2, 1]))
-    m = monodromy_filtration(op, 0)
-    w = monodromy_filtration(op, 7)
-    assert compare_shifted(m, w, 7)
-    assert not compare_shifted(m, w, 6)
-    triv0 = Filtration.from_steps(3, 0, [(0, Subspace.full(3))])
-    trivw = Filtration.from_steps(3, 4, [(4, Subspace.full(3))])
-    assert compare_shifted(triv0, trivw, 4)
-    assert not compare_shifted(triv0, trivw, 3)
-
-
-def test_shift_mismatch_detected():
-    # one-dimensional discrepancy: jump at -1 versus jump exactly at the shift
-    sub = Subspace.span(2, [(1, 0)])
-    m = Filtration.from_steps(2, 0, [(-1, sub), (0, Subspace.full(2))])
-    w = Filtration.from_steps(2, 3, [(3, sub), (4, Subspace.full(2))])
-    assert not compare_shifted(m, w, 3)  # m at -1 has dim 1, w at 2 has dim 0
 
 
 def test_serialization_shape():

@@ -23,9 +23,9 @@ from wsscheck.instances import (
     toy_names,
 )
 from wsscheck.ratlin import RatMatrix
-from wsscheck.specseq import build_e2, check_wmc, tensor_product
+from wsscheck.specseq import build_e1, build_e2, check_wmc, tensor_product
 from wsscheck.strata import (
-    AXIOMS, _checks, datum_to_json_dict, dumps, to_weight_complex, validate,
+    AXIOMS, _checks, datum_to_json_dict, dumps, validate,
 )
 
 
@@ -79,7 +79,7 @@ def test_generator_outputs_validate():
 
 
 def test_chain_two_curves():
-    e2 = build_e2(to_weight_complex(gen_chain(2)))
+    e2 = build_e2(build_e1(gen_chain(2)))
     assert e2.dims.get((1, 0), 0) == 0
     assert e2.dims[(0, 0)] == 1
     assert check_wmc(e2).at_w(1)
@@ -87,14 +87,14 @@ def test_chain_two_curves():
 
 def test_ngon_e2_dims_are_n_independent():
     for n in (3, 8, 12):
-        e2 = build_e2(to_weight_complex(gen_ngon(n)))
+        e2 = build_e2(build_e1(gen_ngon(n)))
         assert {k: v for k, v in e2.dims.items() if v} == {
             (0, 0): 1, (1, 0): 1, (-1, 2): 1, (0, 2): 1,
         }
 
 
 def test_tensor_products_of_curve_pages_pass_wmc():
-    pages = {n: to_weight_complex(gen_ngon(n)) for n in (3, 4, 5, 6)}
+    pages = {n: build_e1(gen_ngon(n)) for n in (3, 4, 5, 6)}
     for a in (3, 4, 5, 6):
         for b in (3, 4, 5, 6):
             e2 = build_e2(tensor_product(pages[a], pages[b]))
@@ -220,7 +220,7 @@ def test_toys_match_shipped_files():
 
 
 def test_blowup_is_pure():
-    e2 = build_e2(to_weight_complex(blowup_point_datum()))
+    e2 = build_e2(build_e1(blowup_point_datum()))
     nonzero = {k: v for k, v in e2.dims.items() if v}
     assert nonzero == {(0, 0): 1, (0, 2): 1, (0, 4): 1, (0, 6): 1}
 
@@ -258,5 +258,5 @@ def test_product_toy_kunneth_dims(gen, incidence, n):
     # the plane is pure: Kunneth convolves each row with its degrees 0, 2, 4
     expected = {(i, j): d for i, row in curve.items()
                 for j, d in convolve_dims(row, {0: 1, 2: 1, 4: 1}).items() if d}
-    e2 = build_e2(to_weight_complex(times_projective_plane(gen(n))))
+    e2 = build_e2(build_e1(times_projective_plane(gen(n))))
     assert {k: v for k, v in e2.dims.items() if v} == expected

@@ -31,19 +31,19 @@ from wsscheck.lefschetz import (
 )
 from wsscheck.ratlin import (
     RatMatrix,
+    Subspace,
     contains,
     image,
     intersect,
     kernel,
     subspace_sum,
 )
-from wsscheck.specseq import build_e2, check_wmc
+from wsscheck.specseq import build_e1, build_e2, check_wmc
 from wsscheck.strata import (
     SemistableDatum,
     StratumLevel,
     TransferMaps,
     save,
-    to_weight_complex,
     validate,
 )
 
@@ -288,9 +288,49 @@ def test_restricted_pairings_on_toys():
         assert check_splitting_iso(datum, prim, dec).ok
 
 
+def _with_im0_gys0(gys0_row, res2_row):
+    """The decomposition of ngon(3) x P^2 with im0(gys_0) and im0(res_2) set by hand.
+
+    No datum shipped or generated has im0(gys_0) != 0.  Here Im res_2 is
+    {x : x0 + x1 = x2} in surface H^2, where the cup form is the identity;
+    res_2 sends (0, 0, 0, x3, x4, x5) to (x3 - x4, x4 - x5, x3 - x5).
+    """
+    datum = times_projective_plane(gen_ngon(3))
+    prim = primitive_decompose(datum)
+    dec = im_decompose(datum, prim)
+    assert dec.im0_gys[0].dim == 0 and dec.im_res[2] == Subspace.span(3, [(1, 0, 1), (0, 1, 1)])
+    dec = replace(dec, im0_gys={**dec.im0_gys, 0: Subspace.span(6, [gys0_row])},
+                  im0_res={**dec.im0_res, 2: Subspace.span(3, [res2_row])})
+    return datum, prim, dec
+
+
+def test_splitting_iso_checks_orthogonality_on_a_nonzero_im0_gys0():
+    # res_2 sends (0, 0, 0, 0, -1, 1) to (1, -2, -1), which lies in Im res_2
+    # outside im0(res_2) = span{(1, 0, 1)} and is orthogonal to it
+    res = check_splitting_iso(*_with_im0_gys0((0, 0, 0, 0, -1, 1), (1, 0, 1)))
+    assert res.ok
+    assert res.details == {"source_dim": 1, "target_dim": 1, "rank": 1,
+                           "iso": True, "orthogonal": True}
+    # (0, 0, 0, 0, 0, -1) goes to (0, 1, 1): still a splitting, not orthogonal
+    res = check_splitting_iso(*_with_im0_gys0((0, 0, 0, 0, 0, -1), (1, 0, 1)))
+    assert not res.ok
+    assert res.details == {"source_dim": 1, "target_dim": 1, "rank": 1,
+                           "iso": True, "orthogonal": False}
+
+
+def test_restricted_pairings_read_a_nonzero_im0_gys0():
+    # the Lefschetz form is 2 on (0, 0, 0, 0, -1, 1) and 0 on e0
+    res = check_restricted_pairings(*_with_im0_gys0((0, 0, 0, 0, -1, 1), (1, 0, 1)))
+    assert res.ok and res.details["dims"] == {"im0_res2": 1, "im0_gys0": 1}
+    res = check_restricted_pairings(*_with_im0_gys0((1, 0, 0, 0, 0, 0), (1, 0, 1)))
+    assert not res.ok
+    assert res.details["cup_on_im0_res2_nondegenerate"]
+    assert not res.details["lefschetz_on_im0_gys0_nondegenerate"]
+
+
 def test_e2_middle_vacuous_on_smooth():
     datum = gen_smooth(3, (1, 0, 1, 0, 1, 0, 1))
-    e2 = build_e2(to_weight_complex(datum))
+    e2 = build_e2(build_e1(datum))
     key = check_kernel_image_identity(datum, _im_decomposition(datum))
     res = check_e2_middle(datum, e2, check_wmc(e2), key)
     assert res.ok and res.details["agreement"]
@@ -298,7 +338,7 @@ def test_e2_middle_vacuous_on_smooth():
 
 def test_e2_middle_on_product_toy():
     datum = times_projective_plane(gen_ngon(3))
-    e2 = build_e2(to_weight_complex(datum))
+    e2 = build_e2(build_e1(datum))
     key = check_kernel_image_identity(datum, _im_decomposition(datum))
     res = check_e2_middle(datum, e2, check_wmc(e2), key)
     assert res.ok
@@ -313,7 +353,7 @@ def test_full_suite_on_all_toys():
         times_projective_plane(gen_ngon(3)),
         times_projective_plane(gen_ngon(4)),
     ):
-        e2 = build_e2(to_weight_complex(datum))
+        e2 = build_e2(build_e1(datum))
         report = run_threefold_suite(datum, e2, check_wmc(e2))
         assert report.ok, [c.name for c in report.checks if not c.ok]
 
@@ -368,7 +408,7 @@ def test_axioms_give_the_facts_the_suite_reads(name):
         image(res2 @ datum.gysin_map(2, 0)),
     )
     # N d1 = d1 N: the duality lemma's hypothesis on the middle row
-    e2 = build_e2(to_weight_complex(datum))
+    e2 = build_e2(build_e1(datum))
     middle = check_e2_middle(datum, e2, check_wmc(e2), check_kernel_image_identity(datum, dec))
     assert middle.details["lemma"]["hypothesis"]
 
@@ -381,7 +421,7 @@ SUITE_NAMES = [
 
 def test_fail_fast_stops_at_the_first_failed_check(tmp_path, capsys):
     datum = _with_fake_surface(RatMatrix.identity(2), 2)
-    e2 = build_e2(to_weight_complex(datum))
+    e2 = build_e2(build_e1(datum))
     verdict = check_wmc(e2)
     fast = run_threefold_suite(datum, e2, verdict, fail_fast=True)
     assert [(c.name, c.ok) for c in fast.checks] == [("hodge-index", False)]
@@ -406,7 +446,7 @@ def _digest(doc):
 
 
 def _suite_doc(datum):
-    e2 = build_e2(to_weight_complex(datum))
+    e2 = build_e2(build_e1(datum))
     return run_threefold_suite(datum, e2, check_wmc(e2)).to_json_dict()
 
 

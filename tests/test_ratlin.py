@@ -33,7 +33,6 @@ from wsscheck.ratlin import (
     intersect,
     kernel,
     kernel_flag,
-    null_rows_and_pivots,
     prefix_row_spaces,
     rank,
     reduce_rows,
@@ -103,9 +102,7 @@ def test_rank_nullity(m):
 @settings(max_examples=80)
 @given(small_matrix())
 def test_kernel_really_annihilated(m):
-    k = kernel(m)
-    for idx in range(k.dim):
-        assert all(x == 0 for x in m.apply(k.basis.col_tuple(idx)))
+    assert (m @ kernel(m).basis).is_zero()
 
 
 # -- elimination against the dense Gauss-Jordan oracle -------------------------
@@ -341,7 +338,8 @@ def test_kernel_flag_matches_kernels_of_powers(args):
         # the rows one reduction of m^s gives, whatever the chain that reached them
         rows, pivots = _null_rows(red, n), tuple(red)
         assert list(red) == sorted(red)
-        assert (rows, pivots) == null_rows_and_pivots(power)
+        once = _reduce(power.data)
+        assert (rows, pivots) == (_null_rows(once, n), tuple(once))
         assert row_space(rows) == kernel(power)
         assert rows.rows == n - mini_rank([power.row_list(i) for i in range(n)])
         assert pivots == rref(power)[1]
@@ -898,7 +896,6 @@ def test_operations_match_dense_reference(args):
     _assert_matches(ma @ mb, dense_matmul(a, b, p), p)
     _assert_matches(ma.kron(mb), dense_kron(a, b), m * p)
     _assert_matches(ma.transpose(), dense_transpose(a, m), n)
-    _assert_matches(ma.vstack(mc), a + c, m)
     _assert_matches(ma + mc, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)], m)
     _assert_matches(-ma, [[-x for x in row] for row in a], m)
     assert (ma == mc) == all(Fraction(x) == Fraction(y) for ra, rc in zip(a, c)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import filtration_route_by_steps, inverse, nested_step_calls, random_invertible
+from helpers import filtration_route_by_steps, inverse, random_invertible
 from oracles import (
     clebsch_gordan,
     convolve_power,
@@ -30,34 +30,30 @@ from wsscheck.errors import (
     InstanceInconsistency,
     InternalConsistencyError,
 )
-from wsscheck.filtration import Filtration
 from wsscheck.instances import gen_chain, gen_ngon, gen_smooth, load_toy, toy_names
-from wsscheck.ratlin import RatMatrix, null_rows_and_pivots
+from wsscheck.ratlin import RatMatrix
 from wsscheck.specseq import (
     E1Summand,
     WeightComplex,
     build_e1,
     build_e2,
     check_wmc,
-    compare_monodromy_vs_weight,
     filtration_agreement,
     formal_page,
     render_e1_grid,
     render_e2_grid,
     tensor_power,
     tensor_product,
-    unit_page,
-    weight_filtration_graded,
 )
-from wsscheck.strata import TransferMaps, to_weight_complex
+from wsscheck.strata import TransferMaps
 
 
 def curve_page(n=3):
-    return to_weight_complex(gen_ngon(n))
+    return build_e1(gen_ngon(n))
 
 
 def test_smooth_page_trivial_differentials():
-    page = to_weight_complex(gen_smooth(3, (1, 0, 1, 0, 1, 0, 1)))
+    page = build_e1(gen_smooth(3, (1, 0, 1, 0, 1, 0, 1)))
     e2 = build_e2(page)
     assert e2.dims == page.dims
     assert all(m.is_zero() for m in page.n_blocks.values())
@@ -77,7 +73,7 @@ PAIRED_DATA = {
 def test_e1_pairings_are_perfect(build):
     # E1^{i,j} x E1^{-i,2n-j} is nondegenerate, and summand k meets only
     # summand k - i of the dual cell, which has the same level
-    page = to_weight_complex(build[0](*build[1:]))
+    page = build_e1(build[0](*build[1:]))
 
     def spans(summands):
         ends = itertools.accumulate(sm.dim for sm in summands)
@@ -100,7 +96,7 @@ def test_e1_n_powers_are_signed_identities(build):
     # build_e1 does not check the E1 isos: N^r sends summand k of
     # E1^{-r,w+r} to summand k + r of E1^{r,w-r}, a summand of the same
     # level, degree and dimension, by +-1 times the identity
-    page = to_weight_complex(build[0](*build[1:]))
+    page = build_e1(build[0](*build[1:]))
 
     def offsets(i, j):
         summands = page.cells.get((i, j), ())
@@ -149,7 +145,7 @@ def test_ngon_e2_dims():
 
 def test_chain_kills_monodromy_cells():
     for n in (2, 4):
-        e2 = build_e2(to_weight_complex(gen_chain(n)))
+        e2 = build_e2(build_e1(gen_chain(n)))
         assert e2.dims.get((1, 0), 0) == 0
         assert e2.dims.get((-1, 2), 0) == 0
         assert e2.dims[(0, 0)] == 1
@@ -159,7 +155,7 @@ def test_chain_kills_monodromy_cells():
 
 def test_euler_characteristic_per_row():
     for datum in (gen_ngon(4), gen_chain(3), gen_smooth(2, (1, 0, 2, 0, 1))):
-        page = to_weight_complex(datum)
+        page = build_e1(datum)
         e2 = build_e2(page)
         for j in range(0, 2 * page.n + 1):
             e1_sum = sum(
@@ -180,38 +176,32 @@ def test_check_wmc_ngon():
     assert entry.dim_source == entry.dim_target == entry.rank == 1
 
 
+def _weight_steps(e2, w):
+    """dim W_j on the slice at w, the cells E2^{w-k,k} with k <= j, for j = -1 .. 2n."""
+    return list(itertools.accumulate(e2.dims.get((w - j, j), 0)
+                                     for j in range(-1, 2 * e2.n + 1)))
+
+
 def test_weight_filtration_ngon():
+    # W jumps at j = 0 and at j = 2, and M = W[1] there
     e2 = build_e2(curve_page(3))
-    filt = weight_filtration_graded(e2, 1)
-    assert filt.center == 1
-    assert [(idx, sub.dim) for idx, sub in filt.steps] == [(-1, 0), (0, 1), (2, 2)]
+    assert _weight_steps(e2, 1) == [0, 1, 1, 2]
+    assert filtration_route_by_steps(e2, 1) and filtration_agreement(e2, (1,)) == {1: True}
 
 
 def test_weight_filtration_smooth_pure():
-    e2 = build_e2(to_weight_complex(gen_smooth(2, (1, 0, 2, 0, 1))))
-    filt = weight_filtration_graded(e2, 2)
-    assert [(idx, sub.dim) for idx, sub in filt.steps] == [(1, 0), (2, 2)]
-
-
-def test_weight_filtration_equals_checked_construction():
-    # the trusted path against from_steps on the same steps, at every w of
-    # the shipped pages
-    with nested_step_calls() as calls:
-        for name in toy_names():
-            e2 = build_e2(to_weight_complex(load_toy(name)))
-            for w in range(0, 2 * e2.n + 1):
-                weight_filtration_graded(e2, w)
-    assert len(calls) == 7 * len(toy_names())
-    for ambient_dim, center, steps, filt in calls:
-        assert filt == Filtration.from_steps(ambient_dim, center, steps)
+    # one jump, at j = w = 2, and N = 0: M = W[2]
+    e2 = build_e2(build_e1(gen_smooth(2, (1, 0, 2, 0, 1))))
+    assert _weight_steps(e2, 2) == [0, 0, 0, 2, 2, 2]
+    assert filtration_route_by_steps(e2, 2) and filtration_agreement(e2, (2,)) == {2: True}
 
 
 def test_compare_paths_agree_on_generators():
     for datum in (gen_ngon(3), gen_chain(2), gen_smooth(1, (1, 2, 1))):
-        e2 = build_e2(to_weight_complex(datum))
+        e2 = build_e2(build_e1(datum))
         verdict = check_wmc(e2)
         for w in range(0, 2 * e2.n + 1):
-            assert compare_monodromy_vs_weight(e2, w) == verdict.at_w(w)
+            assert filtration_agreement(e2, (w,))[w] == verdict.at_w(w)
 
 
 def _forced_zero_page():
@@ -228,7 +218,7 @@ def _forced_zero_page():
 
 def test_forced_zero_monodromy_fails_both_paths():
     e2 = build_e2(_forced_zero_page())
-    assert not compare_monodromy_vs_weight(e2, 1)
+    assert not filtration_agreement(e2, (1,))[1]
     assert not check_wmc(e2).at_w(1)
 
 
@@ -261,7 +251,7 @@ def _off_center_page():
 
 def _sweep_e2(datum, k=1):
     """E2 of the k-th power of datum(), on the Kuenneth route for k > 1."""
-    e2 = build_e2(to_weight_complex(datum()))
+    e2 = build_e2(build_e1(datum()))
     return e2 if k == 1 else build_e2(tensor_power(formal_page(e2), k))
 
 
@@ -295,7 +285,7 @@ def test_filtration_route_matches_the_canonical_steps(build):
     by_steps = {w: filtration_route_by_steps(e2, w) for w in ws}
     assert filtration_agreement(e2, ws) == by_steps
     for w in ws:
-        assert compare_monodromy_vs_weight(e2, w) == by_steps[w]
+        assert filtration_agreement(e2, (w,))[w] == by_steps[w]
 
 
 ENTRIES = st.sampled_from((0, 1, -1, 2, Fraction(1, 2)))
@@ -331,8 +321,8 @@ def test_filtration_agreement_matches_the_canonical_steps_on_random_pages(page, 
 
 
 def test_flipped_ngon4_fails_both_routes_at_w_1():
-    e2 = build_e2(to_weight_complex(_flipped_ngon4()))
-    assert [compare_monodromy_vs_weight(e2, w) for w in range(3)] == [True, False, True]
+    e2 = build_e2(build_e1(_flipped_ngon4()))
+    assert [filtration_agreement(e2, (w,))[w] for w in range(3)] == [True, False, True]
     assert [check_wmc(e2).at_w(w) for w in range(3)] == [True, False, True]
 
 
@@ -388,7 +378,7 @@ def test_formal_page_keeps_the_nonzero_cells_and_the_induced_n():
 def test_e2_of_a_page_with_no_d1_is_the_page(name, monkeypatch):
     # the formal powers' E2: unit functionals and the N blocks, read with no
     # elimination, and the same as the elimination gives with stored zero d1
-    base = build_e2(to_weight_complex(load_toy(name)))
+    base = build_e2(build_e1(load_toy(name)))
     pages = [tensor_power(formal_page(base), k) for k in (1, 2, 3)]
     zero_d1 = [replace(page, d1={c: page.d1_block(*c) for c in page.dims}) for page in pages]
     eliminated = [build_e2(page) for page in zero_d1]
@@ -402,10 +392,16 @@ def test_e2_of_a_page_with_no_d1_is_the_page(name, monkeypatch):
         assert (e2.dims, e2.functionals, e2.n_maps) == (slow.dims, slow.functionals, slow.n_maps)
 
 
+def _unit_page():
+    # the monoidal unit: a single one-dimensional cell at (0, 0)
+    return WeightComplex(n=0, cells={(0, 0): None}, dims={(0, 0): 1}, d1={}, n_blocks={},
+                         pairings=None)
+
+
 def test_unit_page_is_monoidal_unit():
     page = curve_page(4)
-    left = tensor_product(unit_page(), page)
-    right = tensor_product(page, unit_page())
+    left = tensor_product(_unit_page(), page)
+    right = tensor_product(page, _unit_page())
     assert left.dims == page.dims == right.dims
     for key in page.d1:
         assert left.d1_block(*key) == page.d1_block(*key)
@@ -439,8 +435,7 @@ def test_tensor_cube_weight_filtration():
     e2c = build_e2(curve_page(3))
     cube = tensor_power(formal_page(e2c, 1), 3)
     e2 = build_e2(cube)
-    filt = weight_filtration_graded(e2, 3)
-    assert [filt.step(a).dim for a in range(0, 7)] == [1, 1, 4, 4, 7, 7, 8]
+    assert _weight_steps(e2, 3)[1:] == [1, 1, 4, 4, 7, 7, 8]
     oracle = convolve_power({0: 1, 2: 1}, 3)
     for j in range(0, 7):
         assert e2.dims.get((3 - j, j), 0) == oracle.get(j, 0)
@@ -452,7 +447,7 @@ def test_full_tensor_of_curve_pages_passes_wmc():
     verdict = check_wmc(e2)
     assert verdict.overall
     for w in range(0, 2 * e2.n + 1):
-        assert compare_monodromy_vs_weight(e2, w) == verdict.at_w(w)
+        assert filtration_agreement(e2, (w,))[w] == verdict.at_w(w)
 
 
 def test_renderers_cover_cells():
@@ -497,13 +492,13 @@ def assert_e2_bases_span_the_right_spaces(page):
 
 @pytest.mark.parametrize("name", toy_names())
 def test_e2_bases_of_shipped_toys(name):
-    assert_e2_bases_span_the_right_spaces(to_weight_complex(load_toy(name)))
+    assert_e2_bases_span_the_right_spaces(build_e1(load_toy(name)))
 
 
 @pytest.mark.parametrize("datum", [gen_ngon(3), gen_ngon(6), gen_chain(2), gen_chain(5)],
                          ids=["ngon3", "ngon6", "chain2", "chain5"])
 def test_e2_bases_of_curve_pages(datum):
-    assert_e2_bases_span_the_right_spaces(to_weight_complex(datum))
+    assert_e2_bases_span_the_right_spaces(build_e1(datum))
 
 
 def test_e2_bases_of_tensor_cube():
@@ -517,7 +512,7 @@ CURVES = st.tuples(st.sampled_from([gen_ngon, gen_chain]), st.integers(3, 5))
 @given(CURVES, CURVES)
 def test_e2_bases_of_curve_products(left, right):
     (gen_p, n_p), (gen_q, n_q) = left, right
-    prod = tensor_product(to_weight_complex(gen_p(n_p)), to_weight_complex(gen_q(n_q)))
+    prod = tensor_product(build_e1(gen_p(n_p)), build_e1(gen_q(n_q)))
     assert_e2_bases_span_the_right_spaces(prod)
 
 
@@ -546,7 +541,7 @@ def _has_fraction(matrices):
 @example((gen_ngon, 3), True, 3)
 def test_e2_invariant_under_cell_basis_change(curve, square, seed):
     gen, n = curve
-    page = to_weight_complex(gen(3 if square else n))
+    page = build_e1(gen(3 if square else n))
     if square:
         page = tensor_product(page, page)
     moved = _change_cell_bases(page, random.Random(seed))
@@ -554,7 +549,7 @@ def test_e2_invariant_under_cell_basis_change(curve, square, seed):
     assert e2_moved.dims == e2.dims
     assert check_wmc(e2_moved) == check_wmc(e2)
     for w in range(0, 2 * page.n + 1):
-        assert compare_monodromy_vs_weight(e2_moved, w) == compare_monodromy_vs_weight(e2, w)
+        assert filtration_agreement(e2_moved, (w,)) == filtration_agreement(e2, (w,))
     assert_e2_bases_span_the_right_spaces(moved)
 
 
@@ -583,7 +578,7 @@ def _dense_wmc_entries(page):
 def test_check_wmc_matches_the_dense_oracle_in_other_cell_bases(curve, square, seed):
     # the pinned example has d1 blocks and quotients with Fraction entries
     gen, n = curve
-    page = to_weight_complex(gen(3 if square else n))
+    page = build_e1(gen(3 if square else n))
     if square:
         page = tensor_product(page, page)
     moved = _change_cell_bases(page, random.Random(seed))
@@ -593,7 +588,7 @@ def test_check_wmc_matches_the_dense_oracle_in_other_cell_bases(curve, square, s
 # a cell with no block into it (the unit), a stored zero N block (the slice
 # of the forced-zero page) and zero-dimensional cells (the curve page)
 SMALL_PAGES = {
-    "unit": unit_page,
+    "unit": _unit_page,
     "forced_zero": _forced_zero_page,
     "forced_zero slice": lambda: formal_page(build_e2(_forced_zero_page()), 1),
     "ngon3": lambda: curve_page(3),
@@ -614,15 +609,21 @@ def test_small_pages_hold_a_stored_zero_block_and_a_zero_dimensional_cell():
     assert 0 in SMALL_PAGES["ngon3"]().dims.values()
 
 
+def _null_rows_and_pivots(m):
+    """(null rows, pivots) of one reduction of m's rows."""
+    red = ratlin._reduce(m.data)
+    return ratlin._null_rows(red, m.cols), tuple(red)
+
+
 def assert_clearing_keeps_every_reduction(page):
     """d1^{i,j} on its rows outside the pivot columns of d1^{i+1,j} reduces
     to the kernel rows and pivots of all of d1^{i,j}."""
     for (i, j) in page.dims:
         d_out = page.d1_block(i, j)
-        cleared = set(null_rows_and_pivots(page.d1_block(i + 1, j))[1])
+        cleared = set(_null_rows_and_pivots(page.d1_block(i + 1, j))[1])
         live = [a for a in range(d_out.rows) if a not in cleared]
-        assert (null_rows_and_pivots(d_out.submatrix(live, range(d_out.cols)))
-                == null_rows_and_pivots(d_out))
+        assert (_null_rows_and_pivots(d_out.submatrix(live, range(d_out.cols)))
+                == _null_rows_and_pivots(d_out))
 
 
 CLEARED_PAGES = {
@@ -638,7 +639,7 @@ CLEARED_PAGES = {
 
 @pytest.mark.parametrize("datum, k", CLEARED_PAGES.values(), ids=CLEARED_PAGES.keys())
 def test_clearing_keeps_every_reduction(datum, k):
-    assert_clearing_keeps_every_reduction(tensor_power(to_weight_complex(datum()), k))
+    assert_clearing_keeps_every_reduction(tensor_power(build_e1(datum()), k))
 
 
 @settings(max_examples=10, deadline=None)
@@ -647,7 +648,7 @@ def test_clearing_keeps_every_reduction(datum, k):
 def test_clearing_keeps_every_reduction_in_other_cell_bases(curve, square, seed):
     # the pinned example has d1 blocks with Fraction entries
     gen, n = curve
-    page = to_weight_complex(gen(3 if square else n))
+    page = build_e1(gen(3 if square else n))
     if square:
         page = tensor_product(page, page)
     assert_clearing_keeps_every_reduction(_change_cell_bases(page, random.Random(seed)))
@@ -687,7 +688,7 @@ def test_build_e2_makes_no_rref_and_no_kernel_row(monkeypatch):
 
 @pytest.mark.parametrize("gen", [gen_ngon, gen_chain], ids=["ngon3", "chain3"])
 def test_tensor_power_e2_matches_kunneth(gen):
-    page = to_weight_complex(gen(3))
+    page = build_e1(gen(3))
     base = build_e2(page).dims
     for k in (2, 3, 4):
         e2 = build_e2(tensor_power(page, k))
@@ -725,7 +726,7 @@ def test_tensor_power_has_the_e1_isos_clebsch_gordan_predicts(build, k):
     # tensor_product does not re-check the E1 isos of a product: the
     # factor's Jordan strings predict its cell dims and every rank of N^r,
     # and dense ranks of the power's N blocks give them
-    base = to_weight_complex(build[0](*build[1:]))
+    base = build_e1(build[0](*build[1:]))
     strings = predicted = _jordan_strings(base)
     for _ in range(k - 1):
         predicted = clebsch_gordan(predicted, strings)
@@ -821,12 +822,12 @@ def _dense_page(page):
 # the left factors with cells in odd columns give 1 x d1 its Koszul sign
 KOSZUL_CASES = {
     "ngon3^2": (lambda: curve_page(3), lambda: curve_page(3)),
-    "chain3^2": (lambda: to_weight_complex(gen_chain(3)),) * 2,
-    "toy_blowup_point^2": (lambda: to_weight_complex(load_toy("toy_blowup_point")),) * 2,
-    "toy_gon3_x_p2^2": (lambda: to_weight_complex(load_toy("toy_gon3_x_p2")),) * 2,
+    "chain3^2": (lambda: build_e1(gen_chain(3)),) * 2,
+    "toy_blowup_point^2": (lambda: build_e1(load_toy("toy_blowup_point")),) * 2,
+    "toy_gon3_x_p2^2": (lambda: build_e1(load_toy("toy_gon3_x_p2")),) * 2,
     "forced_zero^2": (_forced_zero_page,) * 2,
-    "unit x ngon3": (unit_page, lambda: curve_page(3)),
-    "ngon3 x unit": (lambda: curve_page(3), unit_page),
+    "unit x ngon3": (_unit_page, lambda: curve_page(3)),
+    "ngon3 x unit": (lambda: curve_page(3), _unit_page),
 }
 
 

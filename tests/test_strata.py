@@ -21,7 +21,8 @@ from wsscheck.instances import (
     times_projective_plane,
 )
 from wsscheck.ratlin import RatMatrix
-from wsscheck.specseq import e1_summands
+from wsscheck.cli import analyze
+from wsscheck.specseq import build_e1, e1_summands
 from wsscheck.strata import (
     AXIOMS,
     SemistableDatum,
@@ -33,7 +34,6 @@ from wsscheck.strata import (
     dumps,
     load,
     save,
-    to_weight_complex,
     validate,
 )
 
@@ -287,18 +287,18 @@ def test_invalid_json_reports_position(tmp_path):
 def test_validation_gate():
     mutated = mutate(gen_ngon(4), "adjunction", seed=2)
     with pytest.raises(ValidationGateError):
-        to_weight_complex(mutated)
+        analyze(mutated).base_page
 
 
 def test_smooth_page_is_single_column():
-    page = to_weight_complex(gen_smooth(3, (1, 0, 1, 0, 1, 0, 1)))
+    page = build_e1(gen_smooth(3, (1, 0, 1, 0, 1, 0, 1)))
     assert set(page.dims) == {(0, j) for j in range(0, 7)}
     assert all(m.is_zero() for m in page.d1.values())
 
 
 def test_ngon_page_cells():
     n = 6
-    page = to_weight_complex(gen_ngon(n))
+    page = build_e1(gen_ngon(n))
     assert page.dim(-1, 2) == n and page.dim(0, 2) == n
     assert not any(i == -2 for (i, j) in page.dims)
 
