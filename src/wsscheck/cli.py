@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -212,15 +212,16 @@ def _threefold_text(report):
     return "\n".join(lines) + "\n"
 
 
-def _validation(rec, args):
-    """The validation report, cut after its first failed axiom under --strict fail-fast."""
-    if args.strict == "fail-fast":
-        return rec.validation.until_first_failure()
-    return rec.validation
+def _strict(report, args):
+    """A finished report, cut after its first failed check under --strict fail-fast."""
+    if args.strict == "collect-all" or report.ok:
+        return report
+    first = next(k for k, check in enumerate(report.checks) if not check.ok)
+    return replace(report, checks=report.checks[:first + 1])
 
 
 def _validate(args):
-    report = _validation(analyze(_load_instance(args.instance)), args)
+    report = _strict(analyze(_load_instance(args.instance)).validation, args)
     out = strata.dumps(report.to_json_dict()) if args.format == "json" else _validate_text(report)
     return _exit_code(report.ok), out
 
@@ -249,16 +250,14 @@ def _check_threefold(args):
             f"check-threefold needs relative dimension 3, got {rec.datum.n}"
         )
     if not rec.validation.ok:
-        vreport = _validation(rec, args)
+        vreport = _strict(rec.validation, args)
         out = (
             strata.dumps({"validate": vreport.to_json_dict()})
             if args.format == "json"
             else _validate_text(vreport)
         )
         return EXIT_CHECK_FAILED, out
-    report = lefschetz.run_threefold_suite(
-        rec.datum, rec.base_e2, rec.base_verdict, fail_fast=args.strict == "fail-fast"
-    )
+    report = _strict(rec.threefold, args)
     out = strata.dumps(report.to_json_dict()) if args.format == "json" else _threefold_text(report)
     return _exit_code(report.ok), out
 

@@ -58,7 +58,7 @@ from .ratlin import (
     signature,
     subspace_sum,
 )
-from .specseq import E2Page, WmcVerdict
+from .specseq import E2Page, WmcVerdict, e1_pairing
 from .strata import SemistableDatum
 
 
@@ -507,8 +507,7 @@ def check_e2_middle(datum: SemistableDatum, e2: E2Page, verdict: WmcVerdict,
         raise InternalConsistencyError(
             "monodromy block at (-1, 4) is not the identity"
         )
-    pairing = page.pairing_block(-1, 4)
-    triple = DualTriple.build(f1, g1, pairing)
+    triple = DualTriple.build(f1, g1, e1_pairing(datum, -1, 4))
     rows_dual = triple.im_gstar == image(f2) and triple.ker_fstar == kernel(g2)
     if not rows_dual:
         raise InstanceInconsistency(
@@ -553,27 +552,21 @@ class ThreefoldReport:
         return {"ok": self.ok, "checks": [c.to_json_dict() for c in self.checks]}
 
 
-def run_threefold_suite(datum: SemistableDatum, e2: E2Page, verdict: WmcVerdict,
-                        fail_fast: bool = False) -> ThreefoldReport:
+def run_threefold_suite(datum: SemistableDatum, e2: E2Page, verdict: WmcVerdict) -> ThreefoldReport:
     """Full suite on a validated threefold datum, cross-checked against its E2 page.
 
     verdict is check_wmc(e2), the page's unfiltered WMC verdict.
     """
     prim = primitive_decompose(datum)
     dec = im_decompose(datum, prim)
-    checks = []
-    steps = (
-        lambda: check_hodge_index(datum, prim),
-        lambda: check_lefschetz_isos(datum, prim, dec),
-        lambda: check_image_dims(dec),
-        lambda: check_restricted_pairings(datum, prim, dec),
-        lambda: check_splitting_iso(datum, prim, dec),
-        lambda: check_kernel_image_identity(datum, dec),
-        lambda: check_e2_middle(datum, e2, verdict, checks[-1]),
-        lambda: CheckResult("wmc", verdict.overall, verdict.to_json_dict()),
-    )
-    for step in steps:
-        checks.append(step())
-        if fail_fast and not checks[-1].ok:
-            break
-    return ThreefoldReport(tuple(checks))
+    key = check_kernel_image_identity(datum, dec)
+    return ThreefoldReport((
+        check_hodge_index(datum, prim),
+        check_lefschetz_isos(datum, prim, dec),
+        check_image_dims(dec),
+        check_restricted_pairings(datum, prim, dec),
+        check_splitting_iso(datum, prim, dec),
+        key,
+        check_e2_middle(datum, e2, verdict, key),
+        CheckResult("wmc", verdict.overall, verdict.to_json_dict()),
+    ))

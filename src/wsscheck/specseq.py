@@ -18,9 +18,9 @@ Indexing conventions, fixed throughout:
     The column-dependent sign is what makes N commute with the signed d1;
     it is +1 on the odd columns, in particular on every E1^{-1,j}.
 
-Pages built from a validated datum also carry the duality pairings
-E1^{i,j} x E1^{-i,2n-j} assembled blockwise from the stratum pairings.
-Tensor products of pages are formal: summand bookkeeping and pairings are
+The duality pairing E1^{i,j} x E1^{-i,2n-j} of a validated datum is
+``e1_pairing``, assembled blockwise from the stratum pairings; pages carry
+no pairings.  Tensor products of pages are formal: summand bookkeeping is
 dropped, dimensions/differentials/N follow the Koszul convention
 d = d (x) 1 + (-1)^column 1 (x) d and N = N (x) 1 + 1 (x) N.  A product's
 E1 isos follow from its factors' (Clebsch-Gordan, see ``tensor_product``),
@@ -68,7 +68,7 @@ class E1Summand:
 
 @dataclass(frozen=True)
 class WeightComplex:
-    """An E1 page: graded cells, d1 blocks, N blocks and optional pairings.
+    """An E1 page: graded cells, d1 blocks and N blocks.
 
     Every page, ``dataclasses.replace`` copies included, is checked when it
     is made: each d1 and N block has the shape (dim of its target cell, dim
@@ -82,7 +82,6 @@ class WeightComplex:
     dims: dict       # (i, j) -> int
     d1: dict         # (i, j) -> RatMatrix  E1^{i,j} -> E1^{i+1,j}
     n_blocks: dict   # (i, j) -> RatMatrix  E1^{i,j} -> E1^{i+2,j-2}
-    pairings: dict   # (i, j) -> RatMatrix pairing with E1^{-i, 2n-j}; None when unavailable
 
     def __post_init__(self):
         for name, blocks, (di, dj) in (("d1", self.d1, (1, 0)),
@@ -112,12 +111,6 @@ class WeightComplex:
             return RatMatrix.zeros(self.dim(i + 2, j - 2), self.dim(i, j))
         return blk
 
-    def pairing_block(self, i, j):
-        blk = self.pairings.get((i, j)) if self.pairings else None
-        if blk is None:
-            return RatMatrix.zeros(self.dim(i, j), self.dim(-i, 2 * self.n - j))
-        return blk
-
     def cell_keys(self):
         return sorted(self.dims)
 
@@ -140,6 +133,18 @@ def e1_summands(datum: SemistableDatum, i: int, j: int):
                 )
         k += 1
     return tuple(out)
+
+
+def e1_pairing(datum: SemistableDatum, i: int, j: int) -> RatMatrix:
+    """The duality pairing of E1^{i,j} with E1^{-i,2n-j} of a validated datum.
+
+    Summand k of E1^{i,j}, H^s of level l = 2k - i + 1, meets summand k - i
+    of E1^{-i,2n-j}, which has level l and degree 2(n - l + 1) - s, and
+    k -> k - i is an order-preserving bijection of the two cells' summands,
+    so the pairing is block diagonal in the stratum pairings.
+    """
+    return RatMatrix.block_diag(datum.pairing(sm.level, sm.degree)
+                                for sm in e1_summands(datum, i, j))
 
 
 def _cell_blocks(layout, step, parts):
@@ -194,7 +199,7 @@ def _write_kron(out, row0, col0, blk, a, b):
 
 
 def build_e1(datum: SemistableDatum) -> WeightComplex:
-    """The E1 page of a validated datum: d1, N and the duality pairings.
+    """The E1 page of a validated datum: its d1 and N blocks.
 
     Summand k of E1^{i,j} is H^s of level l with l = 2k - i + 1 and
     s = j + 2i - 2k, so each block finds its target summand by label alone:
@@ -202,10 +207,7 @@ def build_e1(datum: SemistableDatum) -> WeightComplex:
       * summand k + 1 of E1^{i+2,j-2} has level l and degree s, the same
         dimension, so N is a signed identity onto it;
       * summands k + 1 and k of E1^{i+1,j} have levels l + 1 and l - 1 and
-        degrees s and s + 2, the targets of restriction and Gysin;
-      * summand k - i of E1^{-i,2n-j} has level l and degree 2(n - l + 1) - s,
-        and k -> k - i is an order-preserving bijection of the two cells'
-        summands, so the pairing is block diagonal.
+        degrees s and s + 2, the targets of restriction and Gysin.
 
     A target label outside the allowed k-range is dropped.  The page's
     constructor checks the blocks.  The E1 isos N^r : E1^{-r,w+r} ->
@@ -242,9 +244,6 @@ def build_e1(datum: SemistableDatum) -> WeightComplex:
         dims={cell: sum(d for _, d in summands) for cell, summands in layout.items()},
         d1=_cell_blocks(layout, (1, 0), d1_parts),
         n_blocks=_cell_blocks(layout, (2, -2), n_parts),
-        pairings={(i, j): RatMatrix.block_diag(datum.pairing(sm.level, sm.degree)
-                                                for sm in summands)
-                  for (i, j), summands in cells.items()},
     )
 
 
@@ -553,7 +552,6 @@ def tensor_product(p: WeightComplex, q: WeightComplex) -> WeightComplex:
             d1=(_cell_blocks(layout, (1, 0), koszul((1, 0), p.d1, q.d1, True))
                 if p.d1 or q.d1 else {}),
             n_blocks=_cell_blocks(layout, (2, -2), koszul((2, -2), p.n_blocks, q.n_blocks, False)),
-            pairings=None,
         )
     except (ConventionViolation, InstanceInconsistency) as exc:
         raise InternalConsistencyError(f"tensor construction bug: {exc}") from exc
@@ -603,7 +601,6 @@ def formal_page(e2: E2Page, w=None) -> WeightComplex:
         dims=dims,
         d1={},
         n_blocks=n_blocks,
-        pairings=None,
     )
 
 

@@ -259,13 +259,6 @@ class ValidationReport:
     def failed_axioms(self):
         return tuple(c.axiom for c in self.checks if not c.ok)
 
-    def until_first_failure(self):
-        """The checks up to and including the first failed axiom."""
-        for k, check in enumerate(self.checks):
-            if not check.ok:
-                return ValidationReport(self.checks[:k + 1])
-        return self
-
     def to_json_dict(self):
         return {
             "ok": self.ok,
@@ -504,6 +497,14 @@ def _transfers_from_json(doc, key):
     return out
 
 
+def _table(entry, key, where):
+    """The (degree, value) items of a level's table ``key``, absent meaning empty."""
+    table = entry.get(key, {})
+    if not isinstance(table, dict):
+        raise SchemaError(f"{where}.{key} must be a JSON object")
+    return table.items()
+
+
 def datum_from_json_dict(doc) -> SemistableDatum:
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
@@ -537,15 +538,15 @@ def datum_from_json_dict(doc) -> SemistableDatum:
             profile = tuple(dims.get(s, 0) for s in range(max(dims) + 1)) if dims else ()
             pairings = {
                 int(s): _mat_from_json(m, f"{where}.pairings[{s}]")
-                for s, m in entry.get("pairings", {}).items()
+                for s, m in _table(entry, "pairings", where)
             }
             lefschetz = {
                 int(s): _mat_from_json(m, f"{where}.lefschetz[{s}]")
-                for s, m in entry.get("lefschetz", {}).items()
+                for s, m in _table(entry, "lefschetz", where)
             }
             blocks = {
                 int(s): tuple(_int_field(b, f"{where}.component_blocks[{s}]") for b in v)
-                for s, v in entry.get("component_blocks", {}).items()
+                for s, v in _table(entry, "component_blocks", where)
             }
         except SchemaError:
             raise

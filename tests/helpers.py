@@ -4,6 +4,7 @@ from dataclasses import replace
 from operator import itemgetter
 
 from wsscheck.filtration import NilpotentOp, monodromy_filtration
+from wsscheck.instances import gen_ngon
 from wsscheck.lefschetz import DualTriple
 from oracles import gauss_jordan
 from wsscheck.ratlin import RatMatrix, Subspace, _null_rows, greedy_extension, primitive_rows
@@ -196,3 +197,28 @@ def random_dual_triple(rng, max_dim=8):
     return DualTriple.build(
         inverse(t) @ f, g @ t, t.transpose() @ p @ t
     )
+
+
+def flipped_ngon(n):
+    """gen_ngon(n) with the double points' pairing D = diag(1, .., 1, -1, .., -1),
+    n // 2 entries +1, and the Gysin block out of them times D, which keeps
+    adjunction: all seven axioms pass, although no semistable curve has this
+    cohomology (a double point's self-pairing is +1).  WMC fails at w = 1
+    for n = 4, and crossed with P^2 the Hodge index check fails for n = 3, 4."""
+    datum = gen_ngon(n)
+    flip = RatMatrix.from_rows([[(1 if r < n // 2 else -1) if r == c else 0 for c in range(n)]
+                                for r in range(n)], cols=n)
+    points = datum.levels[2]
+    levels = {**datum.levels, 2: replace(points, pairings={**points.pairings, 0: flip})}
+    gysin = {**datum.transfers.gysin, (2, 0): datum.transfers.gysin[2, 0] @ flip}
+    return replace(datum, levels=levels, transfers=TransferMaps(
+        restriction=datum.transfers.restriction, gysin=gysin))
+
+
+def cut_after_first_failure(doc):
+    """A validate or threefold document with its checks up to and including
+    the first failed one; an axiom check says ``ok``, a suite check ``status``."""
+    checks = doc["checks"]
+    first = next(k for k, check in enumerate(checks)
+                 if check.get("status", "pass") == "fail" or not check.get("ok", True))
+    return {**doc, "checks": checks[:first + 1]}

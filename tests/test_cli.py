@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import cut_after_first_failure
 from wsscheck import cli, filtration, lefschetz, ratlin, specseq, strata
-from wsscheck.errors import ParameterError
+from wsscheck.errors import MutationNotApplicable, ParameterError
 from wsscheck.instances import (
     build_toy, data_dir, gen_chain, gen_ngon, gen_smooth, mutate, toy_names,
 )
@@ -171,19 +172,58 @@ def test_report_contains_sections(tmp_path, capsys):
     assert all(doc["filtration_agreement"].values())
 
 
-@pytest.mark.parametrize("name", ["toy_blowup_point", "toy_gon3_x_p2"])
-def test_report_runs_each_stage_once(name, capsys, monkeypatch):
+def _counted(monkeypatch, stages):
+    """A Counter of the calls each (module, name) in stages receives from now on."""
     calls = Counter()
-    stages = ((strata, "validate"), (specseq, "build_e1"), (specseq, "build_e2"),
-              (specseq, "_assert_d1_squared_zero"), (strata, "_check_structure"))
     for module, stage in stages:
         def counted(*args, _run=getattr(module, stage), _stage=stage):
             calls[_stage] += 1
             return _run(*args)
         monkeypatch.setattr(module, stage, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["toy_blowup_point", "toy_gon3_x_p2"])
+def test_report_runs_each_stage_once(name, capsys, monkeypatch):
+    stages = ((strata, "validate"), (specseq, "build_e1"), (specseq, "build_e2"),
+              (specseq, "_assert_d1_squared_zero"), (strata, "_check_structure"))
+    calls = _counted(monkeypatch, stages)
     assert run_cli(["report", "--instance", str(data_dir() / f"{name}.json")]) == 0
     capsys.readouterr()
     assert calls == {stage: 1 for _, stage in stages}
+
+
+@pytest.mark.parametrize("strict", ["collect-all", "fail-fast"])
+def test_check_threefold_runs_each_stage_once(strict, capsys, monkeypatch):
+    # check-threefold reads the suite as the pipeline's cached stage
+    stages = ((strata, "validate"), (specseq, "build_e1"), (specseq, "build_e2"),
+              (lefschetz, "run_threefold_suite"))
+    calls = _counted(monkeypatch, stages)
+    instance = str(data_dir() / "toy_gon3_x_p2.json")
+    assert run_cli(["check-threefold", "--instance", instance, "--strict", strict]) == 0
+    capsys.readouterr()
+    assert calls == {stage: 1 for _, stage in stages}
+
+
+@pytest.mark.parametrize("base", ["ngon4", "toy_gon3_x_p2"])
+def test_fail_fast_validate_cuts_the_collected_report(base, tmp_path, capsys):
+    datum = gen_ngon(4) if base == "ngon4" else build_toy(base)
+    mutants = 0
+    for axiom in strata.AXIOMS:
+        try:
+            mutant = mutate(datum, axiom, seed=7)
+        except MutationNotApplicable:
+            continue
+        path = tmp_path / f"{axiom}.json"
+        save(mutant, path)
+        out = {}
+        for strict in ("collect-all", "fail-fast"):
+            assert run_cli(["validate", "--instance", str(path), "--strict", strict]) == 1
+            out[strict] = capsys.readouterr().out
+        whole = json.loads(out["collect-all"])
+        assert out["fail-fast"] == strata.dumps(cut_after_first_failure(whole))
+        mutants += 1
+    assert mutants >= 4
 
 
 def test_report_makes_no_rref_call(capsys, monkeypatch):

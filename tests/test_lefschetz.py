@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import random_dual_triple
-from wsscheck import cli, mutate, ratlin
+from helpers import cut_after_first_failure, flipped_ngon, random_dual_triple
+from wsscheck import cli, mutate, ratlin, strata
 from wsscheck.errors import InvalidComplex, InvalidForm, PreconditionError
 from wsscheck.instances import (
     blowup_point_datum,
@@ -422,10 +422,7 @@ SUITE_NAMES = [
 def test_fail_fast_stops_at_the_first_failed_check(tmp_path, capsys):
     datum = _with_fake_surface(RatMatrix.identity(2), 2)
     e2 = build_e2(build_e1(datum))
-    verdict = check_wmc(e2)
-    fast = run_threefold_suite(datum, e2, verdict, fail_fast=True)
-    assert [(c.name, c.ok) for c in fast.checks] == [("hodge-index", False)]
-    full = run_threefold_suite(datum, e2, verdict)
+    full = run_threefold_suite(datum, e2, check_wmc(e2))
     assert [c.name for c in full.checks] == SUITE_NAMES
     assert [c.name for c in full.checks if not c.ok] == ["hodge-index"]
     path = tmp_path / "definite_surface.json"
@@ -434,6 +431,27 @@ def test_fail_fast_stops_at_the_first_failed_check(tmp_path, capsys):
         assert cli.main(["check-threefold", "--instance", str(path), "--strict", strict]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [c["check"] for c in doc["checks"]] == names
+
+
+FAILING_SUITE_DATA = {
+    "flipped_ngon3_x_p2": lambda: times_projective_plane(flipped_ngon(3)),
+    "flipped_ngon4_x_p2": lambda: times_projective_plane(flipped_ngon(4)),
+    "definite_surface": SUITE_DATA["definite_surface"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_SUITE_DATA))
+def test_fail_fast_cuts_the_collected_suite(name, tmp_path, capsys):
+    # the suite runs in full and --strict fail-fast cuts the finished report
+    path = tmp_path / f"{name}.json"
+    save(FAILING_SUITE_DATA[name](), path)
+    out = {}
+    for strict in ("collect-all", "fail-fast"):
+        assert cli.main(["check-threefold", "--instance", str(path), "--strict", strict]) == 1
+        out[strict] = capsys.readouterr().out
+    whole = json.loads(out["collect-all"])
+    assert [c["check"] for c in whole["checks"] if c["status"] == "fail"][0] == "hodge-index"
+    assert out["fail-fast"] == strata.dumps(cut_after_first_failure(whole))
 
 
 # -- the bytes of the canonical subspaces ----------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import filtration_route_by_steps, inverse, random_invertible
+from helpers import filtration_route_by_steps, flipped_ngon, inverse, random_invertible
 from oracles import (
     clebsch_gordan,
     convolve_power,
@@ -38,6 +38,7 @@ from wsscheck.specseq import (
     build_e1,
     build_e2,
     check_wmc,
+    e1_pairing,
     filtration_agreement,
     formal_page,
     render_e1_grid,
@@ -45,7 +46,6 @@ from wsscheck.specseq import (
     tensor_power,
     tensor_product,
 )
-from wsscheck.strata import TransferMaps
 
 
 def curve_page(n=3):
@@ -73,7 +73,8 @@ PAIRED_DATA = {
 def test_e1_pairings_are_perfect(build):
     # E1^{i,j} x E1^{-i,2n-j} is nondegenerate, and summand k meets only
     # summand k - i of the dual cell, which has the same level
-    page = build_e1(build[0](*build[1:]))
+    datum = build[0](*build[1:])
+    page = build_e1(datum)
 
     def spans(summands):
         ends = itertools.accumulate(sm.dim for sm in summands)
@@ -81,7 +82,7 @@ def test_e1_pairings_are_perfect(build):
 
     for (i, j), summands in page.cells.items():
         dim, dual = page.dim(i, j), (-i, 2 * page.n - j)
-        blk = page.pairing_block(i, j)
+        blk = e1_pairing(datum, i, j)
         assert blk.shape == (dim, page.dim(*dual))
         assert mini_rank([blk.row_list(r) for r in range(blk.rows)]) == dim
         partners = spans(page.cells[dual])
@@ -212,7 +213,6 @@ def _forced_zero_page():
         dims={(-1, 2): 1, (1, 0): 1},
         d1={},
         n_blocks={},
-        pairings=None,
     )
 
 
@@ -220,20 +220,6 @@ def test_forced_zero_monodromy_fails_both_paths():
     e2 = build_e2(_forced_zero_page())
     assert not filtration_agreement(e2, (1,))[1]
     assert not check_wmc(e2).at_w(1)
-
-
-def _flipped_ngon4():
-    """gen_ngon(4) with the double points' pairing D = diag(1, 1, -1, -1) and
-    the Gysin block out of them times D, which keeps adjunction: WMC fails
-    at w = 1 (ROADMAP item 13)."""
-    datum = gen_ngon(4)
-    flip = RatMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
-                               cols=4)
-    points = datum.levels[2]
-    levels = {**datum.levels, 2: replace(points, pairings={**points.pairings, 0: flip})}
-    gysin = {**datum.transfers.gysin, (2, 0): datum.transfers.gysin[2, 0] @ flip}
-    return replace(datum, levels=levels, transfers=TransferMaps(
-        restriction=datum.transfers.restriction, gysin=gysin))
 
 
 def _off_center_page():
@@ -245,7 +231,6 @@ def _off_center_page():
         dims={(0, 2): 1, (2, 0): 1},
         d1={},
         n_blocks={(0, 2): RatMatrix.identity(1)},
-        pairings=None,
     )
 
 
@@ -271,7 +256,7 @@ FILTRATION_E2 = {
     **{f"{name}^3": partial(_sweep_e2, SWEEP_DATA[name], 3) for name in ("ngon3", "chain3")},
     "forced_zero": lambda: build_e2(_forced_zero_page()),
     "forced_zero^2": lambda: build_e2(tensor_power(formal_page(build_e2(_forced_zero_page())), 2)),
-    "flipped_ngon4": partial(_sweep_e2, _flipped_ngon4),
+    "flipped_ngon4": partial(_sweep_e2, partial(flipped_ngon, 4)),
     "off_center": lambda: build_e2(_off_center_page()),
 }
 
@@ -303,8 +288,7 @@ def graded_formal_pages(draw):
             entries = draw(st.lists(ENTRIES, min_size=rows * d, max_size=rows * d))
             blocks[(i, j)] = RatMatrix.from_rows(
                 [entries[r * d:(r + 1) * d] for r in range(rows)], cols=d)
-    return WeightComplex(n=n, cells=dict.fromkeys(dims), dims=dims, d1={}, n_blocks=blocks,
-                         pairings=None)
+    return WeightComplex(n=n, cells=dict.fromkeys(dims), dims=dims, d1={}, n_blocks=blocks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -321,7 +305,7 @@ def test_filtration_agreement_matches_the_canonical_steps_on_random_pages(page, 
 
 
 def test_flipped_ngon4_fails_both_routes_at_w_1():
-    e2 = build_e2(build_e1(_flipped_ngon4()))
+    e2 = build_e2(build_e1(flipped_ngon(4)))
     assert [filtration_agreement(e2, (w,))[w] for w in range(3)] == [True, False, True]
     assert [check_wmc(e2).at_w(w) for w in range(3)] == [True, False, True]
 
@@ -367,7 +351,7 @@ def test_formal_page_keeps_the_nonzero_cells_and_the_induced_n():
     e2 = build_e2(curve_page(3))
     page = formal_page(e2)
     assert page.dims == {cell: d for cell, d in e2.dims.items() if d}
-    assert page.d1 == {} and page.pairings is None
+    assert page.d1 == {}
     assert page.n_blocks == {cell: e2.n_map_block(*cell) for cell in page.dims
                              if (cell[0] + 2, cell[1] - 2) in page.dims}
     assert build_e2(page).dims == page.dims
@@ -394,8 +378,7 @@ def test_e2_of_a_page_with_no_d1_is_the_page(name, monkeypatch):
 
 def _unit_page():
     # the monoidal unit: a single one-dimensional cell at (0, 0)
-    return WeightComplex(n=0, cells={(0, 0): None}, dims={(0, 0): 1}, d1={}, n_blocks={},
-                         pairings=None)
+    return WeightComplex(n=0, cells={(0, 0): None}, dims={(0, 0): 1}, d1={}, n_blocks={})
 
 
 def test_unit_page_is_monoidal_unit():
@@ -528,7 +511,7 @@ def _change_cell_bases(page, rng):
     d1 = {(i, j): g[(i + 1, j)] @ m @ inv[(i, j)] for (i, j), m in page.d1.items()}
     n_blocks = {(i, j): g[(i + 2, j - 2)] @ m @ inv[(i, j)]
                 for (i, j), m in page.n_blocks.items()}
-    return replace(page, d1=d1, n_blocks=n_blocks, pairings=None)
+    return replace(page, d1=d1, n_blocks=n_blocks)
 
 
 def _has_fraction(matrices):
@@ -743,8 +726,7 @@ def _formal_page(dims, d1, n_blocks):
     """A formal page of the given cells, with 1x1 identity blocks at the given keys."""
     one = RatMatrix.identity(1)
     return WeightComplex(n=1, cells={key: None for key in dims}, dims=dims,
-                         d1={key: one for key in d1}, n_blocks={key: one for key in n_blocks},
-                         pairings=None)
+                         d1={key: one for key in d1}, n_blocks={key: one for key in n_blocks})
 
 
 @pytest.mark.parametrize("summands", [False, True], ids=["formal", "summands"])
@@ -755,7 +737,7 @@ def test_constructor_refuses_d1_squared_nonzero(summands):
     one = RatMatrix.identity(1)
     with pytest.raises(ConventionViolation, match=r"d1 o d1 != 0 at cell \(0, 0\)"):
         WeightComplex(n=1, cells=cells, dims={cell: 1 for cell in cells},
-                      d1={(0, 0): one, (1, 0): one}, n_blocks={}, pairings=None)
+                      d1={(0, 0): one, (1, 0): one}, n_blocks={})
 
 
 @pytest.mark.parametrize("dims, d1, n_blocks, message", [

@@ -438,6 +438,9 @@ MALFORMED = {
         rows=_first_pairing(d)["rows"] + 0.9),
     "restriction-cols-huge": lambda d: d["restriction"][0]["matrix"].update(
         rows=0, cols=10**9, entries=[]),
+    "pairings-not-object": _first("levels", "pairings", [1]),
+    "lefschetz-not-object": _first("levels", "lefschetz", [1]),
+    "component-blocks-not-object": _first("levels", "component_blocks", [1]),
 }
 
 
@@ -454,6 +457,14 @@ def test_malformed_field_exits_2(tmp_path, capsys, edit):
     assert cli.main(["report", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["pairings", "lefschetz", "component_blocks"])
+def test_level_table_that_is_no_object_is_named(key):
+    doc = datum_to_json_dict(blowup_point_datum())
+    doc["levels"][0][key] = [1]
+    with pytest.raises(SchemaError, match=rf"^levels\[0\]\.{key} must be a JSON object$"):
+        datum_from_json_dict(doc)
 
 
 def test_declared_size_above_bound_exits_2(tmp_path, capsys, monkeypatch):
