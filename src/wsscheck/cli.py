@@ -264,7 +264,8 @@ def _check_threefold(args):
 
 def _report(args):
     rec = _analysis(args)
-    doc = {"instance": args.instance, "validate": rec.validation.to_json_dict()}
+    # the file name only, so that every spelling of the path gives the same bytes
+    doc = {"instance": Path(args.instance).name, "validate": rec.validation.to_json_dict()}
     if not rec.validation.ok:
         return EXIT_CHECK_FAILED, strata.dumps(doc)
     doc["pages"] = specseq.page_json_dict(rec.e1_route, rec.verdict)

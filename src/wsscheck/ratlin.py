@@ -17,7 +17,7 @@ transposition, sums and elimination all work over the nonzeros only.
 a product one by one, ``@`` collects them into a matrix, and a check that a
 product vanishes, or that two agree, tests them as they come.  The
 dense row-major tuple ``entries`` is built on each read, for the readers
-that want every entry, such as serialization.
+that want every entry; serialization lists the nonzeros only.
 Matrices are immutable: no operation changes a row dict once a matrix holds
 it, so matrices share rows freely, also between threads.
 
@@ -349,14 +349,29 @@ class RatMatrix:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self):
+        """{rows, cols, nonzeros}: one [i, j, "v"] triple per nonzero, row-major."""
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": list(map(rat_str, self.entries)),
+            "nonzeros": [[i, j, rat_str(row[j])]
+                         for i, row in enumerate(self.data) for j in sorted(row)],
         }
 
     @classmethod
     def from_json_dict(cls, d):
+        """A matrix from its nonzeros, or from all its entries, row-major.
+
+        The key present decides: ``nonzeros`` lists [i, j, value] triples
+        in strictly increasing row-major position, each value a nonzero
+        rational; ``entries`` lists every entry.  A matrix with both keys,
+        or neither, is refused.
+        """
+        if "nonzeros" in d:
+            if "entries" in d:
+                raise TypeError("a matrix has entries or nonzeros, not both")
+            return cls._from_nonzeros(d["nonzeros"], d["rows"], d["cols"])
+        if "entries" not in d:
+            raise TypeError("a matrix needs entries or nonzeros")
         raw, nr, nc = d["entries"], d["rows"], d["cols"]
         # bool is an int subclass, but type() tells it apart, as it does floats
         if type(raw) is not list or type(nr) is not int or type(nc) is not int:
@@ -372,6 +387,32 @@ class RatMatrix:
         data = [{} for _ in range(nr)]
         for k, x in nonzeros:
             data[k // nc][k % nc] = x
+        return cls(nr, nc, tuple(data))
+
+    @classmethod
+    def _from_nonzeros(cls, raw, nr, nc):
+        if type(raw) is not list or type(nr) is not int or type(nc) is not int:
+            raise TypeError("a matrix needs integer rows and cols and a list of nonzeros")
+        if nr < 0 or nc < 0:
+            raise ValueError("negative matrix dimensions")
+        data = [{} for _ in range(nr)]
+        last = -1
+        for k, t in enumerate(raw):
+            # the messages name the triple by its place, never by its (unbounded) text
+            if type(t) is not list or len(t) != 3:
+                raise TypeError(f"nonzeros[{k}] is no [i, j, value] list")
+            i, j, x = t
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"nonzeros[{k}] has an index that is no integer")
+            if not (0 <= i < nr and 0 <= j < nc):
+                raise ValueError(f"nonzeros[{k}] at ({i}, {j}) is outside {nr}x{nc}")
+            if i * nc + j <= last:
+                raise ValueError(f"nonzeros[{k}] at ({i}, {j}) does not follow the one before")
+            last = i * nc + j
+            v = as_rat(x)
+            if not v:
+                raise ValueError(f"nonzeros[{k}] at ({i}, {j}) lists a zero")
+            data[i][j] = v
         return cls(nr, nc, tuple(data))
 
 

@@ -418,6 +418,7 @@ class WmcVerdict:
         return all(e.iso for e in self.entries if e.w == w)
 
     def to_json_dict(self):
+        """The verdict with the entries that have a nonzero side; 0 -> 0 is an iso."""
         return {
             "overall": self.overall,
             "entries": [
@@ -430,6 +431,7 @@ class WmcVerdict:
                     "iso": e.iso,
                 }
                 for e in self.entries
+                if e.dim_source or e.dim_target
             ],
         }
 
@@ -608,6 +610,7 @@ def formal_page(e2: E2Page, w=None) -> WeightComplex:
 
 
 def page_json_dict(e2: E2Page, verdict: WmcVerdict):
+    """The E1 page, its E2 dims and the verdict, listing only nonzero cells and blocks."""
     page = e2.page
     return {
         "n": page.n,
@@ -632,16 +635,19 @@ def page_json_dict(e2: E2Page, verdict: WmcVerdict):
                 ),
             }
             for (i, j) in page.cell_keys()
+            if page.dims[(i, j)]
         ],
         "d1": [
             {"i": i, "j": j, "matrix": m.to_json_dict()}
             for (i, j), m in sorted(page.d1.items())
+            if m.rows and m.cols
         ],
         "n_op": [
             {"i": i, "j": j, "matrix": m.to_json_dict()}
             for (i, j), m in sorted(page.n_blocks.items())
+            if m.rows and m.cols
         ],
-        "e2": [{"i": i, "j": j, "dim": e2.dims[(i, j)]} for (i, j) in sorted(e2.dims)],
+        "e2": [{"i": i, "j": j, "dim": d} for (i, j), d in sorted(e2.dims.items()) if d],
         "verdict": verdict.to_json_dict(),
     }
 

@@ -34,8 +34,11 @@ composite never contributes to any differential (the summand it would feed
 falls outside the allowed index range), and it is genuinely nonzero on, for
 example, a cycle of curves.
 
-File format (version \"wss-1\"): levels are 0-based on disk and 1-based in
-memory; matrices are {rows, cols, entries} with row-major rational strings.
+File format (version \"wss-2\"): levels are 0-based on disk and 1-based in
+memory; matrices are {rows, cols, nonzeros}, one [i, j, "p/q"] triple per
+nonzero entry in row-major order.  Version \"wss-1\", whose matrices are
+{rows, cols, entries} with every entry as a row-major rational string, is
+still read; the reader takes either matrix form in either version.
 """
 
 from __future__ import annotations
@@ -401,7 +404,9 @@ def require_valid(report: ValidationReport):
 
 # -- serialization ------------------------------------------------------------
 
-SCHEMA_VERSION = "wss-1"
+SCHEMA_VERSION = "wss-2"
+# the versions the reader takes: wss-1 differs only in its dense matrices
+READ_VERSIONS = ("wss-1", SCHEMA_VERSION)
 
 # Largest sum of the declared cohomology dimensions, over all levels and
 # degrees, that a document may have: validation builds matrices whose
@@ -421,12 +426,10 @@ def _mat_from_json(d, where):
         if max(int(d["rows"]), int(d["cols"])) > MAX_TOTAL_DIM:
             raise SchemaError(f"{where}: matrix side above {MAX_TOTAL_DIM}")
         return RatMatrix.from_json_dict(d)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{where}: malformed matrix ({exc})") from exc
     except ZeroDivisionError as exc:
         raise SchemaError(f"{where}: rational with zero denominator") from exc
-    except ValueError as exc:
-        raise SchemaError(f"{where}: unparseable rational ({exc})") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: malformed matrix ({exc})") from exc
 
 
 def datum_to_json_dict(datum: SemistableDatum):
@@ -508,9 +511,9 @@ def _table(entry, key, where):
 def datum_from_json_dict(doc) -> SemistableDatum:
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if doc.get("schema") not in READ_VERSIONS:
         raise SchemaError(
-            f"schema version mismatch: expected {SCHEMA_VERSION!r}, "
+            f"schema version mismatch: expected one of {READ_VERSIONS!r}, "
             f"got {doc.get('schema')!r}"
         )
     for key in ("n", "m", "levels", "restriction", "gysin", "ample_class"):

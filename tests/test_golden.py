@@ -1,11 +1,12 @@
 """Pinned SHA-256 digests of whole command outputs.
 
-The report of an instance names it by the path given on the command line,
-so the commands run from the repository root with repository-relative
-paths.  Any change to a report byte, from the numbers to the key order,
-changes a digest here.  {tmp}/ngon3.json is gen_ngon(3) saved to a
-temporary directory and {tmp}/mutated.json the same datum with its
-adjunction axiom broken; the outputs read from there name no path.
+The report of an instance names it by its file name, and the commands run
+from the repository root with repository-relative paths.  Any change to a
+report byte, from the numbers to the key order, changes a digest here.
+{tmp}/ngon3.json is gen_ngon(3) saved to a temporary directory and
+{tmp}/mutated.json the same datum with its adjunction axiom broken.  The
+shipped files are dense wss-1 documents; ``gen toy`` writes the sparse
+wss-2 form, so its bytes are pinned here and not against the file.
 """
 
 import hashlib
@@ -22,31 +23,31 @@ DATA = "src/wsscheck/data"
 
 GOLDEN = {
     "report --instance src/wsscheck/data/toy_blowup_point.json":
-        "fd2638c390f9ee85f20c0b751ea496dc7b74f8fa54bbeacf0140d087b01984cf",
+        "88e9fa35dbf82b844a9db180bb839e8c51187cf20f3ea5601bce5e0ab2400257",
     "report --instance src/wsscheck/data/toy_chain3_x_p2.json":
-        "62e28101256af2f2b43f3b895c299052ff956cf5a97bbe4ab3dc155f15b09264",
+        "6cb0b5a2d353eb560289b052173c222a3d48b0587cdff824371fefed5290a1a7",
     "report --instance src/wsscheck/data/toy_gon3_x_p2.json":
-        "c078f49d8d59d385523ecaf97c3d5ca190abfc39732ed5e215996182884dd000",
+        "228282162042870a09ac4a57d4a9abd6717eb2c8cc1637c8625c5765ee6908a1",
     "report --instance src/wsscheck/data/toy_gon4_x_p2.json":
-        "ebe9a4e4b826a24f5425d839ba90a61fb628b2248d1dc25ff134ce5fc8ad4145",
+        "fc401782b70b086a7c84eb557b91e5b1c9e88b0e1ce3978528f4c5b95de70d9f",
     "pages --instance src/wsscheck/data/toy_gon3_x_p2.json --tensor-power 2":
-        "7cd5e76e79e7cf66e9e859d5e24d0f986d4ca607cb8fd1fb4dba9ae63622bc85",
+        "ad26899b66e9ffc8bfcfa076739846925a0d8e3ed9aae86690f2edccbcbc87bc",
     "check-wmc --instance {tmp}/ngon3.json --tensor-power 3":
-        "81bb5e35f6ebbb480fd758161a6e89c14994a07d4226709b820f45b6fae3b25c",
+        "f93a837f69cef355fa0e979d46fe67b769cbb42e306da7b9ba222b1f263d4b55",
     "check-wmc --instance {tmp}/ngon3.json --tensor-power 4":
-        "63817f614d7169117039eb041fb21c3d790435f713e41a67bae624cb82bc0bfc",
+        "fccc4061220e4ba63ebb663489de7c8faa795827d299a2c237df792e8fd178e9",
     "check-wmc --instance {tmp}/ngon3.json --tensor-power 5":
-        "e099f2fd565b7c80db0aac2ed8982621a0fc57b63bacb1e98f3211d533f1a3f1",
+        "e59fde89f8789a109a52f74de06a8691e0184a125d93e6312cdabc66bf1be846",
     "gen ngon --n 3":
-        "de4ab10108f049e7f015e8f5154628d72fcba58e72f655940864936183f61b26",
+        "fc0d84da992c9d25541c76d8e5159944e8a0684c325a17bebc0deb63ec7f6fef",
     "gen toy --name toy_gon3_x_p2":
-        "cd8ff63689f4f36b5f07f8c9a50ae4790497eb4f52e8c7e35c2eb7d68ddede73",
+        "557ded69b82c3a8b4eff5cb9ddd7a4ff9b37aefab4df7b861fff4265a387101a",
     "gen chain --n 3":
-        "1fbccb67a586bef98a7c5c88179a893d0b158fc3dd0fc5cd73636748b9e7a973",
+        "816c4ab947023e0e24b077c5b5c167984a54e80c173448c5ce3ded144c9ededa",
     "gen smooth --n 3 --betti 1,0,1,0,1,0,1":
-        "722cddfd4932d713b97b48b85cbb59e55d0e3e21233fb77f156d84a84d879e3d",
+        "9e3d41e985dcd511768f69890582662f8d1eb0312d9bcf9d45d1223180ad7596",
     "check-threefold --instance src/wsscheck/data/toy_gon3_x_p2.json":
-        "0ea794c13825ea5779274cef3f2980a9610c8a0e39d9c9852c04ec024e458494",
+        "c18a6b2218c63b94fa71043bd3831683feee1532b6387bbe1fd53023f3dd7878",
     "validate --format json --instance {tmp}/mutated.json":
         "fbdf1f4481a8a67b07ee7929c4fc776ceb687bd96578d152f1c9b2070c2a18ea",
 }

@@ -1,9 +1,11 @@
 import hashlib
+import json
 
 import pytest
 
 from helpers import change_basis
 from oracles import convolve_dims, cycle_incidence, mini_rank, path_incidence
+from wsscheck import cli
 from wsscheck.errors import (
     InvalidProfile,
     MutationNotApplicable,
@@ -12,6 +14,7 @@ from wsscheck.errors import (
 from wsscheck.instances import (
     blowup_point_datum,
     build_toy,
+    data_dir,
     gen_chain,
     gen_ngon,
     gen_smooth,
@@ -25,7 +28,7 @@ from wsscheck.instances import (
 from wsscheck.ratlin import RatMatrix
 from wsscheck.specseq import build_e1, build_e2, check_wmc, tensor_product
 from wsscheck.strata import (
-    AXIOMS, _checks, datum_to_json_dict, dumps, validate,
+    AXIOMS, _checks, datum_to_json_dict, dumps, load, save, validate,
 )
 
 
@@ -196,7 +199,7 @@ def test_mutants_pinned():
                     text = str(exc)
                 digest.update(text.encode())
     assert digest.hexdigest() == (
-        "464201ca127a7045ea0da039a5980e6306fcdfe8efcc1a606a2c77afac4f0291")
+        "5ebf944054d3c67c99d5f62dd9e2bf71c4191484daac336ac35bc8db8143a553")
 
 
 def test_mutation_deterministic():
@@ -217,6 +220,22 @@ def test_unknown_axiom_rejected():
 def test_toys_match_shipped_files():
     for name in toy_names():
         assert load_toy(name) == build_toy(name)
+
+
+@pytest.mark.parametrize("name", toy_names())
+def test_shipped_wss1_file_and_its_wss2_rewrite_agree(name, tmp_path, capsys):
+    # the shipped files stay dense wss-1 fixtures; saved again they are
+    # sparse wss-2, under the same file name, so reports name them alike
+    shipped, rewrite = data_dir() / f"{name}.json", tmp_path / f"{name}.json"
+    save(load(shipped), rewrite)
+    assert [json.loads(p.read_text())["schema"] for p in (shipped, rewrite)] == ["wss-1", "wss-2"]
+    assert load(shipped) == load(rewrite) == build_toy(name)
+    for command in ("report", "check-wmc"):
+        outs = []
+        for path in (shipped, rewrite):
+            assert cli.main([command, "--instance", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 def test_blowup_is_pure():

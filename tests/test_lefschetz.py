@@ -469,22 +469,22 @@ def _suite_doc(datum):
 
 
 SUITE_DIGESTS = {
-    "blowup_point": "289e15e6c1b150f0771e9717ef839b3544da0c6188a4b917909108aff3259f7e",
-    "chain2_x_p2": "e53166dd1e67ddf9b7c874ea14755e9b2b95440e843a8ace5547e01a434ed7c4",
-    "chain3_x_p2": "27bd7df0c8170377446d2a6cc9c1799e399bf668e5ef2c2d81c7af4e964f36b5",
-    "chain4_x_p2": "d2c4a23b371cde5254043d3e0641863016185981944641ad1b6ba7b2a63b9067",
-    "definite_surface": "d66a3283bd925ae3e956057f83a2eabcf637586d04ffad2775e0ccbff69c0a49",
-    "hyperbolic_surface": "af06344ea4af4b8d703be8a4dd21603fa38d06ebf32d2504180b884e922f6133",
-    "ngon3_x_p2": "9b09f912711f8aa24b9c5a4aeb62f5d7a2a471e26e76f7e3f777605c20189474",
-    "ngon4_x_p2": "5ff68dda3bc591dfada2369c98febc21118a27fefacf21da8ce0f5a47278ea8f",
-    "ngon5_x_p2": "3a00a51d09a2cdd6e1d1d01622247964af5329b924fa4c69fd7689286a68a639",
-    "ngon6_x_p2": "59fcc574a3fdf6aa360c4992bb43ae0ad2b235af3266618a73265d6cef51335e",
-    "positive_primitive": "89580db2703775ea02e32003709bc54a9f7fd302ae1f27a585657be9db8d2f5a",
-    "smooth(1, 0, 1, 0, 1, 0, 1)": "fc0853746a779bd8ea373aa07570ccaa1c4508642193bc261a7823dd91eae0d3",
-    "smooth(1, 0, 2, 0, 2, 0, 1)": "0c0db06a67df10e3408265e6a9c067d41d578c8da34f14746e3ecee7f25fd5d1",
-    "smooth(1, 0, 2, 2, 2, 0, 1)": "9c525516ec82784bc7836418bd335327337b650e59d7f36b2960c1171bb04675",
-    "smooth(1, 0, 3, 0, 3, 0, 1)": "706b3b6a2af2be2def846228a9d641673bdd818c3bfbc09d022523249451faf3",
-    "smooth(1, 2, 1, 2, 1, 2, 1)": "2ec398547bb21f9bd53ff95ad011f21a44bc7154d91b27a5d091d49137bbab3d",
+    "blowup_point": "d6dea69dc5aae6aeb99c1a5edc00a4d2cb5d35de2ff9d415438487af35e81801",
+    "chain2_x_p2": "a65f52d088081bc985006e361308a0fbbbae0ca54c37c7b2641a833c8130f3c3",
+    "chain3_x_p2": "4840d05669231200ced88c01e0585263a6aede0d7f01cd0dfe8bce5f0c3f7b6d",
+    "chain4_x_p2": "e52259e7ab2aa47bfebe19e22b04770968ccb3bac431142e5c77508a0c91f403",
+    "definite_surface": "0ce815aa2d9a64e41315f52370d025415a5a611ed49106037ae722f01bff995f",
+    "hyperbolic_surface": "97ac0f400d4c8802af85817c7045c51d5bd32c66dce5ce361a9a71703169d1a5",
+    "ngon3_x_p2": "e9072abb9ad120ba6281ed3478d8c2295186ed78ae004fdfc1724dbbe760acda",
+    "ngon4_x_p2": "e00320bf8701a58dbda43b9bbe26b2fe0b8f1fe14a02a5bad6e971efdfc5f6d5",
+    "ngon5_x_p2": "509ae9ce30a46c99989a906759963134b2bf95a5472f33400821fe5b253ebfb3",
+    "ngon6_x_p2": "0e1afcbb0290a52a514dac2bb1555a6d61cb4d92a9ddd3d3edbc16666ad46cac",
+    "positive_primitive": "9c0a0b6c7644c533791fc451fff15d489f6d0a35609e8b813d7e0e31b89b4f02",
+    "smooth(1, 0, 1, 0, 1, 0, 1)": "70b26954566d2ade0809e8202372b2ebdf48d762c37f3d711645620ed93d7b73",
+    "smooth(1, 0, 2, 0, 2, 0, 1)": "3dcbb8f8d16ba124dedc0a0424852716b2376a242e489f5328b80c06221cf6d4",
+    "smooth(1, 0, 2, 2, 2, 0, 1)": "166e555b60ebff7d1572e2a9ef2fa8e8e51d27819e786dc51829bb289cecdab7",
+    "smooth(1, 0, 3, 0, 3, 0, 1)": "553d11ff11f3f6e8980fc5f80d4c9820e06eef8ddd1dfc643f0986b3d9042624",
+    "smooth(1, 2, 1, 2, 1, 2, 1)": "e94c73d6a903fe1e42b3ca5449a91932563adfae37a6aace64f81ad6b3f61293",
 }
 
 
@@ -495,7 +495,7 @@ def test_suite_bytes_are_those_of_the_canonical_subspaces(name):
 
 def test_suite_bytes_on_the_ngon_products_up_to_40():
     docs = [_digest(_suite_doc(times_projective_plane(gen_ngon(n)))) for n in range(3, 41)]
-    assert _digest(docs) == "dd6ef92871293bbef50255296bfcd0dd8d4eb0673a047332c55b18e552ffdc34"
+    assert _digest(docs) == "f6fc283b0be079dfe2e68250dc46c90f533676a6964ebe1807413979d5006aab"
 
 
 def test_lemma_witnesses_are_the_canonical_ones():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -684,6 +685,66 @@ def test_json_matrix_with_many_distinct_values_reads_as_entry_by_entry(args):
     assert got == _read(_rows_read_entry_by_entry, d)
 
 
+@st.composite
+def _sparse_matrices(draw):
+    """A matrix of any shape, 0 x k and k x 0 included, with Fraction entries among its values."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    dense = draw(st.lists(st.lists(_SCALARS, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    return M(dense, cols=cols)
+
+
+@settings(max_examples=300)
+@given(_sparse_matrices())
+@example(M([], cols=3))
+@example(M([[], [], []], cols=0))
+@example(M([[Fraction(1, 2), 0], [0, Fraction(-7, 3)]]))
+def test_nonzeros_round_trip(m):
+    d = m.to_json_dict()
+    assert set(d) == {"rows", "cols", "nonzeros"}
+    positions = [(i, j) for i, j, _ in d["nonzeros"]]
+    assert positions == sorted(set(positions))
+    assert len(positions) == sum(map(len, m.data))
+    assert RatMatrix.from_json_dict(d) == m
+    assert RatMatrix.from_json_dict(json.loads(json.dumps(d))) == m
+
+
+_ONE_BY_TWO = {"rows": 1, "cols": 2}
+
+
+@pytest.mark.parametrize("d", [
+    {**_ONE_BY_TWO, "nonzeros": [[0, 2, "1"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[1, 0, "1"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[-1, 0, "1"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, -1, "1"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[False, 0, "1"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, True, "1"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0.0, "1"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0, "1"], [0, 0, "2"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 1, "1"], [0, 0, "2"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0, "0"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0, "-0/5"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0, 0]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0, "1/0"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0, "x"]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0, True]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0]]},
+    {**_ONE_BY_TWO, "nonzeros": [[0, 0, "1", "1"]]},
+    {**_ONE_BY_TWO, "nonzeros": [(0, 0, "1")]},
+    {**_ONE_BY_TWO, "nonzeros": "0 0 1"},
+    {**_ONE_BY_TWO, "nonzeros": {"0": [0, 0, "1"]}},
+    {"rows": -1, "cols": 2, "nonzeros": []},
+    {"rows": 1.0, "cols": 2, "nonzeros": []},
+    {**_ONE_BY_TWO, "nonzeros": [], "entries": ["0", "0"]},
+    {**_ONE_BY_TWO},
+    {"cols": 2, "nonzeros": []},
+])
+def test_malformed_nonzeros_raise_what_the_loader_maps(d):
+    # strata._mat_from_json turns exactly these into a SchemaError
+    with pytest.raises((KeyError, TypeError, ValueError, ZeroDivisionError)):
+        RatMatrix.from_json_dict(d)
+
+
 def _assert_stored_canonically(sub, dim):
     ech = sub.echelon
     assert ech.cols == sub.ambient_dim and ech.rows == sub.dim == dim
@@ -845,8 +906,11 @@ def _assert_matches(m, dense, ncols):
     assert m.entries == tuple(flat)
     assert m.is_zero() == (not any(flat))
     d = m.to_json_dict()
-    assert d == {"rows": len(dense), "cols": ncols, "entries": [str(x) for x in flat]}
+    assert d == {"rows": len(dense), "cols": ncols, "nonzeros": [
+        [i, j, str(_canon(x))] for i, row in enumerate(dense) for j, x in enumerate(row) if x]}
     assert RatMatrix.from_json_dict(d) == m
+    dense_doc = {"rows": len(dense), "cols": ncols, "entries": [str(x) for x in flat]}
+    assert RatMatrix.from_json_dict(dense_doc) == m
 
 
 def test_a_stored_zero_breaks_equality():

@@ -248,13 +248,15 @@ def test_round_trip_threefold(tmp_path):
 
 
 def test_zero_denominator_named(tmp_path):
-    doc = datum_to_json_dict(gen_ngon(3))
-    doc["levels"][0]["pairings"]["0"]["entries"][0] = "1/0"
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError) as err:
-        load(path)
-    assert "pairings" in str(err.value)
+    sparse, dense = datum_to_json_dict(gen_ngon(3)), datum_to_json_dict(gen_ngon(3))
+    sparse["levels"][0]["pairings"]["0"]["nonzeros"][0][2] = "1/0"
+    _dense_first_pairing(dense)["entries"][0] = "1/0"
+    for doc in (sparse, dense):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            load(path)
+        assert "pairings" in str(err.value)
 
 
 def test_missing_pairing_block_is_structural(tmp_path):
@@ -408,6 +410,24 @@ def _first_pairing(doc):
     return next(iter(level["pairings"].values()))
 
 
+def _dense_first_pairing(doc):
+    """The first pairing, rewritten in place in the dense wss-1 form."""
+    mat = _first_pairing(doc)
+    entries = ["0"] * (mat["rows"] * mat["cols"])
+    for i, j, x in mat.pop("nonzeros"):
+        entries[i * mat["cols"] + j] = x
+    mat["entries"] = entries
+    return mat
+
+
+def _first_nonzero(doc):
+    return _first_pairing(doc)["nonzeros"][0]
+
+
+def _edit_nonzeros(fn):
+    return lambda d: fn(_first_pairing(d)["nonzeros"])
+
+
 # each edit breaks one field of a valid threefold's document
 MALFORMED = {
     "n-not-int": lambda d: d.__setitem__("n", "abc"),
@@ -431,13 +451,23 @@ MALFORMED = {
     "cohomology-degree-negative": _add_degree(-1, 5),
     "cohomology-degree-repeated": _repeat_first_degree,
     "cohomology-degree-above-2n": _add_degree(10**6, 0),
-    "pairing-rows-huge": lambda d: _first_pairing(d).update(rows=10**9, cols=0, entries=[]),
-    "pairing-entries-string": lambda d: _first_pairing(d).update(
+    "pairing-rows-huge": lambda d: _first_pairing(d).update(rows=10**9, cols=0, nonzeros=[]),
+    "pairing-entries-string": lambda d: _dense_first_pairing(d).update(
         entries="".join(_first_pairing(d)["entries"])),
     "pairing-rows-fractional": lambda d: _first_pairing(d).update(
         rows=_first_pairing(d)["rows"] + 0.9),
     "restriction-cols-huge": lambda d: d["restriction"][0]["matrix"].update(
-        rows=0, cols=10**9, entries=[]),
+        rows=0, cols=10**9, nonzeros=[]),
+    "nonzero-row-out-of-range": lambda d: _first_nonzero(d).__setitem__(0, 2),
+    "nonzero-col-negative": lambda d: _first_nonzero(d).__setitem__(1, -1),
+    "nonzero-index-bool": lambda d: _first_nonzero(d).__setitem__(0, False),
+    "nonzero-repeated": _edit_nonzeros(lambda z: z.append(list(z[-1]))),
+    "nonzero-out-of-order": _edit_nonzeros(list.reverse),
+    "nonzero-listed-zero": lambda d: _first_nonzero(d).__setitem__(2, "0"),
+    "nonzero-two-items": lambda d: _first_nonzero(d).pop(),
+    "nonzeros-not-list": lambda d: _first_pairing(d).update(nonzeros={"0": "1"}),
+    "matrix-both-forms": lambda d: _first_pairing(d).update(entries=["1", "0", "0", "1"]),
+    "matrix-neither-form": lambda d: _first_pairing(d).pop("nonzeros"),
     "pairings-not-object": _first("levels", "pairings", [1]),
     "lefschetz-not-object": _first("levels", "lefschetz", [1]),
     "component-blocks-not-object": _first("levels", "component_blocks", [1]),
@@ -457,6 +487,7 @@ def test_malformed_field_exits_2(tmp_path, capsys, edit):
     assert cli.main(["report", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("key", ["pairings", "lefschetz", "component_blocks"])
